@@ -362,6 +362,46 @@ def _average_breakdowns(records: list, sizes: list) -> LossBreakdown:
     )
 
 
+def training_rows(model: AEModel, dataset) -> Matrix:
+    """The training rows as a float64 matrix whose columns fit the model input."""
+    data = np.asarray(dataset, dtype=np.float64)
+    if data.ndim != 2 or data.shape[1] != model.input_dim:
+        raise ValueError(
+            f"dataset shape {data.shape} does not match model input dim {model.input_dim}"
+        )
+    return data
+
+
+def sgd_epochs(model: AEModel, config, dataset: Matrix, lr: float, epochs: int, batch_size: int, seed: int):
+    """The one training loop: seeded minibatch SGD on total_loss.
+
+    config supplies only the loss settings (excl_weight, n_neighbors,
+    loss_reduction, mean_grad). The neighbor table is built once from
+    dataset, before the first step, and only when excl_weight > 0. Yields
+    one batch-size-weighted LossBreakdown per epoch, after the epoch's last
+    step, so the caller can act on the model before the next epoch starts.
+    """
+    ctx = excl.build_context(dataset, config.n_neighbors) if config.excl_weight > 0 else None
+    rng = np.random.default_rng(seed)
+    layers = model.layers
+    n = dataset.shape[0]
+    for epoch in range(epochs):
+        perm = rng.permutation(n)
+        records, sizes = [], []
+        for start in range(0, n, batch_size):
+            batch = perm[start : start + batch_size]
+            breakdown, grads = total_loss(model, config, ctx, dataset, batch)
+            if not np.isfinite(breakdown.total):
+                raise RuntimeError(
+                    f"non-finite loss {breakdown.total} at epoch {epoch}, "
+                    f"batch starting at {start}"
+                )
+            sgd_step(layers, grads, lr)
+            records.append(breakdown)
+            sizes.append(batch.size)
+        yield _average_breakdowns(records, sizes)
+
+
 def train(model: AEModel, config: AEConfig, dataset: Matrix):
     """Seeded minibatch SGD on the full objective.
 
@@ -370,34 +410,11 @@ def train(model: AEModel, config: AEConfig, dataset: Matrix):
     raw dataset, before the first step; with excl_weight == 0 the
     exclusivity machinery is skipped entirely.
     """
-    dataset = np.asarray(dataset, dtype=np.float64)
+    dataset = training_rows(model, dataset)
     n = dataset.shape[0]
-    if dataset.ndim != 2 or dataset.shape[1] != model.input_dim:
-        raise ValueError(
-            f"dataset shape {dataset.shape} does not match model input dim {model.input_dim}"
-        )
     if n < max(2, config.n_neighbors + 1):
         raise ValueError(
             f"need at least max(2, n_neighbors+1) = {max(2, config.n_neighbors + 1)} rows, have {n}"
         )
-    ctx = excl.build_context(dataset, config.n_neighbors) if config.excl_weight > 0 else None
-
-    rng = np.random.default_rng(config.seed)
-    layers = model.layers
-    history = []
-    for epoch in range(config.epochs):
-        perm = rng.permutation(n)
-        records, sizes = [], []
-        for start in range(0, n, config.batch_size):
-            batch = perm[start : start + config.batch_size]
-            breakdown, grads = total_loss(model, config, ctx, dataset, batch)
-            if not np.isfinite(breakdown.total):
-                raise RuntimeError(
-                    f"non-finite loss {breakdown.total} at epoch {epoch}, "
-                    f"batch starting at {start}"
-                )
-            sgd_step(layers, grads, config.lr)
-            records.append(breakdown)
-            sizes.append(batch.size)
-        history.append(_average_breakdowns(records, sizes))
-    return model, history
+    epochs = sgd_epochs(model, config, dataset, config.lr, config.epochs, config.batch_size, config.seed)
+    return model, list(epochs)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autoencoder import AEModel, LossBreakdown
+from .autoencoder import AEModel, LossBreakdown, model_parameters
 from .dataio import (
     Dataset,
     SplitSpec,
@@ -330,14 +330,6 @@ def _model_descriptor(model: AEModel) -> dict:
     }
 
 
-def _model_params(model: AEModel) -> list:
-    params = []
-    for layer in model.layers:
-        params.append(layer.weight)
-        params.append(layer.bias)
-    return params
-
-
 def _model_from_descriptor(desc: dict, params: list, cursor: int):
     def read_layers(specs):
         nonlocal cursor
@@ -365,8 +357,8 @@ def save_checkpoint(stacked: StackedModel, path, config: dict | None = None) -> 
     header_bytes = json.dumps(header, sort_keys=True).encode()
     params = []
     for model in stacked.levels:
-        params.extend(_model_params(model))
-    params.extend(_model_params(stacked.assembled))
+        params.extend(model_parameters(model))
+    params.extend(model_parameters(stacked.assembled))
     blob = b"".join(p.astype("<f8").tobytes() for p in params)
 
     body = (

@@ -10,22 +10,15 @@ left the band [1 - band, 1 + band].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import exclusivity as excl
-from .autoencoder import (
-    AEConfig,
-    AEModel,
-    LossBreakdown,
-    _average_breakdowns,
-    build_model,
-    encode,
-    total_loss,
-    train,
-)
-from .numkit import Matrix, sgd_step
+from .autoencoder import AEModel, LossBreakdown, build_model, encode, sgd_epochs, train, training_rows
+from .numkit import Matrix
+
+# Unused here, but the benchmark tracer patches these names on this module.
+from .autoencoder import sgd_step, total_loss  # noqa: F401
 
 
 @dataclass
@@ -189,45 +182,17 @@ def fine_tune(stacked: StackedModel, dataset: Matrix, config: StackConfig):
     After every epoch each layer is projected back into its band (biases
     are not constrained). Returns (stacked, history of FinetuneEpoch).
     """
-    data = np.asarray(dataset, dtype=np.float64)
     model = stacked.assembled
-    if data.ndim != 2 or data.shape[1] != model.input_dim:
-        raise ValueError(
-            f"dataset shape {data.shape} does not match model input dim {model.input_dim}"
-        )
-    n = data.shape[0]
-    w = config.finetune_excl_weight
-    ctx = excl.build_context(data, config.finetune_neighbors) if w > 0 else None
-    # total_loss only reads the loss/regularizer fields of its config
-    eval_cfg = AEConfig(
-        layer_sizes=[model.input_dim, model.latent_dim],
-        excl_weight=w,
+    data = training_rows(model, dataset)
+    # total_loss reads only the loss settings: level 1's, at the fine-tune weight
+    loss_cfg = replace(
+        config.levels[0],
+        excl_weight=config.finetune_excl_weight,
         n_neighbors=config.finetune_neighbors,
-        lr=config.finetune_lr,
-        epochs=config.finetune_epochs,
-        batch_size=config.finetune_batch_size,
-        seed=config.finetune_seed,
-        loss_reduction=config.levels[0].loss_reduction,
-        mean_grad=config.levels[0].mean_grad,
     )
-
-    rng = np.random.default_rng(config.finetune_seed)
-    layers = model.layers
-    history = []
-    for epoch in range(config.finetune_epochs):
-        perm = rng.permutation(n)
-        records, sizes = [], []
-        for start in range(0, n, config.finetune_batch_size):
-            batch = perm[start : start + config.finetune_batch_size]
-            breakdown, grads = total_loss(model, eval_cfg, ctx, data, batch)
-            if not np.isfinite(breakdown.total):
-                raise RuntimeError(
-                    f"non-finite loss {breakdown.total} at fine-tune epoch {epoch}, "
-                    f"batch starting at {start}"
-                )
-            sgd_step(layers, grads, config.finetune_lr)
-            records.append(breakdown)
-            sizes.append(batch.size)
-        ratios = _project_all(stacked, config.band)
-        history.append(FinetuneEpoch(loss=_average_breakdowns(records, sizes), ratios=ratios))
+    epochs = sgd_epochs(
+        model, loss_cfg, data, config.finetune_lr, config.finetune_epochs,
+        config.finetune_batch_size, config.finetune_seed,
+    )
+    history = [FinetuneEpoch(loss=loss, ratios=_project_all(stacked, config.band)) for loss in epochs]
     return stacked, history
