@@ -16,7 +16,6 @@ import numpy as np
 from . import exclusivity as excl
 from .numkit import (
     ACTIVATIONS,
-    GradSet,
     Matrix,
     activate,
     affine_backward,
@@ -204,64 +203,57 @@ def recon_loss(x_batch: Matrix, xhat_batch: Matrix, reduction: str = "mean"):
     return loss, 2.0 * diff / div
 
 
-def _accumulate(target: GradSet, extra: GradSet, scale: float) -> None:
-    for t, e in zip(target, extra):
-        t.weight += scale * e.weight
-        t.bias += scale * e.bias
-
-
 def total_loss(model: AEModel, config: AEConfig, ctx, dataset: Matrix, batch_indices):
     """Full objective and parameter gradients for one batch.
 
     ctx must have been built over the same dataset. Returns
     (LossBreakdown, GradSet) with gradients ordered encoder layers then
     decoder layers. The encoded-prototype branches share the encoder
-    weights; with mean_grad="stopped" their gradient contribution is
-    dropped, with "full" it is accumulated.
+    weights, so the rows [x; exclude-one means; peer means] run through
+    it in one forward and one backward pass, where their gradients add.
+    With mean_grad="stopped" the prototype rows get zero upstream gradient,
+    so only the x rows are backpropagated.
     """
     idx = np.asarray(batch_indices, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("empty batch")
+    w = config.excl_weight
+    if ctx is None and w != 0.0:
+        raise ValueError("excl_weight is nonzero but no exclusivity context given")
     x = dataset[idx]
-    h, enc_inputs = _forward(model.encoder, x)
+    protos = excl.batch_targets(ctx, dataset, idx) if ctx is not None else ()
+    if w != 0.0:
+        codes, enc_inputs = _forward(model.encoder, np.vstack((x, *protos)))
+        h, *enc_protos = np.split(codes, 3)
+    else:
+        # x alone, so the gradients match the plain autoencoder bit for bit;
+        # prototypes are encoded only to report their similarities
+        h, enc_inputs = _forward(model.encoder, x)
+        enc_protos = [encode(model, p) for p in protos]
     xhat, dec_inputs = _forward(model.decoder, h)
 
     la, d_xhat = recon_loss(x, xhat, config.loss_reduction)
     dec_grads, d_h = _backward(model.decoder, dec_inputs, d_xhat)
 
-    w = config.excl_weight
     if ctx is None:
-        if w != 0.0:
-            raise ValueError("excl_weight is nonzero but no exclusivity context given")
-        enc_grads, _ = _backward(model.encoder, enc_inputs, d_h)
         breakdown = LossBreakdown(recon=la, total=la, weight=0.0, **INACTIVE_EXCL)
-        return breakdown, enc_grads + dec_grads
-
-    hetero_raw, homo_raw = excl.batch_targets(ctx, dataset, idx)
-    enc_het, het_inputs = _forward(model.encoder, hetero_raw)
-    enc_hom, hom_inputs = _forward(model.encoder, homo_raw)
-    res = excl.exclusivity_loss(h, enc_het, enc_hom, reduction=config.loss_reduction)
-
-    total = la + w * res.excl
-    breakdown = LossBreakdown(
-        recon=la,
-        hetero_sim=res.hetero_sim,
-        homo_sim=res.homo_sim,
-        excl=res.excl,
-        total=total,
-        weight=w,
-    )
-
-    if w == 0.0:
-        enc_grads, _ = _backward(model.encoder, enc_inputs, d_h)
-        return breakdown, enc_grads + dec_grads
-
-    enc_grads, _ = _backward(model.encoder, enc_inputs, d_h + w * res.grad_latent)
-    if config.mean_grad == "full":
-        het_grads, _ = _backward(model.encoder, het_inputs, res.grad_hetero)
-        hom_grads, _ = _backward(model.encoder, hom_inputs, res.grad_homo)
-        _accumulate(enc_grads, het_grads, w)
-        _accumulate(enc_grads, hom_grads, w)
+    else:
+        res = excl.exclusivity_loss(h, *enc_protos, reduction=config.loss_reduction)
+        breakdown = LossBreakdown(
+            recon=la,
+            hetero_sim=res.hetero_sim,
+            homo_sim=res.homo_sim,
+            excl=res.excl,
+            total=la + w * res.excl,
+            weight=w,
+        )
+    if w != 0.0:
+        d_h = d_h + w * res.grad_latent
+        if config.mean_grad == "full":
+            d_h = np.vstack((d_h, w * res.grad_hetero, w * res.grad_homo))
+        else:  # zero gradient for the prototype rows: backpropagate x alone
+            enc_inputs = [rows[: len(x)] for rows in enc_inputs]
+    enc_grads, _ = _backward(model.encoder, enc_inputs, d_h)
     return breakdown, enc_grads + dec_grads
 
 

@@ -132,12 +132,22 @@ def flatten_grads(grads):
 
 
 class TestTotalLoss:
-    def test_zero_weight_reduces_to_reconstruction(self):
-        cfg = toy_config(excl_weight=0.0)
+    # at 784 -> 256 BLAS blocks the GEMMs; a 3-row batch, like an epoch's
+    # short last batch, is where a stacked pass would round x differently
+    @pytest.mark.parametrize(
+        "sizes,n,batch",
+        [
+            ([2, 3, 2], 6, [0, 2, 4]),
+            ([784, 256], 64, list(range(1, 64, 2))),
+            ([784, 256], 64, [5, 9, 40]),
+        ],
+        ids=["toy", "784x256-batch32", "784x256-batch3"],
+    )
+    def test_zero_weight_reduces_to_reconstruction(self, sizes, n, batch):
+        cfg = toy_config(layer_sizes=sizes, excl_weight=0.0)
         model = build_model(cfg)
-        data = toy_data()
+        data = toy_data(n=n, dim=sizes[0])
         ctx = build_context(data, cfg.n_neighbors)
-        batch = [0, 2, 4]
 
         breakdown, grads = total_loss(model, cfg, ctx, data, batch)
         x = data[np.asarray(batch)]
@@ -147,7 +157,7 @@ class TestTotalLoss:
         assert breakdown.recon == pytest.approx(la, abs=1e-15)
 
         # gradients must equal the pure reconstruction path bitwise
-        plain_cfg = toy_config(excl_weight=0.0)
+        plain_cfg = toy_config(layer_sizes=sizes, excl_weight=0.0)
         _, plain_grads = total_loss(model, plain_cfg, None, data, batch)
         for a, b in zip(flatten_grads(grads), flatten_grads(plain_grads)):
             assert np.array_equal(a, b)
