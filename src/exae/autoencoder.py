@@ -20,6 +20,7 @@ from .numkit import (
     activate,
     affine_backward,
     affine_forward,
+    as_matrix,
     init_layer,
     sgd_step,
 )
@@ -355,23 +356,21 @@ def _average_breakdowns(records: list, sizes: list) -> LossBreakdown:
 
 
 def training_rows(model: AEModel, dataset) -> Matrix:
-    """The training rows as a float64 matrix whose columns fit the model input."""
+    """The rows as a finite float64 matrix of the model's input width."""
     data = np.asarray(dataset, dtype=np.float64)
     if data.ndim != 2 or data.shape[1] != model.input_dim:
         raise ValueError(
             f"dataset shape {data.shape} does not match model input dim {model.input_dim}"
         )
-    return data
+    return as_matrix(data, "dataset")
 
 
 def sgd_epochs(model: AEModel, config, dataset: Matrix, lr: float, epochs: int, batch_size: int, seed: int):
     """The one training loop: seeded minibatch SGD on total_loss.
 
-    config supplies only the loss settings (excl_weight, n_neighbors,
-    loss_reduction, mean_grad). The neighbor table is built once from
-    dataset, before the first step, and only when excl_weight > 0. Yields
-    one batch-size-weighted LossBreakdown per epoch, after the epoch's last
-    step, so the caller can act on the model before the next epoch starts.
+    config supplies only the loss settings. Yields one batch-size-weighted
+    LossBreakdown per epoch, after the epoch's last step, so the caller can
+    act on the model before the next epoch starts.
     """
     ctx = excl.build_context(dataset, config.n_neighbors) if config.excl_weight > 0 else None
     rng = np.random.default_rng(seed)

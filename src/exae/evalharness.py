@@ -388,32 +388,37 @@ def load_checkpoint(path) -> StackedModel:
     header_len = int.from_bytes(buf[12:16], "little")
     if 16 + header_len > len(buf) - 4:
         raise CheckpointError(f"truncated checkpoint {path}")
-    header = json.loads(buf[16 : 16 + header_len].decode())
+    try:
+        header = json.loads(buf[16 : 16 + header_len].decode())
 
-    descriptors = header["levels"] + [header["assembled"]]
-    sizes = []
-    for desc in descriptors:
-        for s in desc["encoder"] + desc["decoder"]:
-            sizes.append(s["out"] * s["in"])
-            sizes.append(s["out"])
-    blob = buf[16 + header_len : -4]
-    if len(blob) != 8 * sum(sizes):
-        raise CheckpointError(f"truncated checkpoint {path}")
-    flat = np.frombuffer(blob, dtype="<f8")
-    params, offset = [], 0
-    for size in sizes:
-        params.append(flat[offset : offset + size].copy())
-        offset += size
+        descriptors = header["levels"] + [header["assembled"]]
+        sizes = []
+        for desc in descriptors:
+            for s in desc["encoder"] + desc["decoder"]:
+                sizes.append(s["out"] * s["in"])
+                sizes.append(s["out"])
+        blob = buf[16 + header_len : -4]
+        if len(blob) != 8 * sum(sizes):
+            raise CheckpointError(f"truncated checkpoint {path}")
+        flat = np.frombuffer(blob, dtype="<f8")
+        params, offset = [], 0
+        for size in sizes:
+            params.append(flat[offset : offset + size].copy())
+            offset += size
 
-    cursor = 0
-    levels = []
-    for desc in header["levels"]:
-        model, cursor = _model_from_descriptor(desc, params, cursor)
-        levels.append(model)
-    assembled, cursor = _model_from_descriptor(header["assembled"], params, cursor)
-    return StackedModel(
-        levels=levels,
-        assembled=assembled,
-        snapshots=header["snapshots"],
-        norm_order=header.get("norm_order", 2),
-    )
+        cursor = 0
+        levels = []
+        for desc in header["levels"]:
+            model, cursor = _model_from_descriptor(desc, params, cursor)
+            levels.append(model)
+        assembled, cursor = _model_from_descriptor(header["assembled"], params, cursor)
+        return StackedModel(
+            levels=levels,
+            assembled=assembled,
+            snapshots=header["snapshots"],
+            norm_order=header.get("norm_order", 2),
+        )
+    except CheckpointError:
+        raise
+    except (ValueError, KeyError, TypeError) as err:
+        raise CheckpointError(f"malformed checkpoint header in {path}: {err!r}") from err

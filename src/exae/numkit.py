@@ -19,15 +19,16 @@ Matrix = np.ndarray
 ACTIVATIONS = ("identity", "relu", "sigmoid")
 
 
-def as_matrix(data) -> Matrix:
-    """Coerce to a 2-D float64 array, rejecting non-finite entries."""
+def as_matrix(data, name: str = "matrix") -> Matrix:
+    """Coerce to a 2-D float64 array, rejecting non-finite entries (named in errors)."""
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix contains non-finite entries")
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{name} contains non-finite entries, first in row {np.argmin(finite)}")
     return arr
 
 

@@ -58,6 +58,10 @@ class StackConfig:
             raise ValueError("finetune_lr must be positive")
         if self.finetune_batch_size < 1:
             raise ValueError("finetune_batch_size must be >= 1")
+        if self.finetune_excl_weight < 0:
+            raise ValueError(f"finetune_excl_weight must be >= 0, got {self.finetune_excl_weight}")
+        if self.finetune_neighbors < 1:
+            raise ValueError(f"finetune_neighbors must be >= 1, got {self.finetune_neighbors}")
 
     @property
     def n_levels(self) -> int:
@@ -186,9 +190,7 @@ def fine_tune(stacked: StackedModel, dataset: Matrix, config: StackConfig):
     data = training_rows(model, dataset)
     # total_loss reads only the loss settings: level 1's, at the fine-tune weight
     loss_cfg = replace(
-        config.levels[0],
-        excl_weight=config.finetune_excl_weight,
-        n_neighbors=config.finetune_neighbors,
+        config.levels[0], excl_weight=config.finetune_excl_weight, n_neighbors=config.finetune_neighbors
     )
     epochs = sgd_epochs(
         model, loss_cfg, data, config.finetune_lr, config.finetune_epochs,

@@ -14,6 +14,7 @@ from exae.autoencoder import (
     total_loss,
     train,
 )
+from exae import exclusivity
 from exae.exclusivity import build_context
 from exae.numkit import DenseLayer, affine_backward, affine_forward, grad_check, sgd_step
 
@@ -247,6 +248,22 @@ class TestTrain:
         cfg = toy_config(n_neighbors=6)
         with pytest.raises(ValueError, match="rows"):
             train(build_model(cfg), cfg, toy_data(0, n=4))
+
+    def test_non_finite_rows_rejected_before_any_work(self, monkeypatch):
+        cfg = toy_config(excl_weight=2.0)
+        model = build_model(cfg)
+        before = [p.copy() for p in model_params(model)]
+        data = toy_data()
+        data[3, 1] = np.nan
+
+        def no_table(*args):
+            raise AssertionError("neighbor table built for non-finite data")
+
+        monkeypatch.setattr(exclusivity, "build_context", no_table)
+        with pytest.raises(ValueError, match="dataset contains non-finite entries, first in row 3"):
+            train(model, cfg, data)
+        for p, q in zip(model_params(model), before):
+            assert np.array_equal(p, q)
 
     def test_zero_weight_training_matches_plain_reference_loop(self):
         """lambda = 0 must be byte-for-byte a conventional autoencoder."""

@@ -1,5 +1,7 @@
 """Feature extraction, k-NN against a brute-force oracle, experiments, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -280,6 +282,31 @@ class TestCheckpoint:
         blob[-4:] = zlib.crc32(bytes(blob[:-4])).to_bytes(4, "little")
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="version"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: b"{not json",
+            lambda h: json.dumps({k: v for k, v in h.items() if k != "assembled"}).encode(),
+            lambda h: json.dumps({**h, "levels": 3}).encode(),
+            lambda h: json.dumps({**h, "snapshots": ["1.0"] * len(h["snapshots"])}).encode(),
+        ],
+        ids=["undecodable-json", "missing-key", "levels-not-a-list", "snapshots-not-numbers"],
+    )
+    def test_malformed_header_rejected(self, tmp_path, edit):
+        stacked, _ = self.make_trained()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(stacked, path)
+        buf = path.read_bytes()
+        header_len = int.from_bytes(buf[12:16], "little")
+        header = edit(json.loads(buf[16 : 16 + header_len]))
+        body = buf[:12] + len(header).to_bytes(4, "little") + header + buf[16 + header_len : -4]
+        # keep the checksum consistent so only the header is at fault
+        import zlib
+
+        path.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+        with pytest.raises(CheckpointError, match="malformed checkpoint header"):
             load_checkpoint(path)
 
     def test_corrupt_payload_rejected(self, tmp_path):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from exae.autoencoder import AEConfig, build_model, encode, train
+from exae import exclusivity
+from exae.autoencoder import AEConfig, build_model, encode, total_loss, train
+from exae.numkit import sgd_step
 from exae.stacking import (
     StackConfig,
     assemble,
@@ -223,6 +225,48 @@ class TestFineTune:
             assert epoch.loss.excl == 0.0
             assert epoch.loss.total == pytest.approx(epoch.loss.recon, abs=1e-15)
 
+    def test_zero_weight_matches_reference_loop(self):
+        """Fine-tuning is the plain training loop plus a band projection per epoch."""
+        cfg = stack_cfg(band=0.0, finetune_epochs=4, finetune_lr=0.1)
+        data = toy_rows(13, n=10)  # batch 4: each epoch ends on a 2-row batch
+        stacked, _ = train_stack(cfg, data)
+        ref = stacked.assembled.copy()
+        stacked, _ = fine_tune(stacked, data, cfg)
+
+        # independent reference from public primitives; total_loss reads
+        # only the loss settings of its config
+        loss_cfg = level_cfg([8, 2], excl_weight=0.0)
+        layers = ref.layers
+        rng = np.random.default_rng(cfg.finetune_seed)
+        for _ in range(cfg.finetune_epochs):
+            perm = rng.permutation(len(data))
+            for start in range(0, len(data), cfg.finetune_batch_size):
+                batch = perm[start : start + cfg.finetune_batch_size]
+                _, grads = total_loss(ref, loss_cfg, None, data, batch)
+                sgd_step(layers, grads, cfg.finetune_lr)
+            for snap, layer in zip(stacked.snapshots, layers):
+                layer.weight = project_to_band(snap, layer.weight, cfg.band)
+
+        for a, b in zip(stacked.assembled.layers, layers):
+            assert np.array_equal(a.weight, b.weight)
+            assert np.array_equal(a.bias, b.bias)
+
+    def test_non_finite_rows_rejected_before_any_work(self, monkeypatch):
+        cfg = stack_cfg(finetune_excl_weight=1.5, finetune_neighbors=2)
+        data = toy_rows(7)
+        stacked, _ = train_stack(cfg, data)
+        before = [l.weight.copy() for l in stacked.assembled.layers]
+        data[5, 2] = np.inf
+
+        def no_table(*args):
+            raise AssertionError("neighbor table built for non-finite data")
+
+        monkeypatch.setattr(exclusivity, "build_context", no_table)
+        with pytest.raises(ValueError, match="dataset contains non-finite entries, first in row 5"):
+            fine_tune(stacked, data, cfg)
+        for w, l in zip(before, stacked.assembled.layers):
+            assert np.array_equal(w, l.weight)
+
     def test_optional_exclusivity_term(self):
         cfg = stack_cfg(finetune_epochs=2, finetune_excl_weight=1.5, finetune_neighbors=2)
         data = toy_rows(7)
@@ -248,9 +292,18 @@ def test_single_level_stack_with_zero_finetune_equals_plain_training():
         assert np.array_equal(a.bias, b.bias)
 
 
-def test_dimension_chain_validated():
-    with pytest.raises(ValueError, match="does not match"):
-        StackConfig(levels=[level_cfg([8, 4]), level_cfg([5, 2])])
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        (dict(levels=[level_cfg([8, 4]), level_cfg([5, 2])]), "does not match"),
+        (dict(levels=[level_cfg([8, 4])], finetune_excl_weight=-1.0), "finetune_excl_weight"),
+        (dict(levels=[level_cfg([8, 4])], finetune_neighbors=0), "finetune_neighbors"),
+    ],
+    ids=["dimension-chain", "finetune-excl-weight", "finetune-neighbors"],
+)
+def test_invalid_config_rejected(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        StackConfig(**kwargs)
 
 
 def test_pretrain_error_names_level():
