@@ -365,7 +365,9 @@ def training_rows(model: AEModel, dataset) -> Matrix:
     return as_matrix(data, "dataset")
 
 
-def sgd_epochs(model: AEModel, config, dataset: Matrix, lr: float, epochs: int, batch_size: int, seed: int):
+def sgd_epochs(
+    model: AEModel, config: AEConfig, dataset: Matrix, lr: float, epochs: int, batch_size: int, seed: int
+):
     """The one training loop: seeded minibatch SGD on total_loss.
 
     config supplies only the loss settings. Yields one batch-size-weighted

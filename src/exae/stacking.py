@@ -17,7 +17,7 @@ import numpy as np
 from .autoencoder import AEModel, LossBreakdown, build_model, encode, sgd_epochs, train, training_rows
 from .numkit import Matrix
 
-# Unused here, but the benchmark tracer patches these names on this module.
+# Unused here, but perfbench/tracing.py patches these names on this module.
 from .autoencoder import sgd_step, total_loss  # noqa: F401
 
 

@@ -267,6 +267,14 @@ class TestFineTune:
         for w, l in zip(before, stacked.assembled.layers):
             assert np.array_equal(w, l.weight)
 
+    def test_fewer_rows_than_neighbors_at_weight_zero(self):
+        # no neighbor table at weight 0, so train's row minimum does not apply
+        cfg = stack_cfg(finetune_epochs=2)
+        assert cfg.finetune_neighbors == 6
+        stacked, _ = train_stack(cfg, toy_rows())
+        stacked, history = fine_tune(stacked, toy_rows(n=5), cfg)
+        assert len(history) == 2
+
     def test_optional_exclusivity_term(self):
         cfg = stack_cfg(finetune_epochs=2, finetune_excl_weight=1.5, finetune_neighbors=2)
         data = toy_rows(7)
