@@ -279,18 +279,19 @@ def cmd_eval(cfg: dict, args) -> int:
 
 def cmd_experiment(cfg: dict, args) -> int:
     out = _out_dir(cfg)
-    train_probe, _ = load_data(data_spec_from(cfg))
+    spec = data_spec_from(cfg)
+    loaded = load_data(spec)  # read once: its width sizes the stack
     exp = ExperimentConfig(
-        data=data_spec_from(cfg),
+        data=spec,
         split=split_spec_from(cfg),
-        stack=stack_config_from(cfg, train_probe.dim),
+        stack=stack_config_from(cfg, loaded[0].dim),
         trials=cfg["experiment"]["trials"],
         knn_k=cfg["eval"]["knn_k"],
         metric=cfg["eval"]["metric"],
         base_seed=cfg["experiment"]["base_seed"],
         out_dir=str(out),
     )
-    records, summary = run_experiment(exp)
+    records, summary = run_experiment(exp, loaded)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0 if not summary["partial"] else 1
 

@@ -59,19 +59,29 @@ def extract_features(stacked: StackedModel, dataset) -> Matrix:
 
 
 def _pairwise_dist(query: Matrix, train: Matrix, metric: str) -> Matrix:
+    """(queries x train) distances, computed in place in the product matrix.
+
+    euclidean is max(|q|^2 - 2 q.t + |t|^2, 0) and cosine is 1 - q.t /
+    max(|q||t|, 1e-300), each operation applied in that order, so the
+    values are those of the plain expressions without their full-size
+    temporaries.
+    """
+    if metric not in KNN_METRICS:
+        raise ValueError(f"metric must be one of {KNN_METRICS}, got {metric!r}")
+    dists = query @ train.T
     if metric == "euclidean":
-        d2 = (
-            np.sum(query**2, axis=1)[:, None]
-            - 2.0 * query @ train.T
-            + np.sum(train**2, axis=1)[None, :]
-        )
-        return np.maximum(d2, 0.0)
-    if metric == "cosine":
-        qn = np.linalg.norm(query, axis=1)
-        tn = np.linalg.norm(train, axis=1)
-        sims = query @ train.T / np.maximum(np.outer(qn, tn), 1e-300)
-        return 1.0 - sims
-    raise ValueError(f"metric must be one of {KNN_METRICS}, got {metric!r}")
+        dists *= 2.0
+        np.subtract(np.sum(query**2, axis=1)[:, None], dists, out=dists)
+        dists += np.sum(train**2, axis=1)[None, :]
+        return np.maximum(dists, 0.0, out=dists)
+    norms = np.outer(np.linalg.norm(query, axis=1), np.linalg.norm(train, axis=1))
+    dists /= np.maximum(norms, 1e-300, out=norms)
+    return np.subtract(1.0, dists, out=dists)
+
+
+# Queries ranked at once by knn_classify; 64 rows keep its transient arrays
+# small next to the full distance matrix.
+_KNN_BLOCK_ROWS = 64
 
 
 def knn_classify(
@@ -88,6 +98,13 @@ def knn_classify(
     label with the smaller summed distance, then to the lower label.
     exclude_self skips the candidate with the query's own row index, for
     evaluating a training set against itself.
+
+    Selection: for a block of queries, the k-th smallest distance (the
+    (k+1)-th with exclude_self) is read from the block's sorted values.
+    The candidates below it, plus the lowest-index candidates tied with it,
+    are lexsorted on (distance, index). That gives the same neighbors, in
+    the same order, as a lexsort of every distance, so the distances, tie
+    rules and votes are unchanged.
     """
     train_feats = np.asarray(train_feats, dtype=np.float64)
     query_feats = np.asarray(query_feats, dtype=np.float64)
@@ -103,19 +120,47 @@ def knn_classify(
         raise ValueError(f"k={k} out of range for {n_candidates} candidates")
 
     dists = _pairwise_dist(query_feats, train_feats, metric)
+    reach = k + (1 if exclude_self else 0)
     predictions = np.empty(query_feats.shape[0], dtype=np.int64)
-    for q in range(query_feats.shape[0]):
-        order = np.lexsort((np.arange(train_feats.shape[0]), dists[q]))
-        if exclude_self:
-            order = order[order != q]
-        top = order[:k]
-        votes = {}
-        for idx in top:
-            lbl = int(train_labels[idx])
-            cnt, tot = votes.get(lbl, (0, 0.0))
-            votes[lbl] = (cnt + 1, tot + dists[q, idx])
-        predictions[q] = min(votes, key=lambda lbl: (-votes[lbl][0], votes[lbl][1], lbl))
+    for start in range(0, query_feats.shape[0], _KNN_BLOCK_ROWS):
+        block = dists[start : start + _KNN_BLOCK_ROWS]
+        for row, top in enumerate(_nearest(block, reach)):
+            q = start + row
+            if exclude_self:
+                top = top[top != q][:k]
+            predictions[q] = _vote(train_labels, block[row], top)
     return predictions
+
+
+def _nearest(block: Matrix, reach: int) -> np.ndarray:
+    """The reach smallest entries of each row, as column indices in
+    (distance, index) order: the first reach columns of a full lexsort."""
+    # np.partition runs about ten times slower than a sort on rows full of
+    # tied distances, as collapsed (mostly all-zero) codes give
+    kth = np.sort(block, axis=1)[:, reach - 1 : reach]
+    below = block < kth
+    tied = block == kth
+    # the lowest-index ties fill the places left below the reach-th distance
+    tied &= np.cumsum(tied, axis=1) <= reach - below.sum(axis=1, keepdims=True)
+    picked = below | tied
+    exact = picked.sum(axis=1) == reach  # False only where NaN is among the nearest
+    nearest = np.empty((block.shape[0], reach), dtype=np.int64)
+    cols = np.nonzero(picked[exact])[1].reshape(-1, reach)
+    order = np.lexsort((cols, np.take_along_axis(block[exact], cols, axis=1)), axis=1)
+    nearest[exact] = np.take_along_axis(cols, order, axis=1)
+    for row in np.flatnonzero(~exact):
+        nearest[row] = np.lexsort((np.arange(block.shape[1]), block[row]))[:reach]
+    return nearest
+
+
+def _vote(train_labels, dists, top) -> int:
+    """Majority label of top; ties to the smaller summed distance, then label."""
+    votes = {}
+    for idx in top:
+        lbl = int(train_labels[idx])
+        cnt, tot = votes.get(lbl, (0, 0.0))
+        votes[lbl] = (cnt + 1, tot + dists[idx])
+    return min(votes, key=lambda lbl: (-votes[lbl][0], votes[lbl][1], lbl))
 
 
 def accuracy(predicted, truth) -> float:
@@ -253,15 +298,17 @@ def run_trial(config: ExperimentConfig, data: Dataset, test: Dataset | None, tri
     )
 
 
-def run_experiment(config: ExperimentConfig):
+def run_experiment(config: ExperimentConfig, loaded=None):
     """All trials, metrics files, and the accuracy summary.
 
+    loaded is the (dataset, test) pair load_data(config.data) returns, for
+    a caller that has already read the data; None reads it here.
     Returns (records, summary). A failing trial is recorded in
     summary["failures"] and the remaining trials still run.
     """
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    data, test = load_data(config.data)
+    data, test = load_data(config.data) if loaded is None else loaded
 
     records, failures = [], {}
     for trial in range(config.trials):

@@ -150,22 +150,64 @@ def top_m_neighbors(dataset: Matrix, j: int, m: int) -> list:
     return _rank_neighbors(_cosine_to_row(dataset, j), j, m)
 
 
+# Rows of the cosine matrix build_context holds at once: each block array is
+# 2 MB for a 2000-row set, less than the per-row copy _cosine_to_row makes.
+_TABLE_BLOCK_ROWS = 128
+
+
 def build_context(dataset: Matrix, m: int) -> ExclusivityContext:
     """Compute the row sum and per-row neighbor table once, up front.
 
-    The table rows are exactly what top_m_neighbors returns for each row;
-    only the row norms are shared across rows.
+    Exactness contract: row i of the table is exactly top_m_neighbors(dataset,
+    i, m), ties and zero-norm rows included. Rows are ranked in blocks: one
+    GEMM gives the cosines of a block of rows to every row (zero-norm pairs
+    -1, self -inf), argpartition picks the best m+1 and lexsort orders them
+    on (-similarity, index).
+
+    The GEMM sums each dot product in another order than the oracle's
+    per-row GEMV. Either cosine is within gamma_d * sum|x_k y_k| / (|x||y|)
+    <= gamma_d (about d*eps/2) of the exact one, plus one rounding per
+    division, so the two differ by less than half of the bound
+    2(d+4)*eps. A row keeps its GEMM ranking only when it is certified:
+    every adjacent gap among ranks 1..m+1 exceeds the bound, so no rounding
+    can reorder them, and rank m+1 lies above -1, the value zero-norm pairs
+    share (with m = n-1 there is no rank m+1 and only the order is
+    checked). Every other row (exact or
+    near ties, duplicates, zero-norm rows) is ranked again by the oracle's
+    own code, _rank_neighbors(_cosine_to_row(...)).
     """
     dataset = np.asarray(dataset, dtype=np.float64)
-    n = dataset.shape[0]
+    n, d = dataset.shape
     if n < 2:
         raise ValueError(f"need at least 2 rows, have {n}")
     if not 1 <= m <= n - 1:
         raise ValueError(f"m={m} out of range, need 1 <= m <= n-1 = {n - 1}")
     norms = np.linalg.norm(dataset, axis=1)
+    zero = norms == 0.0
+    divisors = np.where(zero, 1.0, norms)  # zero-norm pairs are set to -1 below
+    ranks = min(m + 1, n - 1)
+    bound = 2.0 * (d + 4) * np.finfo(np.float64).eps
     table = np.empty((n, m), dtype=np.int64)
-    for i in range(n):
-        table[i] = _rank_neighbors(_cosine_to_row(dataset, i, norms), i, m)
+    for start in range(0, n, _TABLE_BLOCK_ROWS):
+        stop = min(start + _TABLE_BLOCK_ROWS, n)
+        rows = np.arange(start, stop)
+        sims = dataset[start:stop] @ dataset.T
+        sims /= divisors[start:stop, None]
+        sims /= divisors
+        sims[zero[start:stop], :] = -1.0
+        sims[:, zero] = -1.0
+        sims[rows - start, rows] = -np.inf
+        best = np.argpartition(sims, -ranks, axis=1)[:, -ranks:]
+        best_sims = np.take_along_axis(sims, best, axis=1)
+        order = np.lexsort((best, -best_sims), axis=1)
+        best = np.take_along_axis(best, order, axis=1)
+        best_sims = np.take_along_axis(best_sims, order, axis=1)
+        certified = np.all(best_sims[:, :-1] - best_sims[:, 1:] > bound, axis=1)
+        if ranks > m:
+            certified &= best_sims[:, m] > -1.0
+        table[start:stop] = best[:, :m]
+        for i in rows[~certified]:
+            table[i] = _rank_neighbors(_cosine_to_row(dataset, i, norms), i, m)
     return ExclusivityContext(row_sum=dataset.sum(axis=0), count=n, neighbors=table)
 
 

@@ -108,6 +108,21 @@ def test_experiment_command(tmp_path, capsys):
     assert summary["completed"] == 2
 
 
+def test_experiment_reads_data_once(tmp_path, monkeypatch):
+    from exae import cli, evalharness
+
+    reads, real = [], evalharness.load_data
+
+    def counting(spec):
+        reads.append(spec.source)
+        return real(spec)
+
+    monkeypatch.setattr(cli, "load_data", counting)
+    monkeypatch.setattr(evalharness, "load_data", counting)
+    assert main(["--config", str(tiny_config(tmp_path)), "experiment"]) == 0
+    assert reads == ["synth"]
+
+
 def test_gradcheck_command(capsys):
     assert main(["gradcheck", "--cases", "1", "--seed", "0"]) == 0
     assert "OK" in capsys.readouterr().out

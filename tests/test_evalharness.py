@@ -9,6 +9,7 @@ from exae.autoencoder import AEConfig, AEModel, encode
 from exae.dataio import Dataset, SplitSpec, synth_gaussian
 from exae.evalharness import (
     CheckpointError,
+    _pairwise_dist,
     DataSpec,
     ExperimentConfig,
     accuracy,
@@ -89,6 +90,55 @@ class TestExtractFeatures:
             extract_features(stacked, Dataset(examples=np.zeros((2, 5))))
 
 
+def full_sort_knn(train_feats, train_labels, query_feats, k, metric="euclidean",
+                  exclude_self=False):
+    """Reference selection: a full lexsort of every distance per query, on the
+    distances knn_classify computes, then the documented vote."""
+    dists = _pairwise_dist(query_feats, train_feats, metric)
+    out = []
+    for q in range(len(query_feats)):
+        order = np.lexsort((np.arange(len(train_feats)), dists[q]))
+        if exclude_self:
+            order = order[order != q]
+        tally = {}
+        for i in order[:k]:
+            cnt, tot = tally.get(int(train_labels[i]), (0, 0.0))
+            tally[int(train_labels[i])] = (cnt + 1, tot + dists[q, i])
+        out.append(min(tally, key=lambda l: (-tally[l][0], tally[l][1], l)))
+    return np.array(out)
+
+
+def collapsed_codes(rng, n, dim=8, live=0.2):
+    """relu-style codes where most rows are all zero: massive distance ties."""
+    codes = np.maximum(rng.normal(size=(n, dim)), 0.0)
+    codes[rng.uniform(size=n) >= live] = 0.0
+    return codes
+
+
+def expression_dist(query, train, metric):
+    """The distances as plain expressions, each with full-size temporaries."""
+    if metric == "euclidean":
+        d2 = (
+            np.sum(query**2, axis=1)[:, None]
+            - 2.0 * query @ train.T
+            + np.sum(train**2, axis=1)[None, :]
+        )
+        return np.maximum(d2, 0.0)
+    qn = np.linalg.norm(query, axis=1)
+    tn = np.linalg.norm(train, axis=1)
+    return 1.0 - query @ train.T / np.maximum(np.outer(qn, tn), 1e-300)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+def test_pairwise_dist_bitwise_equal_to_expressions(metric):
+    rng = np.random.default_rng(5)
+    train = collapsed_codes(rng, 300, dim=16, live=0.7)
+    queries = collapsed_codes(rng, 70, dim=16, live=0.7)
+    queries[3] = train[8]
+    got = _pairwise_dist(queries, train, metric)
+    assert got.tobytes() == expression_dist(queries, train, metric).tobytes()
+
+
 class TestKnnClassify:
     def test_query_equal_to_training_row(self):
         feats = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -148,6 +198,49 @@ class TestKnnClassify:
         # far along x but tiny norm: cosine picks label 0
         pred = knn_classify(feats, labels, np.array([[0.001, 0.0]]), k=1, metric="cosine")
         assert pred.tolist() == [0]
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("k", [1, 4, 7])
+    def test_collapsed_codes_match_full_sort(self, metric, k):
+        rng = np.random.default_rng(k)
+        # enough rows that a plain argpartition no longer happens to pick
+        # the lowest-index ties
+        train = collapsed_codes(rng, 600)
+        labels = rng.integers(0, 3, size=600)
+        queries = collapsed_codes(rng, 140)  # more than two query blocks
+        got = knn_classify(train, labels, queries, k=k, metric=metric)
+        assert np.array_equal(got, full_sort_knn(train, labels, queries, k, metric))
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_exclude_self_matches_full_sort(self, metric, k):
+        rng = np.random.default_rng(10 + k)
+        feats = collapsed_codes(rng, 400, live=0.5)
+        feats[40:60] = feats[:20]  # duplicates tie with the query's own row
+        labels = rng.integers(0, 4, size=400)
+        got = knn_classify(feats, labels, feats, k=k, metric=metric, exclude_self=True)
+        want = full_sort_knn(feats, labels, feats, k, metric, exclude_self=True)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    def test_k_equal_to_candidate_count(self, exclude_self):
+        rng = np.random.default_rng(3)
+        feats = collapsed_codes(rng, 30, live=0.6)
+        labels = rng.integers(0, 3, size=30)
+        k = 29 if exclude_self else 30
+        got = knn_classify(feats, labels, feats, k=k, exclude_self=exclude_self)
+        assert np.array_equal(got, full_sort_knn(feats, labels, feats, k, "euclidean", exclude_self))
+
+    def test_nan_distances_rank_last_as_in_full_sort(self):
+        rng = np.random.default_rng(4)
+        train = rng.normal(size=(20, 3))
+        train[[2, 7]] = np.nan
+        labels = rng.integers(0, 3, size=20)
+        queries = rng.normal(size=(6, 3))
+        queries[1] = np.nan  # every distance of this query is NaN
+        for k in (1, 3, 18, 20):
+            got = knn_classify(train, labels, queries, k=k)
+            assert np.array_equal(got, full_sort_knn(train, labels, queries, k))
 
 
 class TestAccuracy:

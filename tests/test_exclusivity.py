@@ -7,6 +7,7 @@ path before being asserted.
 import numpy as np
 import pytest
 
+from exae import exclusivity
 from exae.exclusivity import (
     ExclusivityContext,
     build_context,
@@ -195,6 +196,49 @@ class TestBuildContext:
         for i in range(20):
             assert i not in ctx.neighbors[i]
             assert len(ctx.neighbors[i]) == 5
+
+    def test_tie_heavy_table_equals_oracle_through_fallback(self, monkeypatch):
+        # three row blocks of quantized values, duplicated rows and zero-norm
+        # rows: exact ties, near-ties a GEMM rounds differently from a GEMV,
+        # and rows whose ranking runs into the -1 of zero-norm peers
+        rng = np.random.default_rng(4)
+        n, m = 2 * exclusivity._TABLE_BLOCK_ROWS + 44, 5
+        data = rng.integers(0, 4, size=(n, 12)) / 3.0
+        data[n - 50 :] = data[rng.integers(0, n - 50, size=50)]
+        data[rng.choice(n, size=6, replace=False)] = 0.0
+        fallback_rows = []
+        real = exclusivity._cosine_to_row
+
+        def spy(dataset, j, norms=None):
+            fallback_rows.append(j)
+            return real(dataset, j, norms)
+
+        monkeypatch.setattr(exclusivity, "_cosine_to_row", spy)
+        ctx = build_context(data, m)
+        monkeypatch.setattr(exclusivity, "_cosine_to_row", real)
+        for j in range(n):
+            assert list(ctx.neighbors[j]) == top_m_neighbors(data, j, m), f"row {j}"
+        # both paths ran: some rows were certified, the rest recomputed
+        assert 0 < len(fallback_rows) < n
+
+    @pytest.mark.parametrize(
+        "n, d, m, zero",
+        [
+            (2, 3, 1, False),  # the smallest table
+            (40, 5, 39, False),  # m = n-1: no rank m+1 to certify
+            (50, 6, 4, False),  # fewer rows than one block
+            (20, 4, 3, True),  # every row has zero norm
+            (5, 3, 3, False),  # the shape exae gradcheck builds
+        ],
+    )
+    def test_edge_shapes_equal_oracle(self, n, d, m, zero):
+        data = np.random.default_rng(n).uniform(0.05, 0.95, size=(n, d))
+        if zero:
+            data[:] = 0.0
+        ctx = build_context(data, m)
+        assert ctx.neighbors.shape == (n, m)
+        for j in range(n):
+            assert list(ctx.neighbors[j]) == top_m_neighbors(data, j, m)
 
 
 class TestTargetsFor:
