@@ -162,31 +162,31 @@ def build_model(config: AEConfig) -> AEModel:
     return AEModel(encoder=encoder, decoder=decoder)
 
 
-def _forward(layers: list, x: Matrix):
-    """Run a layer stack, returning the output and each layer's input."""
-    inputs = []
-    out = x
+def _forward(layers: list, x: Matrix) -> list:
+    """Run a layer stack; returns its cache [x, a1, ..., aL]: layer i maps acts[i] to acts[i + 1]."""
+    acts = [x]
     for layer in layers:
-        inputs.append(out)
-        out = affine_forward(layer, out)
-    return out, inputs
+        acts.append(affine_forward(layer, acts[-1]))
+    return acts
 
 
-def _backward(layers: list, inputs: list, grad_out: Matrix):
-    """Backpropagate grad_out through a stack; returns (GradSet, grad_in)."""
+def _backward(layers: list, acts: list, grad_out: Matrix, input_grad: bool = True):
+    """Backpropagate grad_out through a stack's cache; returns (GradSet, grad_in or None)."""
     grads = [None] * len(layers)
     g = grad_out
     for i in range(len(layers) - 1, -1, -1):
-        grads[i], g = affine_backward(layers[i], inputs[i], g)
+        grads[i], g = affine_backward(
+            layers[i], acts[i], acts[i + 1], g, input_grad=input_grad or i > 0
+        )
     return grads, g
 
 
 def encode(model: AEModel, x_batch: Matrix) -> Matrix:
-    return _forward(model.encoder, x_batch)[0]
+    return _forward(model.encoder, x_batch)[-1]
 
 
 def decode(model: AEModel, h_batch: Matrix) -> Matrix:
-    return _forward(model.decoder, h_batch)[0]
+    return _forward(model.decoder, h_batch)[-1]
 
 
 def recon_loss(x_batch: Matrix, xhat_batch: Matrix, reduction: str = "mean"):
@@ -224,17 +224,18 @@ def total_loss(model: AEModel, config: AEConfig, ctx, dataset: Matrix, batch_ind
     x = dataset[idx]
     protos = excl.batch_targets(ctx, dataset, idx) if ctx is not None else ()
     if w != 0.0:
-        codes, enc_inputs = _forward(model.encoder, np.vstack((x, *protos)))
-        h, *enc_protos = np.split(codes, 3)
+        enc_acts = _forward(model.encoder, np.vstack((x, *protos)))
+        h, *enc_protos = np.split(enc_acts[-1], 3)
     else:
         # x alone, so the gradients match the plain autoencoder bit for bit;
         # prototypes are encoded only to report their similarities
-        h, enc_inputs = _forward(model.encoder, x)
+        enc_acts = _forward(model.encoder, x)
+        h = enc_acts[-1]
         enc_protos = [encode(model, p) for p in protos]
-    xhat, dec_inputs = _forward(model.decoder, h)
+    dec_acts = _forward(model.decoder, h)
 
-    la, d_xhat = recon_loss(x, xhat, config.loss_reduction)
-    dec_grads, d_h = _backward(model.decoder, dec_inputs, d_xhat)
+    la, d_xhat = recon_loss(x, dec_acts[-1], config.loss_reduction)
+    dec_grads, d_h = _backward(model.decoder, dec_acts, d_xhat)
 
     if ctx is None:
         breakdown = LossBreakdown(recon=la, total=la, weight=0.0, **INACTIVE_EXCL)
@@ -253,8 +254,8 @@ def total_loss(model: AEModel, config: AEConfig, ctx, dataset: Matrix, batch_ind
         if config.mean_grad == "full":
             d_h = np.vstack((d_h, w * res.grad_hetero, w * res.grad_homo))
         else:  # zero gradient for the prototype rows: backpropagate x alone
-            enc_inputs = [rows[: len(x)] for rows in enc_inputs]
-    enc_grads, _ = _backward(model.encoder, enc_inputs, d_h)
+            enc_acts = [rows[: len(x)] for rows in enc_acts]
+    enc_grads, _ = _backward(model.encoder, enc_acts, d_h, input_grad=False)
     return breakdown, enc_grads + dec_grads
 
 
@@ -304,7 +305,8 @@ def fd_margins(model: AEModel, config: AEConfig, ctx, dataset: Matrix, batch_ind
 
     Returns (kink_margin, min_norm): the smallest |pre-activation| over
     every relu unit in any forward branch together with the smallest
-    |entry| of either clamp argument, and the smallest vector norm that
+    |entry| of either clamp argument (leaving out entries where a relu
+    latent is 0 on both sides), and the smallest vector norm that
     enters a cosine denominator. Central differences are only meaningful
     when both sit comfortably above the probe step, so fixture generators
     should resample cases that come back too small.
@@ -327,10 +329,14 @@ def fd_margins(model: AEModel, config: AEConfig, ctx, dataset: Matrix, batch_ind
     norms = [float(np.linalg.norm(h, axis=1).min())]
     if ctx is not None and config.excl_weight != 0.0:
         het_raw, hom_raw = excl.batch_targets(ctx, dataset, idx)
+        relu_latent = model.encoder[-1].activation == "relu"
         for raw in (het_raw, hom_raw):
             enc = run(model.encoder, raw, kinks)
             d = enc - h
-            kinks.append(float(np.abs(d).min()))
+            # a relu latent unit at 0 on both sides keeps d exactly 0 under the
+            # probe (its pre-activations are margins already), so it is no kink
+            clamp_args = d[(enc != 0) | (h != 0)] if relu_latent else d
+            kinks.append(float(np.abs(clamp_args).min(initial=np.inf)))
             norms.append(float(np.linalg.norm(excl.omega(d), axis=1).min()))
     return min(kinks) if kinks else np.inf, min(norms)
 

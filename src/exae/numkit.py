@@ -3,7 +3,8 @@
 Everything downstream runs on 2-D float64 numpy arrays with examples as
 rows. This module owns the per-layer primitives: affine layers with their
 analytic gradients, plain SGD updates, and a central-finite-difference
-gradient checker used to validate every hand-coded backward pass.
+gradient checker used to validate every hand-coded backward pass. The
+backward pass reads activation derivatives off the forward output.
 """
 
 from __future__ import annotations
@@ -33,12 +34,11 @@ def as_matrix(data, name: str = "matrix") -> Matrix:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Split by sign so exp never overflows.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, with e = e^-|z| so
+    # exp never overflows: the same bytes as evaluating each branch on its rows
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0, e)
+    out /= 1.0 + e
     return out
 
 
@@ -49,18 +49,6 @@ def activate(tag: str, z: np.ndarray) -> np.ndarray:
         return np.maximum(z, 0.0)
     if tag == "sigmoid":
         return _sigmoid(z)
-    raise ValueError(f"unknown activation {tag!r}, expected one of {ACTIVATIONS}")
-
-
-def activate_grad(tag: str, z: np.ndarray) -> np.ndarray:
-    """Derivative of the activation at pre-activation z (relu'(0) is 0)."""
-    if tag == "identity":
-        return np.ones_like(z)
-    if tag == "relu":
-        return (z > 0).astype(np.float64)
-    if tag == "sigmoid":
-        s = _sigmoid(z)
-        return s * (1.0 - s)
     raise ValueError(f"unknown activation {tag!r}, expected one of {ACTIVATIONS}")
 
 
@@ -131,24 +119,31 @@ def affine_forward(layer: DenseLayer, x: Matrix) -> Matrix:
     return activate(layer.activation, z)
 
 
-def affine_backward(layer: DenseLayer, x: Matrix, grad_out: Matrix):
-    """Chain rule through one layer.
+def affine_backward(layer: DenseLayer, x: Matrix, out: Matrix, grad_out: Matrix, input_grad: bool = True):
+    """Chain rule through one layer from its forward cache.
 
-    Returns (LayerGrads, grad_in) for upstream gradient grad_out evaluated
-    at the forward input x.
+    x is the layer's forward input and out = affine_forward(layer, x) its
+    output. The activation derivative is read off out: relu' is out > 0
+    (relu'(0) is 0), sigmoid' is out * (1 - out), and identity passes
+    grad_out through. Returns (LayerGrads, grad_in) for upstream gradient
+    grad_out; grad_in is None when input_grad is false, which saves the
+    dz @ W product for a stack's bottom layer.
     """
     if x.ndim != 2 or x.shape[1] != layer.in_dim:
         raise ValueError(
             f"input shape {x.shape} does not match layer weight shape {layer.weight.shape}"
         )
     expected = (x.shape[0], layer.out_dim)
-    if grad_out.shape != expected:
-        raise ValueError(f"grad_out shape {grad_out.shape}, expected {expected}")
-    z = x @ layer.weight.T + layer.bias
-    dz = grad_out * activate_grad(layer.activation, z)
+    if out.shape != expected or grad_out.shape != expected:
+        raise ValueError(f"out {out.shape} and grad_out {grad_out.shape} must be {expected}")
+    if layer.activation == "relu":
+        dz = grad_out * (out > 0)
+    elif layer.activation == "sigmoid":
+        dz = grad_out * (out * (1.0 - out))
+    else:
+        dz = grad_out
     grads = LayerGrads(weight=dz.T @ x, bias=dz.sum(axis=0))
-    grad_in = dz @ layer.weight
-    return grads, grad_in
+    return grads, dz @ layer.weight if input_grad else None
 
 
 def sgd_step(layers: list, grads: GradSet, lr: float) -> list:

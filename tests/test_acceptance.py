@@ -9,6 +9,7 @@ skips and everything else still runs.
 
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -58,53 +59,71 @@ def _random_case(seed):
     return dims, batch, data, act, weight, model_seed
 
 
+def _a1_case(case):
+    """The first draw of A1 case `case` whose batch sits clear of every kink.
+
+    Central differences are only valid away from clamp/relu kinks, so any
+    batch that lands too close to one is resampled. Returns (base config,
+    model, neighbor context, data, batch).
+    """
+    for attempt in range(100):
+        dims, batch, data, act, weight, mseed = _random_case(case * 100 + attempt)
+        base_cfg = AEConfig(
+            layer_sizes=dims,
+            hidden_activation=act,
+            latent_activation=act,
+            excl_weight=weight,
+            n_neighbors=min(3, data.shape[0] - 1),
+            seed=mseed,
+        )
+        model = build_model(base_cfg)
+        ctx = build_context(data, base_cfg.n_neighbors)
+        kink, norm = fd_margins(model, base_cfg, ctx, data, batch)
+        if kink > 1e-3 and norm > 0.05:
+            return base_cfg, model, ctx, data, batch
+    pytest.fail("no well-conditioned random case found")
+
+
+def _a1_errors(base_cfg, model, ctx, data, batch):
+    """Gradient-check error in every reduction x mean-grad setting."""
+    errors = {}
+    for reduction in ("mean", "sum"):
+        for mean_grad in ("full", "stopped"):
+            cfg = replace(base_cfg, loss_reduction=reduction, mean_grad=mean_grad)
+            errors[f"{reduction}/{mean_grad}"] = grad_check(
+                grad_check_objective(model, cfg, ctx, data, batch),
+                model_parameters(model),
+                epsilon=1e-5,
+            )
+    return errors
+
+
 def test_a1_gradient_fidelity():
     """20 random small models: analytic vs central differences < 1e-4 in
     every reduction x mean-grad setting, under 30 s."""
     started = time.perf_counter()
     worst = 0.0
     for case in range(20):
-        # central differences are only valid away from clamp/relu kinks,
-        # so resample any batch that lands too close to one
-        for attempt in range(100):
-            dims, batch, data, act, weight, mseed = _random_case(case * 100 + attempt)
-            base_cfg = AEConfig(
-                layer_sizes=dims,
-                hidden_activation=act,
-                latent_activation=act,
-                excl_weight=weight,
-                n_neighbors=min(3, data.shape[0] - 1),
-                seed=mseed,
-            )
-            model = build_model(base_cfg)
-            ctx = build_context(data, base_cfg.n_neighbors)
-            kink, norm = fd_margins(model, base_cfg, ctx, data, batch)
-            if kink > 1e-3 and norm > 0.05:
-                break
-        else:
-            pytest.fail("no well-conditioned random case found")
-        for reduction in ("mean", "sum"):
-            for mean_grad in ("full", "stopped"):
-                cfg = AEConfig(
-                    layer_sizes=dims,
-                    hidden_activation=act,
-                    latent_activation=act,
-                    excl_weight=weight,
-                    n_neighbors=base_cfg.n_neighbors,
-                    loss_reduction=reduction,
-                    mean_grad=mean_grad,
-                    seed=mseed,
-                )
-                err = grad_check(
-                    grad_check_objective(model, cfg, ctx, data, batch),
-                    model_parameters(model),
-                    epsilon=1e-5,
-                )
-                assert err < 1e-4, f"case {case} {act} {reduction}/{mean_grad}: {err:.3e}"
-                worst = max(worst, err)
+        base_cfg, *probe = _a1_case(case)
+        act = base_cfg.hidden_activation
+        for setting, err in _a1_errors(base_cfg, *probe).items():
+            assert err < 1e-4, f"case {case} {act} {setting}: {err:.3e}"
+            worst = max(worst, err)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"gradient sweep took {elapsed:.1f}s"
     print(f"\n  gradient fidelity: worst rel err {worst:.3e} in {elapsed:.1f}s")
+
+
+def test_a1_cases_include_relu():
+    """relu, the default activation, is among A1's cases and passes at 1e-4.
+
+    A relu latent unit at 0 on both sides of a clamp argument is no kink;
+    counting it as one made every relu draw look ill-conditioned."""
+    cases = [_a1_case(case) for case in range(20)]
+    relu = [c for c in cases if c[0].hidden_activation == "relu"]
+    assert relu, "A1 draws no relu case"
+    for case in relu:
+        assert max(_a1_errors(*case).values()) < 1e-4
 
 
 # --------------------------------------------------------------------------

@@ -279,14 +279,13 @@ class TestTrain:
             perm = rng.permutation(len(data))
             for start in range(0, len(data), cfg.batch_size):
                 x = data[perm[start : start + cfg.batch_size]]
-                inputs, out = [], x
+                acts = [x]
                 for layer in layers:
-                    inputs.append(out)
-                    out = affine_forward(layer, out)
-                grad = 2.0 * (out - x) / x.shape[0]
+                    acts.append(affine_forward(layer, acts[-1]))
+                grad = 2.0 * (acts[-1] - x) / x.shape[0]
                 grads = [None] * len(layers)
                 for i in range(len(layers) - 1, -1, -1):
-                    grads[i], grad = affine_backward(layers[i], inputs[i], grad)
+                    grads[i], grad = affine_backward(layers[i], acts[i], acts[i + 1], grad)
                 sgd_step(layers, grads, cfg.lr)
 
         for a, b in zip(model_params(model), model_params(ref)):

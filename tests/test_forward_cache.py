@@ -1,0 +1,143 @@
+"""The backward pass reads its activation derivatives off the forward cache.
+
+References kept here are the earlier kernels: a backward pass that
+recomputes z = x @ W.T + b and differentiates the activation at z, and a
+sigmoid that evaluates each sign branch on its own rows through boolean
+masks. Swapping them back into total_loss must give the same bytes.
+"""
+
+import numpy as np
+import pytest
+
+from exae import autoencoder, numkit
+from exae.autoencoder import AEConfig, build_model, total_loss
+from exae.exclusivity import build_context
+from exae.numkit import LayerGrads, affine_backward, affine_forward, init_layer
+
+
+def mask_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def recompute_backward(layer, x, out, grad_out, input_grad=True):
+    """The earlier kernel: ignores out and differentiates at a recomputed z."""
+    z = x @ layer.weight.T + layer.bias
+    if layer.activation == "identity":
+        d = np.ones_like(z)
+    elif layer.activation == "relu":
+        d = (z > 0).astype(np.float64)
+    else:
+        s = mask_sigmoid(z)
+        d = s * (1.0 - s)
+    dz = grad_out * d
+    return LayerGrads(weight=dz.T @ x, bias=dz.sum(axis=0)), dz @ layer.weight
+
+
+def flat(grads):
+    return [g for lg in grads for g in (lg.weight, lg.bias)]
+
+
+def sparse_rows(n, dim, seed):
+    """MNIST-like rows: about 70% exact zeros, the rest uniform in [0, 1)."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(size=(n, dim)) * (rng.uniform(size=(n, dim)) < 0.3)
+
+
+def gradients_both_ways(monkeypatch, config, n, batch, seed=0):
+    model = build_model(config)
+    data = sparse_rows(n, config.input_dim, seed)
+    ctx = build_context(data, config.n_neighbors) if config.excl_weight > 0 else None
+    _, grads = total_loss(model, config, ctx, data, batch)
+    with monkeypatch.context() as m:
+        m.setattr(numkit, "_sigmoid", mask_sigmoid)
+        m.setattr(autoencoder, "affine_backward", recompute_backward)
+        _, ref = total_loss(model, config, ctx, data, batch)
+    return flat(grads), flat(ref)
+
+
+def cfg(sizes, act="relu", **kwargs):
+    return AEConfig(layer_sizes=sizes, hidden_activation=act, latent_activation=act, **kwargs)
+
+
+BATCH32 = list(range(1, 64, 2))
+
+
+@pytest.mark.parametrize(
+    "config,batch",
+    [
+        (cfg([784, 256], excl_weight=7.0, mean_grad="full"), BATCH32),
+        (cfg([784, 256], excl_weight=0.0), BATCH32),
+        (cfg([784, 256], excl_weight=7.0), [5, 9, 40]),
+        (cfg([784, 256], excl_weight=0.0), [5, 9, 40]),
+        (cfg([784, 256], excl_weight=7.0, mean_grad="stopped", loss_reduction="sum"), BATCH32),
+        (cfg([64, 32, 16], "relu", excl_weight=7.0), BATCH32),
+        (cfg([64, 32, 16], "sigmoid", excl_weight=7.0), BATCH32),
+        (cfg([64, 32, 16], "identity", output_activation="identity", excl_weight=7.0), BATCH32),
+        (cfg([64, 32, 16], "identity", mean_grad="stopped", excl_weight=7.0), BATCH32),
+        (cfg([64, 32, 16], "sigmoid", excl_weight=0.0), [5, 9, 40]),
+    ],
+    ids=[
+        "784x256-batch32-w7-full",
+        "784x256-batch32-w0",
+        "784x256-batch3-w7",
+        "784x256-batch3-w0",
+        "784x256-batch32-w7-stopped-relu",
+        "relu",
+        "sigmoid",
+        "identity",
+        "identity-stopped",
+        "sigmoid-w0-batch3",
+    ],
+)
+def test_total_loss_gradients_bitwise_equal_to_recompute(monkeypatch, config, batch):
+    grads, ref = gradients_both_ways(monkeypatch, config, 64, batch)
+    for a, b in zip(grads, ref):
+        assert np.array_equal(a, b)
+
+
+def test_stopped_sigmoid_latent_differs_only_in_the_last_bits(monkeypatch):
+    """With mean_grad="stopped" sigmoid' comes from the rows of the stacked
+    [x; prototypes] forward, where the earlier kernel re-ran the GEMM on the
+    x rows alone; BLAS may round those two products differently."""
+    config = cfg([64, 32, 16], "sigmoid", excl_weight=7.0, mean_grad="stopped")
+    grads, ref = gradients_both_ways(monkeypatch, config, 64, BATCH32)
+    for a, b in zip(grads, ref):  # 1.6 eps of the largest entry, measured
+        assert np.abs(a - b).max() <= 4 * np.finfo(np.float64).eps * np.abs(b).max()
+
+
+@pytest.mark.parametrize("act", numkit.ACTIVATIONS)
+def test_affine_backward_bitwise_equal_to_recompute(act):
+    rng = np.random.default_rng(3)
+    layer = init_layer(40, 24, act, rng)
+    layer.bias[:] = rng.normal(size=24)
+    x = rng.normal(size=(17, 40))
+    grad_out = rng.normal(size=(17, 24))
+    out = affine_forward(layer, x)
+    grads, grad_in = affine_backward(layer, x, out, grad_out)
+    ref, ref_in = recompute_backward(layer, x, None, grad_out)
+    assert np.array_equal(grads.weight, ref.weight)
+    assert np.array_equal(grads.bias, ref.bias)
+    assert np.array_equal(grad_in, ref_in)
+    bottom, no_grad_in = affine_backward(layer, x, out, grad_out, input_grad=False)
+    assert no_grad_in is None
+    assert np.array_equal(bottom.weight, ref.weight)
+
+
+def test_sigmoid_bitwise_equal_to_mask_form():
+    special = [0.0, 1e-300, 1.0, 709.0, 745.0, np.inf]
+    z = np.array(special + [-v for v in special])
+    rng = np.random.default_rng(0)
+    z = np.concatenate([z, rng.normal(size=10_000), 40.0 * rng.normal(size=10_000)])
+    got, ref = numkit._sigmoid(z), mask_sigmoid(z)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))  # also the sign of 0
+
+
+def test_sigmoid_nan_in_gives_nan_out():
+    out = numkit._sigmoid(np.array([np.nan, -np.nan, 0.5]))
+    assert np.isnan(out[:2]).all()
+    assert out[2] == mask_sigmoid(np.array([0.5]))[0]

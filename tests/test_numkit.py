@@ -55,14 +55,16 @@ class TestAffineForward:
 class TestAffineBackward:
     def test_scalar_chain_rule(self):
         l = layer([[1]], [0])
-        grads, grad_in = affine_backward(l, np.array([[2.0]]), np.array([[1.0]]))
+        x = np.array([[2.0]])
+        grads, grad_in = affine_backward(l, x, affine_forward(l, x), np.array([[1.0]]))
         assert grads.weight == pytest.approx(2.0)
         assert grads.bias == pytest.approx(1.0)
         assert grad_in == pytest.approx(1.0)
 
     def test_dead_relu_zeroes_gradients(self):
         l = layer([[1, 1]], [-10], "relu")
-        grads, grad_in = affine_backward(l, np.array([[2.0, 2.0]]), np.array([[1.0]]))
+        x = np.array([[2.0, 2.0]])
+        grads, grad_in = affine_backward(l, x, affine_forward(l, x), np.array([[1.0]]))
         assert np.all(grads.weight == 0)
         assert np.all(grads.bias == 0)
         assert np.all(grad_in == 0)
@@ -70,7 +72,7 @@ class TestAffineBackward:
     def test_shape_mismatch_raises(self):
         l = layer([[1, 0], [0, 1]], [0, 0])
         with pytest.raises(ValueError, match="grad_out"):
-            affine_backward(l, np.ones((1, 2)), np.ones((2, 2)))
+            affine_backward(l, np.ones((1, 2)), np.ones((1, 2)), np.ones((2, 2)))
 
     @pytest.mark.parametrize("act", ["identity", "relu", "sigmoid"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -84,7 +86,7 @@ class TestAffineBackward:
         def loss_fn():
             out = affine_forward(l, x)
             diff = out - target
-            grads, grad_in = affine_backward(l, x, 2.0 * diff)
+            grads, grad_in = affine_backward(l, x, out, 2.0 * diff)
             return float(np.sum(diff**2)), [grads.weight, grads.bias, grad_in]
 
         err = grad_check(loss_fn, [l.weight, l.bias, x], epsilon=1e-5)
@@ -94,13 +96,15 @@ class TestAffineBackward:
 class TestSgdStep:
     def test_definitional_update(self):
         l = layer([[1.0]], [0.0])
-        g = affine_backward(l, np.array([[1.0]]), np.array([[0.5]]))[0]
+        x = np.array([[1.0]])
+        g = affine_backward(l, x, affine_forward(l, x), np.array([[0.5]]))[0]
         sgd_step([l], [g], lr=0.1)
         assert l.weight[0, 0] == pytest.approx(0.95)
 
     def test_zero_gradient_leaves_params(self):
         l = layer([[1.0, 2.0]], [3.0])
-        g = affine_backward(l, np.zeros((1, 2)), np.zeros((1, 1)))[0]
+        x = np.zeros((1, 2))
+        g = affine_backward(l, x, affine_forward(l, x), np.zeros((1, 1)))[0]
         before = l.weight.copy()
         sgd_step([l], [g], lr=0.5)
         assert np.array_equal(l.weight, before)
