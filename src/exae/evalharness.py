@@ -58,29 +58,36 @@ def extract_features(stacked: StackedModel, dataset) -> Matrix:
     return encode(stacked.assembled, x)
 
 
-def _pairwise_dist(query: Matrix, train: Matrix, metric: str) -> Matrix:
+def _train_side(train: Matrix, metric: str) -> np.ndarray:
+    """sum(train**2, axis=1) for euclidean, norm(train, axis=1) for cosine."""
+    if metric not in KNN_METRICS:
+        raise ValueError(f"metric must be one of {KNN_METRICS}, got {metric!r}")
+    return np.sum(train**2, axis=1) if metric == "euclidean" else np.linalg.norm(train, axis=1)
+
+
+def _pairwise_dist(query: Matrix, train: Matrix, metric: str, train_side=None) -> Matrix:
     """(queries x train) distances, computed in place in the product matrix.
 
     euclidean is max(|q|^2 - 2 q.t + |t|^2, 0) and cosine is 1 - q.t /
     max(|q||t|, 1e-300), each operation applied in that order, so the
     values are those of the plain expressions without their full-size
-    temporaries.
+    temporaries. train_side defaults to _train_side(train, metric).
     """
-    if metric not in KNN_METRICS:
-        raise ValueError(f"metric must be one of {KNN_METRICS}, got {metric!r}")
+    if train_side is None:
+        train_side = _train_side(train, metric)
     dists = query @ train.T
     if metric == "euclidean":
         dists *= 2.0
         np.subtract(np.sum(query**2, axis=1)[:, None], dists, out=dists)
-        dists += np.sum(train**2, axis=1)[None, :]
+        dists += train_side[None, :]
         return np.maximum(dists, 0.0, out=dists)
-    norms = np.outer(np.linalg.norm(query, axis=1), np.linalg.norm(train, axis=1))
+    norms = np.outer(np.linalg.norm(query, axis=1), train_side)
     dists /= np.maximum(norms, 1e-300, out=norms)
     return np.subtract(1.0, dists, out=dists)
 
 
-# Queries ranked at once by knn_classify; 64 rows keep its transient arrays
-# small next to the full distance matrix.
+# Queries whose distances knn_classify holds at once: memory is O(64 x train
+# rows), whatever the number of queries.
 _KNN_BLOCK_ROWS = 64
 
 
@@ -99,12 +106,13 @@ def knn_classify(
     exclude_self skips the candidate with the query's own row index, for
     evaluating a training set against itself.
 
-    Selection: for a block of queries, the k-th smallest distance (the
-    (k+1)-th with exclude_self) is read from the block's sorted values.
-    The candidates below it, plus the lowest-index candidates tied with it,
-    are lexsorted on (distance, index). That gives the same neighbors, in
-    the same order, as a lexsort of every distance, so the distances, tie
-    rules and votes are unchanged.
+    Selection, per block of queries whose distances are computed, ranked
+    and dropped in turn: the k-th smallest distance (the (k+1)-th with
+    exclude_self) is read from the block's sorted values. The candidates
+    below it, plus the lowest-index candidates tied with it, are lexsorted
+    on (distance, index). That gives the same neighbors, in the same
+    order, as a lexsort of every distance, so the distances, tie rules and
+    votes are unchanged.
     """
     train_feats = np.asarray(train_feats, dtype=np.float64)
     query_feats = np.asarray(query_feats, dtype=np.float64)
@@ -119,16 +127,20 @@ def knn_classify(
     if not 1 <= k <= n_candidates:
         raise ValueError(f"k={k} out of range for {n_candidates} candidates")
 
-    dists = _pairwise_dist(query_feats, train_feats, metric)
+    train_side = _train_side(train_feats, metric)
+    labels, codes = np.unique(train_labels, return_inverse=True)
     reach = k + (1 if exclude_self else 0)
     predictions = np.empty(query_feats.shape[0], dtype=np.int64)
     for start in range(0, query_feats.shape[0], _KNN_BLOCK_ROWS):
-        block = dists[start : start + _KNN_BLOCK_ROWS]
-        for row, top in enumerate(_nearest(block, reach)):
-            q = start + row
-            if exclude_self:
-                top = top[top != q][:k]
-            predictions[q] = _vote(train_labels, block[row], top)
+        stop = min(start + _KNN_BLOCK_ROWS, query_feats.shape[0])
+        block = _pairwise_dist(query_feats[start:stop], train_feats, metric, train_side)
+        top = _nearest(block, reach)
+        if exclude_self:  # top[top != q][:k] for every query q of the block
+            keep = top != np.arange(start, stop)[:, None]
+            keep[:, -1] &= ~keep.all(axis=1)
+            top = top[keep].reshape(-1, k)
+        votes = _majority(codes[top], np.take_along_axis(block, top, axis=1), len(labels))
+        predictions[start:stop] = labels[votes]
     return predictions
 
 
@@ -141,26 +153,40 @@ def _nearest(block: Matrix, reach: int) -> np.ndarray:
     below = block < kth
     tied = block == kth
     # the lowest-index ties fill the places left below the reach-th distance
-    tied &= np.cumsum(tied, axis=1) <= reach - below.sum(axis=1, keepdims=True)
+    room = reach - below.sum(axis=1)
+    over = tied.sum(axis=1) > room
+    if over.any():
+        tied[over] &= np.cumsum(tied[over], axis=1) <= room[over, None]
     picked = below | tied
     exact = picked.sum(axis=1) == reach  # False only where NaN is among the nearest
+    rows = slice(None) if exact.all() else exact
     nearest = np.empty((block.shape[0], reach), dtype=np.int64)
-    cols = np.nonzero(picked[exact])[1].reshape(-1, reach)
-    order = np.lexsort((cols, np.take_along_axis(block[exact], cols, axis=1)), axis=1)
-    nearest[exact] = np.take_along_axis(cols, order, axis=1)
+    cols = np.nonzero(picked[rows])[1].reshape(-1, reach)
+    order = np.lexsort((cols, np.take_along_axis(block[rows], cols, axis=1)), axis=1)
+    nearest[rows] = np.take_along_axis(cols, order, axis=1)
     for row in np.flatnonzero(~exact):
         nearest[row] = np.lexsort((np.arange(block.shape[1]), block[row]))[:reach]
     return nearest
 
 
-def _vote(train_labels, dists, top) -> int:
-    """Majority label of top; ties to the smaller summed distance, then label."""
-    votes = {}
-    for idx in top:
-        lbl = int(train_labels[idx])
-        cnt, tot = votes.get(lbl, (0, 0.0))
-        votes[lbl] = (cnt + 1, tot + dists[idx])
-    return min(votes, key=lambda lbl: (-votes[lbl][0], votes[lbl][1], lbl))
+def _majority(codes: np.ndarray, dists: Matrix, n_labels: int) -> np.ndarray:
+    """The winning label code of each row: codes and dists hold a query's
+    neighbors' label codes and distances in neighbor order, the order each
+    label's distances are summed in. As when labels are compared one by one
+    in order of appearance, a NaN sum wins only for the first most-voted
+    label to appear, and then outright."""
+    rows = np.arange(codes.shape[0])
+    counts = np.zeros((codes.shape[0], n_labels), dtype=np.int64)
+    sums = np.zeros(counts.shape)
+    for j in range(codes.shape[1]):
+        counts[rows, codes[:, j]] += 1
+        sums[rows, codes[:, j]] += dists[:, j]
+    top = counts == counts.max(axis=1, keepdims=True)
+    lead = codes[rows, np.argmax(top[rows[:, None], codes], axis=1)]
+    top &= ~np.isnan(sums)
+    least = np.min(np.where(top, sums, np.inf), axis=1, keepdims=True)
+    winner = np.argmax(top & (sums == least), axis=1)
+    return np.where(np.isnan(sums[rows, lead]), lead, winner)
 
 
 def accuracy(predicted, truth) -> float:

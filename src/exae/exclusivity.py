@@ -173,8 +173,9 @@ def build_context(dataset: Matrix, m: int) -> ExclusivityContext:
     can reorder them, and rank m+1 lies above -1, the value zero-norm pairs
     share (with m = n-1 there is no rank m+1 and only the order is
     checked). Every other row (exact or
-    near ties, duplicates, zero-norm rows) is ranked again by the oracle's
-    own code, _rank_neighbors(_cosine_to_row(...)).
+    near ties, duplicates, zero-norm rows) is ranked again on the oracle's
+    own similarities, _cosine_to_row(...), by a lexsort on (-similarity,
+    index): the order of _rank_neighbors without its Python sort.
     """
     dataset = np.asarray(dataset, dtype=np.float64)
     n, d = dataset.shape
@@ -207,7 +208,8 @@ def build_context(dataset: Matrix, m: int) -> ExclusivityContext:
             certified &= best_sims[:, m] > -1.0
         table[start:stop] = best[:, :m]
         for i in rows[~certified]:
-            table[i] = _rank_neighbors(_cosine_to_row(dataset, i, norms), i, m)
+            order = np.lexsort((np.arange(n), -_cosine_to_row(dataset, i, norms)))
+            table[i] = order[order != i][:m]
     return ExclusivityContext(row_sum=dataset.sum(axis=0), count=n, neighbors=table)
 
 

@@ -1,6 +1,7 @@
 """Feature extraction, k-NN against a brute-force oracle, experiments, checkpoints."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,6 +242,63 @@ class TestKnnClassify:
         for k in (1, 3, 18, 20):
             got = knn_classify(train, labels, queries, k=k)
             assert np.array_equal(got, full_sort_knn(train, labels, queries, k))
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("k", [1, 4, 7])
+    @pytest.mark.parametrize("n_queries", [1, 63, 64, 65, 129])
+    def test_query_block_boundaries_match_full_sort(self, n_queries, k, metric):
+        # one block short of, at and past the 64-row boundary, and a third block
+        rng = np.random.default_rng(n_queries + 10 * k)
+        train = collapsed_codes(rng, 300, live=0.5)
+        labels = rng.integers(0, 4, size=300)
+        queries = collapsed_codes(rng, n_queries, live=0.5)
+        got = knn_classify(train, labels, queries, k=k, metric=metric)
+        assert got.shape == (n_queries,)
+        assert np.array_equal(got, full_sort_knn(train, labels, queries, k, metric))
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_exclude_self_among_duplicates(self, metric):
+        # rows 0-3 are one point: for rows 0-2 their own row is inside the
+        # reach of k+1 = 3 lowest-index ties, for row 3 rows 0-2 push it out
+        rng = np.random.default_rng(6)
+        feats = np.vstack([np.tile([[1.0, 2.0, 0.5]], (4, 1)), rng.uniform(3, 9, size=(66, 3))])
+        labels = np.arange(70) % 5
+        got = knn_classify(feats, labels, feats, k=2, metric=metric, exclude_self=True)
+        # neighbors {1, 2}, {0, 2}, {0, 1}, {0, 1}: 1-1 votes at equal sums, won by the lower label
+        assert got[:4].tolist() == [1, 0, 0, 0]
+        want = full_sort_knn(feats, labels, feats, 2, metric, exclude_self=True)
+        assert np.array_equal(got, want)
+
+    def test_count_tie_goes_to_smaller_sum_not_lower_label(self):
+        feats = np.array([[0.0], [2.0], [10.0], [11.0]])
+        labels = np.array([5, 5, 1, 1])
+        queries = np.tile([[1.0]], (70, 1))  # two blocks of the same query
+        # 2-2 count tie: label 5 sums 1 + 1, label 1 sums 81 + 100
+        assert knn_classify(feats, labels, queries, k=4).tolist() == [5] * 70
+
+    def test_count_and_sum_tie_goes_to_lower_label(self):
+        feats = np.array([[-1.0], [1.0], [5.0]])
+        labels = np.array([3, 2, 3])
+        queries = np.tile([[0.0]], (65, 1))
+        # label 3 comes first (lower index at the same distance), yet 1-1 at sum 1 goes to 2
+        got = knn_classify(feats, labels, queries, k=2)
+        assert got.tolist() == [2] * 65
+        assert np.array_equal(got, full_sort_knn(feats, labels, queries, 2))
+
+
+def test_knn_memory_is_per_block_not_full_matrix():
+    rng = np.random.default_rng(0)
+    train = rng.normal(size=(2000, 16))
+    labels = rng.integers(0, 10, size=2000)
+    queries = rng.normal(size=(4000, 16))
+    full_matrix = queries.shape[0] * train.shape[0] * 8  # 61 MiB of float64 distances
+    tracemalloc.start()
+    try:
+        knn_classify(train, labels, queries, k=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full_matrix / 8, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 class TestAccuracy:

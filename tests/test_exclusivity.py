@@ -221,6 +221,30 @@ class TestBuildContext:
         # both paths ran: some rows were certified, the rest recomputed
         assert 0 < len(fallback_rows) < n
 
+    def test_duplicate_heavy_fallback_equals_oracle(self, monkeypatch):
+        # 2000 quantized rows, the last 500 copies of others: most rows tie
+        # exactly and are ranked by the fallback
+        rng = np.random.default_rng(8)
+        n, m = 2000, 5
+        data = rng.integers(0, 4, size=(n, 8)) / 3.0
+        data[n - 500 :] = data[rng.integers(0, n - 500, size=500)]
+        fallback_rows = []
+        real = exclusivity._cosine_to_row
+
+        def spy(dataset, j, norms=None):
+            fallback_rows.append(j)
+            return real(dataset, j, norms)
+
+        monkeypatch.setattr(exclusivity, "_cosine_to_row", spy)
+        ctx = build_context(data, m)
+        monkeypatch.setattr(exclusivity, "_cosine_to_row", real)
+        assert len(fallback_rows) > n // 2
+        certified = sorted(set(range(n)) - set(fallback_rows))
+        sample = list(rng.choice(fallback_rows, size=40, replace=False))
+        sample += certified[:: max(1, len(certified) // 10)] + [0, n - 1]
+        for j in sample:
+            assert list(ctx.neighbors[j]) == top_m_neighbors(data, j, m), f"row {j}"
+
     @pytest.mark.parametrize(
         "n, d, m, zero",
         [
