@@ -1,0 +1,132 @@
+"""Committed mutation checks: each mutant must be caught by its tests.
+
+    python mutants/run.py            # every mutant
+    python mutants/run.py tie-fill   # only the named ones
+
+Run from anywhere. Each entry of MUTANTS names a file under src/, an exact
+piece of its text, the text that replaces it, and a pytest selector. For
+every entry the runner copies src/ to a temporary directory, makes the one
+replacement there (the working tree is never written) and runs the selector
+against the copy. It exits non-zero when an entry's old text is not found
+exactly once (the entry is stale), when a selector fails on the unmutated
+source (the check proves nothing), or when a mutant survives.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+EVAL = "tests/test_evalharness.py"
+
+# (name, file under src/, old text, new text, pytest selector that must fail)
+MUTANTS = [
+    (
+        "tie-fill",  # overflowing ties would reach the per-row lexsort instead
+        "exae/evalharness.py",
+        "    if over.any():\n",
+        "    if False:\n",
+        f"{EVAL}::TestSelectionPaths::test_ties_are_filled_without_per_row_lexsort",
+    ),
+    (
+        "no-gathered-path",  # every row takes the full sort
+        "exae/evalharness.py",
+        "    gathered = (counts >= reach) & (counts <= _KNN_GATHER_WIDTH)\n",
+        "    gathered = (counts >= reach) & (counts < 0)\n",
+        f"{EVAL}::TestSelectionPaths::test_healthy_codes_rank_only_candidates",
+    ),
+    (
+        "nan-bound-gathered",  # a row whose sampled bound is NaN has no candidates
+        "exae/evalharness.py",
+        "    gathered = (counts >= reach) & (counts <= _KNN_GATHER_WIDTH)\n",
+        "    gathered = counts <= _KNN_GATHER_WIDTH\n",
+        f"{EVAL}::test_nearest_equals_full_lexsort_sweep",
+    ),
+    (
+        "exclude-self-last-column",  # a query outside its own reach keeps k+1 neighbors
+        "exae/evalharness.py",
+        "            keep[:, -1] &= ~keep.all(axis=1)\n",
+        "",
+        f"{EVAL}::TestKnnClassify::test_exclude_self_among_duplicates",
+    ),
+    (
+        "vote-sum-tie-break",  # count ties go to the lower label
+        "exae/evalharness.py",
+        "    winner = np.argmax(top & (sums == least), axis=1)\n",
+        "    winner = np.argmax(top, axis=1)\n",
+        f"{EVAL}::TestKnnClassify::test_count_tie_goes_to_smaller_sum_not_lower_label",
+    ),
+    (
+        "table-fallback",  # uncertified rows keep their GEMM ranking
+        "exae/exclusivity.py",
+        "        for i in rows[~certified]:\n",
+        "        for i in rows[:0]:\n",
+        "tests/test_exclusivity.py::TestBuildContext::test_tie_heavy_table_equals_oracle_through_fallback",
+    ),
+    (
+        "table-fallback-copies-per-row",  # each fallback row copies the live rows again
+        "exae/exclusivity.py",
+        "-_cosine_to_row(dataset, i, norms, live)",
+        "-_cosine_to_row(dataset, i, norms)",
+        "tests/test_exclusivity.py::TestBuildContext::test_fallback_rows_share_one_copy_of_the_live_rows",
+    ),
+    (
+        "relu-derivative-at-zero",
+        "exae/numkit.py",
+        "        dz = grad_out * (out > 0)\n",
+        "        dz = grad_out * (out >= 0)\n",
+        "tests/test_forward_cache.py",
+    ),
+]
+
+
+def run_pytest(src: Path, selectors: list) -> tuple:
+    """(exit code, output tail) of pytest run on selectors against the package in src."""
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *selectors]
+    done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+    return done.returncode, "\n".join((done.stdout + done.stderr).splitlines()[-15:])
+
+
+def main(argv: list) -> int:
+    chosen = [m for m in MUTANTS if not argv or m[0] in argv]
+    unknown = set(argv) - {m[0] for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}")
+        return 2
+    problems = []
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        code, tail = run_pytest(ROOT / "src", sorted({m[4] for m in chosen}))
+        if code != 0:
+            print(f"{tail}\nselectors fail on the unmutated source")
+            return 1
+        for name, rel, old, new, selector in chosen:
+            started = time.perf_counter()
+            shutil.rmtree(src, ignore_errors=True)
+            shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+            target = src / rel
+            text = target.read_text()
+            if text.count(old) != 1:
+                problems.append(name)
+                print(f"{name}: STALE, old text found {text.count(old)} times in {rel}")
+                continue
+            target.write_text(text.replace(old, new))
+            code, tail = run_pytest(src, [selector])
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
+            if code != 1:  # 1: some test failed; 0 or a usage/collection error is not a kill
+                problems.append(name)
+                print(tail)
+            print(f"{name}: {verdict} in {time.perf_counter() - started:.1f} s")
+    print(f"{len(chosen) - len(problems)} of {len(chosen)} mutants killed")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

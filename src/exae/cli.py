@@ -95,11 +95,14 @@ DEFAULT_CONFIG = {
 DEFAULT_STACK_TAIL = [512, 256, 128]
 
 
-def _merge(base: dict, override: dict) -> dict:
+def _merge(base: dict, override: dict, path: str = "") -> dict:
+    """override laid over base; a key base lacks raises ValueError naming its dotted path."""
     out = copy.deepcopy(base)
     for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], val)
+        if key not in out:
+            raise ValueError(f"unknown config key {path + key!r}")
+        if isinstance(val, dict) and isinstance(out[key], dict):
+            out[key] = _merge(out[key], val, f"{path}{key}.")
         else:
             out[key] = val
     return out

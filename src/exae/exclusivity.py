@@ -119,14 +119,21 @@ def exclude_one_mean(ctx: ExclusivityContext, x_j: np.ndarray) -> np.ndarray:
     return (ctx.row_sum - np.asarray(x_j, dtype=np.float64)) / (ctx.count - 1)
 
 
-def _cosine_to_row(dataset: Matrix, j: int, norms: np.ndarray | None = None) -> np.ndarray:
-    """Cosine similarity of row j to every row; pairs with a zero-norm side get -1."""
+def _cosine_to_row(
+    dataset: Matrix, j: int, norms: np.ndarray | None = None, live: Matrix | None = None
+) -> np.ndarray:
+    """Cosine similarity of row j to every row; pairs with a zero-norm side get -1.
+
+    live is dataset[norms > 0.0], which a caller ranking many rows copies once.
+    """
     if norms is None:
         norms = np.linalg.norm(dataset, axis=1)
     sims = np.full(dataset.shape[0], -1.0)
     if norms[j] > 0.0:
         nonzero = norms > 0.0
-        sims[nonzero] = (dataset[nonzero] @ dataset[j]) / (norms[nonzero] * norms[j])
+        if live is None:
+            live = dataset[nonzero]
+        sims[nonzero] = (live @ dataset[j]) / (norms[nonzero] * norms[j])
     return sims
 
 
@@ -189,6 +196,7 @@ def build_context(dataset: Matrix, m: int) -> ExclusivityContext:
     ranks = min(m + 1, n - 1)
     bound = 2.0 * (d + 4) * np.finfo(np.float64).eps
     table = np.empty((n, m), dtype=np.int64)
+    live = None  # the oracle's nonzero rows, copied once for every fallback row
     for start in range(0, n, _TABLE_BLOCK_ROWS):
         stop = min(start + _TABLE_BLOCK_ROWS, n)
         rows = np.arange(start, stop)
@@ -208,7 +216,9 @@ def build_context(dataset: Matrix, m: int) -> ExclusivityContext:
             certified &= best_sims[:, m] > -1.0
         table[start:stop] = best[:, :m]
         for i in rows[~certified]:
-            order = np.lexsort((np.arange(n), -_cosine_to_row(dataset, i, norms)))
+            if live is None:
+                live = dataset[norms > 0.0]
+            order = np.lexsort((np.arange(n), -_cosine_to_row(dataset, i, norms, live)))
             table[i] = order[order != i][:m]
     return ExclusivityContext(row_sum=dataset.sum(axis=0), count=n, neighbors=table)
 

@@ -115,7 +115,12 @@ def affine_forward(layer: DenseLayer, x: Matrix) -> Matrix:
             f"input shape {x.shape} does not match layer weight shape "
             f"{layer.weight.shape} (expected {layer.in_dim} columns)"
         )
-    z = x @ layer.weight.T + layer.bias
+    # the bias and relu go into the product's own buffer: the bytes of
+    # activate(tag, x @ W.T + b) without its full-size temporaries
+    z = x @ layer.weight.T
+    z += layer.bias
+    if layer.activation == "relu":
+        return np.maximum(z, 0.0, out=z)
     return activate(layer.activation, z)
 
 

@@ -135,6 +135,39 @@ def test_unknown_source_rejected(tmp_path):
         main(["--config", str(path), "synth"])
 
 
+@pytest.mark.parametrize(
+    "user, path",
+    [
+        ({"stack": {"excl_wieght": 0.0}}, "stack.excl_wieght"),
+        ({"evl": {"knn_k": 3}}, "evl"),
+        ({"data": {"split": {"sed": 1}}}, "data.split.sed"),
+        ({"output": {"dir": "x", "directory": "y"}}, "output.directory"),
+    ],
+)
+def test_misspelled_key_rejected_with_its_path(tmp_path, user, path):
+    config = tmp_path / "typo.json"
+    config.write_text(json.dumps(user))
+    with pytest.raises(ValueError, match=f"unknown config key '{path}'"):
+        main(["--config", str(config), "synth"])
+    assert not (tmp_path / "x").exists()
+
+
+def test_no_config_run_unchanged_by_restating_every_default(tmp_path, monkeypatch):
+    # the checks that refuse unknown keys accept every default key, so a
+    # config spelling out DEFAULT_CONFIG writes the bytes of a run without one
+    restated = tmp_path / "defaults.json"
+    restated.write_text(json.dumps(DEFAULT_CONFIG))
+    assert load_config(str(restated)) == load_config(None)
+    outputs = []
+    for name, argv in (("none", ["stack"]), ("restated", ["--config", str(restated), "stack"])):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert main(argv) == 0
+        out = tmp_path / name / "out"
+        outputs.append([(out / f).read_bytes() for f in ("stack.ckpt", "stack-metrics.csv")])
+    assert outputs[0] == outputs[1]
+
+
 def test_defaults_are_not_mutated_between_loads():
     one = load_config(None)
     one["stack"]["excl_weight"] = 99.0

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from exae import evalharness
 from exae.autoencoder import AEConfig, AEModel, encode
 from exae.dataio import Dataset, SplitSpec, synth_gaussian
 from exae.evalharness import (
@@ -299,6 +300,128 @@ def test_knn_memory_is_per_block_not_full_matrix():
     finally:
         tracemalloc.stop()
     assert peak < full_matrix / 8, f"traced peak {peak / 2**20:.2f} MiB"
+
+
+def count_selection_paths(monkeypatch):
+    """Rows _nearest sends to the full sort, and rows it lexsorts one by one."""
+    seen = {"sorted": 0, "per_row": 0}
+    sorted_nearest, lexsort_row = evalharness._sorted_nearest, evalharness._lexsort_row
+
+    def sorted_spy(block, reach):
+        seen["sorted"] += block.shape[0]
+        return sorted_nearest(block, reach)
+
+    def row_spy(row, reach):
+        seen["per_row"] += 1
+        return lexsort_row(row, reach)
+
+    monkeypatch.setattr(evalharness, "_sorted_nearest", sorted_spy)
+    monkeypatch.setattr(evalharness, "_lexsort_row", row_spy)
+    return seen
+
+
+class TestSelectionPaths:
+    def test_healthy_codes_rank_only_candidates(self, monkeypatch):
+        seen = count_selection_paths(monkeypatch)
+        rng = np.random.default_rng(0)
+        train = rng.normal(size=(2000, 16))
+        labels = rng.integers(0, 10, size=2000)
+        queries = rng.normal(size=(640, 16))
+        got = knn_classify(train, labels, queries, k=5)
+        # the sampled bound leaves about 20 candidates a row: almost no full sorts
+        assert seen["sorted"] < 640 // 20, seen
+        assert np.array_equal(got, full_sort_knn(train, labels, queries, 5))
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("k", [1, 4, 7])
+    def test_ties_are_filled_without_per_row_lexsort(self, monkeypatch, metric, k):
+        seen = count_selection_paths(monkeypatch)
+        rng = np.random.default_rng(20 + k)
+        train = collapsed_codes(rng, 600)
+        labels = rng.integers(0, 3, size=600)
+        queries = collapsed_codes(rng, 140)
+        got = knn_classify(train, labels, queries, k=k, metric=metric)
+        # all-zero rows tie far past the width: the full sort, then the tie fill
+        assert seen["sorted"] > 140 // 2, seen
+        assert seen["per_row"] == 0, seen
+        assert np.array_equal(got, full_sort_knn(train, labels, queries, k, metric))
+
+    def test_nan_among_the_nearest_takes_per_row_lexsort(self, monkeypatch):
+        seen = count_selection_paths(monkeypatch)
+        rng = np.random.default_rng(4)
+        train = rng.normal(size=(20, 3))
+        labels = rng.integers(0, 3, size=20)
+        queries = rng.normal(size=(6, 3))
+        queries[[1, 4]] = np.nan
+        got = knn_classify(train, labels, queries, k=3)
+        assert seen["per_row"] == 2, seen
+        assert np.array_equal(got, full_sort_knn(train, labels, queries, 3))
+
+
+def lexsort_nearest(block, reach):
+    """The first reach columns of each row's lexsort on (distance, index)."""
+    index = np.arange(block.shape[1])
+    return np.array([np.lexsort((index, row))[:reach] for row in block]).reshape(-1, reach)
+
+
+def distance_block(kind, rng, rows, n):
+    if kind == "normal":
+        return rng.normal(size=(rows, n)) ** 2
+    if kind == "tie-heavy":
+        return rng.integers(0, 4, size=(rows, n)) / 3.0
+    if kind == "collapsed":
+        return np.where(rng.uniform(size=(rows, n)) < 0.1, rng.uniform(size=(rows, n)), 0.0)
+    if kind == "nan":
+        block = rng.normal(size=(rows, n)) ** 2
+        block[rng.uniform(size=(rows, n)) < 0.3] = np.nan
+        block[rng.uniform(size=rows) < 0.1] = np.nan
+        return block
+    values = np.array([-np.inf, 0.0, 0.5, 1.0, np.inf, np.nan])  # "inf"
+    return values[rng.integers(0, len(values), size=(rows, n))]
+
+
+SELECTION_KINDS = ["normal", "tie-heavy", "collapsed", "nan", "inf"]
+
+
+@pytest.mark.parametrize("kind", SELECTION_KINDS)
+def test_nearest_equals_full_lexsort_sweep(kind):
+    # n below, at and above the sample stride and the gather width; reach up to n
+    rng = np.random.default_rng(SELECTION_KINDS.index(kind))
+    stride, width = evalharness._KNN_SAMPLE_STRIDE, evalharness._KNN_GATHER_WIDTH
+    sizes = [1, 2, stride - 1, stride, stride + 1, 3 * stride, width, width + 1, 4 * width, 700]
+    for trial in range(60):
+        n = sizes[trial % len(sizes)]
+        reach = n if trial % 7 == 0 else int(rng.integers(1, min(n, 10) + 1))
+        block = distance_block(kind, rng, int(rng.integers(1, 70)), n)
+        got = evalharness._nearest(block, reach)
+        assert np.array_equal(got, lexsort_nearest(block, reach)), (trial, n, reach)
+
+
+@pytest.mark.parametrize("kind", SELECTION_KINDS[:4])
+def test_knn_equals_full_sort_sweep(kind):
+    # whole knn_classify runs on codes; ±inf distances are swept on _nearest above
+    rng = np.random.default_rng(10 + SELECTION_KINDS.index(kind))
+    for trial in range(24):
+        n = [2, 3, 5, 9, 40, 300][trial % 6]
+        dim = int(rng.integers(1, 9))
+        feats = rng.normal(size=(n + 70, dim))
+        if kind == "tie-heavy":
+            feats = rng.integers(0, 3, size=feats.shape) / 2.0
+        elif kind == "collapsed":
+            feats = collapsed_codes(rng, n + 70, dim)
+        elif kind == "nan":
+            feats[rng.uniform(size=n + 70) < 0.1, 0] = np.nan
+        train, queries = feats[:n], feats[n:]
+        labels = rng.integers(0, 4, size=n)
+        metric = ("euclidean", "cosine")[trial % 2]
+        exclude_self = trial % 3 == 0
+        if exclude_self:
+            queries = train
+        k = n - exclude_self if trial % 5 == 0 else int(rng.integers(1, n - exclude_self + 1))
+        with np.errstate(invalid="ignore"):
+            got = knn_classify(train, labels, queries, k, metric, exclude_self)
+            want = full_sort_knn(train, labels, queries, k, metric, exclude_self)
+        assert np.array_equal(got, want), (trial, n, k, metric, exclude_self)
 
 
 class TestAccuracy:

@@ -209,9 +209,9 @@ class TestBuildContext:
         fallback_rows = []
         real = exclusivity._cosine_to_row
 
-        def spy(dataset, j, norms=None):
+        def spy(dataset, j, *args):
             fallback_rows.append(j)
-            return real(dataset, j, norms)
+            return real(dataset, j, *args)
 
         monkeypatch.setattr(exclusivity, "_cosine_to_row", spy)
         ctx = build_context(data, m)
@@ -231,9 +231,9 @@ class TestBuildContext:
         fallback_rows = []
         real = exclusivity._cosine_to_row
 
-        def spy(dataset, j, norms=None):
+        def spy(dataset, j, *args):
             fallback_rows.append(j)
-            return real(dataset, j, norms)
+            return real(dataset, j, *args)
 
         monkeypatch.setattr(exclusivity, "_cosine_to_row", spy)
         ctx = build_context(data, m)
@@ -263,6 +263,27 @@ class TestBuildContext:
         assert ctx.neighbors.shape == (n, m)
         for j in range(n):
             assert list(ctx.neighbors[j]) == top_m_neighbors(data, j, m)
+
+    def test_fallback_rows_share_one_copy_of_the_live_rows(self, monkeypatch):
+        # half the rows have zero norm; every fallback row reads the same
+        # copy of the nonzero rows, and its similarities are bitwise the oracle's
+        rng = np.random.default_rng(9)
+        data = rng.integers(0, 3, size=(300, 16)) / 2.0
+        data[rng.uniform(size=300) < 0.5] = 0.0
+        copies, real = set(), exclusivity._cosine_to_row
+
+        def spy(dataset, j, norms=None, live=None):
+            copies.add(id(live))
+            sims = real(dataset, j, norms, live)
+            assert sims.tobytes() == real(dataset, j).tobytes(), f"row {j}"
+            return sims
+
+        monkeypatch.setattr(exclusivity, "_cosine_to_row", spy)
+        ctx = build_context(data, 4)
+        monkeypatch.setattr(exclusivity, "_cosine_to_row", real)
+        assert len(copies) == 1 and id(None) not in copies
+        for j in range(0, 300, 13):
+            assert list(ctx.neighbors[j]) == top_m_neighbors(data, j, 4), f"row {j}"
 
 
 class TestTargetsFor:
