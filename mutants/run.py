@@ -83,6 +83,35 @@ MUTANTS = [
         "        dz = grad_out * (out >= 0)\n",
         "tests/test_forward_cache.py",
     ),
+    (
+        "sigmoid-derivative-rounding",  # same value in exact arithmetic, other last bits
+        "exae/numkit.py",
+        "        dz = grad_out * (out * (1.0 - out))\n",
+        "        dz = grad_out * (out - out * out)\n",
+        "tests/test_forward_cache.py",
+    ),
+    (
+        "table-bound-zero",  # every row with distinct rounded similarities is certified
+        "exae/exclusivity.py",
+        "    bound = 2.0 * (d + 4) * np.finfo(np.float64).eps\n",
+        "    bound = 0.0\n",
+        "tests/test_exclusivity.py::TestBuildContext::test_tie_heavy_table_equals_oracle_through_fallback",
+    ),
+    (
+        "sgd-update-before-check",  # a refused step has already moved the earlier layers
+        "exae/numkit.py",
+        "    # every layer is checked before any moves, so a refused step changes nothing\n"
+        "    for layer, g in zip(layers, grads):\n",
+        "",
+        "tests/test_numkit.py::TestSgdStep::test_non_finite_gradient_identifies_layer",
+    ),
+    (
+        "level-keys-unchecked",  # a misspelled level key reaches AEConfig as a TypeError
+        "exae/cli.py",
+        "    for k, level in enumerate(levels):\n",
+        "    for k, level in enumerate([]):\n",
+        "tests/test_cli.py::test_misspelled_key_rejected_with_its_path",
+    ),
 ]
 
 

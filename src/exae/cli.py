@@ -1,19 +1,19 @@
 """Command-line entry point.
 
 Every subcommand reads one JSON config file (--config); anything omitted
-falls back to the defaults below. The schema mirrors DEFAULT_CONFIG:
+falls back to DEFAULT_CONFIG, which takes each default from the field of
+the dataclass that consumes it. The sections:
 
-  data:       source ("synth" | "idx" | "image_dir") plus its parameters,
-              and the per-class split settings
+  data:       DataSpec: source ("synth" | "idx" | "image_dir") plus its
+              parameters; "split" holds SplitSpec
   stack:      sizes is the dimension chain input -> ... -> latent, one
-              autoencoder level per consecutive pair; shared level
-              hyperparameters sit beside it, per-level overrides go in
+              autoencoder level per consecutive pair; the AEConfig fields
+              shared by every level sit beside it, per-level overrides go in
               "levels" (list of objects with any AEConfig field)
-  finetune:   band (allowed weight-norm-ratio deviation), norm_order,
-              epochs, lr, batch_size, excl_weight, n_neighbors
-  eval:       knn_k and metric
-  experiment: trials and base_seed
-  output:     dir for metrics/checkpoints
+  finetune:   StackConfig: band, norm_order and the finetune_* fields
+  eval:       ExperimentConfig: knn_k and metric
+  experiment: ExperimentConfig: trials and base_seed
+  output:     ExperimentConfig: dir (out_dir) for metrics/checkpoints
 
 Subcommands: synth, train, stack, finetune, eval, experiment, gradcheck.
 """
@@ -24,7 +24,7 @@ import argparse
 import copy
 import json
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,50 +46,42 @@ from .evalharness import (
 )
 from .stacking import StackConfig, assemble, fine_tune, train_stack
 
+# config key -> dataclass field, where the two names differ
+RENAMED = {
+    "finetune.epochs": "finetune_epochs",
+    "finetune.lr": "finetune_lr",
+    "finetune.batch_size": "finetune_batch_size",
+    "finetune.seed": "finetune_seed",
+    "finetune.excl_weight": "finetune_excl_weight",
+    "finetune.n_neighbors": "finetune_neighbors",
+    "output.dir": "out_dir",
+}
+
+
+def _defaults(cls, *names: str) -> dict:
+    """{config key: default} of cls's fields that have one, or of those named."""
+    config_key = {field: path.rpartition(".")[2] for path, field in RENAMED.items()}
+    return {
+        config_key.get(f.name, f.name): f.default
+        for f in fields(cls)
+        if f.default is not MISSING and (not names or f.name in names)
+    }
+
+
 DEFAULT_CONFIG = {
     "data": {
-        "source": "synth",
-        "classes": 3,
-        "dim": 32,
-        "per_class": 100,
-        "spread": 0.12,
-        "synth_seed": 0,
-        "images": None,
-        "labels": None,
-        "test_images": None,
-        "test_labels": None,
-        "root": None,
-        "per_class_test": None,
-        "split": {"per_class_train": 10, "seed": 0, "mirror_train": False},
+        **_defaults(DataSpec),
+        "split": {"per_class_train": 10, **_defaults(SplitSpec)},  # SplitSpec has no default for it
     },
     "stack": {
         "sizes": None,  # default: [input dim, 512, 256, 128] -> 3 levels
-        "hidden_activation": "relu",
-        "latent_activation": "relu",
-        "output_activation": "sigmoid",
-        "excl_weight": 7.0,
-        "n_neighbors": 6,
-        "lr": 0.05,
-        "epochs": 50,
-        "batch_size": 32,
-        "seed": 0,
-        "loss_reduction": "mean",
-        "mean_grad": "full",
-        "levels": None,
+        **_defaults(AEConfig),
+        "levels": None,  # optional per-level AEConfig overrides
     },
-    "finetune": {
-        "band": 0.6,
-        "norm_order": 2,
-        "epochs": 50,
-        "lr": 0.05,
-        "batch_size": 32,
-        "seed": 0,
-        "excl_weight": 0.0,
-        "n_neighbors": 6,
-    },
-    "eval": {"knn_k": 1, "metric": "euclidean"},
-    "experiment": {"trials": 10, "base_seed": 0},
-    "output": {"dir": "out"},
+    "finetune": _defaults(StackConfig),
+    "eval": _defaults(ExperimentConfig, "knn_k", "metric"),
+    "experiment": _defaults(ExperimentConfig, "trials", "base_seed"),
+    "output": _defaults(ExperimentConfig, "out_dir"),
 }
 
 DEFAULT_STACK_TAIL = [512, 256, 128]
@@ -112,33 +104,27 @@ def load_config(path: str | None) -> dict:
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
     with open(path) as f:
-        user = json.load(f)
-    return _merge(DEFAULT_CONFIG, user)
+        cfg = _merge(DEFAULT_CONFIG, json.load(f))
+    levels = cfg["stack"]["levels"] or []
+    if not (isinstance(levels, list) and all(isinstance(level, dict) for level in levels)):
+        raise ValueError("config key 'stack.levels' must be null or a list of objects")
+    level_fields = dict.fromkeys(f.name for f in fields(AEConfig))
+    for k, level in enumerate(levels):
+        _merge(level_fields, level, f"stack.levels[{k}].")
+    return cfg
+
+
+def _as_fields(cfg: dict, *sections: str) -> dict:
+    """The sections' values keyed by dataclass field name."""
+    return {RENAMED.get(f"{s}.{key}", key): val for s in sections for key, val in cfg[s].items()}
 
 
 def data_spec_from(cfg: dict) -> DataSpec:
-    d = cfg["data"]
-    return DataSpec(
-        source=d["source"],
-        classes=d["classes"],
-        dim=d["dim"],
-        per_class=d["per_class"],
-        spread=d["spread"],
-        synth_seed=d["synth_seed"],
-        images=d["images"],
-        labels=d["labels"],
-        test_images=d["test_images"],
-        test_labels=d["test_labels"],
-        root=d["root"],
-        per_class_test=d["per_class_test"],
-    )
+    return DataSpec(**{key: val for key, val in cfg["data"].items() if key != "split"})
 
 
 def split_spec_from(cfg: dict) -> SplitSpec:
-    s = cfg["data"]["split"]
-    return SplitSpec(
-        per_class_train=s["per_class_train"], seed=s["seed"], mirror_train=s["mirror_train"]
-    )
+    return SplitSpec(**cfg["data"]["split"])
 
 
 def level_configs_from(cfg: dict, input_dim: int) -> list:
@@ -147,50 +133,22 @@ def level_configs_from(cfg: dict, input_dim: int) -> list:
     sizes = st["sizes"] or [input_dim] + DEFAULT_STACK_TAIL
     if sizes[0] != input_dim:
         raise ValueError(f"stack sizes start at {sizes[0]} but data dim is {input_dim}")
-    shared = {
-        key: st[key]
-        for key in (
-            "hidden_activation",
-            "latent_activation",
-            "excl_weight",
-            "n_neighbors",
-            "lr",
-            "epochs",
-            "batch_size",
-            "seed",
-            "loss_reduction",
-            "mean_grad",
-        )
-    }
+    shared = {key: val for key, val in st.items() if key not in ("sizes", "levels")}
     overrides = st["levels"] or [{}] * (len(sizes) - 1)
     if len(overrides) != len(sizes) - 1:
-        raise ValueError(
-            f"{len(overrides)} level overrides for {len(sizes) - 1} levels"
-        )
+        raise ValueError(f"{len(overrides)} level overrides for {len(sizes) - 1} levels")
     levels = []
     for k, (a, b) in enumerate(zip(sizes, sizes[1:])):
-        fields = dict(shared)
-        # level 1 reconstructs [0,1] pixels; deeper levels reconstruct codes
-        fields["output_activation"] = st["output_activation"] if k == 0 else st["latent_activation"]
-        fields.update(overrides[k])
-        fields.setdefault("layer_sizes", [a, b])
-        levels.append(AEConfig(**fields))
+        level = {**shared, "layer_sizes": [a, b]}
+        if k > 0:  # level 1 reconstructs [0,1] pixels; deeper levels reconstruct codes
+            level["output_activation"] = st["latent_activation"]
+        level.update(overrides[k])
+        levels.append(AEConfig(**level))
     return levels
 
 
 def stack_config_from(cfg: dict, input_dim: int) -> StackConfig:
-    ft = cfg["finetune"]
-    return StackConfig(
-        levels=level_configs_from(cfg, input_dim),
-        band=ft["band"],
-        norm_order=ft["norm_order"],
-        finetune_epochs=ft["epochs"],
-        finetune_lr=ft["lr"],
-        finetune_batch_size=ft["batch_size"],
-        finetune_seed=ft["seed"],
-        finetune_excl_weight=ft["excl_weight"],
-        finetune_neighbors=ft["n_neighbors"],
-    )
+    return StackConfig(levels=level_configs_from(cfg, input_dim), **_as_fields(cfg, "finetune"))
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -281,18 +239,13 @@ def cmd_eval(cfg: dict, args) -> int:
 
 
 def cmd_experiment(cfg: dict, args) -> int:
-    out = _out_dir(cfg)
     spec = data_spec_from(cfg)
     loaded = load_data(spec)  # read once: its width sizes the stack
     exp = ExperimentConfig(
         data=spec,
         split=split_spec_from(cfg),
         stack=stack_config_from(cfg, loaded[0].dim),
-        trials=cfg["experiment"]["trials"],
-        knn_k=cfg["eval"]["knn_k"],
-        metric=cfg["eval"]["metric"],
-        base_seed=cfg["experiment"]["base_seed"],
-        out_dir=str(out),
+        **_as_fields(cfg, "eval", "experiment", "output"),
     )
     records, summary = run_experiment(exp, loaded)
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -331,16 +284,7 @@ def cmd_gradcheck(cfg: dict, args) -> int:
                 break
         for reduction in ("mean", "sum"):
             for mean_grad in ("full", "stopped"):
-                probe_cfg = AEConfig(
-                    layer_sizes=dims,
-                    hidden_activation=act,
-                    latent_activation=act,
-                    excl_weight=weight,
-                    n_neighbors=config.n_neighbors,
-                    loss_reduction=reduction,
-                    mean_grad=mean_grad,
-                    seed=config.seed,
-                )
+                probe_cfg = replace(config, loss_reduction=reduction, mean_grad=mean_grad)
                 loss_fn = grad_check_objective(model, probe_cfg, ctx, data, batch)
                 err = grad_check(loss_fn, model_parameters(model), epsilon=1e-5)
                 worst_overall = max(worst_overall, err)

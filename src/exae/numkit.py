@@ -162,6 +162,8 @@ def sgd_step(layers: list, grads: GradSet, lr: float) -> list:
             raise ValueError(f"gradient shapes do not match parameters at layer {i}")
         if not (np.all(np.isfinite(g.weight)) and np.all(np.isfinite(g.bias))):
             raise ValueError(f"non-finite gradient entry at layer {i}")
+    # every layer is checked before any moves, so a refused step changes nothing
+    for layer, g in zip(layers, grads):
         layer.weight -= lr * g.weight
         layer.bias -= lr * g.bias
     return layers

@@ -1,10 +1,17 @@
 """End-to-end runs of every CLI subcommand on tiny synthetic configs."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from exae import cli
+from exae.autoencoder import AEConfig
 from exae.cli import DEFAULT_CONFIG, level_configs_from, load_config, main
+from exae.dataio import SplitSpec
+from exae.evalharness import DataSpec
+from exae.stacking import StackConfig
 
 
 def tiny_config(tmp_path, **overrides):
@@ -46,6 +53,47 @@ def test_defaults_cover_documented_operating_point():
     levels = level_configs_from(cfg, 784)
     assert len(levels) == 3
     assert levels[-1].latent_dim == 128
+    # every section builds its dataclass's own defaults
+    assert levels == [
+        AEConfig(layer_sizes=[784, 512]),
+        AEConfig(layer_sizes=[512, 256], output_activation="relu"),
+        AEConfig(layer_sizes=[256, 128], output_activation="relu"),
+    ]
+    assert cli.stack_config_from(cfg, 784) == StackConfig(levels=levels)
+    assert cli.data_spec_from(cfg) == DataSpec()
+    assert cli.split_spec_from(cfg) == SplitSpec(per_class_train=10)
+
+
+def test_readme_defaults_block_equals_load_config():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+    assert json.loads(re.sub(r"//[^\n]*", "", block)) == load_config(None)
+
+
+def test_renamed_keys_reach_their_fields(tmp_path, monkeypatch):
+    path = tiny_config(
+        tmp_path,
+        finetune={"epochs": 3, "lr": 0.01, "batch_size": 4, "seed": 9,
+                  "excl_weight": 2.0, "n_neighbors": 5},
+        eval={"knn_k": 3, "metric": "cosine"},
+    )
+    cfg = load_config(str(path))
+    stack = cli.stack_config_from(cfg, 6)
+    assert (stack.finetune_epochs, stack.finetune_lr, stack.finetune_batch_size,
+            stack.finetune_seed, stack.finetune_excl_weight, stack.finetune_neighbors) == (
+        3, 0.01, 4, 9, 2.0, 5)
+    seen = []
+
+    def capture(exp, loaded):
+        seen.append(exp)
+        return [], {"partial": False}
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    assert main(["--config", str(path), "experiment"]) == 0
+    (exp,) = seen
+    assert (exp.knn_k, exp.metric, exp.trials, exp.base_seed) == (3, "cosine", 2, 0)
+    assert exp.out_dir == str(tmp_path / "out")
+    assert exp.stack == stack
 
 
 def test_user_config_merges_over_defaults(tmp_path):
@@ -142,14 +190,23 @@ def test_unknown_source_rejected(tmp_path):
         ({"evl": {"knn_k": 3}}, "evl"),
         ({"data": {"split": {"sed": 1}}}, "data.split.sed"),
         ({"output": {"dir": "x", "directory": "y"}}, "output.directory"),
+        ({"stack": {"sizes": [32, 8], "levels": [{"epohcs": 3}]}}, "stack.levels[0].epohcs"),
     ],
 )
 def test_misspelled_key_rejected_with_its_path(tmp_path, user, path):
     config = tmp_path / "typo.json"
     config.write_text(json.dumps(user))
-    with pytest.raises(ValueError, match=f"unknown config key '{path}'"):
+    with pytest.raises(ValueError, match=re.escape(f"unknown config key '{path}'")):
         main(["--config", str(config), "synth"])
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("levels", [[3], {"epochs": 3}, [{"epochs": 3}, None]])
+def test_levels_must_be_a_list_of_objects(tmp_path, levels):
+    config = tmp_path / "levels.json"
+    config.write_text(json.dumps({"stack": {"sizes": [32, 8], "levels": levels}}))
+    with pytest.raises(ValueError, match="'stack.levels' must be null or a list of objects"):
+        load_config(str(config))
 
 
 def test_no_config_run_unchanged_by_restating_every_default(tmp_path, monkeypatch):

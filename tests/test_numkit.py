@@ -139,11 +139,20 @@ class TestSgdStep:
         assert np.allclose(a.weight, b.weight)
 
     def test_non_finite_gradient_identifies_layer(self):
-        layers = [layer([[1.0]], [0.0]), layer([[1.0]], [0.0])]
-        good = type("G", (), {"weight": np.zeros((1, 1)), "bias": np.zeros(1)})()
-        bad = type("G", (), {"weight": np.array([[np.nan]]), "bias": np.zeros(1)})()
-        with pytest.raises(ValueError, match="layer 1"):
-            sgd_step(layers, [good, bad], lr=0.1)
+        # the good layer's gradient would move it, so a refused step that
+        # updated layer 0 before checking layer 1 would show
+        good = type("G", (), {"weight": np.array([[0.5]]), "bias": np.array([0.5])})()
+        for weight, bias, message in (
+            ([[np.nan]], [0.0], "non-finite gradient entry at layer 1"),
+            ([[0.0]], [np.inf], "non-finite gradient entry at layer 1"),
+            ([[0.0, 0.0]], [0.0], "gradient shapes do not match parameters at layer 1"),
+        ):
+            layers = [layer([[1.0]], [0.0]), layer([[1.0]], [0.0])]
+            bad = type("G", (), {"weight": np.array(weight), "bias": np.array(bias)})()
+            with pytest.raises(ValueError, match=message):
+                sgd_step(layers, [good, bad], lr=0.1)
+            for l in layers:
+                assert l.weight.tolist() == [[1.0]] and l.bias.tolist() == [0.0]
 
 
 class TestGradCheck:
