@@ -112,6 +112,20 @@ MUTANTS = [
         "    for k, level in enumerate([]):\n",
         "tests/test_cli.py::test_misspelled_key_rejected_with_its_path",
     ),
+    (
+        "test-cap-skipped",  # an explicit test set keeps every row whatever per_class_test says
+        "exae/dataio.py",
+        "    if per_class_test:\n",
+        "    if False:\n",
+        "tests/test_dataio.py::test_train_test_rows_with_explicit_test_set",
+    ),
+    (
+        "explicit-test-mirror-dropped",  # mirror_train reaches only the split path
+        "exae/dataio.py",
+        "    return (mirror(train) if split.mirror_train else train), test\n",
+        "    return train, test\n",
+        "tests/test_dataio.py::test_train_test_rows_with_explicit_test_set",
+    ),
 ]
 
 

@@ -26,17 +26,17 @@ import json
 import sys
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .autoencoder import AEConfig, build_model, train
-from .dataio import Dataset, SplitSpec, save_idx, split_per_class
+from .autoencoder import AEConfig, build_model
+from .dataio import Dataset, SplitSpec, save_idx, train_test_rows
 from .evalharness import (
     DataSpec,
     ExperimentConfig,
-    accuracy,
-    extract_features,
-    knn_classify,
+    evaluate,
     load_checkpoint,
     load_data,
     run_experiment,
@@ -44,7 +44,7 @@ from .evalharness import (
     write_metrics,
     MetricsRecord,
 )
-from .stacking import StackConfig, assemble, fine_tune, train_stack
+from .stacking import StackConfig, fine_tune, train_stack
 
 # config key -> dataclass field, where the two names differ
 RENAMED = {
@@ -86,6 +86,10 @@ DEFAULT_CONFIG = {
 
 DEFAULT_STACK_TAIL = [512, 256, 128]
 
+# config section -> the dataclass whose field annotations type its values
+SECTIONS = {"data": DataSpec, "data.split": SplitSpec, "stack": AEConfig, "finetune": StackConfig,
+            "eval": ExperimentConfig, "experiment": ExperimentConfig, "output": ExperimentConfig}
+
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
     """override laid over base; a key base lacks raises ValueError naming its dotted path."""
@@ -100,6 +104,25 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
+def _admits(hint, val) -> bool:
+    """Whether a JSON value may set a field annotated hint: a float field takes
+    an int, an X | None field takes null, and no number field takes a bool."""
+    if get_origin(hint) in (Union, UnionType):
+        return any(_admits(arm, val) for arm in get_args(hint))
+    kind = (int, float) if hint is float else get_origin(hint) or hint
+    return isinstance(val, kind) and (hint is bool or not isinstance(val, bool))
+
+
+def _check_types(section: dict, cls, path: str) -> None:
+    """A value cls's field annotation refuses raises ValueError naming its dotted path."""
+    hints = get_type_hints(cls)
+    for key, val in section.items():
+        hint = hints.get(RENAMED.get(path + key, key))  # None for CLI-only keys
+        if hint is not None and not _admits(hint, val):
+            want = getattr(hint, "__name__", hint)  # str | None has no __name__
+            raise ValueError(f"config key {path + key!r} must be {want}, got {val!r}")
+
+
 def load_config(path: str | None) -> dict:
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
@@ -111,6 +134,10 @@ def load_config(path: str | None) -> dict:
     level_fields = dict.fromkeys(f.name for f in fields(AEConfig))
     for k, level in enumerate(levels):
         _merge(level_fields, level, f"stack.levels[{k}].")
+        _check_types(level, AEConfig, f"stack.levels[{k}].")
+    for name, cls in SECTIONS.items():
+        section, _, sub = name.partition(".")
+        _check_types(cfg[section][sub] if sub else cfg[section], cls, name + ".")
     return cfg
 
 
@@ -158,13 +185,12 @@ def _out_dir(cfg: dict) -> Path:
 
 
 def _train_test(cfg: dict):
-    """Load data and produce (train, test_or_None) per the split settings."""
+    """The (train, test) rows an experiment's trial trains on and queries,
+    drawn at the config's own seeds: trial 0's rows when they are defaults."""
     data, test = load_data(data_spec_from(cfg))
-    if test is not None:
-        return data, test
-    if data.labels is not None and cfg["data"]["split"]["per_class_train"]:
-        return split_per_class(data, split_spec_from(cfg))
-    return data, None
+    return train_test_rows(
+        data, test, split_spec_from(cfg), cfg["data"]["per_class_test"], cfg["experiment"]["base_seed"]
+    )
 
 
 def cmd_synth(cfg: dict, args) -> int:
@@ -177,33 +203,26 @@ def cmd_synth(cfg: dict, args) -> int:
     return 0
 
 
-def cmd_train(cfg: dict, args) -> int:
-    out = _out_dir(cfg)
-    train_set, _ = _train_test(cfg)
-    levels = level_configs_from(cfg, train_set.dim)
-    level_cfg = levels[0]
-    model = build_model(level_cfg)
-    model, history = train(model, level_cfg, train_set.examples)
-    stacked = assemble([model], cfg["finetune"]["norm_order"])
-    save_checkpoint(stacked, out / "model.ckpt", config=cfg)
-    record = MetricsRecord(trial=0, pretrain=[history], finetune=[], accuracy=None, seconds=0.0)
-    write_metrics([record], out / "train-metrics.csv")
-    print(f"trained 1 level for {level_cfg.epochs} epochs; final loss {history[-1].total:.6f}"
-          if history else "trained 0 epochs")
-    print(f"checkpoint: {out / 'model.ckpt'}")
-    return 0
-
-
-def cmd_stack(cfg: dict, args) -> int:
+def _pretrain(cfg: dict, n_levels: int | None, checkpoint: str, metrics: str) -> int:
+    """Pretrain and assemble the first n_levels levels (None: all of them)."""
     out = _out_dir(cfg)
     train_set, _ = _train_test(cfg)
     stack_cfg = stack_config_from(cfg, train_set.dim)
+    stack_cfg = replace(stack_cfg, levels=stack_cfg.levels[:n_levels])
     stacked, histories = train_stack(stack_cfg, train_set.examples)
-    save_checkpoint(stacked, out / "stack.ckpt", config=cfg)
+    save_checkpoint(stacked, out / checkpoint, config=cfg)
     record = MetricsRecord(trial=0, pretrain=histories, finetune=[], accuracy=None, seconds=0.0)
-    write_metrics([record], out / "stack-metrics.csv")
-    print(f"pretrained {stack_cfg.n_levels} levels; checkpoint: {out / 'stack.ckpt'}")
+    write_metrics([record], out / metrics)
+    print(f"pretrained {stack_cfg.n_levels} level(s); checkpoint: {out / checkpoint}")
     return 0
+
+
+def cmd_train(cfg: dict, args) -> int:
+    return _pretrain(cfg, 1, "model.ckpt", "train-metrics.csv")
+
+
+def cmd_stack(cfg: dict, args) -> int:
+    return _pretrain(cfg, None, "stack.ckpt", "stack-metrics.csv")
 
 
 def cmd_finetune(cfg: dict, args) -> int:
@@ -226,14 +245,7 @@ def cmd_finetune(cfg: dict, args) -> int:
 def cmd_eval(cfg: dict, args) -> int:
     stacked = load_checkpoint(args.checkpoint)
     train_set, test_set = _train_test(cfg)
-    if test_set is None:
-        raise SystemExit("eval needs a test set: configure a split or explicit test files")
-    train_feats = extract_features(stacked, train_set)
-    test_feats = extract_features(stacked, test_set)
-    predicted = knn_classify(
-        train_feats, train_set.labels, test_feats, cfg["eval"]["knn_k"], cfg["eval"]["metric"]
-    )
-    acc = accuracy(predicted, test_set.labels)
+    acc = evaluate(stacked, train_set, test_set, cfg["eval"]["knn_k"], cfg["eval"]["metric"])
     print(f"accuracy: {acc:.4f} ({test_set.n} queries, k={cfg['eval']['knn_k']})")
     return 0
 

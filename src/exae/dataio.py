@@ -218,60 +218,56 @@ def mirror(dataset: Dataset) -> Dataset:
     )
 
 
+def _subset(dataset: Dataset, rows: list) -> Dataset:
+    return Dataset(dataset.examples[rows], dataset.labels[rows], dataset.image_shape)
+
+
+def _draw_per_class(dataset: Dataset, per_class: int, seed: int, spare: int):
+    """Row indices (chosen, rest) of a seeded draw of per_class rows from each
+    class (np.unique order, one permutation each, rows sorted within a class);
+    a class needs per_class + spare rows."""
+    if dataset.labels is None:
+        raise ValueError("per-class selection needs labels")
+    rng = np.random.default_rng(seed)
+    chosen, rest = [], []
+    for cls in np.unique(dataset.labels):
+        members = np.flatnonzero(dataset.labels == cls)
+        if members.size < per_class + spare:
+            raise ValueError(f"class {cls} has {members.size} rows, need {per_class + spare}")
+        perm = rng.permutation(members.size)
+        chosen.extend(sorted(members[perm[:per_class]]))
+        rest.extend(sorted(members[perm[per_class:]]))
+    return chosen, rest
+
+
 def split_per_class(dataset: Dataset, spec: SplitSpec):
     """Seeded per-class split into (train, test), disjoint by source row.
 
     Mirroring, when requested, is applied to the training side only,
     after selection.
     """
-    if dataset.labels is None:
-        raise ValueError("per-class split needs labels")
-    rng = np.random.default_rng(spec.seed)
-    train_idx, test_idx = [], []
-    for cls in np.unique(dataset.labels):
-        members = np.flatnonzero(dataset.labels == cls)
-        if members.size <= spec.per_class_train:
-            raise ValueError(
-                f"class {cls} has {members.size} rows, needs more than "
-                f"{spec.per_class_train} to split"
-            )
-        perm = rng.permutation(members.size)
-        chosen = members[perm[: spec.per_class_train]]
-        rest = members[perm[spec.per_class_train :]]
-        train_idx.extend(sorted(chosen))
-        test_idx.extend(sorted(rest))
-    train = Dataset(
-        examples=dataset.examples[train_idx],
-        labels=dataset.labels[train_idx],
-        image_shape=dataset.image_shape,
-    )
-    test = Dataset(
-        examples=dataset.examples[test_idx],
-        labels=dataset.labels[test_idx],
-        image_shape=dataset.image_shape,
-    )
-    if spec.mirror_train:
-        train = mirror(train)
-    return train, test
+    chosen, rest = _draw_per_class(dataset, spec.per_class_train, spec.seed, spare=1)
+    train = _subset(dataset, chosen)
+    return (mirror(train) if spec.mirror_train else train), _subset(dataset, rest)
 
 
 def select_per_class(dataset: Dataset, per_class: int, seed: int) -> Dataset:
     """Seeded selection of exactly per_class rows from every class."""
-    if dataset.labels is None:
-        raise ValueError("per-class selection needs labels")
-    rng = np.random.default_rng(seed)
-    keep = []
-    for cls in np.unique(dataset.labels):
-        members = np.flatnonzero(dataset.labels == cls)
-        if members.size < per_class:
-            raise ValueError(f"class {cls} has {members.size} rows, need {per_class}")
-        perm = rng.permutation(members.size)
-        keep.extend(sorted(members[perm[:per_class]]))
-    return Dataset(
-        examples=dataset.examples[keep],
-        labels=dataset.labels[keep],
-        image_shape=dataset.image_shape,
-    )
+    return _subset(dataset, _draw_per_class(dataset, per_class, seed, spare=0)[0])
+
+
+def train_test_rows(
+    data: Dataset, test: Dataset | None, split: SplitSpec, per_class_test: int | None, test_seed: int
+):
+    """The (train, test) pair a run trains on and queries: split_per_class of
+    data, or, given an explicit test set, split's draw from data against test
+    capped at per_class_test rows per class (None: every row) by test_seed."""
+    if test is None:
+        return split_per_class(data, split)
+    train = select_per_class(data, split.per_class_train, split.seed)
+    if per_class_test:
+        test = select_per_class(test, per_class_test, test_seed)
+    return (mirror(train) if split.mirror_train else train), test
 
 
 def synth_gaussian(classes: int, dim: int, per_class: int, spread: float, seed: int) -> Dataset:

@@ -22,16 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .autoencoder import AEModel, LossBreakdown, model_parameters
-from .dataio import (
-    Dataset,
-    SplitSpec,
-    load_idx,
-    load_image_dir,
-    mirror,
-    select_per_class,
-    split_per_class,
-    synth_gaussian,
-)
+from .dataio import Dataset, SplitSpec, load_idx, load_image_dir, synth_gaussian, train_test_rows
 from .numkit import DenseLayer, Matrix
 from .stacking import FinetuneEpoch, StackConfig, StackedModel, fine_tune, train_stack
 
@@ -234,6 +225,13 @@ def _majority(codes: np.ndarray, dists: Matrix, n_labels: int) -> np.ndarray:
     return np.where(np.isnan(sums[rows, lead]), lead, winner)
 
 
+def evaluate(stacked: StackedModel, train: Dataset, test: Dataset, k: int, metric: str) -> float:
+    """k-NN accuracy of test's codes against train's codes, both from stacked's encoder."""
+    train_feats = extract_features(stacked, train)
+    test_feats = extract_features(stacked, test)
+    return accuracy(knn_classify(train_feats, train.labels, test_feats, k, metric), test.labels)
+
+
 def accuracy(predicted, truth) -> float:
     predicted = np.asarray(predicted)
     truth = np.asarray(truth)
@@ -334,37 +332,21 @@ def _reseed_stack(stack: StackConfig, seed: int) -> StackConfig:
     return replace(stack, levels=levels, finetune_seed=seed)
 
 
-def _trial_datasets(config: ExperimentConfig, data: Dataset, test: Dataset | None, seed: int):
-    if test is not None:
-        train = data
-        if config.split.per_class_train:
-            train = select_per_class(data, config.split.per_class_train, seed)
-        if config.split.mirror_train:
-            train = mirror(train)
-        if config.data.per_class_test:
-            # fixed across trials so every trial faces the same queries
-            test = select_per_class(test, config.data.per_class_test, config.base_seed)
-        return train, test
-    spec = replace(config.split, seed=seed)
-    return split_per_class(data, spec)
-
-
 def run_trial(config: ExperimentConfig, data: Dataset, test: Dataset | None, trial: int) -> MetricsRecord:
     seed = config.base_seed + trial
     started = time.perf_counter()
-    train_set, test_set = _trial_datasets(config, data, test, seed)
+    # base_seed draws a capped explicit test set: every trial faces the same queries
+    train_set, test_set = train_test_rows(
+        data, test, replace(config.split, seed=seed), config.data.per_class_test, config.base_seed
+    )
     stack_cfg = _reseed_stack(config.stack, seed)
     stacked, pretrain_hist = train_stack(stack_cfg, train_set.examples)
     stacked, finetune_hist = fine_tune(stacked, train_set.examples, stack_cfg)
-    train_feats = extract_features(stacked, train_set)
-    test_feats = extract_features(stacked, test_set)
-    predicted = knn_classify(train_feats, train_set.labels, test_feats, config.knn_k, config.metric)
-    acc = accuracy(predicted, test_set.labels)
     return MetricsRecord(
         trial=trial,
         pretrain=pretrain_hist,
         finetune=finetune_hist,
-        accuracy=acc,
+        accuracy=evaluate(stacked, train_set, test_set, config.knn_k, config.metric),
         seconds=time.perf_counter() - started,
     )
 
@@ -437,30 +419,11 @@ def write_timings(records: list, path) -> None:
 # checkpoints
 
 
-def _layer_descriptor(layer: DenseLayer) -> dict:
-    return {"in": layer.in_dim, "out": layer.out_dim, "activation": layer.activation}
-
-
 def _model_descriptor(model: AEModel) -> dict:
     return {
-        "encoder": [_layer_descriptor(l) for l in model.encoder],
-        "decoder": [_layer_descriptor(l) for l in model.decoder],
+        half: [{"in": l.in_dim, "out": l.out_dim, "activation": l.activation} for l in layers]
+        for half, layers in (("encoder", model.encoder), ("decoder", model.decoder))
     }
-
-
-def _model_from_descriptor(desc: dict, params: list, cursor: int):
-    def read_layers(specs):
-        nonlocal cursor
-        layers = []
-        for s in specs:
-            weight = params[cursor].reshape(s["out"], s["in"])
-            bias = params[cursor + 1]
-            cursor += 2
-            layers.append(DenseLayer(weight, bias, s["activation"]))
-        return layers
-
-    model = AEModel(encoder=read_layers(desc["encoder"]), decoder=read_layers(desc["decoder"]))
-    return model, cursor
 
 
 def save_checkpoint(stacked: StackedModel, path, config: dict | None = None) -> None:
@@ -499,8 +462,9 @@ def load_checkpoint(path) -> StackedModel:
         raise CheckpointError(
             f"checkpoint version {version} not supported (want {CHECKPOINT_VERSION})"
         )
+    view = memoryview(buf)  # slices of a view copy nothing
     stored_crc = int.from_bytes(buf[-4:], "little")
-    if zlib.crc32(buf[:-4]) != stored_crc:
+    if zlib.crc32(view[:-4]) != stored_crc:
         raise CheckpointError(f"checksum mismatch in {path} (truncated or corrupt)")
 
     header_len = int.from_bytes(buf[12:16], "little")
@@ -509,30 +473,26 @@ def load_checkpoint(path) -> StackedModel:
     try:
         header = json.loads(buf[16 : 16 + header_len].decode())
 
-        descriptors = header["levels"] + [header["assembled"]]
-        sizes = []
-        for desc in descriptors:
-            for s in desc["encoder"] + desc["decoder"]:
-                sizes.append(s["out"] * s["in"])
-                sizes.append(s["out"])
-        blob = buf[16 + header_len : -4]
-        if len(blob) != 8 * sum(sizes):
+        # parameters in header order: per layer the weight, then the bias
+        blob, offset, models = view[16 + header_len : -4], 0, []
+        for desc in header["levels"] + [header["assembled"]]:
+            halves = {"encoder": [], "decoder": []}
+            for half, layers in halves.items():
+                for s in desc[half]:
+                    n_out, n_in = s["out"], s["in"]
+                    end = offset + 8 * n_out * (n_in + 1)
+                    if not offset < end <= len(blob):
+                        raise CheckpointError(f"truncated checkpoint {path}")
+                    flat = np.frombuffer(blob[offset:end], "<f8")
+                    weight = flat[: n_out * n_in].reshape(n_out, n_in).copy()
+                    layers.append(DenseLayer(weight, flat[n_out * n_in :].copy(), s["activation"]))
+                    offset = end
+            models.append(AEModel(**halves))
+        if offset != len(blob):
             raise CheckpointError(f"truncated checkpoint {path}")
-        flat = np.frombuffer(blob, dtype="<f8")
-        params, offset = [], 0
-        for size in sizes:
-            params.append(flat[offset : offset + size].copy())
-            offset += size
-
-        cursor = 0
-        levels = []
-        for desc in header["levels"]:
-            model, cursor = _model_from_descriptor(desc, params, cursor)
-            levels.append(model)
-        assembled, cursor = _model_from_descriptor(header["assembled"], params, cursor)
         return StackedModel(
-            levels=levels,
-            assembled=assembled,
+            levels=models[:-1],
+            assembled=models[-1],
             snapshots=header["snapshots"],
             norm_order=header.get("norm_order", 2),
         )

@@ -4,12 +4,13 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from exae import cli
 from exae.autoencoder import AEConfig
 from exae.cli import DEFAULT_CONFIG, level_configs_from, load_config, main
-from exae.dataio import SplitSpec
+from exae.dataio import Dataset, SplitSpec, save_idx
 from exae.evalharness import DataSpec
 from exae.stacking import StackConfig
 
@@ -156,6 +157,27 @@ def test_experiment_command(tmp_path, capsys):
     assert summary["completed"] == 2
 
 
+def test_stage_pipeline_reproduces_experiment_trial_zero_on_explicit_test_files(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    files = {}
+    for name, per_class in (("train", 12), ("test", 8)):
+        pair = Dataset(rng.uniform(size=(2 * per_class, 6)), np.repeat([0, 1], per_class), (2, 3))
+        files[name] = [str(tmp_path / f"{name}-images"), str(tmp_path / f"{name}-labels")]
+        save_idx(pair, *files[name])
+    data = {"source": "idx", "images": files["train"][0], "labels": files["train"][1],
+            "test_images": files["test"][0], "test_labels": files["test"][1],
+            "per_class_test": 3, "split": {"per_class_train": 5, "mirror_train": True}}
+    path = tiny_config(tmp_path, data=data)
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "stack"]) == 0
+    assert main(["--config", str(path), "finetune", str(out / "stack.ckpt")]) == 0
+    assert main(["--config", str(path), "eval", str(out / "finetuned.ckpt")]) == 0
+    eval_line = capsys.readouterr().out.splitlines()[-1]
+    assert main(["--config", str(path), "experiment"]) == 0
+    trial_zero = json.loads((out / "summary.json").read_text())["accuracies"][0]
+    assert eval_line == f"accuracy: {trial_zero:.4f} (6 queries, k=1)"
+
+
 def test_experiment_reads_data_once(tmp_path, monkeypatch):
     from exae import cli, evalharness
 
@@ -199,6 +221,31 @@ def test_misspelled_key_rejected_with_its_path(tmp_path, user, path):
     with pytest.raises(ValueError, match=re.escape(f"unknown config key '{path}'")):
         main(["--config", str(config), "synth"])
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "user, refused",
+    [
+        ({"stack": {"epochs": "3"}}, "stack.epochs"),
+        ({"stack": {"epochs": True}}, "stack.epochs"),
+        ({"data": {"split": {"per_class_train": None}}}, "data.split.per_class_train"),
+        ({"finetune": {"band": "0.5"}}, "finetune.band"),
+        ({"stack": {"sizes": [32, 8], "levels": [{"epochs": "3"}]}}, "stack.levels[0].epochs"),
+        ({"stack": {"lr": 2}}, None),
+        ({"finetune": {"norm_order": 1.5}}, None),
+        ({"data": {"per_class_test": None}}, None),
+    ],
+)
+def test_value_types_checked_at_load_time(tmp_path, monkeypatch, user, refused):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "typed.json"
+    config.write_text(json.dumps(user))
+    if refused is None:
+        assert main(["--config", str(config), "synth"]) == 0
+        return
+    with pytest.raises(ValueError, match=re.escape(f"config key '{refused}' must be ")):
+        main(["--config", str(config), "synth"])
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("levels", [[3], {"epochs": 3}, [{"epochs": 3}, None]])

@@ -16,6 +16,7 @@ from exae.dataio import (
     select_per_class,
     split_per_class,
     synth_gaussian,
+    train_test_rows,
 )
 
 
@@ -275,6 +276,25 @@ def test_select_per_class_counts_and_determinism():
     assert a.n == 12
     assert np.array_equal(a.examples, b.examples)
     assert all(np.sum(a.labels == c) == 4 for c in range(3))
+    # the train side of a split is the same draw
+    train, _ = split_per_class(ds, SplitSpec(per_class_train=4, seed=5))
+    assert np.array_equal(a.examples, train.examples) and np.array_equal(a.labels, train.labels)
+
+
+def test_train_test_rows_with_explicit_test_set():
+    rng = np.random.default_rng(3)
+    data = Dataset(rng.uniform(size=(30, 4)), np.repeat([0, 1, 2], 10), image_shape=(2, 2))
+    test = Dataset(rng.uniform(size=(24, 4)), np.repeat([0, 1, 2], 8), image_shape=(2, 2))
+    split = SplitSpec(per_class_train=4, seed=7, mirror_train=True)
+    train, queries = train_test_rows(data, test, split, per_class_test=3, test_seed=1)
+    expected = mirror(select_per_class(data, 4, seed=7))
+    assert np.array_equal(train.examples, expected.examples)
+    assert np.array_equal(train.labels, expected.labels)
+    assert np.array_equal(queries.examples, select_per_class(test, 3, seed=1).examples)
+    # no cap: every test row is a query; no test set: the split itself
+    assert train_test_rows(data, test, split, None, 1)[1] is test
+    for got, want in zip(train_test_rows(data, None, split, 3, 1), split_per_class(data, split)):
+        assert np.array_equal(got.examples, want.examples)
 
 
 def test_dataset_validates_range_and_labels():

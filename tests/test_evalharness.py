@@ -529,6 +529,24 @@ class TestCheckpoint:
         after = extract_features(load_checkpoint(tmp_path / "m.ckpt"), data)
         assert np.array_equal(before, after)
 
+    def test_load_copies_each_parameter_once(self, tmp_path):
+        # the file's bytes plus one copy of the parameters, with no second copy
+        # of the whole parameter block (eval-sized stacks are read per query set)
+        level = AEModel(
+            encoder=[DenseLayer(np.full((64, 256), 0.5), np.zeros(64), "relu")],
+            decoder=[DenseLayer(np.full((256, 64), 0.5), np.zeros(256), "sigmoid")],
+        )
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(assemble([level]), path)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * size, f"traced peak {peak / size:.2f} x the file size"
+
     def test_truncated_file_rejected_cleanly(self, tmp_path):
         stacked, _ = self.make_trained()
         path = tmp_path / "m.ckpt"
