@@ -77,6 +77,13 @@ MUTANTS = [
         "tests/test_exclusivity.py::TestBuildContext::test_fallback_rows_share_one_copy_of_the_live_rows",
     ),
     (
+        "peer-mean-drops-last",  # each row's peer mean leaves out its last neighbor
+        "exae/exclusivity.py",
+        "    homo = dataset[ctx.neighbors[idx]].mean(axis=1)\n",
+        "    homo = dataset[ctx.neighbors[idx][:, :-1]].mean(axis=1)\n",
+        "tests/test_acceptance.py::test_a2_oracle_equivalence",
+    ),
+    (
         "relu-derivative-at-zero",
         "exae/numkit.py",
         "        dz = grad_out * (out > 0)\n",

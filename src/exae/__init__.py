@@ -23,11 +23,8 @@ from .evalharness import (
 from .exclusivity import (
     ExclusivityContext,
     build_context,
-    clamped_cosine,
-    exclude_one_mean,
     exclusivity_loss,
     omega,
-    targets_for,
     top_m_neighbors,
 )
 from .numkit import DenseLayer, affine_backward, affine_forward, grad_check, sgd_step

@@ -9,7 +9,7 @@ inactive values 0 / 1 / 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .numkit import (
     affine_backward,
     affine_forward,
     as_matrix,
+    grad_check,
     init_layer,
     sgd_step,
 )
@@ -339,6 +340,51 @@ def fd_margins(model: AEModel, config: AEConfig, ctx, dataset: Matrix, batch_ind
             kinks.append(float(np.abs(clamp_args).min(initial=np.inf)))
             norms.append(float(np.linalg.norm(excl.omega(d), axis=1).min()))
     return min(kinks) if kinks else np.inf, min(norms)
+
+
+def gradcheck_case(case: int, seed: int = 0):
+    """The first draw of probe case `case` whose batch sits clear of every kink.
+
+    Cases take the activations in turn, so every one is probed. Central
+    differences are only valid away from clamp/relu kinks and small cosine
+    norms, so a draw too close to one is resampled (about 1 sigmoid draw in
+    20 clears both margins); attempt a is seeded seed*100_000 + case*100 + a.
+    Returns (config, model, neighbor context, data, batch) and raises
+    RuntimeError when none of 100 attempts is well conditioned.
+    """
+    act = ("sigmoid", "relu", "identity")[case % 3]
+    for attempt in range(100):
+        rng = np.random.default_rng(seed * 100_000 + case * 100 + attempt)
+        dims = [int(rng.integers(2, 9)) for _ in range(int(rng.integers(2, 4)))]
+        n = int(rng.integers(4, 9))
+        batch = list(range(min(n, int(rng.integers(2, 7)))))
+        data = rng.uniform(0.05, 0.95, size=(n, dims[0]))
+        weight = float(rng.uniform(0.5, 8.0))
+        config = AEConfig(
+            layer_sizes=dims,
+            hidden_activation=act,
+            latent_activation=act,
+            excl_weight=weight,
+            n_neighbors=min(3, n - 1),
+            seed=int(rng.integers(0, 2**31)),
+        )
+        model = build_model(config)
+        ctx = excl.build_context(data, config.n_neighbors)
+        kink, norm = fd_margins(model, config, ctx, data, batch)
+        if kink > 1e-3 and norm > 0.05:
+            return config, model, ctx, data, batch
+    raise RuntimeError(f"gradcheck case {case} (seed {seed}): no well-conditioned draw in 100 attempts")
+
+
+def gradcheck_errors(config: AEConfig, model: AEModel, ctx, dataset: Matrix, batch_indices) -> dict:
+    """{"reduction/mean_grad": grad_check error} for every reduction x mean-grad setting."""
+    errors = {}
+    for reduction in REDUCTIONS:
+        for mean_grad in MEAN_GRAD_MODES:
+            probe = replace(config, loss_reduction=reduction, mean_grad=mean_grad)
+            loss_fn = grad_check_objective(model, probe, ctx, dataset, batch_indices)
+            errors[f"{reduction}/{mean_grad}"] = grad_check(loss_fn, model_parameters(model), epsilon=1e-5)
+    return errors
 
 
 def _average_breakdowns(records: list, sizes: list) -> LossBreakdown:

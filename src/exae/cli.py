@@ -29,9 +29,7 @@ from pathlib import Path
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
-import numpy as np
-
-from .autoencoder import AEConfig, build_model
+from .autoencoder import AEConfig, gradcheck_case, gradcheck_errors
 from .dataio import Dataset, SplitSpec, save_idx, train_test_rows
 from .evalharness import (
     DataSpec,
@@ -194,8 +192,8 @@ def _train_test(cfg: dict):
 
 
 def cmd_synth(cfg: dict, args) -> int:
-    out = _out_dir(cfg)
     data, _ = load_data(data_spec_from(cfg))
+    out = _out_dir(cfg)
     n, dim = data.n, data.dim
     fixture = Dataset(examples=data.examples, labels=data.labels, image_shape=(1, dim))
     save_idx(fixture, out / "synth-images-idx3-ubyte", out / "synth-labels-idx1-ubyte")
@@ -265,44 +263,14 @@ def cmd_experiment(cfg: dict, args) -> int:
 
 
 def cmd_gradcheck(cfg: dict, args) -> int:
-    from .autoencoder import fd_margins, grad_check_objective, model_parameters
-    from .exclusivity import build_context
-    from .numkit import grad_check
-
-    worst_overall = 0.0
+    worst = 0.0
     for case in range(args.cases):
-        # resample until the batch sits clear of clamp/relu kinks, where
-        # central differences are meaningful
-        for attempt in range(100):
-            rng = np.random.default_rng(args.seed * 100_000 + case * 100 + attempt)
-            dims = [int(rng.integers(2, 9)) for _ in range(int(rng.integers(2, 4)))]
-            n = int(rng.integers(4, 9))
-            batch = list(range(min(n, int(rng.integers(2, 7)))))
-            data = rng.uniform(0.05, 0.95, size=(n, dims[0]))
-            act = ("sigmoid", "relu", "identity")[int(rng.integers(0, 3))]
-            weight = float(rng.uniform(0.5, 8.0))
-            config = AEConfig(
-                layer_sizes=dims,
-                hidden_activation=act,
-                latent_activation=act,
-                excl_weight=weight,
-                n_neighbors=min(3, n - 1),
-                seed=int(rng.integers(0, 2**31)),
-            )
-            model = build_model(config)
-            ctx = build_context(data, config.n_neighbors)
-            kink, norm = fd_margins(model, config, ctx, data, batch)
-            if kink > 1e-3 and norm > 0.05:
-                break
-        for reduction in ("mean", "sum"):
-            for mean_grad in ("full", "stopped"):
-                probe_cfg = replace(config, loss_reduction=reduction, mean_grad=mean_grad)
-                loss_fn = grad_check_objective(model, probe_cfg, ctx, data, batch)
-                err = grad_check(loss_fn, model_parameters(model), epsilon=1e-5)
-                worst_overall = max(worst_overall, err)
-                print(f"case {case} {act} {reduction}/{mean_grad}: max rel err {err:.3e}")
-    ok = worst_overall < args.tolerance
-    print(f"worst: {worst_overall:.3e} ({'OK' if ok else 'FAIL'} at {args.tolerance:g})")
+        config, *probe = gradcheck_case(case, args.seed)
+        for setting, err in gradcheck_errors(config, *probe).items():
+            worst = max(worst, err)
+            print(f"case {case} {config.hidden_activation} {setting}: max rel err {err:.3e}")
+    ok = worst < args.tolerance
+    print(f"worst: {worst:.3e} ({'OK' if ok else 'FAIL'} at {args.tolerance:g})")
     return 0 if ok else 1
 
 

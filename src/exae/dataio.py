@@ -253,6 +253,8 @@ def split_per_class(dataset: Dataset, spec: SplitSpec):
 
 def select_per_class(dataset: Dataset, per_class: int, seed: int) -> Dataset:
     """Seeded selection of exactly per_class rows from every class."""
+    if per_class < 1:
+        raise ValueError(f"per_class must be >= 1, got {per_class}")
     return _subset(dataset, _draw_per_class(dataset, per_class, seed, spare=0)[0])
 
 

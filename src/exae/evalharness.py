@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autoencoder import AEModel, LossBreakdown, model_parameters
+from .autoencoder import AEModel, LossBreakdown, encode, model_parameters
 from .dataio import Dataset, SplitSpec, load_idx, load_image_dir, synth_gaussian, train_test_rows
 from .numkit import DenseLayer, Matrix
 from .stacking import FinetuneEpoch, StackConfig, StackedModel, fine_tune, train_stack
@@ -38,8 +38,6 @@ class CheckpointError(ValueError):
 
 def extract_features(stacked: StackedModel, dataset) -> Matrix:
     """Latent codes from the assembled encoder; rows follow the input rows."""
-    from .autoencoder import encode
-
     x = dataset.examples if isinstance(dataset, Dataset) else np.asarray(dataset, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != stacked.assembled.input_dim:
         raise ValueError(
@@ -271,6 +269,8 @@ class DataSpec:
     def __post_init__(self):
         if self.source not in ("synth", "idx", "image_dir"):
             raise ValueError(f"unknown data source {self.source!r}")
+        if self.per_class_test is not None and self.per_class_test < 1:
+            raise ValueError(f"per_class_test must be >= 1 or null, got {self.per_class_test}")
 
 
 def load_data(spec: DataSpec):

@@ -44,14 +44,6 @@ class ExclusivityContext:
         return self.neighbors.shape[1]
 
 
-@dataclass(frozen=True)
-class ExclusivityTargets:
-    """The two raw-space prototypes for one example."""
-
-    hetero_mean: np.ndarray
-    homo_mean: np.ndarray
-
-
 @dataclass
 class ExclusivityLossResult:
     hetero_sim: float  # batch reduction of cos terms against exclude-one means
@@ -66,20 +58,6 @@ def omega(v: np.ndarray) -> np.ndarray:
     """Dimension-wise nonnegative clamp: keeps v_i if v_i >= 0, else 0."""
     v = np.asarray(v, dtype=np.float64)
     return np.where(v >= 0.0, v, 0.0)
-
-
-def clamped_cosine(u: np.ndarray, h: np.ndarray, eps: float = DEGENERATE_EPS) -> float:
-    """cos(omega(u - h), h); 0 when either norm is degenerate."""
-    u = np.asarray(u, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if u.shape != h.shape:
-        raise ValueError(f"length mismatch: u has shape {u.shape}, h has shape {h.shape}")
-    c = omega(u - h)
-    nc = np.linalg.norm(c)
-    nh = np.linalg.norm(h)
-    if nc < eps or nh < eps:
-        return 0.0
-    return float(np.dot(c, h) / (nc * nh))
 
 
 def _clamped_cosine_batch(u: Matrix, h: Matrix, eps: float):
@@ -110,13 +88,6 @@ def _clamped_cosine_batch(u: Matrix, h: Matrix, eps: float):
     grad_u = g_c * mask
     grad_h = g_h_direct - g_c * mask
     return sims, grad_u, grad_h
-
-
-def exclude_one_mean(ctx: ExclusivityContext, x_j: np.ndarray) -> np.ndarray:
-    """Mean of all training rows except x_j: (sum - x_j) / (n - 1)."""
-    if ctx.count < 2:
-        raise ValueError(f"need at least 2 rows to exclude one, have {ctx.count}")
-    return (ctx.row_sum - np.asarray(x_j, dtype=np.float64)) / (ctx.count - 1)
 
 
 def _cosine_to_row(
@@ -221,15 +192,6 @@ def build_context(dataset: Matrix, m: int) -> ExclusivityContext:
             order = np.lexsort((np.arange(n), -_cosine_to_row(dataset, i, norms, live)))
             table[i] = order[order != i][:m]
     return ExclusivityContext(row_sum=dataset.sum(axis=0), count=n, neighbors=table)
-
-
-def targets_for(ctx: ExclusivityContext, dataset: Matrix, i: int) -> ExclusivityTargets:
-    """Both raw-space prototypes for row i."""
-    if not 0 <= i < ctx.count:
-        raise ValueError(f"row index {i} out of range for {ctx.count} rows")
-    hetero = exclude_one_mean(ctx, dataset[i])
-    homo = dataset[ctx.neighbors[i]].mean(axis=0)
-    return ExclusivityTargets(hetero_mean=hetero, homo_mean=homo)
 
 
 def batch_targets(ctx: ExclusivityContext, dataset: Matrix, batch_indices) -> tuple:

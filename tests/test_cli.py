@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from exae import cli
+from exae import autoencoder, cli
 from exae.autoencoder import AEConfig
 from exae.cli import DEFAULT_CONFIG, level_configs_from, load_config, main
 from exae.dataio import Dataset, SplitSpec, save_idx
@@ -194,8 +194,30 @@ def test_experiment_reads_data_once(tmp_path, monkeypatch):
 
 
 def test_gradcheck_command(capsys):
-    assert main(["gradcheck", "--cases", "1", "--seed", "0"]) == 0
-    assert "OK" in capsys.readouterr().out
+    assert main(["gradcheck", "--cases", "3", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "OK" in out
+    # cases take the activations in turn
+    for case, act in enumerate(("sigmoid", "relu", "identity")):
+        assert f"case {case} {act} mean/full:" in out
+
+
+def test_gradcheck_refuses_a_case_with_no_conditioned_draw(monkeypatch, capsys):
+    monkeypatch.setattr(autoencoder, "fd_margins", lambda *args: (0.0, 0.0))
+    with pytest.raises(RuntimeError, match="case 0"):
+        main(["gradcheck", "--cases", "1"])
+    assert "max rel err" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["synth", "experiment"])
+@pytest.mark.parametrize("cap", [-2, 0])
+def test_per_class_test_below_one_refused(tmp_path, monkeypatch, command, cap):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "cap.json"
+    config.write_text(json.dumps({"data": {"per_class_test": cap}}))
+    with pytest.raises(ValueError, match="per_class_test"):
+        main(["--config", str(config), command])
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_source_rejected(tmp_path):

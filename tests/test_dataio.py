@@ -281,6 +281,13 @@ def test_select_per_class_counts_and_determinism():
     assert np.array_equal(a.examples, train.examples) and np.array_equal(a.labels, train.labels)
 
 
+@pytest.mark.parametrize("per_class", [-2, 0])
+def test_select_per_class_refuses_fewer_than_one_row(per_class):
+    ds = Dataset(examples=np.zeros((30, 3)), labels=np.repeat([0, 1, 2], 10))
+    with pytest.raises(ValueError, match="per_class must be >= 1"):
+        select_per_class(ds, per_class, seed=0)
+
+
 def test_train_test_rows_with_explicit_test_set():
     rng = np.random.default_rng(3)
     data = Dataset(rng.uniform(size=(30, 4)), np.repeat([0, 1, 2], 10), image_shape=(2, 2))

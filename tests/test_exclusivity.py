@@ -9,13 +9,13 @@ import pytest
 
 from exae import exclusivity
 from exae.exclusivity import (
+    DEGENERATE_EPS,
     ExclusivityContext,
+    _clamped_cosine_batch,
+    batch_targets,
     build_context,
-    clamped_cosine,
-    exclude_one_mean,
     exclusivity_loss,
     omega,
-    targets_for,
     top_m_neighbors,
 )
 from exae.numkit import grad_check
@@ -26,6 +26,16 @@ def brute_cosine(a, b):
     if na == 0.0 or nb == 0.0:
         return -1.0
     return float(np.dot(a, b) / (na * nb))
+
+
+def clamped_cos(u, h):
+    """cos(omega(u - h), h) of one pair, through the batch form training runs."""
+    return float(_clamped_cosine_batch(np.array([u], float), np.array([h], float), DEGENERATE_EPS)[0][0])
+
+
+def row_targets(ctx, dataset, i):
+    """Row i's (exclude-one mean, peer mean), through the batch form training runs."""
+    return tuple(t[0] for t in batch_targets(ctx, dataset, [i]))
 
 
 def brute_top_m(dataset, j, m):
@@ -59,38 +69,39 @@ class TestOmega:
 
 class TestClampedCosine:
     def test_collinear_clamped_difference(self):
-        assert clamped_cosine([2.0, 2.0], [1.0, 1.0]) == pytest.approx(1.0)
+        assert clamped_cos([2.0, 2.0], [1.0, 1.0]) == pytest.approx(1.0)
 
     def test_orthogonal_after_clamp(self):
-        assert clamped_cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
+        assert clamped_cos([1.0, 0.0], [0.0, 1.0]) == 0.0
 
     def test_hand_evaluated_value(self):
         # difference [2, -1] clamps to [2, 0]; dot with [1, 2] is 2; norms 2 and sqrt(5)
-        assert clamped_cosine([3.0, 1.0], [1.0, 2.0]) == pytest.approx(1.0 / np.sqrt(5.0))
+        assert clamped_cos([3.0, 1.0], [1.0, 2.0]) == pytest.approx(1.0 / np.sqrt(5.0))
 
     def test_degenerate_clamped_difference(self):
-        assert clamped_cosine([0.0, 0.0], [1.0, 1.0]) == 0.0
+        assert clamped_cos([0.0, 0.0], [1.0, 1.0]) == 0.0
 
     def test_zero_latent_degenerate(self):
-        assert clamped_cosine([1.0, 1.0], [0.0, 0.0]) == 0.0
+        assert clamped_cos([1.0, 1.0], [0.0, 0.0]) == 0.0
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            clamped_cosine([1.0, 2.0], [1.0])
+        # the batch form broadcasts; exclusivity_loss, its caller, checks shapes
+        with pytest.raises(ValueError, match="misaligned"):
+            exclusivity_loss(np.array([[1.0]]), np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]]))
 
     def test_bounded_in_unit_interval_for_nonnegative_latent(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
             u = rng.normal(size=5)
             h = rng.uniform(0.0, 2.0, size=5)
-            s = clamped_cosine(u, h)
+            s = clamped_cos(u, h)
             assert -1.0 <= s <= 1.0
             assert s >= 0.0  # clamp and h are both entrywise nonnegative
 
     def test_bounded_for_arbitrary_latent(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            s = clamped_cosine(rng.normal(size=4), rng.normal(size=4))
+            s = clamped_cos(rng.normal(size=4), rng.normal(size=4))
             assert -1.0 <= s <= 1.0
 
 
@@ -99,22 +110,18 @@ class TestExcludeOneMean:
         ctx = ExclusivityContext(
             row_sum=np.array([6.0, 9.0]), count=3, neighbors=np.zeros((3, 1), dtype=int)
         )
-        assert np.allclose(exclude_one_mean(ctx, [0.0, 3.0]), [3.0, 3.0])
+        data = np.array([[0.0, 3.0], [2.0, 2.0], [4.0, 4.0]])
+        assert np.allclose(row_targets(ctx, data, 0)[0], [3.0, 3.0])
 
     def test_two_rows_returns_the_other(self):
         data = np.array([[1.0, 2.0], [5.0, 6.0]])
         ctx = build_context(data, 1)
-        assert np.array_equal(exclude_one_mean(ctx, data[0]), data[1])
+        assert np.array_equal(row_targets(ctx, data, 0)[0], data[1])
 
     def test_identical_rows_return_the_row(self):
         data = np.tile([0.5, 0.25], (6, 1))
         ctx = build_context(data, 2)
-        assert np.allclose(exclude_one_mean(ctx, data[3]), data[3], atol=1e-12)
-
-    def test_needs_two_rows(self):
-        ctx = ExclusivityContext(row_sum=np.array([1.0]), count=1, neighbors=np.zeros((1, 0), dtype=int))
-        with pytest.raises(ValueError, match="at least 2"):
-            exclude_one_mean(ctx, np.array([1.0]))
+        assert np.allclose(row_targets(ctx, data, 3)[0], data[3], atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_brute_force_mean(self, seed):
@@ -124,7 +131,7 @@ class TestExcludeOneMean:
         ctx = build_context(data, 1)
         for j in rng.integers(0, n, size=10):
             expected = np.delete(data, j, axis=0).mean(axis=0)
-            got = exclude_one_mean(ctx, data[j])
+            got = row_targets(ctx, data, j)[0]
             assert np.max(np.abs(got - expected)) < 1e-10
 
 
@@ -166,6 +173,11 @@ class TestTopMNeighbors:
 
 
 class TestBuildContext:
+    def test_needs_two_rows(self):
+        # one row has no exclude-one mean: the context, which both means read, refuses it
+        with pytest.raises(ValueError, match="at least 2"):
+            build_context(np.array([[1.0]]), 1)
+
     def test_toy_table_matches_per_row_brute_force(self):
         data = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]])
         ctx = build_context(data, 1)
@@ -290,14 +302,12 @@ class TestTargetsFor:
     def test_single_neighbor_mean_is_that_row(self):
         data = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]])
         ctx = build_context(data, 1)
-        t = targets_for(ctx, data, 0)
-        assert np.array_equal(t.homo_mean, data[ctx.neighbors[0][0]])
+        assert np.array_equal(row_targets(ctx, data, 0)[1], data[ctx.neighbors[0][0]])
 
     def test_identical_neighbors_give_that_row(self):
         data = np.array([[1.0, 1.0], [2.0, 2.0], [2.0, 2.0], [2.0, 2.0]])
         ctx = build_context(data, 2)
-        t = targets_for(ctx, data, 0)
-        assert np.allclose(t.homo_mean, [2.0, 2.0], atol=1e-12)
+        assert np.allclose(row_targets(ctx, data, 0)[1], [2.0, 2.0], atol=1e-12)
 
     @pytest.mark.parametrize("seed", [11, 12])
     def test_means_match_brute_force(self, seed):
@@ -305,11 +315,11 @@ class TestTargetsFor:
         data = rng.normal(size=(5, 4))
         ctx = build_context(data, 2)
         for i in range(5):
-            t = targets_for(ctx, data, i)
+            got_hetero, got_homo = row_targets(ctx, data, i)
             hetero = np.delete(data, i, axis=0).mean(axis=0)
             homo = data[brute_top_m(data, i, 2)].mean(axis=0)
-            assert np.max(np.abs(t.hetero_mean - hetero)) < 1e-10
-            assert np.max(np.abs(t.homo_mean - homo)) < 1e-10
+            assert np.max(np.abs(got_hetero - hetero)) < 1e-10
+            assert np.max(np.abs(got_homo - homo)) < 1e-10
 
 
 class TestExclusivityLoss:
