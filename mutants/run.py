@@ -28,7 +28,7 @@ EVAL = "tests/test_evalharness.py"
 # (name, file under src/, old text, new text, pytest selector that must fail)
 MUTANTS = [
     (
-        "tie-fill",  # overflowing ties would reach the per-row lexsort instead
+        "tie-fill",  # a row with overflowing ties picks more than reach columns
         "exae/evalharness.py",
         "    if over.any():\n",
         "    if False:\n",
@@ -37,16 +37,30 @@ MUTANTS = [
     (
         "no-gathered-path",  # every row takes the full sort
         "exae/evalharness.py",
-        "    gathered = (counts >= reach) & (counts <= _KNN_GATHER_WIDTH)\n",
-        "    gathered = (counts >= reach) & (counts < 0)\n",
+        "    gathered = counts <= _KNN_GATHER_WIDTH\n",
+        "    gathered = counts < 0\n",
         f"{EVAL}::TestSelectionPaths::test_healthy_codes_rank_only_candidates",
     ),
     (
-        "nan-bound-gathered",  # a row whose sampled bound is NaN has no candidates
+        "knn-argpartition-ties",  # tied distances go to whichever columns argpartition picks
         "exae/evalharness.py",
-        "    gathered = (counts >= reach) & (counts <= _KNN_GATHER_WIDTH)\n",
-        "    gathered = counts <= _KNN_GATHER_WIDTH\n",
-        f"{EVAL}::test_nearest_equals_full_lexsort_sweep",
+        "    cols = (np.flatnonzero(below | tied) % block.shape[1]).reshape(-1, reach)\n",
+        "    cols = np.argpartition(block, reach - 1, axis=1)[:, :reach]\n",
+        f"{EVAL}::TestKnnClassify::test_collapsed_codes_match_full_sort",
+    ),
+    (
+        "knn-finite-guard-dropped",  # overflowing distances are ranked instead of refused
+        "exae/evalharness.py",
+        "        if not finite.all():\n",
+        "        if False:\n",
+        f"{EVAL}::TestKnnClassify::test_non_finite_input_refused",
+    ),
+    (
+        "knn-full-matrix",  # every block computes the whole queries x train matrix
+        "exae/evalharness.py",
+        "        block = _pairwise_dist(query_feats[start:stop], train_feats, metric, train_side)\n",
+        "        block = _pairwise_dist(query_feats, train_feats, metric, train_side)[start:stop]\n",
+        f"{EVAL}::test_knn_memory_is_per_block_not_full_matrix",
     ),
     (
         "exclude-self-last-column",  # a query outside its own reach keeps k+1 neighbors
@@ -58,8 +72,8 @@ MUTANTS = [
     (
         "vote-sum-tie-break",  # count ties go to the lower label
         "exae/evalharness.py",
-        "    winner = np.argmax(top & (sums == least), axis=1)\n",
-        "    winner = np.argmax(top, axis=1)\n",
+        "    return np.argmax(top & (sums == least), axis=1)\n",
+        "    return np.argmax(top, axis=1)\n",
         f"{EVAL}::TestKnnClassify::test_count_tie_goes_to_smaller_sum_not_lower_label",
     ),
     (

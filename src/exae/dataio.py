@@ -34,7 +34,7 @@ class Dataset:
         self.examples = np.asarray(self.examples, dtype=np.float64)
         if self.examples.ndim != 2:
             raise ValueError(f"examples must be 2-D, got shape {self.examples.shape}")
-        if self.examples.size and (self.examples.min() < 0.0 or self.examples.max() > 1.0):
+        if self.examples.size and not (self.examples.min() >= 0.0 and self.examples.max() <= 1.0):
             raise ValueError("example entries must lie in [0, 1]")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .autoencoder import AEModel, LossBreakdown, encode, model_parameters
 from .dataio import Dataset, SplitSpec, load_idx, load_image_dir, synth_gaussian, train_test_rows
-from .numkit import DenseLayer, Matrix
+from .numkit import DenseLayer, Matrix, as_matrix
 from .stacking import FinetuneEpoch, StackConfig, StackedModel, fine_tune, train_stack
 
 CHECKPOINT_MAGIC = b"EXAECKPT"
@@ -93,15 +93,16 @@ def knn_classify(
     Distance ties go to the lower training index. Vote ties go to the
     label with the smaller summed distance, then to the lower label.
     exclude_self skips the candidate with the query's own row index, for
-    evaluating a training set against itself.
+    evaluating a training set against itself. Non-finite features, and
+    finite ones whose distances overflow, raise ValueError naming the row.
 
     Selection, per block of queries whose distances are computed, ranked
     and dropped in turn, gives the same neighbors, in the same order, as a
     lexsort of every distance on (distance, index), so the distances, tie
     rules and votes are unchanged. See _nearest.
     """
-    train_feats = np.asarray(train_feats, dtype=np.float64)
-    query_feats = np.asarray(query_feats, dtype=np.float64)
+    train_feats = as_matrix(train_feats, "train features")
+    query_feats = as_matrix(query_feats, "query features")
     train_labels = np.asarray(train_labels, dtype=np.int64)
     if train_feats.shape[0] == 0:
         raise ValueError("empty training set")
@@ -120,6 +121,9 @@ def knn_classify(
     for start in range(0, query_feats.shape[0], _KNN_BLOCK_ROWS):
         stop = min(start + _KNN_BLOCK_ROWS, query_feats.shape[0])
         block = _pairwise_dist(query_feats[start:stop], train_feats, metric, train_side)
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"non-finite distance for query row {start + np.argmin(finite)}")
         top = _nearest(block, reach)
         if exclude_self:  # top[top != q][:k] for every query q of the block
             keep = top != np.arange(start, stop)[:, None]
@@ -142,10 +146,10 @@ def _nearest(block: Matrix, reach: int) -> np.ndarray:
     (distance, index) order: the first reach columns of a full lexsort.
 
     The reach-th smallest value of a strided sample of a row's columns is
-    an upper bound on the row's own reach-th distance (NaN bounds nothing),
-    so the reach nearest lie among the row's candidates, its distances at
-    or below the bound. Rows with few candidates are lexsorted on those
-    alone; the rest (ties at the bound, NaN) take _sorted_nearest.
+    an upper bound on the row's own reach-th distance, so the row's
+    candidates, its at least reach distances at or below the bound, hold
+    the reach nearest. Rows with few candidates are lexsorted on those
+    alone; the rest (ties at the bound) take _sorted_nearest.
     """
     n = block.shape[1]
     sample = block[:, ::_KNN_SAMPLE_STRIDE]
@@ -154,7 +158,7 @@ def _nearest(block: Matrix, reach: int) -> np.ndarray:
     bound = np.sort(sample, axis=1)[:, reach - 1 : reach]
     candidate = block <= bound
     counts = candidate.sum(axis=1)
-    gathered = (counts >= reach) & (counts <= _KNN_GATHER_WIDTH)
+    gathered = counts <= _KNN_GATHER_WIDTH
     if not gathered.any():
         return _sorted_nearest(block, reach)
     rows = np.flatnonzero(gathered)
@@ -175,7 +179,7 @@ def _nearest(block: Matrix, reach: int) -> np.ndarray:
 
 
 def _sorted_nearest(block: Matrix, reach: int) -> np.ndarray:
-    """_nearest by a sort of whole rows, for rows of any distances."""
+    """_nearest by a sort of whole rows, for rows of any ties."""
     # np.partition runs about ten times slower than a sort on rows full of
     # tied distances, as collapsed (mostly all-zero) codes give
     kth = np.sort(block, axis=1)[:, reach - 1 : reach]
@@ -186,29 +190,15 @@ def _sorted_nearest(block: Matrix, reach: int) -> np.ndarray:
     over = tied.sum(axis=1) > room
     if over.any():
         tied[over] &= np.cumsum(tied[over], axis=1) <= room[over, None]
-    picked = below | tied
-    exact = picked.sum(axis=1) == reach  # False only where NaN is among the nearest
-    rows = slice(None) if exact.all() else exact
-    nearest = np.empty((block.shape[0], reach), dtype=np.int64)
-    cols = (np.flatnonzero(picked[rows]) % block.shape[1]).reshape(-1, reach)
-    order = np.lexsort((cols, np.take_along_axis(block[rows], cols, axis=1)), axis=1)
-    nearest[rows] = np.take_along_axis(cols, order, axis=1)
-    for row in np.flatnonzero(~exact):
-        nearest[row] = _lexsort_row(block[row], reach)
-    return nearest
-
-
-def _lexsort_row(row: np.ndarray, reach: int) -> np.ndarray:
-    """The first reach columns of one row's lexsort on (distance, index)."""
-    return np.lexsort((np.arange(row.size), row))[:reach]
+    cols = (np.flatnonzero(below | tied) % block.shape[1]).reshape(-1, reach)
+    order = np.lexsort((cols, np.take_along_axis(block, cols, axis=1)), axis=1)
+    return np.take_along_axis(cols, order, axis=1)
 
 
 def _majority(codes: np.ndarray, dists: Matrix, n_labels: int) -> np.ndarray:
     """The winning label code of each row: codes and dists hold a query's
     neighbors' label codes and distances in neighbor order, the order each
-    label's distances are summed in. As when labels are compared one by one
-    in order of appearance, a NaN sum wins only for the first most-voted
-    label to appear, and then outright."""
+    label's distances are summed in."""
     rows = np.arange(codes.shape[0])
     counts = np.zeros((codes.shape[0], n_labels), dtype=np.int64)
     sums = np.zeros(counts.shape)
@@ -216,11 +206,8 @@ def _majority(codes: np.ndarray, dists: Matrix, n_labels: int) -> np.ndarray:
         counts[rows, codes[:, j]] += 1
         sums[rows, codes[:, j]] += dists[:, j]
     top = counts == counts.max(axis=1, keepdims=True)
-    lead = codes[rows, np.argmax(top[rows[:, None], codes], axis=1)]
-    top &= ~np.isnan(sums)
     least = np.min(np.where(top, sums, np.inf), axis=1, keepdims=True)
-    winner = np.argmax(top & (sums == least), axis=1)
-    return np.where(np.isnan(sums[rows, lead]), lead, winner)
+    return np.argmax(top & (sums == least), axis=1)
 
 
 def evaluate(stacked: StackedModel, train: Dataset, test: Dataset, k: int, metric: str) -> float:

@@ -191,6 +191,8 @@ def grad_check(loss_fn, params: list, epsilon: float = 1e-5) -> float:
         g = np.asarray(g)
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
+        if not np.all(np.isfinite(g)):
+            raise ValueError("loss_fn returned a non-finite gradient")
         flat_p = p.reshape(-1)
         flat_g = g.reshape(-1)
         for k in range(flat_p.size):

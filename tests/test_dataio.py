@@ -304,6 +304,12 @@ def test_train_test_rows_with_explicit_test_set():
         assert np.array_equal(got.examples, want.examples)
 
 
+def test_dataset_refuses_nan_examples():
+    # NaN compares False both ways, so min() < 0 or max() > 1 passes it
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        Dataset(examples=np.array([[0.5, 0.2], [0.1, np.nan]]))
+
+
 def test_dataset_validates_range_and_labels():
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         Dataset(examples=np.array([[1.5]]))

@@ -233,16 +233,27 @@ class TestKnnClassify:
         got = knn_classify(feats, labels, feats, k=k, exclude_self=exclude_self)
         assert np.array_equal(got, full_sort_knn(feats, labels, feats, k, "euclidean", exclude_self))
 
-    def test_nan_distances_rank_last_as_in_full_sort(self):
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_non_finite_input_refused(self, metric):
         rng = np.random.default_rng(4)
         train = rng.normal(size=(20, 3))
-        train[[2, 7]] = np.nan
         labels = rng.integers(0, 3, size=20)
-        queries = rng.normal(size=(6, 3))
-        queries[1] = np.nan  # every distance of this query is NaN
-        for k in (1, 3, 18, 20):
-            got = knn_classify(train, labels, queries, k=k)
-            assert np.array_equal(got, full_sort_knn(train, labels, queries, k))
+        queries = rng.normal(size=(70, 3))
+        for bad in (np.nan, np.inf, -np.inf):
+            feats = train.copy()
+            feats[7, 1] = bad
+            with pytest.raises(ValueError, match="train features .* row 7"):
+                knn_classify(feats, labels, queries, k=3, metric=metric)
+            feats = queries.copy()
+            feats[66, 0] = bad  # in the second block of queries
+            with pytest.raises(ValueError, match="query features .* row 66"):
+                knn_classify(train, labels, feats, k=3, metric=metric)
+        if metric == "euclidean":
+            feats = queries.copy()
+            feats[66] = 1e160  # finite, but its squared norm overflows
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(ValueError, match="non-finite distance for query row 66"):
+                    knn_classify(train, labels, feats, k=3, metric=metric)
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     @pytest.mark.parametrize("k", [1, 4, 7])
@@ -303,20 +314,15 @@ def test_knn_memory_is_per_block_not_full_matrix():
 
 
 def count_selection_paths(monkeypatch):
-    """Rows _nearest sends to the full sort, and rows it lexsorts one by one."""
-    seen = {"sorted": 0, "per_row": 0}
-    sorted_nearest, lexsort_row = evalharness._sorted_nearest, evalharness._lexsort_row
+    """Rows _nearest sends to the full sort."""
+    seen = {"sorted": 0}
+    sorted_nearest = evalharness._sorted_nearest
 
     def sorted_spy(block, reach):
         seen["sorted"] += block.shape[0]
         return sorted_nearest(block, reach)
 
-    def row_spy(row, reach):
-        seen["per_row"] += 1
-        return lexsort_row(row, reach)
-
     monkeypatch.setattr(evalharness, "_sorted_nearest", sorted_spy)
-    monkeypatch.setattr(evalharness, "_lexsort_row", row_spy)
     return seen
 
 
@@ -343,19 +349,7 @@ class TestSelectionPaths:
         got = knn_classify(train, labels, queries, k=k, metric=metric)
         # all-zero rows tie far past the width: the full sort, then the tie fill
         assert seen["sorted"] > 140 // 2, seen
-        assert seen["per_row"] == 0, seen
         assert np.array_equal(got, full_sort_knn(train, labels, queries, k, metric))
-
-    def test_nan_among_the_nearest_takes_per_row_lexsort(self, monkeypatch):
-        seen = count_selection_paths(monkeypatch)
-        rng = np.random.default_rng(4)
-        train = rng.normal(size=(20, 3))
-        labels = rng.integers(0, 3, size=20)
-        queries = rng.normal(size=(6, 3))
-        queries[[1, 4]] = np.nan
-        got = knn_classify(train, labels, queries, k=3)
-        assert seen["per_row"] == 2, seen
-        assert np.array_equal(got, full_sort_knn(train, labels, queries, 3))
 
 
 def lexsort_nearest(block, reach):
@@ -371,16 +365,11 @@ def distance_block(kind, rng, rows, n):
         return rng.integers(0, 4, size=(rows, n)) / 3.0
     if kind == "collapsed":
         return np.where(rng.uniform(size=(rows, n)) < 0.1, rng.uniform(size=(rows, n)), 0.0)
-    if kind == "nan":
-        block = rng.normal(size=(rows, n)) ** 2
-        block[rng.uniform(size=(rows, n)) < 0.3] = np.nan
-        block[rng.uniform(size=rows) < 0.1] = np.nan
-        return block
-    values = np.array([-np.inf, 0.0, 0.5, 1.0, np.inf, np.nan])  # "inf"
+    values = np.array([-np.inf, 0.0, 0.5, 1.0, np.inf])  # "inf"
     return values[rng.integers(0, len(values), size=(rows, n))]
 
 
-SELECTION_KINDS = ["normal", "tie-heavy", "collapsed", "nan", "inf"]
+SELECTION_KINDS = ["normal", "tie-heavy", "collapsed", "inf"]
 
 
 @pytest.mark.parametrize("kind", SELECTION_KINDS)
@@ -397,7 +386,7 @@ def test_nearest_equals_full_lexsort_sweep(kind):
         assert np.array_equal(got, lexsort_nearest(block, reach)), (trial, n, reach)
 
 
-@pytest.mark.parametrize("kind", SELECTION_KINDS[:4])
+@pytest.mark.parametrize("kind", SELECTION_KINDS[:3])
 def test_knn_equals_full_sort_sweep(kind):
     # whole knn_classify runs on codes; ±inf distances are swept on _nearest above
     rng = np.random.default_rng(10 + SELECTION_KINDS.index(kind))
@@ -409,8 +398,6 @@ def test_knn_equals_full_sort_sweep(kind):
             feats = rng.integers(0, 3, size=feats.shape) / 2.0
         elif kind == "collapsed":
             feats = collapsed_codes(rng, n + 70, dim)
-        elif kind == "nan":
-            feats[rng.uniform(size=n + 70) < 0.1, 0] = np.nan
         train, queries = feats[:n], feats[n:]
         labels = rng.integers(0, 4, size=n)
         metric = ("euclidean", "cosine")[trial % 2]
@@ -418,9 +405,8 @@ def test_knn_equals_full_sort_sweep(kind):
         if exclude_self:
             queries = train
         k = n - exclude_self if trial % 5 == 0 else int(rng.integers(1, n - exclude_self + 1))
-        with np.errstate(invalid="ignore"):
-            got = knn_classify(train, labels, queries, k, metric, exclude_self)
-            want = full_sort_knn(train, labels, queries, k, metric, exclude_self)
+        got = knn_classify(train, labels, queries, k, metric, exclude_self)
+        want = full_sort_knn(train, labels, queries, k, metric, exclude_self)
         assert np.array_equal(got, want), (trial, n, k, metric, exclude_self)
 
 

@@ -181,6 +181,16 @@ class TestGradCheck:
         with pytest.raises(ValueError, match="non-finite"):
             grad_check(loss_fn, [p])
 
+    def test_non_finite_gradient_rejected(self):
+        p = np.array([1.0, 2.0])
+
+        def loss_fn():
+            return float(p[1] ** 2), [np.array([np.nan, 2.0 * p[1]])]
+
+        # a NaN coordinate's error is NaN, which max() would pass over
+        with pytest.raises(ValueError, match="non-finite gradient"):
+            grad_check(loss_fn, [p])
+
     def test_wrong_gradient_is_caught(self):
         p = np.array([2.0])
 
