@@ -63,6 +63,20 @@ MUTANTS = [
         f"{EVAL}::test_knn_memory_is_per_block_not_full_matrix",
     ),
     (
+        "train-side-guard-dropped",  # an overflowing train row is blamed on a query row, or scored
+        "exae/evalharness.py",
+        "    if not np.isfinite(side).all():\n",
+        "    if False:\n",
+        f"{EVAL}::TestKnnClassify::test_overflowing_train_row_is_named",
+    ),
+    (
+        "cosine-norm-guard-dropped",  # a query whose norm overflows scores cosine 0 against every row
+        "exae/evalharness.py",
+        "np.where(np.isinf(query_norms), np.nan, query_norms)",
+        "query_norms",
+        f"{EVAL}::TestKnnClassify::test_non_finite_input_refused",
+    ),
+    (
         "exclude-self-last-column",  # a query outside its own reach keeps k+1 neighbors
         "exae/evalharness.py",
         "            keep[:, -1] &= ~keep.all(axis=1)\n",
@@ -91,11 +105,32 @@ MUTANTS = [
         "tests/test_exclusivity.py::TestBuildContext::test_fallback_rows_share_one_copy_of_the_live_rows",
     ),
     (
+        "norms-whole-dataset",  # the row norms square the whole dataset at once
+        "exae/exclusivity.py",
+        "    return np.concatenate([np.linalg.norm(dataset[s : s + _TABLE_BLOCK_ROWS], axis=1) for s in starts])\n",
+        "    return np.linalg.norm(dataset, axis=1)\n",
+        "tests/test_exclusivity.py::TestBuildContext::test_table_memory_is_per_block",
+    ),
+    (
+        "oracle-copies-rows",  # the oracle copies the rows even when none has zero norm
+        "exae/exclusivity.py",
+        "    return np.ascontiguousarray(dataset) if nonzero.all() else dataset[nonzero]\n",
+        "    return dataset[nonzero]\n",
+        "tests/test_exclusivity.py::test_oracle_ranks_without_copying_the_rows",
+    ),
+    (
         "peer-mean-drops-last",  # each row's peer mean leaves out its last neighbor
         "exae/exclusivity.py",
         "    homo = dataset[ctx.neighbors[idx]].mean(axis=1)\n",
         "    homo = dataset[ctx.neighbors[idx][:, :-1]].mean(axis=1)\n",
         "tests/test_acceptance.py::test_a2_oracle_equivalence",
+    ),
+    (
+        "save-joins-blob",  # the whole parameter block is built before it is written
+        "exae/evalharness.py",
+        "        for chunk in chunks:\n",
+        "        for chunk in chunks[:4] + [np.concatenate([p.ravel() for p in chunks[4:]])]:\n",
+        f"{EVAL}::TestCheckpoint::test_save_holds_no_copy_of_the_file",
     ),
     (
         "relu-derivative-at-zero",

@@ -166,15 +166,6 @@ def _read_pgm(path: Path) -> np.ndarray:
     )
 
 
-def save_pgm(path, image: np.ndarray) -> None:
-    """Write a uint8 (H, W) array as a binary P5 graymap."""
-    image = np.asarray(image, dtype=np.uint8)
-    h, w = image.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode())
-        f.write(image.tobytes())
-
-
 def load_image_dir(root_path) -> Dataset:
     """One subdirectory per class of equal-sized graymaps.
 

@@ -48,10 +48,13 @@ def extract_features(stacked: StackedModel, dataset) -> Matrix:
 
 
 def _train_side(train: Matrix, metric: str) -> np.ndarray:
-    """sum(train**2, axis=1) for euclidean, norm(train, axis=1) for cosine."""
+    """sum(train**2, axis=1) for euclidean, norm(train, axis=1) for cosine; refuses an overflow."""
     if metric not in KNN_METRICS:
         raise ValueError(f"metric must be one of {KNN_METRICS}, got {metric!r}")
-    return np.sum(train**2, axis=1) if metric == "euclidean" else np.linalg.norm(train, axis=1)
+    side = np.sum(train**2, axis=1) if metric == "euclidean" else np.linalg.norm(train, axis=1)
+    if not np.isfinite(side).all():
+        raise ValueError(f"non-finite distance for train row {np.argmin(np.isfinite(side))}")
+    return side
 
 
 def _pairwise_dist(query: Matrix, train: Matrix, metric: str, train_side=None) -> Matrix:
@@ -70,7 +73,8 @@ def _pairwise_dist(query: Matrix, train: Matrix, metric: str, train_side=None) -
         np.subtract(np.sum(query**2, axis=1)[:, None], dists, out=dists)
         dists += train_side[None, :]
         return np.maximum(dists, 0.0, out=dists)
-    norms = np.outer(np.linalg.norm(query, axis=1), train_side)
+    query_norms = np.linalg.norm(query, axis=1)  # an overflowed norm is NaN: the row is refused
+    norms = np.outer(np.where(np.isinf(query_norms), np.nan, query_norms), train_side)
     dists /= np.maximum(norms, 1e-300, out=norms)
     return np.subtract(1.0, dists, out=dists)
 
@@ -414,7 +418,9 @@ def _model_descriptor(model: AEModel) -> dict:
 
 
 def save_checkpoint(stacked: StackedModel, path, config: dict | None = None) -> None:
-    """Write the levels, assembled model, and snapshots; bit-exact on reload."""
+    """Write the levels, assembled model, and snapshots; bit-exact on reload.
+
+    Each parameter is written from its own buffer under a running CRC: no copy of the file."""
     header = {
         "levels": [_model_descriptor(m) for m in stacked.levels],
         "assembled": _model_descriptor(stacked.assembled),
@@ -422,22 +428,17 @@ def save_checkpoint(stacked: StackedModel, path, config: dict | None = None) -> 
         "norm_order": stacked.norm_order,
         "config": config,
     }
-    header_bytes = json.dumps(header, sort_keys=True).encode()
-    params = []
-    for model in stacked.levels:
-        params.extend(model_parameters(model))
-    params.extend(model_parameters(stacked.assembled))
-    blob = b"".join(p.astype("<f8").tobytes() for p in params)
-
-    body = (
-        CHECKPOINT_MAGIC
-        + CHECKPOINT_VERSION.to_bytes(4, "little")
-        + len(header_bytes).to_bytes(4, "little")
-        + header_bytes
-        + blob
-    )
-    body += zlib.crc32(body).to_bytes(4, "little")
-    Path(path).write_bytes(body)
+    header_bytes = json.dumps(header, sort_keys=True).encode()  # fails before the file exists
+    chunks = [CHECKPOINT_MAGIC, CHECKPOINT_VERSION.to_bytes(4, "little")]
+    chunks += [len(header_bytes).to_bytes(4, "little"), header_bytes]
+    for model in [*stacked.levels, stacked.assembled]:  # ascontiguousarray: no copy of C float64
+        chunks += [np.ascontiguousarray(p, dtype="<f8") for p in model_parameters(model)]
+    crc = 0
+    with open(path, "wb") as f:
+        for chunk in chunks:
+            f.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+        f.write(crc.to_bytes(4, "little"))
 
 
 def load_checkpoint(path) -> StackedModel:

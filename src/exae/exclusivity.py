@@ -90,20 +90,38 @@ def _clamped_cosine_batch(u: Matrix, h: Matrix, eps: float):
     return sims, grad_u, grad_h
 
 
+# Rows of the cosine matrix build_context holds at once: each block array is
+# 2 MB for a 2000-row set. _row_norms squares as many rows at a time.
+_TABLE_BLOCK_ROWS = 128
+
+
+def _row_norms(dataset: Matrix) -> np.ndarray:
+    """np.linalg.norm(dataset, axis=1), _TABLE_BLOCK_ROWS rows at a time: the
+    same bytes, as each row is reduced on its own, without a dataset-sized square."""
+    starts = range(0, dataset.shape[0], _TABLE_BLOCK_ROWS)
+    return np.concatenate([np.linalg.norm(dataset[s : s + _TABLE_BLOCK_ROWS], axis=1) for s in starts])
+
+
+def _live_rows(dataset: Matrix, norms: np.ndarray) -> Matrix:
+    """dataset[norms > 0.0], the rows _cosine_to_row ranks against; with no zero-norm row, the
+    same contents and C layout as np.ascontiguousarray(dataset), no copy if C-ordered."""
+    nonzero = norms > 0.0
+    return np.ascontiguousarray(dataset) if nonzero.all() else dataset[nonzero]
+
+
 def _cosine_to_row(
     dataset: Matrix, j: int, norms: np.ndarray | None = None, live: Matrix | None = None
 ) -> np.ndarray:
     """Cosine similarity of row j to every row; pairs with a zero-norm side get -1.
 
-    live is dataset[norms > 0.0], which a caller ranking many rows copies once.
+    live is _live_rows(dataset, norms), which a caller ranking many rows takes once.
     """
-    if norms is None:
-        norms = np.linalg.norm(dataset, axis=1)
+    norms = _row_norms(dataset) if norms is None else norms
     sims = np.full(dataset.shape[0], -1.0)
     if norms[j] > 0.0:
         nonzero = norms > 0.0
         if live is None:
-            live = dataset[nonzero]
+            live = _live_rows(dataset, norms)
         sims[nonzero] = (live @ dataset[j]) / (norms[nonzero] * norms[j])
     return sims
 
@@ -126,11 +144,6 @@ def top_m_neighbors(dataset: Matrix, j: int, m: int) -> list:
     if not 1 <= m <= n - 1:
         raise ValueError(f"m={m} out of range, need 1 <= m <= n-1 = {n - 1}")
     return _rank_neighbors(_cosine_to_row(dataset, j), j, m)
-
-
-# Rows of the cosine matrix build_context holds at once: each block array is
-# 2 MB for a 2000-row set, less than the per-row copy _cosine_to_row makes.
-_TABLE_BLOCK_ROWS = 128
 
 
 def build_context(dataset: Matrix, m: int) -> ExclusivityContext:
@@ -161,13 +174,13 @@ def build_context(dataset: Matrix, m: int) -> ExclusivityContext:
         raise ValueError(f"need at least 2 rows, have {n}")
     if not 1 <= m <= n - 1:
         raise ValueError(f"m={m} out of range, need 1 <= m <= n-1 = {n - 1}")
-    norms = np.linalg.norm(dataset, axis=1)
+    norms = _row_norms(dataset)
     zero = norms == 0.0
     divisors = np.where(zero, 1.0, norms)  # zero-norm pairs are set to -1 below
     ranks = min(m + 1, n - 1)
     bound = 2.0 * (d + 4) * np.finfo(np.float64).eps
     table = np.empty((n, m), dtype=np.int64)
-    live = None  # the oracle's nonzero rows, copied once for every fallback row
+    live = None  # the oracle's nonzero rows, taken once for every fallback row
     for start in range(0, n, _TABLE_BLOCK_ROWS):
         stop = min(start + _TABLE_BLOCK_ROWS, n)
         rows = np.arange(start, stop)
@@ -188,7 +201,7 @@ def build_context(dataset: Matrix, m: int) -> ExclusivityContext:
         table[start:stop] = best[:, :m]
         for i in rows[~certified]:
             if live is None:
-                live = dataset[norms > 0.0]
+                live = _live_rows(dataset, norms)
             order = np.lexsort((np.arange(n), -_cosine_to_row(dataset, i, norms, live)))
             table[i] = order[order != i][:m]
     return ExclusivityContext(row_sum=dataset.sum(axis=0), count=n, neighbors=table)

@@ -12,12 +12,20 @@ from exae.dataio import (
     load_image_dir,
     mirror,
     save_idx,
-    save_pgm,
     select_per_class,
     split_per_class,
     synth_gaussian,
     train_test_rows,
 )
+
+
+def save_pgm(path, image: np.ndarray) -> None:
+    """Write a uint8 (H, W) array as a binary P5 graymap."""
+    image = np.asarray(image, dtype=np.uint8)
+    h, w = image.shape
+    with open(path, "wb") as f:
+        f.write(f"P5\n{w} {h}\n255\n".encode())
+        f.write(image.tobytes())
 
 
 def write_idx_pair(tmp_path, pixels, labels, h, w):

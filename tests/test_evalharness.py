@@ -2,12 +2,13 @@
 
 import json
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
 from exae import evalharness
-from exae.autoencoder import AEConfig, AEModel, encode
+from exae.autoencoder import AEConfig, AEModel, encode, model_parameters
 from exae.dataio import Dataset, SplitSpec, synth_gaussian
 from exae.evalharness import (
     CheckpointError,
@@ -248,12 +249,22 @@ class TestKnnClassify:
             feats[66, 0] = bad  # in the second block of queries
             with pytest.raises(ValueError, match="query features .* row 66"):
                 knn_classify(train, labels, feats, k=3, metric=metric)
-        if metric == "euclidean":
-            feats = queries.copy()
-            feats[66] = 1e160  # finite, but its squared norm overflows
-            with np.errstate(over="ignore", invalid="ignore"):
-                with pytest.raises(ValueError, match="non-finite distance for query row 66"):
-                    knn_classify(train, labels, feats, k=3, metric=metric)
+        feats = queries.copy()
+        feats[66] = 1e160  # finite, but its squared norm, and so its norm, overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite distance for query row 66"):
+                knn_classify(train, labels, feats, k=3, metric=metric)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_overflowing_train_row_is_named(self, metric):
+        rng = np.random.default_rng(4)
+        train = rng.normal(size=(20, 3))
+        train[5] = 1e160  # finite, but its squared norm overflows
+        labels = rng.integers(0, 3, size=20)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite distance for train row 5") as err:
+                knn_classify(train, labels, rng.normal(size=(70, 3)), k=3, metric=metric)
+        assert "query" not in str(err.value)
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     @pytest.mark.parametrize("k", [1, 4, 7])
@@ -486,6 +497,35 @@ class TestRunExperiment:
             assert line.count(",") == header.count(",")
 
 
+def joined_checkpoint(stacked, config):
+    """Reference writer: the checkpoint's bytes built whole in memory, header,
+    then every parameter in header order, then the CRC of all of it."""
+    header = {
+        "levels": [evalharness._model_descriptor(m) for m in stacked.levels],
+        "assembled": evalharness._model_descriptor(stacked.assembled),
+        "snapshots": stacked.snapshots,
+        "norm_order": stacked.norm_order,
+        "config": config,
+    }
+    header_bytes = json.dumps(header, sort_keys=True).encode()
+    params = [p for m in stacked.levels + [stacked.assembled] for p in model_parameters(m)]
+    body = (
+        evalharness.CHECKPOINT_MAGIC
+        + evalharness.CHECKPOINT_VERSION.to_bytes(4, "little")
+        + len(header_bytes).to_bytes(4, "little")
+        + header_bytes
+        + b"".join(p.astype("<f8").tobytes() for p in params)
+    )
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+def wide_level():
+    return AEModel(
+        encoder=[DenseLayer(np.full((64, 256), 0.5), np.zeros(64), "relu")],
+        decoder=[DenseLayer(np.full((256, 64), 0.5), np.zeros(256), "sigmoid")],
+    )
+
+
 class TestCheckpoint:
     def make_trained(self, seed=0):
         data = synth_gaussian(2, 6, 10, 0.1, seed=seed)
@@ -493,6 +533,30 @@ class TestCheckpoint:
         stacked, _ = train_stack(cfg, data.examples)
         stacked, _ = fine_tune(stacked, data.examples, cfg)
         return stacked, data
+
+    @pytest.mark.parametrize("config", [None, {"note": "test", "sizes": [6, 4, 3]}])
+    def test_streamed_bytes_equal_joined_writer(self, tmp_path, config):
+        data = synth_gaussian(2, 6, 10, 0.1, seed=1)
+        levels = [small_stack_cfg(6, latent=4).levels[0], small_stack_cfg(4, latent=3).levels[0]]
+        cfg = small_stack_cfg(6, levels=levels)
+        stacked, _ = train_stack(cfg, data.examples)
+        stacked, _ = fine_tune(stacked, data.examples, cfg)
+        assert len(stacked.levels) == 2
+        save_checkpoint(stacked, tmp_path / "m.ckpt", config=config)
+        assert (tmp_path / "m.ckpt").read_bytes() == joined_checkpoint(stacked, config)
+
+    def test_save_holds_no_copy_of_the_file(self, tmp_path):
+        stacked = assemble([wide_level()])
+        path = tmp_path / "m.ckpt"
+        tracemalloc.start()
+        try:
+            save_checkpoint(stacked, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert path.read_bytes() == joined_checkpoint(stacked, None)
+        assert peak < 0.25 * size, f"traced peak {peak / size:.2f} x the file size"
 
     def test_round_trip_bitwise(self, tmp_path):
         stacked, _ = self.make_trained()
@@ -518,12 +582,8 @@ class TestCheckpoint:
     def test_load_copies_each_parameter_once(self, tmp_path):
         # the file's bytes plus one copy of the parameters, with no second copy
         # of the whole parameter block (eval-sized stacks are read per query set)
-        level = AEModel(
-            encoder=[DenseLayer(np.full((64, 256), 0.5), np.zeros(64), "relu")],
-            decoder=[DenseLayer(np.full((256, 64), 0.5), np.zeros(256), "sigmoid")],
-        )
         path = tmp_path / "m.ckpt"
-        save_checkpoint(assemble([level]), path)
+        save_checkpoint(assemble([wide_level()]), path)
         size = path.stat().st_size
         tracemalloc.start()
         try:
@@ -555,8 +615,6 @@ class TestCheckpoint:
         blob = bytearray(path.read_bytes())
         blob[8:12] = (99).to_bytes(4, "little")
         # keep the checksum consistent so only the version is at fault
-        import zlib
-
         blob[-4:] = zlib.crc32(bytes(blob[:-4])).to_bytes(4, "little")
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="version"):
@@ -581,8 +639,6 @@ class TestCheckpoint:
         header = edit(json.loads(buf[16 : 16 + header_len]))
         body = buf[:12] + len(header).to_bytes(4, "little") + header + buf[16 + header_len : -4]
         # keep the checksum consistent so only the header is at fault
-        import zlib
-
         path.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
         with pytest.raises(CheckpointError, match="malformed checkpoint header"):
             load_checkpoint(path)

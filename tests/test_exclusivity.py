@@ -4,6 +4,8 @@ Every derived expectation here is recomputed by an independent brute-force
 path before being asserted.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from exae.exclusivity import (
     DEGENERATE_EPS,
     ExclusivityContext,
     _clamped_cosine_batch,
+    _row_norms,
     batch_targets,
     build_context,
     exclusivity_loss,
@@ -172,6 +175,48 @@ class TestTopMNeighbors:
                 assert top_m_neighbors(data, int(j), m) == brute_top_m(data, int(j), m)
 
 
+def sparse_rows(n=2000, d=784, seed=11):
+    """Stroke-like rows: about 10% of the pixels lit, and no all-zero row."""
+    rng = np.random.default_rng(seed)
+    data = rng.uniform(size=(n, d))
+    data[rng.uniform(size=(n, d)) > 0.1] = 0.0
+    assert np.all(data.any(axis=1))
+    return data
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "layout",
+    ["c", "fortran", "row-offset-slice", "partial-last-block", "zero-rows"],
+)
+def test_row_norms_equal_linalg_norm(layout):
+    rng = np.random.default_rng(12)
+    data = rng.normal(size=(3 * exclusivity._TABLE_BLOCK_ROWS, 37))
+    if layout == "fortran":
+        data = np.asfortranarray(data)
+    elif layout == "row-offset-slice":
+        data = data[1:]
+    elif layout == "partial-last-block":
+        data = data[: 2 * exclusivity._TABLE_BLOCK_ROWS + 45]
+    elif layout == "zero-rows":
+        data[rng.choice(data.shape[0], size=20, replace=False)] = 0.0
+    assert _row_norms(data).tobytes() == np.linalg.norm(data, axis=1).tobytes()
+
+
+def test_oracle_ranks_without_copying_the_rows():
+    data = sparse_rows()
+    peak = traced_peak(top_m_neighbors, data, 17, 6)
+    assert peak < 0.25 * data.nbytes, f"traced peak {peak / data.nbytes:.2f} x the dataset"
+
+
 class TestBuildContext:
     def test_needs_two_rows(self):
         # one row has no exclude-one mean: the context, which both means read, refuses it
@@ -275,6 +320,32 @@ class TestBuildContext:
         assert ctx.neighbors.shape == (n, m)
         for j in range(n):
             assert list(ctx.neighbors[j]) == top_m_neighbors(data, j, m)
+
+    def test_table_memory_is_per_block(self):
+        data = sparse_rows()
+        peak = traced_peak(build_context, data, 6)
+        assert peak < 0.5 * data.nbytes, f"traced peak {peak / data.nbytes:.2f} x the dataset"
+
+    def test_fortran_ordered_table_equals_oracle(self, monkeypatch):
+        # quantized rows with no zero norm, duplicated rows among them: ties
+        # send rows to the fallback, which ranks against a C-ordered copy
+        rng = np.random.default_rng(13)
+        n, m = exclusivity._TABLE_BLOCK_ROWS + 72, 5
+        data = rng.integers(1, 4, size=(n, 10)) / 3.0
+        data[n - 40 :] = data[rng.integers(0, n - 40, size=40)]
+        data = np.asfortranarray(data)
+        fallback_rows, real = [], exclusivity._cosine_to_row
+
+        def spy(dataset, j, *args):
+            fallback_rows.append(j)
+            return real(dataset, j, *args)
+
+        monkeypatch.setattr(exclusivity, "_cosine_to_row", spy)
+        ctx = build_context(data, m)
+        monkeypatch.setattr(exclusivity, "_cosine_to_row", real)
+        assert 0 < len(fallback_rows) < n
+        for j in range(n):
+            assert list(ctx.neighbors[j]) == top_m_neighbors(data, j, m), f"row {j}"
 
     def test_fallback_rows_share_one_copy_of_the_live_rows(self, monkeypatch):
         # half the rows have zero norm; every fallback row reads the same
