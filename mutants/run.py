@@ -1,7 +1,7 @@
 """Committed mutation checks: each mutant must be caught by its tests.
 
-    python mutants/run.py            # every mutant
-    python mutants/run.py tie-fill   # only the named ones
+    python mutants/run.py                # every mutant
+    python mutants/run.py trim-dropped   # only the named ones
 
 Run from anywhere. Each entry of MUTANTS names a file under src/, an exact
 piece of its text, the text that replaces it, and a pytest selector. For
@@ -28,25 +28,25 @@ EVAL = "tests/test_evalharness.py"
 # (name, file under src/, old text, new text, pytest selector that must fail)
 MUTANTS = [
     (
-        "tie-fill",  # a row with overflowing ties picks more than reach columns
+        "trim-dropped",  # rows past the gather width rank every tie at the bound
         "exae/evalharness.py",
-        "    if over.any():\n",
+        "    if wide.size:\n",
         "    if False:\n",
         f"{EVAL}::TestSelectionPaths::test_ties_are_filled_without_per_row_lexsort",
     ),
     (
-        "no-gathered-path",  # every row takes the full sort
+        "tie-fill-short",  # a trimmed row keeps one tie too few and ranks a farther entry
         "exae/evalharness.py",
-        "    gathered = counts <= _KNN_GATHER_WIDTH\n",
-        "    gathered = counts < 0\n",
-        f"{EVAL}::TestSelectionPaths::test_healthy_codes_rank_only_candidates",
+        "<= room[:, None]",
+        "< room[:, None]",
+        f"{EVAL}::TestKnnClassify::test_collapsed_codes_match_full_sort",
     ),
     (
-        "knn-argpartition-ties",  # tied distances go to whichever columns argpartition picks
+        "gather-ties-high-index",  # equal distances go to the higher training index
         "exae/evalharness.py",
-        "    cols = (np.flatnonzero(below | tied) % block.shape[1]).reshape(-1, reach)\n",
-        "    cols = np.argpartition(block, reach - 1, axis=1)[:, :reach]\n",
-        f"{EVAL}::TestKnnClassify::test_collapsed_codes_match_full_sort",
+        "np.lexsort((index, dists), axis=1)",
+        "np.lexsort((-index, dists), axis=1)",
+        f"{EVAL}::test_nearest_equals_full_lexsort_sweep",
     ),
     (
         "knn-finite-guard-dropped",  # overflowing distances are ranked instead of refused

@@ -172,7 +172,7 @@ def _forward(layers: list, x: Matrix) -> list:
 
 
 def _backward(layers: list, acts: list, grad_out: Matrix, input_grad: bool = True):
-    """Backpropagate grad_out through a stack's cache; returns (GradSet, grad_in or None)."""
+    """Backpropagate grad_out through a stack's cache; returns (grads, grad_in or None)."""
     grads = [None] * len(layers)
     g = grad_out
     for i in range(len(layers) - 1, -1, -1):
@@ -209,7 +209,7 @@ def total_loss(model: AEModel, config: AEConfig, ctx, dataset: Matrix, batch_ind
     """Full objective and parameter gradients for one batch.
 
     ctx must have been built over the same dataset. Returns
-    (LossBreakdown, GradSet) with gradients ordered encoder layers then
+    (LossBreakdown, grads), one LayerGrads per layer: encoder layers, then
     decoder layers. The encoded-prototype branches share the encoder
     weights, so the rows [x; exclude-one means; peer means] run through
     it in one forward and one backward pass, where their gradients add.
@@ -456,10 +456,5 @@ def train(model: AEModel, config: AEConfig, dataset: Matrix):
     exclusivity machinery is skipped entirely.
     """
     dataset = training_rows(model, dataset)
-    n = dataset.shape[0]
-    if n < max(2, config.n_neighbors + 1):
-        raise ValueError(
-            f"need at least max(2, n_neighbors+1) = {max(2, config.n_neighbors + 1)} rows, have {n}"
-        )
     epochs = sgd_epochs(model, config, dataset, config.lr, config.epochs, config.batch_size, config.seed)
     return model, list(epochs)

@@ -139,8 +139,8 @@ def knn_classify(
 
 
 # Every _KNN_SAMPLE_STRIDE-th column of a block bounds each row's reach-th
-# distance (8 and 16 were slower on 2000 training rows), and a row with at most
-# _KNN_GATHER_WIDTH distances under that bound is ranked on those alone.
+# distance (8 and 16 were slower on 2000 training rows), and a row with more
+# than _KNN_GATHER_WIDTH distances under that bound drops its surplus ties.
 _KNN_SAMPLE_STRIDE = 4
 _KNN_GATHER_WIDTH = 64
 
@@ -149,54 +149,35 @@ def _nearest(block: Matrix, reach: int) -> np.ndarray:
     """The reach smallest entries of each row, as column indices in
     (distance, index) order: the first reach columns of a full lexsort.
 
-    The reach-th smallest value of a strided sample of a row's columns is
-    an upper bound on the row's own reach-th distance, so the row's
-    candidates, its at least reach distances at or below the bound, hold
-    the reach nearest. Rows with few candidates are lexsorted on those
-    alone; the rest (ties at the bound) take _sorted_nearest.
+    The reach-th smallest value of a strided sample of a row's columns (+inf
+    when the sample is shorter than reach) bounds the row's own reach-th
+    distance, so the row's candidates, its distances at or below the bound,
+    hold the reach nearest. A row with more than _KNN_GATHER_WIDTH
+    candidates keeps only the lowest-index ties at the bound that fit below
+    its reach-th place; then every row lexsorts its candidates.
     """
     n = block.shape[1]
     sample = block[:, ::_KNN_SAMPLE_STRIDE]
-    if sample.shape[1] < reach:
-        return _sorted_nearest(block, reach)
-    bound = np.sort(sample, axis=1)[:, reach - 1 : reach]
-    candidate = block <= bound
-    counts = candidate.sum(axis=1)
-    gathered = counts <= _KNN_GATHER_WIDTH
-    if not gathered.any():
-        return _sorted_nearest(block, reach)
-    rows = np.flatnonzero(gathered)
-    counts = counts[rows]
-    # candidates of each gathered row, left-aligned and padded with (inf, n)
-    line, cols = np.divmod(np.flatnonzero(candidate[rows]), n)
+    bound = np.full((block.shape[0], 1), np.inf)
+    if sample.shape[1] >= reach:
+        bound = np.sort(sample, axis=1)[:, reach - 1 : reach]
+    picked = block <= bound
+    counts = picked.sum(axis=1)
+    wide = np.flatnonzero(counts > _KNN_GATHER_WIDTH)
+    if wide.size:
+        tied = block[wide] == bound[wide]
+        room = reach - (counts[wide] - tied.sum(axis=1))
+        picked[wide] &= ~tied | (np.cumsum(tied, axis=1) <= room[:, None])
+        counts[wide] = picked[wide].sum(axis=1)
+    # candidates of each row, left-aligned and padded with (inf, n)
+    line, cols = np.divmod(np.flatnonzero(picked), n)
     slot = np.arange(cols.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    index = np.full((rows.size, counts.max()), n)
+    index = np.full((block.shape[0], counts.max()), n)
     dists = np.full(index.shape, np.inf)
     index[line, slot] = cols
-    dists[line, slot] = block[rows[line], cols]
+    dists[line, slot] = block[line, cols]
     order = np.lexsort((index, dists), axis=1)[:, :reach]
-    nearest = np.empty((block.shape[0], reach), dtype=np.int64)
-    nearest[rows] = np.take_along_axis(index, order, axis=1)
-    if rows.size < block.shape[0]:
-        nearest[~gathered] = _sorted_nearest(block[~gathered], reach)
-    return nearest
-
-
-def _sorted_nearest(block: Matrix, reach: int) -> np.ndarray:
-    """_nearest by a sort of whole rows, for rows of any ties."""
-    # np.partition runs about ten times slower than a sort on rows full of
-    # tied distances, as collapsed (mostly all-zero) codes give
-    kth = np.sort(block, axis=1)[:, reach - 1 : reach]
-    below = block < kth
-    tied = block == kth
-    # the lowest-index ties fill the places left below the reach-th distance
-    room = reach - below.sum(axis=1)
-    over = tied.sum(axis=1) > room
-    if over.any():
-        tied[over] &= np.cumsum(tied[over], axis=1) <= room[over, None]
-    cols = (np.flatnonzero(below | tied) % block.shape[1]).reshape(-1, reach)
-    order = np.lexsort((cols, np.take_along_axis(block, cols, axis=1)), axis=1)
-    return np.take_along_axis(cols, order, axis=1)
+    return np.take_along_axis(index, order, axis=1)
 
 
 def _majority(codes: np.ndarray, dists: Matrix, n_labels: int) -> np.ndarray:
@@ -260,6 +241,12 @@ class DataSpec:
     def __post_init__(self):
         if self.source not in ("synth", "idx", "image_dir"):
             raise ValueError(f"unknown data source {self.source!r}")
+        needed = {"idx": ("images", "labels"), "image_dir": ("root",)}.get(self.source, ())
+        missing = [key for key in needed if getattr(self, key) is None]
+        if missing:
+            raise ValueError(f"data source {self.source!r} needs {' and '.join(missing)}")
+        if (self.test_images is None) != (self.test_labels is None):
+            raise ValueError("test_images and test_labels must be given together")
         if self.per_class_test is not None and self.per_class_test < 1:
             raise ValueError(f"per_class_test must be >= 1 or null, got {self.per_class_test}")
 

@@ -39,10 +39,6 @@ class ExclusivityContext:
     count: int  # number of training rows
     neighbors: np.ndarray  # (count, m) indices, row i never contains i
 
-    @property
-    def n_neighbors(self) -> int:
-        return self.neighbors.shape[1]
-
 
 @dataclass
 class ExclusivityLossResult:
@@ -142,7 +138,7 @@ def top_m_neighbors(dataset: Matrix, j: int, m: int) -> list:
     if not 0 <= j < n:
         raise ValueError(f"row index {j} out of range for {n} rows")
     if not 1 <= m <= n - 1:
-        raise ValueError(f"m={m} out of range, need 1 <= m <= n-1 = {n - 1}")
+        raise ValueError(f"m={m} out of range for {n} rows, need 1 <= m <= n-1 = {n - 1}")
     return _rank_neighbors(_cosine_to_row(dataset, j), j, m)
 
 
@@ -173,7 +169,7 @@ def build_context(dataset: Matrix, m: int) -> ExclusivityContext:
     if n < 2:
         raise ValueError(f"need at least 2 rows, have {n}")
     if not 1 <= m <= n - 1:
-        raise ValueError(f"m={m} out of range, need 1 <= m <= n-1 = {n - 1}")
+        raise ValueError(f"m={m} out of range for {n} rows, need 1 <= m <= n-1 = {n - 1}")
     norms = _row_norms(dataset)
     zero = norms == 0.0
     divisors = np.where(zero, 1.0, norms)  # zero-norm pairs are set to -1 below

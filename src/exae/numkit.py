@@ -98,10 +98,6 @@ class LayerGrads:
     bias: np.ndarray
 
 
-# One LayerGrads entry per layer, in layer order.
-GradSet = list
-
-
 def init_layer(in_dim: int, out_dim: int, activation: str, rng: np.random.Generator) -> DenseLayer:
     """Seeded uniform init in +-sqrt(6 / (in + out)), zero bias."""
     limit = math.sqrt(6.0 / (in_dim + out_dim))
@@ -151,7 +147,7 @@ def affine_backward(layer: DenseLayer, x: Matrix, out: Matrix, grad_out: Matrix,
     return grads, dz @ layer.weight if input_grad else None
 
 
-def sgd_step(layers: list, grads: GradSet, lr: float) -> list:
+def sgd_step(layers: list, grads: list, lr: float) -> list:
     """In-place p <- p - lr * g over every layer. Deterministic."""
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")

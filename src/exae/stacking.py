@@ -52,6 +52,8 @@ class StackConfig:
                 )
         if self.band < 0:
             raise ValueError(f"band must be >= 0, got {self.band}")
+        if not self.norm_order >= 1:  # an order-0 "norm" counts nonzeros: no rescale moves it
+            raise ValueError(f"norm_order must be >= 1, got {self.norm_order}")
         if self.finetune_epochs < 0:
             raise ValueError("finetune_epochs must be >= 0")
         if self.finetune_lr <= 0:
@@ -89,6 +91,8 @@ class StackedModel:
             )
         if any(s <= 0 for s in self.snapshots):
             raise ValueError("snapshot norms must be positive")
+        if not self.norm_order >= 1:
+            raise ValueError(f"norm_order must be >= 1, got {self.norm_order}")
 
 
 @dataclass

@@ -249,6 +249,12 @@ class TestTrain:
         with pytest.raises(ValueError, match="rows"):
             train(build_model(cfg), cfg, toy_data(0, n=4))
 
+    def test_fewer_rows_than_neighbors_at_weight_zero(self):
+        # no neighbor table at weight 0, so n_neighbors sets no row minimum
+        cfg = toy_config(n_neighbors=6, excl_weight=0.0)
+        _, history = train(build_model(cfg), cfg, toy_data(0, n=4))
+        assert len(history) == cfg.epochs
+
     def test_non_finite_rows_rejected_before_any_work(self, monkeypatch):
         cfg = toy_config(excl_weight=2.0)
         model = build_model(cfg)

@@ -228,6 +228,25 @@ def test_unknown_source_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "data, missing",
+    [
+        ({"source": "idx"}, "'idx' needs images and labels"),
+        ({"source": "idx", "labels": "l.idx"}, "'idx' needs images"),
+        ({"source": "image_dir"}, "'image_dir' needs root"),
+        ({"source": "idx", "images": "i.idx", "labels": "l.idx", "test_images": "t.idx"},
+         "test_images and test_labels must be given together"),
+        ({"test_labels": "t.idx"}, "test_images and test_labels must be given together"),
+    ],
+)
+def test_incomplete_data_source_refused(tmp_path, monkeypatch, data, missing):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "data.json"
+    config.write_text(json.dumps({"data": data}))
+    with pytest.raises(ValueError, match=re.escape(missing)):
+        main(["--config", str(config), "stack"])
+
+
+@pytest.mark.parametrize(
     "user, path",
     [
         ({"stack": {"excl_wieght": 0.0}}, "stack.excl_wieght"),

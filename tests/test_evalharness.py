@@ -324,43 +324,47 @@ def test_knn_memory_is_per_block_not_full_matrix():
     assert peak < full_matrix / 8, f"traced peak {peak / 2**20:.2f} MiB"
 
 
-def count_selection_paths(monkeypatch):
-    """Rows _nearest sends to the full sort."""
-    seen = {"sorted": 0}
-    sorted_nearest = evalharness._sorted_nearest
+def lexsort_widths(monkeypatch):
+    """The width of every row-wise lexsort _nearest runs: the candidates it ranks."""
+    widths = []
+    lexsort = np.lexsort
 
-    def sorted_spy(block, reach):
-        seen["sorted"] += block.shape[0]
-        return sorted_nearest(block, reach)
+    def lexsort_spy(keys, axis=-1):
+        widths.append(keys[0].shape[-1])
+        return lexsort(keys, axis=axis)
 
-    monkeypatch.setattr(evalharness, "_sorted_nearest", sorted_spy)
-    return seen
+    monkeypatch.setattr(evalharness.np, "lexsort", lexsort_spy)
+    return widths
 
 
 class TestSelectionPaths:
+    """How many candidates of each row reach _nearest's one lexsort."""
+
     def test_healthy_codes_rank_only_candidates(self, monkeypatch):
-        seen = count_selection_paths(monkeypatch)
         rng = np.random.default_rng(0)
         train = rng.normal(size=(2000, 16))
         labels = rng.integers(0, 10, size=2000)
         queries = rng.normal(size=(640, 16))
+        want = full_sort_knn(train, labels, queries, 5)
+        widths = lexsort_widths(monkeypatch)
         got = knn_classify(train, labels, queries, k=5)
-        # the sampled bound leaves about 20 candidates a row: almost no full sorts
-        assert seen["sorted"] < 640 // 20, seen
-        assert np.array_equal(got, full_sort_knn(train, labels, queries, 5))
+        # the sampled bound leaves a few dozen candidates of 2000 a row
+        assert len(widths) == 10 and max(widths) <= 2 * evalharness._KNN_GATHER_WIDTH, widths
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     @pytest.mark.parametrize("k", [1, 4, 7])
     def test_ties_are_filled_without_per_row_lexsort(self, monkeypatch, metric, k):
-        seen = count_selection_paths(monkeypatch)
         rng = np.random.default_rng(20 + k)
         train = collapsed_codes(rng, 600)
         labels = rng.integers(0, 3, size=600)
         queries = collapsed_codes(rng, 140)
+        want = full_sort_knn(train, labels, queries, k, metric)
+        widths = lexsort_widths(monkeypatch)
         got = knn_classify(train, labels, queries, k=k, metric=metric)
-        # all-zero rows tie far past the width: the full sort, then the tie fill
-        assert seen["sorted"] > 140 // 2, seen
-        assert np.array_equal(got, full_sort_knn(train, labels, queries, k, metric))
+        # all-zero rows tie far past the width: only the ties that fit are ranked
+        assert len(widths) == 3 and max(widths) <= evalharness._KNN_GATHER_WIDTH, widths
+        assert np.array_equal(got, want)
 
 
 def lexsort_nearest(block, reach):
@@ -627,8 +631,11 @@ class TestCheckpoint:
             lambda h: json.dumps({k: v for k, v in h.items() if k != "assembled"}).encode(),
             lambda h: json.dumps({**h, "levels": 3}).encode(),
             lambda h: json.dumps({**h, "snapshots": ["1.0"] * len(h["snapshots"])}).encode(),
+            # an order-0 "norm" counts nonzeros: no band projection could move it
+            *(lambda h, p=p: json.dumps({**h, "norm_order": p}).encode() for p in (0, 0.5, np.nan)),
         ],
-        ids=["undecodable-json", "missing-key", "levels-not-a-list", "snapshots-not-numbers"],
+        ids=["undecodable-json", "missing-key", "levels-not-a-list", "snapshots-not-numbers",
+             "norm-order-0", "norm-order-half", "norm-order-nan"],
     )
     def test_malformed_header_rejected(self, tmp_path, edit):
         stacked, _ = self.make_trained()

@@ -306,8 +306,11 @@ def test_single_level_stack_with_zero_finetune_equals_plain_training():
         (dict(levels=[level_cfg([8, 4]), level_cfg([5, 2])]), "does not match"),
         (dict(levels=[level_cfg([8, 4])], finetune_excl_weight=-1.0), "finetune_excl_weight"),
         (dict(levels=[level_cfg([8, 4])], finetune_neighbors=0), "finetune_neighbors"),
+        *((dict(levels=[level_cfg([8, 4])], norm_order=p), "norm_order must be >= 1")
+          for p in (0, 0.5, np.nan)),
     ],
-    ids=["dimension-chain", "finetune-excl-weight", "finetune-neighbors"],
+    ids=["dimension-chain", "finetune-excl-weight", "finetune-neighbors",
+         "norm-order-0", "norm-order-half", "norm-order-nan"],
 )
 def test_invalid_config_rejected(kwargs, message):
     with pytest.raises(ValueError, match=message):
