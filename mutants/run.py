@@ -162,6 +162,22 @@ MUTANTS = [
         "tests/test_numkit.py::TestSgdStep::test_non_finite_gradient_identifies_layer",
     ),
     (
+        "weight-zero-encodes-prototypes",  # a context passed at weight 0 is encoded for its report
+        "exae/autoencoder.py",
+        "    h = enc_acts[-1][: len(x)]\n",
+        "    h = enc_acts[-1][: len(x)]\n"
+        "    if w == 0.0 and ctx is not None:\n"
+        "        [encode(model, p) for p in excl.batch_targets(ctx, dataset, idx)]\n",
+        "tests/test_forward_cache.py::test_weight_zero_runs_one_forward_pass_and_ignores_the_context",
+    ),
+    (
+        "total-drops-weight",  # the derived total adds the exclusivity term unweighted
+        "exae/autoencoder.py",
+        "        return self.recon + self.weight * self.excl\n",
+        "        return self.recon + self.excl\n",
+        "tests/test_autoencoder.py::TestTotalLoss::test_breakdown_stores_four_fields_and_derives_excl_and_total",
+    ),
+    (
         "level-keys-unchecked",  # a misspelled level key reaches AEConfig as a TypeError
         "exae/cli.py",
         "    for k, level in enumerate(levels):\n",

@@ -1,10 +1,10 @@
 """Single autoencoder with the exclusivity-regularized objective.
 
 The objective is the reconstruction error plus excl_weight times the
-exclusivity term; excl_weight = 0 recovers a plain autoencoder and in that
-case the trainer runs a pure reconstruction path (no neighbor table is
-built and the exclusivity fields of the loss history stay at their
-inactive values 0 / 1 / 0).
+exclusivity term. excl_weight != 0 is the one switch for the regularizer:
+at 0 the objective is a plain autoencoder's, no neighbor table is built or
+read, and the exclusivity fields of the loss history take their inactive
+values 0 / 1 / 0.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from . import exclusivity as excl
 from .numkit import (
     ACTIVATIONS,
     Matrix,
-    activate,
     affine_backward,
     affine_forward,
     as_matrix,
@@ -63,7 +62,7 @@ class AEConfig:
         for tag in (self.hidden_activation, self.latent_activation, self.output_activation):
             if tag not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {tag!r}, expected one of {ACTIVATIONS}")
-        if self.excl_weight < 0:
+        if not self.excl_weight >= 0:
             raise ValueError(f"excl_weight must be >= 0, got {self.excl_weight}")
         if self.n_neighbors < 1:
             raise ValueError(f"n_neighbors must be >= 1, got {self.n_neighbors}")
@@ -128,23 +127,22 @@ class AEModel:
 
 @dataclass
 class LossBreakdown:
-    """All scalars of one objective evaluation.
-
-    Identities: excl == hetero_sim + (1 - homo_sim) and
-    total == recon + weight * excl.
-    """
+    """All scalars of one objective evaluation; excl and total are derived."""
 
     recon: float
     hetero_sim: float
     homo_sim: float
-    excl: float
-    total: float
     weight: float
 
     FIELDS = ("recon", "hetero_sim", "homo_sim", "excl", "total")
 
+    @property
+    def excl(self) -> float:
+        return self.hetero_sim + (1.0 - self.homo_sim)
 
-INACTIVE_EXCL = {"hetero_sim": 0.0, "homo_sim": 1.0, "excl": 0.0}
+    @property
+    def total(self) -> float:
+        return self.recon + self.weight * self.excl
 
 
 def build_model(config: AEConfig) -> AEModel:
@@ -214,7 +212,8 @@ def total_loss(model: AEModel, config: AEConfig, ctx, dataset: Matrix, batch_ind
     weights, so the rows [x; exclude-one means; peer means] run through
     it in one forward and one backward pass, where their gradients add.
     With mean_grad="stopped" the prototype rows get zero upstream gradient,
-    so only the x rows are backpropagated.
+    so only the x rows are backpropagated. At excl_weight 0 only x is
+    encoded, ctx is ignored and the exclusivity fields read 0 / 1 / 0.
     """
     idx = np.asarray(batch_indices, dtype=np.int64)
     if idx.size == 0:
@@ -223,39 +222,24 @@ def total_loss(model: AEModel, config: AEConfig, ctx, dataset: Matrix, batch_ind
     if ctx is None and w != 0.0:
         raise ValueError("excl_weight is nonzero but no exclusivity context given")
     x = dataset[idx]
-    protos = excl.batch_targets(ctx, dataset, idx) if ctx is not None else ()
-    if w != 0.0:
-        enc_acts = _forward(model.encoder, np.vstack((x, *protos)))
-        h, *enc_protos = np.split(enc_acts[-1], 3)
-    else:
-        # x alone, so the gradients match the plain autoencoder bit for bit;
-        # prototypes are encoded only to report their similarities
-        enc_acts = _forward(model.encoder, x)
-        h = enc_acts[-1]
-        enc_protos = [encode(model, p) for p in protos]
+    rows = np.vstack((x, *excl.batch_targets(ctx, dataset, idx))) if w != 0.0 else x
+    enc_acts = _forward(model.encoder, rows)
+    h = enc_acts[-1][: len(x)]
     dec_acts = _forward(model.decoder, h)
 
     la, d_xhat = recon_loss(x, dec_acts[-1], config.loss_reduction)
     dec_grads, d_h = _backward(model.decoder, dec_acts, d_xhat)
 
-    if ctx is None:
-        breakdown = LossBreakdown(recon=la, total=la, weight=0.0, **INACTIVE_EXCL)
+    if w == 0.0:
+        breakdown = LossBreakdown(recon=la, hetero_sim=0.0, homo_sim=1.0, weight=0.0)
     else:
-        res = excl.exclusivity_loss(h, *enc_protos, reduction=config.loss_reduction)
-        breakdown = LossBreakdown(
-            recon=la,
-            hetero_sim=res.hetero_sim,
-            homo_sim=res.homo_sim,
-            excl=res.excl,
-            total=la + w * res.excl,
-            weight=w,
-        )
-    if w != 0.0:
+        res = excl.exclusivity_loss(*np.split(enc_acts[-1], 3), reduction=config.loss_reduction)
+        breakdown = LossBreakdown(recon=la, hetero_sim=res.hetero_sim, homo_sim=res.homo_sim, weight=w)
         d_h = d_h + w * res.grad_latent
         if config.mean_grad == "full":
             d_h = np.vstack((d_h, w * res.grad_hetero, w * res.grad_homo))
         else:  # zero gradient for the prototype rows: backpropagate x alone
-            enc_acts = [rows[: len(x)] for rows in enc_acts]
+            enc_acts = [a[: len(x)] for a in enc_acts]
     enc_grads, _ = _backward(model.encoder, enc_acts, d_h, input_grad=False)
     return breakdown, enc_grads + dec_grads
 
@@ -275,30 +259,34 @@ def grad_check_objective(model: AEModel, config: AEConfig, ctx, dataset: Matrix,
     unperturbed point its value coincides with the true objective.
     """
     idx = np.asarray(batch_indices, dtype=np.int64)
-    _, grads = total_loss(model, config, ctx, dataset, idx)
-    flat = [g for lg in grads for g in (lg.weight, lg.bias)]
-
-    if config.mean_grad == "full" or ctx is None or config.excl_weight == 0.0:
-
-        def loss_fn():
-            b, g = total_loss(model, config, ctx, dataset, idx)
-            return b.total, [p for lg in g for p in (lg.weight, lg.bias)]
-
-        return loss_fn
-
-    x = dataset[idx]
-    het_raw, hom_raw = excl.batch_targets(ctx, dataset, idx)
-    frozen_het = encode(model, het_raw)
-    frozen_hom = encode(model, hom_raw)
 
     def loss_fn():
+        b, g = total_loss(model, config, ctx, dataset, idx)
+        return b.total, [p for lg in g for p in (lg.weight, lg.bias)]
+
+    if config.mean_grad == "full" or config.excl_weight == 0.0:
+        return loss_fn
+
+    _, flat = loss_fn()
+    x = dataset[idx]
+    frozen_het, frozen_hom = (encode(model, raw) for raw in excl.batch_targets(ctx, dataset, idx))
+
+    def frozen_fn():
         h = encode(model, x)
-        xhat = decode(model, h)
-        la, _ = recon_loss(x, xhat, config.loss_reduction)
+        la, _ = recon_loss(x, decode(model, h), config.loss_reduction)
         res = excl.exclusivity_loss(h, frozen_het, frozen_hom, reduction=config.loss_reduction)
         return la + config.excl_weight * res.excl, flat
 
-    return loss_fn
+    return frozen_fn
+
+
+def _relu_margins(layers: list, acts: list) -> list:
+    """The smallest |pre-activation| of each relu layer, recomputed from a _forward cache."""
+    return [
+        float(np.abs(a @ layer.weight.T + layer.bias).min())
+        for layer, a in zip(layers, acts)
+        if layer.activation == "relu"
+    ]
 
 
 def fd_margins(model: AEModel, config: AEConfig, ctx, dataset: Matrix, batch_indices):
@@ -312,31 +300,20 @@ def fd_margins(model: AEModel, config: AEConfig, ctx, dataset: Matrix, batch_ind
     when both sit comfortably above the probe step, so fixture generators
     should resample cases that come back too small.
     """
-
-    def run(layers, x, margins):
-        out = x
-        for layer in layers:
-            z = out @ layer.weight.T + layer.bias
-            if layer.activation == "relu":
-                margins.append(float(np.abs(z).min()))
-            out = activate(layer.activation, z)
-        return out
-
     idx = np.asarray(batch_indices, dtype=np.int64)
-    x = dataset[idx]
-    kinks = []
-    h = run(model.encoder, x, kinks)
-    run(model.decoder, h, kinks)
+    acts = _forward(model.layers, dataset[idx])
+    kinks = _relu_margins(model.layers, acts)
+    h = acts[len(model.encoder)]
     norms = [float(np.linalg.norm(h, axis=1).min())]
-    if ctx is not None and config.excl_weight != 0.0:
-        het_raw, hom_raw = excl.batch_targets(ctx, dataset, idx)
+    if config.excl_weight != 0.0:
         relu_latent = model.encoder[-1].activation == "relu"
-        for raw in (het_raw, hom_raw):
-            enc = run(model.encoder, raw, kinks)
-            d = enc - h
+        for raw in excl.batch_targets(ctx, dataset, idx):
+            enc_acts = _forward(model.encoder, raw)
+            kinks += _relu_margins(model.encoder, enc_acts)
+            d = enc_acts[-1] - h
             # a relu latent unit at 0 on both sides keeps d exactly 0 under the
             # probe (its pre-activations are margins already), so it is no kink
-            clamp_args = d[(enc != 0) | (h != 0)] if relu_latent else d
+            clamp_args = d[(enc_acts[-1] != 0) | (h != 0)] if relu_latent else d
             kinks.append(float(np.abs(clamp_args).min(initial=np.inf)))
             norms.append(float(np.linalg.norm(excl.omega(d), axis=1).min()))
     return min(kinks) if kinks else np.inf, min(norms)
@@ -388,23 +365,15 @@ def gradcheck_errors(config: AEConfig, model: AEModel, ctx, dataset: Matrix, bat
 
 
 def _average_breakdowns(records: list, sizes: list) -> LossBreakdown:
-    """Batch-size-weighted epoch record.
-
-    Only the independent terms are averaged; the combined terms are
-    rebuilt from them so the breakdown identities hold exactly on epoch
-    records too.
-    """
+    """Batch-size-weighted epoch record of the independent terms; excl and
+    total derive from them, so the breakdown identities hold exactly."""
     weights = np.asarray(sizes, dtype=np.float64)
     weights /= weights.sum()
     avg = {
         name: float(np.dot(weights, [getattr(r, name) for r in records]))
         for name in ("recon", "hetero_sim", "homo_sim")
     }
-    w = records[0].weight
-    excl_term = avg["hetero_sim"] + (1.0 - avg["homo_sim"])
-    return LossBreakdown(
-        excl=excl_term, total=avg["recon"] + w * excl_term, weight=w, **avg
-    )
+    return LossBreakdown(weight=records[0].weight, **avg)
 
 
 def training_rows(model: AEModel, dataset) -> Matrix:
@@ -414,34 +383,35 @@ def training_rows(model: AEModel, dataset) -> Matrix:
         raise ValueError(
             f"dataset shape {data.shape} does not match model input dim {model.input_dim}"
         )
+    if data.shape[0] == 0:
+        raise ValueError("dataset has no rows to train on")
     return as_matrix(data, "dataset")
 
 
-def sgd_epochs(
-    model: AEModel, config: AEConfig, dataset: Matrix, lr: float, epochs: int, batch_size: int, seed: int
-):
+def sgd_epochs(model: AEModel, config: AEConfig, dataset: Matrix):
     """The one training loop: seeded minibatch SGD on total_loss.
 
-    config supplies only the loss settings. Yields one batch-size-weighted
+    config is the phase's: its loss settings, lr, epochs, batch_size and
+    seed; its layer_sizes are not read. Yields one batch-size-weighted
     LossBreakdown per epoch, after the epoch's last step, so the caller can
     act on the model before the next epoch starts.
     """
-    ctx = excl.build_context(dataset, config.n_neighbors) if config.excl_weight > 0 else None
-    rng = np.random.default_rng(seed)
+    ctx = excl.build_context(dataset, config.n_neighbors) if config.excl_weight != 0.0 else None
+    rng = np.random.default_rng(config.seed)
     layers = model.layers
     n = dataset.shape[0]
-    for epoch in range(epochs):
+    for epoch in range(config.epochs):
         perm = rng.permutation(n)
         records, sizes = [], []
-        for start in range(0, n, batch_size):
-            batch = perm[start : start + batch_size]
+        for start in range(0, n, config.batch_size):
+            batch = perm[start : start + config.batch_size]
             breakdown, grads = total_loss(model, config, ctx, dataset, batch)
             if not np.isfinite(breakdown.total):
                 raise RuntimeError(
                     f"non-finite loss {breakdown.total} at epoch {epoch}, "
                     f"batch starting at {start}"
                 )
-            sgd_step(layers, grads, lr)
+            sgd_step(layers, grads, config.lr)
             records.append(breakdown)
             sizes.append(batch.size)
         yield _average_breakdowns(records, sizes)
@@ -455,6 +425,4 @@ def train(model: AEModel, config: AEConfig, dataset: Matrix):
     raw dataset, before the first step; with excl_weight == 0 the
     exclusivity machinery is skipped entirely.
     """
-    dataset = training_rows(model, dataset)
-    epochs = sgd_epochs(model, config, dataset, config.lr, config.epochs, config.batch_size, config.seed)
-    return model, list(epochs)
+    return model, list(sgd_epochs(model, config, training_rows(model, dataset)))

@@ -203,10 +203,10 @@ def cmd_synth(cfg: dict, args) -> int:
 
 def _pretrain(cfg: dict, n_levels: int | None, checkpoint: str, metrics: str) -> int:
     """Pretrain and assemble the first n_levels levels (None: all of them)."""
-    out = _out_dir(cfg)
     train_set, _ = _train_test(cfg)
     stack_cfg = stack_config_from(cfg, train_set.dim)
     stack_cfg = replace(stack_cfg, levels=stack_cfg.levels[:n_levels])
+    out = _out_dir(cfg)
     stacked, histories = train_stack(stack_cfg, train_set.examples)
     save_checkpoint(stacked, out / checkpoint, config=cfg)
     record = MetricsRecord(trial=0, pretrain=histories, finetune=[], accuracy=None, seconds=0.0)
@@ -224,10 +224,10 @@ def cmd_stack(cfg: dict, args) -> int:
 
 
 def cmd_finetune(cfg: dict, args) -> int:
-    out = _out_dir(cfg)
     stacked = load_checkpoint(args.checkpoint)
     train_set, _ = _train_test(cfg)
     stack_cfg = stack_config_from(cfg, train_set.dim)
+    out = _out_dir(cfg)
     stacked, history = fine_tune(stacked, train_set.examples, stack_cfg)
     save_checkpoint(stacked, out / "finetuned.ckpt", config=cfg)
     record = MetricsRecord(trial=0, pretrain=[], finetune=history, accuracy=None, seconds=0.0)

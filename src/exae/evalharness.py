@@ -337,9 +337,9 @@ def run_experiment(config: ExperimentConfig, loaded=None):
     Returns (records, summary). A failing trial is recorded in
     summary["failures"] and the remaining trials still run.
     """
+    data, test = load_data(config.data) if loaded is None else loaded
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    data, test = load_data(config.data) if loaded is None else loaded
 
     records, failures = [], {}
     for trial in range(config.trials):

@@ -60,7 +60,7 @@ class StackConfig:
             raise ValueError("finetune_lr must be positive")
         if self.finetune_batch_size < 1:
             raise ValueError("finetune_batch_size must be >= 1")
-        if self.finetune_excl_weight < 0:
+        if not self.finetune_excl_weight >= 0:
             raise ValueError(f"finetune_excl_weight must be >= 0, got {self.finetune_excl_weight}")
         if self.finetune_neighbors < 1:
             raise ValueError(f"finetune_neighbors must be >= 1, got {self.finetune_neighbors}")
@@ -192,13 +192,12 @@ def fine_tune(stacked: StackedModel, dataset: Matrix, config: StackConfig):
     """
     model = stacked.assembled
     data = training_rows(model, dataset)
-    # total_loss reads only the loss settings: level 1's, at the fine-tune weight
-    loss_cfg = replace(
-        config.levels[0], excl_weight=config.finetune_excl_weight, n_neighbors=config.finetune_neighbors
+    # the phase config: level 1's loss settings at the fine-tune weight and schedule
+    phase = replace(
+        config.levels[0], excl_weight=config.finetune_excl_weight, n_neighbors=config.finetune_neighbors,
+        lr=config.finetune_lr, epochs=config.finetune_epochs, batch_size=config.finetune_batch_size,
+        seed=config.finetune_seed,
     )
-    epochs = sgd_epochs(
-        model, loss_cfg, data, config.finetune_lr, config.finetune_epochs,
-        config.finetune_batch_size, config.finetune_seed,
-    )
+    epochs = sgd_epochs(model, phase, data)
     history = [FinetuneEpoch(loss=loss, ratios=_project_all(stacked, config.band)) for loss in epochs]
     return stacked, history

@@ -1,11 +1,14 @@
 """Forward passes, the combined objective, and the training loop."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from exae.autoencoder import (
     AEConfig,
     AEModel,
+    LossBreakdown,
     build_model,
     decode,
     encode,
@@ -172,6 +175,17 @@ class TestTotalLoss:
         assert abs(b.excl - (b.hetero_sim + 1.0 - b.homo_sim)) < 1e-12
         assert abs(b.total - (b.recon + b.weight * b.excl)) < 1e-12
 
+    def test_breakdown_stores_four_fields_and_derives_excl_and_total(self):
+        assert [f.name for f in fields(LossBreakdown)] == ["recon", "hetero_sim", "homo_sim", "weight"]
+        b = LossBreakdown(recon=2.0, hetero_sim=0.25, homo_sim=0.5, weight=3.0)
+        assert (b.excl, b.total) == (0.75, 4.25)
+        cfg = toy_config(excl_weight=7.0)
+        data = toy_data()
+        b, _ = total_loss(build_model(cfg), cfg, build_context(data, cfg.n_neighbors), data, range(6))
+        assert b.weight == 7.0 and b.excl != 0.0
+        assert b.excl == b.hetero_sim + (1.0 - b.homo_sim)
+        assert b.total == b.recon + b.weight * b.excl
+
     def test_empty_batch_rejected(self):
         cfg = toy_config()
         model = build_model(cfg)
@@ -306,6 +320,13 @@ class TestTrain:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises((RuntimeError, ValueError), match="epoch|layer"):
                 train(model, cfg, toy_data())
+
+
+@pytest.mark.parametrize("weight", [-1.0, np.nan])
+def test_negative_or_nan_excl_weight_refused(weight):
+    # excl_weight != 0 switches the regularizer on, so NaN must not get that far
+    with pytest.raises(ValueError, match="excl_weight must be >= 0"):
+        toy_config(excl_weight=weight)
 
 
 def test_build_model_mirrors_dimensions():

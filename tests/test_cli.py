@@ -244,6 +244,19 @@ def test_incomplete_data_source_refused(tmp_path, monkeypatch, data, missing):
     config.write_text(json.dumps({"data": data}))
     with pytest.raises(ValueError, match=re.escape(missing)):
         main(["--config", str(config), "stack"])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "stack", "finetune", "experiment"])
+def test_refused_run_leaves_no_output_dir(tmp_path, monkeypatch, command):
+    # the IDX files are missing: the data is refused before anything is written
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "missing.json"
+    config.write_text(json.dumps({"data": {"source": "idx", "images": "i.idx", "labels": "l.idx"}}))
+    args = ["finetune", "none.ckpt"] if command == "finetune" else [command]
+    with pytest.raises(FileNotFoundError):
+        main(["--config", str(config), *args])
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -489,6 +489,12 @@ class TestRunExperiment:
         assert summary["completed"] == 0
         assert set(summary["failures"]) == {0, 1}
 
+    def test_unreadable_data_leaves_no_output_dir(self, tmp_path):
+        missing = DataSpec(source="idx", images=str(tmp_path / "i.idx"), labels=str(tmp_path / "l.idx"))
+        with pytest.raises(FileNotFoundError):
+            run_experiment(experiment_config(tmp_path / "out", data=missing))
+        assert not (tmp_path / "out").exists()
+
     def test_metrics_phases_present(self, tmp_path):
         run_experiment(experiment_config(tmp_path, trials=1))
         text = (tmp_path / "metrics.csv").read_text()

@@ -3,16 +3,20 @@
 References kept here are the earlier kernels: a backward pass that
 recomputes z = x @ W.T + b and differentiates the activation at z, and a
 sigmoid that evaluates each sign branch on its own rows through boolean
-masks. Swapping them back into total_loss must give the same bytes.
+masks. Swapping them back into total_loss must give the same bytes. The
+earlier fd_margins, with its own hand-written forward pass, is kept as the
+reference for the one that reads _forward's cache.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from exae import autoencoder, numkit
-from exae.autoencoder import AEConfig, build_model, total_loss
+from exae import autoencoder, exclusivity, numkit
+from exae.autoencoder import AEConfig, build_model, fd_margins, gradcheck_case, total_loss
 from exae.exclusivity import build_context
-from exae.numkit import LayerGrads, affine_backward, affine_forward, init_layer
+from exae.numkit import LayerGrads, activate, affine_backward, affine_forward, init_layer
 
 
 def mask_sigmoid(z):
@@ -141,3 +145,64 @@ def test_sigmoid_nan_in_gives_nan_out():
     out = numkit._sigmoid(np.array([np.nan, -np.nan, 0.5]))
     assert np.isnan(out[:2]).all()
     assert out[2] == mask_sigmoid(np.array([0.5]))[0]
+
+
+def handwritten_fd_margins(model, config, ctx, dataset, batch_indices):
+    """The earlier fd_margins: a third forward pass that keeps each relu z."""
+
+    def run(layers, x, margins):
+        out = x
+        for layer in layers:
+            z = out @ layer.weight.T + layer.bias
+            if layer.activation == "relu":
+                margins.append(float(np.abs(z).min()))
+            out = activate(layer.activation, z)
+        return out
+
+    idx = np.asarray(batch_indices, dtype=np.int64)
+    x = dataset[idx]
+    kinks = []
+    h = run(model.encoder, x, kinks)
+    run(model.decoder, h, kinks)
+    norms = [float(np.linalg.norm(h, axis=1).min())]
+    if ctx is not None and config.excl_weight != 0.0:
+        het_raw, hom_raw = exclusivity.batch_targets(ctx, dataset, idx)
+        relu_latent = model.encoder[-1].activation == "relu"
+        for raw in (het_raw, hom_raw):
+            enc = run(model.encoder, raw, kinks)
+            d = enc - h
+            clamp_args = d[(enc != 0) | (h != 0)] if relu_latent else d
+            kinks.append(float(np.abs(clamp_args).min(initial=np.inf)))
+            norms.append(float(np.linalg.norm(exclusivity.omega(d), axis=1).min()))
+    return min(kinks) if kinks else np.inf, min(norms)
+
+
+@pytest.mark.parametrize("case", range(20))
+def test_fd_margins_equal_the_handwritten_forward(case):
+    config, model, ctx, data, batch = gradcheck_case(case)
+    for probe in (config, replace(config, excl_weight=0.0)):
+        assert fd_margins(model, probe, ctx, data, batch) == handwritten_fd_margins(
+            model, probe, ctx, data, batch
+        )
+
+
+def test_weight_zero_runs_one_forward_pass_and_ignores_the_context(monkeypatch):
+    config = cfg([16, 8, 4], excl_weight=0.0)
+    model = build_model(config)
+    data = sparse_rows(40, 16, seed=3)
+    ctx = build_context(data, config.n_neighbors)
+    rows = []
+
+    def spy(layer, x):
+        rows.append(x.shape[0])
+        return affine_forward(layer, x)
+
+    def no_targets(*args):
+        raise AssertionError("prototypes gathered at weight 0")
+
+    monkeypatch.setattr(autoencoder, "affine_forward", spy)
+    monkeypatch.setattr(exclusivity, "batch_targets", no_targets)
+    b, _ = total_loss(model, config, ctx, data, range(8))
+    assert rows == [8] * (len(model.encoder) + len(model.decoder))
+    assert (b.hetero_sim, b.homo_sim, b.excl, b.weight) == (0.0, 1.0, 0.0, 0.0)
+    assert b.total == b.recon

@@ -275,6 +275,15 @@ class TestFineTune:
         stacked, history = fine_tune(stacked, toy_rows(n=5), cfg)
         assert len(history) == 2
 
+    def test_empty_dataset_refused_by_name(self):
+        # at weight 0 no neighbor table sets a row minimum, so the refusal is training_rows'
+        cfg = stack_cfg(levels=[level_cfg([8, 4], excl_weight=0.0)])
+        with pytest.raises(ValueError, match="dataset has no rows"):
+            train(build_model(cfg.levels[0]), cfg.levels[0], toy_rows(n=0))
+        stacked, _ = train_stack(cfg, toy_rows())
+        with pytest.raises(ValueError, match="dataset has no rows"):
+            fine_tune(stacked, toy_rows(n=0), cfg)
+
     def test_optional_exclusivity_term(self):
         cfg = stack_cfg(finetune_epochs=2, finetune_excl_weight=1.5, finetune_neighbors=2)
         data = toy_rows(7)
@@ -305,11 +314,12 @@ def test_single_level_stack_with_zero_finetune_equals_plain_training():
     [
         (dict(levels=[level_cfg([8, 4]), level_cfg([5, 2])]), "does not match"),
         (dict(levels=[level_cfg([8, 4])], finetune_excl_weight=-1.0), "finetune_excl_weight"),
+        (dict(levels=[level_cfg([8, 4])], finetune_excl_weight=np.nan), "finetune_excl_weight"),
         (dict(levels=[level_cfg([8, 4])], finetune_neighbors=0), "finetune_neighbors"),
         *((dict(levels=[level_cfg([8, 4])], norm_order=p), "norm_order must be >= 1")
           for p in (0, 0.5, np.nan)),
     ],
-    ids=["dimension-chain", "finetune-excl-weight", "finetune-neighbors",
+    ids=["dimension-chain", "finetune-excl-weight", "finetune-excl-weight-nan", "finetune-neighbors",
          "norm-order-0", "norm-order-half", "norm-order-nan"],
 )
 def test_invalid_config_rejected(kwargs, message):
