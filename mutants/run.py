@@ -77,13 +77,6 @@ MUTANTS = [
         f"{EVAL}::TestKnnClassify::test_non_finite_input_refused",
     ),
     (
-        "exclude-self-last-column",  # a query outside its own reach keeps k+1 neighbors
-        "exae/evalharness.py",
-        "            keep[:, -1] &= ~keep.all(axis=1)\n",
-        "",
-        f"{EVAL}::TestKnnClassify::test_exclude_self_among_duplicates",
-    ),
-    (
         "vote-sum-tie-break",  # count ties go to the lower label
         "exae/evalharness.py",
         "    return np.argmax(top & (sums == least), axis=1)\n",
@@ -131,6 +124,27 @@ MUTANTS = [
         "        for chunk in chunks:\n",
         "        for chunk in chunks[:4] + [np.concatenate([p.ravel() for p in chunks[4:]])]:\n",
         f"{EVAL}::TestCheckpoint::test_save_holds_no_copy_of_the_file",
+    ),
+    (
+        "snapshot-non-finite-loads",  # a NaN or inf snapshot norm passes the positivity check
+        "exae/stacking.py",
+        "        if not all(0 < s < np.inf for s in self.snapshots):\n",
+        "        if any(s <= 0 for s in self.snapshots):\n",
+        f"{EVAL}::TestCheckpoint::test_malformed_header_rejected",
+    ),
+    (
+        "norm-order-defaulted",  # a header without norm_order loads as p=2
+        "exae/evalharness.py",
+        'norm_order=header["norm_order"],',
+        'norm_order=header.get("norm_order", 2),',
+        f"{EVAL}::TestCheckpoint::test_malformed_header_rejected",
+    ),
+    (
+        "lr-nan-passes",  # a NaN learning rate trains to NaN weights without naming the field
+        "exae/autoencoder.py",
+        "        if not self.lr > 0:\n",
+        "        if self.lr <= 0:\n",
+        "tests/test_autoencoder.py::test_nonpositive_or_nan_lr_refused",
     ),
     (
         "relu-derivative-at-zero",

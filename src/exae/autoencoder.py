@@ -66,7 +66,7 @@ class AEConfig:
             raise ValueError(f"excl_weight must be >= 0, got {self.excl_weight}")
         if self.n_neighbors < 1:
             raise ValueError(f"n_neighbors must be >= 1, got {self.n_neighbors}")
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")

@@ -57,16 +57,14 @@ def _train_side(train: Matrix, metric: str) -> np.ndarray:
     return side
 
 
-def _pairwise_dist(query: Matrix, train: Matrix, metric: str, train_side=None) -> Matrix:
+def _pairwise_dist(query: Matrix, train: Matrix, metric: str, train_side: np.ndarray) -> Matrix:
     """(queries x train) distances, computed in place in the product matrix.
 
     euclidean is max(|q|^2 - 2 q.t + |t|^2, 0) and cosine is 1 - q.t /
     max(|q||t|, 1e-300), each operation applied in that order, so the
     values are those of the plain expressions without their full-size
-    temporaries. train_side defaults to _train_side(train, metric).
+    temporaries. train_side is _train_side(train, metric).
     """
-    if train_side is None:
-        train_side = _train_side(train, metric)
     dists = query @ train.T
     if metric == "euclidean":
         dists *= 2.0
@@ -90,15 +88,13 @@ def knn_classify(
     query_feats: Matrix,
     k: int = 1,
     metric: str = "euclidean",
-    exclude_self: bool = False,
 ) -> np.ndarray:
     """Majority vote among the k nearest training rows.
 
     Distance ties go to the lower training index. Vote ties go to the
     label with the smaller summed distance, then to the lower label.
-    exclude_self skips the candidate with the query's own row index, for
-    evaluating a training set against itself. Non-finite features, and
-    finite ones whose distances overflow, raise ValueError naming the row.
+    Non-finite features, and finite ones whose distances overflow, raise
+    ValueError naming the row.
 
     Selection, per block of queries whose distances are computed, ranked
     and dropped in turn, gives the same neighbors, in the same order, as a
@@ -112,15 +108,11 @@ def knn_classify(
         raise ValueError("empty training set")
     if train_labels.shape != (train_feats.shape[0],):
         raise ValueError("train labels length does not match train rows")
-    if exclude_self and query_feats.shape[0] != train_feats.shape[0]:
-        raise ValueError("exclude_self only makes sense when the query set is the training set")
-    n_candidates = train_feats.shape[0] - (1 if exclude_self else 0)
-    if not 1 <= k <= n_candidates:
-        raise ValueError(f"k={k} out of range for {n_candidates} candidates")
+    if not 1 <= k <= train_feats.shape[0]:
+        raise ValueError(f"k={k} out of range for {train_feats.shape[0]} training rows")
 
     train_side = _train_side(train_feats, metric)
     labels, codes = np.unique(train_labels, return_inverse=True)
-    reach = k + (1 if exclude_self else 0)
     predictions = np.empty(query_feats.shape[0], dtype=np.int64)
     for start in range(0, query_feats.shape[0], _KNN_BLOCK_ROWS):
         stop = min(start + _KNN_BLOCK_ROWS, query_feats.shape[0])
@@ -128,11 +120,7 @@ def knn_classify(
         finite = np.isfinite(block).all(axis=1)
         if not finite.all():
             raise ValueError(f"non-finite distance for query row {start + np.argmin(finite)}")
-        top = _nearest(block, reach)
-        if exclude_self:  # top[top != q][:k] for every query q of the block
-            keep = top != np.arange(start, stop)[:, None]
-            keep[:, -1] &= ~keep.all(axis=1)
-            top = top[keep].reshape(-1, k)
+        top = _nearest(block, k)
         votes = _majority(codes[top], np.take_along_axis(block, top, axis=1), len(labels))
         predictions[start:stop] = labels[votes]
     return predictions
@@ -469,7 +457,7 @@ def load_checkpoint(path) -> StackedModel:
             levels=models[:-1],
             assembled=models[-1],
             snapshots=header["snapshots"],
-            norm_order=header.get("norm_order", 2),
+            norm_order=header["norm_order"],
         )
     except CheckpointError:
         raise

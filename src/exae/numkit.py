@@ -149,7 +149,7 @@ def affine_backward(layer: DenseLayer, x: Matrix, out: Matrix, grad_out: Matrix,
 
 def sgd_step(layers: list, grads: list, lr: float) -> list:
     """In-place p <- p - lr * g over every layer. Deterministic."""
-    if lr <= 0:
+    if not lr > 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
     if len(layers) != len(grads):
         raise ValueError(f"{len(layers)} layers but {len(grads)} gradient entries")

@@ -50,13 +50,13 @@ class StackConfig:
                     f"level {k + 1} input dim {nxt.input_dim} does not match "
                     f"level {k} latent dim {prev.latent_dim}"
                 )
-        if self.band < 0:
+        if not self.band >= 0:
             raise ValueError(f"band must be >= 0, got {self.band}")
         if not self.norm_order >= 1:  # an order-0 "norm" counts nonzeros: no rescale moves it
             raise ValueError(f"norm_order must be >= 1, got {self.norm_order}")
         if self.finetune_epochs < 0:
             raise ValueError("finetune_epochs must be >= 0")
-        if self.finetune_lr <= 0:
+        if not self.finetune_lr > 0:
             raise ValueError("finetune_lr must be positive")
         if self.finetune_batch_size < 1:
             raise ValueError("finetune_batch_size must be >= 1")
@@ -89,8 +89,8 @@ class StackedModel:
             raise ValueError(
                 f"{len(self.snapshots)} snapshots for {n_layers} assembled layers"
             )
-        if any(s <= 0 for s in self.snapshots):
-            raise ValueError("snapshot norms must be positive")
+        if not all(0 < s < np.inf for s in self.snapshots):
+            raise ValueError("snapshot norms must be finite and positive")
         if not self.norm_order >= 1:
             raise ValueError(f"norm_order must be >= 1, got {self.norm_order}")
 
@@ -110,8 +110,8 @@ def flat_norm(weight: Matrix, p: float = 2) -> float:
 
 def weight_ratio(snapshot_norm: float, current_weight: Matrix, p: float = 2) -> float:
     """Snapshot norm over the current flattened weight norm."""
-    if snapshot_norm <= 0:
-        raise ValueError(f"snapshot norm must be positive, got {snapshot_norm}")
+    if not 0 < snapshot_norm < np.inf:
+        raise ValueError(f"snapshot norm must be finite and positive, got {snapshot_norm}")
     cur = flat_norm(current_weight, p)
     if cur == 0.0:
         raise ValueError("current weight has zero norm")
@@ -125,7 +125,7 @@ def project_to_band(snapshot_norm: float, current_weight: Matrix, band: float, p
     the lower edge is never binding. The projection multiplies by a
     nonnegative scalar, so weight direction is preserved.
     """
-    if band < 0:
+    if not band >= 0:
         raise ValueError(f"band must be >= 0, got {band}")
     r = weight_ratio(snapshot_norm, current_weight, p)
     lo = 0.0 if band >= 1.0 else 1.0 - band

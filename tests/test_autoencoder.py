@@ -329,6 +329,13 @@ def test_negative_or_nan_excl_weight_refused(weight):
         toy_config(excl_weight=weight)
 
 
+@pytest.mark.parametrize("lr", [0.0, -0.1, np.nan])
+def test_nonpositive_or_nan_lr_refused(lr):
+    # a NaN lr would train to NaN weights without naming the field
+    with pytest.raises(ValueError, match="lr must be positive"):
+        toy_config(lr=lr)
+
+
 def test_build_model_mirrors_dimensions():
     cfg = toy_config(layer_sizes=[8, 4, 2])
     model = build_model(cfg)

@@ -269,12 +269,13 @@ def test_refused_run_leaves_no_output_dir(tmp_path, monkeypatch, command):
         ({"stack": {"sizes": [32, 8], "levels": [{"epohcs": 3}]}}, "stack.levels[0].epohcs"),
     ],
 )
-def test_misspelled_key_rejected_with_its_path(tmp_path, user, path):
+def test_misspelled_key_rejected_with_its_path(tmp_path, monkeypatch, user, path):
+    monkeypatch.chdir(tmp_path)
     config = tmp_path / "typo.json"
     config.write_text(json.dumps(user))
     with pytest.raises(ValueError, match=re.escape(f"unknown config key '{path}'")):
         main(["--config", str(config), "synth"])
-    assert not (tmp_path / "x").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

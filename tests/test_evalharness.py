@@ -13,6 +13,7 @@ from exae.dataio import Dataset, SplitSpec, synth_gaussian
 from exae.evalharness import (
     CheckpointError,
     _pairwise_dist,
+    _train_side,
     DataSpec,
     ExperimentConfig,
     accuracy,
@@ -93,16 +94,13 @@ class TestExtractFeatures:
             extract_features(stacked, Dataset(examples=np.zeros((2, 5))))
 
 
-def full_sort_knn(train_feats, train_labels, query_feats, k, metric="euclidean",
-                  exclude_self=False):
+def full_sort_knn(train_feats, train_labels, query_feats, k, metric="euclidean"):
     """Reference selection: a full lexsort of every distance per query, on the
     distances knn_classify computes, then the documented vote."""
-    dists = _pairwise_dist(query_feats, train_feats, metric)
+    dists = _pairwise_dist(query_feats, train_feats, metric, _train_side(train_feats, metric))
     out = []
     for q in range(len(query_feats)):
         order = np.lexsort((np.arange(len(train_feats)), dists[q]))
-        if exclude_self:
-            order = order[order != q]
         tally = {}
         for i in order[:k]:
             cnt, tot = tally.get(int(train_labels[i]), (0, 0.0))
@@ -138,7 +136,7 @@ def test_pairwise_dist_bitwise_equal_to_expressions(metric):
     train = collapsed_codes(rng, 300, dim=16, live=0.7)
     queries = collapsed_codes(rng, 70, dim=16, live=0.7)
     queries[3] = train[8]
-    got = _pairwise_dist(queries, train, metric)
+    got = _pairwise_dist(queries, train, metric, _train_side(train, metric))
     assert got.tobytes() == expression_dist(queries, train, metric).tobytes()
 
 
@@ -189,12 +187,6 @@ class TestKnnClassify:
         pred = knn_classify(feats, labels, feats, k=1)
         assert accuracy(pred, labels) == 1.0
 
-    def test_exclude_self_skips_own_row(self):
-        feats = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0]])
-        labels = np.array([0, 1, 2])
-        pred = knn_classify(feats, labels, feats, k=1, exclude_self=True)
-        assert pred.tolist() == [1, 0, 1]
-
     def test_cosine_metric(self):
         feats = np.array([[1.0, 0.0], [0.0, 1.0]])
         labels = np.array([0, 1])
@@ -214,25 +206,18 @@ class TestKnnClassify:
         got = knn_classify(train, labels, queries, k=k, metric=metric)
         assert np.array_equal(got, full_sort_knn(train, labels, queries, k, metric))
 
-    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_exclude_self_matches_full_sort(self, metric, k):
-        rng = np.random.default_rng(10 + k)
-        feats = collapsed_codes(rng, 400, live=0.5)
-        feats[40:60] = feats[:20]  # duplicates tie with the query's own row
-        labels = rng.integers(0, 4, size=400)
-        got = knn_classify(feats, labels, feats, k=k, metric=metric, exclude_self=True)
-        want = full_sort_knn(feats, labels, feats, k, metric, exclude_self=True)
-        assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("exclude_self", [False, True])
-    def test_k_equal_to_candidate_count(self, exclude_self):
+    def test_k_equal_to_candidate_count(self):
         rng = np.random.default_rng(3)
         feats = collapsed_codes(rng, 30, live=0.6)
         labels = rng.integers(0, 3, size=30)
-        k = 29 if exclude_self else 30
-        got = knn_classify(feats, labels, feats, k=k, exclude_self=exclude_self)
-        assert np.array_equal(got, full_sort_knn(feats, labels, feats, k, "euclidean", exclude_self))
+        got = knn_classify(feats, labels, feats, k=30)
+        assert np.array_equal(got, full_sort_knn(feats, labels, feats, 30, "euclidean"))
+
+    @pytest.mark.parametrize("k", [0, 31])
+    def test_k_out_of_range_refused(self, k):
+        feats = np.zeros((30, 2))
+        with pytest.raises(ValueError, match=f"k={k} out of range for 30 training rows"):
+            knn_classify(feats, np.zeros(30), feats, k=k)
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     def test_non_finite_input_refused(self, metric):
@@ -278,19 +263,6 @@ class TestKnnClassify:
         got = knn_classify(train, labels, queries, k=k, metric=metric)
         assert got.shape == (n_queries,)
         assert np.array_equal(got, full_sort_knn(train, labels, queries, k, metric))
-
-    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
-    def test_exclude_self_among_duplicates(self, metric):
-        # rows 0-3 are one point: for rows 0-2 their own row is inside the
-        # reach of k+1 = 3 lowest-index ties, for row 3 rows 0-2 push it out
-        rng = np.random.default_rng(6)
-        feats = np.vstack([np.tile([[1.0, 2.0, 0.5]], (4, 1)), rng.uniform(3, 9, size=(66, 3))])
-        labels = np.arange(70) % 5
-        got = knn_classify(feats, labels, feats, k=2, metric=metric, exclude_self=True)
-        # neighbors {1, 2}, {0, 2}, {0, 1}, {0, 1}: 1-1 votes at equal sums, won by the lower label
-        assert got[:4].tolist() == [1, 0, 0, 0]
-        want = full_sort_knn(feats, labels, feats, 2, metric, exclude_self=True)
-        assert np.array_equal(got, want)
 
     def test_count_tie_goes_to_smaller_sum_not_lower_label(self):
         feats = np.array([[0.0], [2.0], [10.0], [11.0]])
@@ -416,13 +388,12 @@ def test_knn_equals_full_sort_sweep(kind):
         train, queries = feats[:n], feats[n:]
         labels = rng.integers(0, 4, size=n)
         metric = ("euclidean", "cosine")[trial % 2]
-        exclude_self = trial % 3 == 0
-        if exclude_self:
+        if trial % 3 == 0:
             queries = train
-        k = n - exclude_self if trial % 5 == 0 else int(rng.integers(1, n - exclude_self + 1))
-        got = knn_classify(train, labels, queries, k, metric, exclude_self)
-        want = full_sort_knn(train, labels, queries, k, metric, exclude_self)
-        assert np.array_equal(got, want), (trial, n, k, metric, exclude_self)
+        k = n if trial % 5 == 0 else int(rng.integers(1, n + 1))
+        got = knn_classify(train, labels, queries, k, metric)
+        want = full_sort_knn(train, labels, queries, k, metric)
+        assert np.array_equal(got, want), (trial, n, k, metric)
 
 
 class TestAccuracy:
@@ -637,11 +608,16 @@ class TestCheckpoint:
             lambda h: json.dumps({k: v for k, v in h.items() if k != "assembled"}).encode(),
             lambda h: json.dumps({**h, "levels": 3}).encode(),
             lambda h: json.dumps({**h, "snapshots": ["1.0"] * len(h["snapshots"])}).encode(),
+            # a non-finite snapshot makes every ratio NaN or inf: no band holds it
+            *(lambda h, s=s: json.dumps({**h, "snapshots": [s] + h["snapshots"][1:]}).encode()
+              for s in (np.nan, np.inf)),
             # an order-0 "norm" counts nonzeros: no band projection could move it
             *(lambda h, p=p: json.dumps({**h, "norm_order": p}).encode() for p in (0, 0.5, np.nan)),
+            lambda h: json.dumps({k: v for k, v in h.items() if k != "norm_order"}).encode(),
         ],
         ids=["undecodable-json", "missing-key", "levels-not-a-list", "snapshots-not-numbers",
-             "norm-order-0", "norm-order-half", "norm-order-nan"],
+             "snapshot-nan", "snapshot-inf", "norm-order-0", "norm-order-half", "norm-order-nan",
+             "no-norm-order"],
     )
     def test_malformed_header_rejected(self, tmp_path, edit):
         stacked, _ = self.make_trained()

@@ -94,6 +94,14 @@ class TestAffineBackward:
 
 
 class TestSgdStep:
+    @pytest.mark.parametrize("lr", [0.0, -0.1, np.nan])
+    def test_nonpositive_or_nan_lr_refused(self, lr):
+        l = layer([[1.0]], [0.0])
+        g = type("G", (), {"weight": np.array([[0.5]]), "bias": np.array([0.5])})()
+        with pytest.raises(ValueError, match="learning rate must be positive"):
+            sgd_step([l], [g], lr=lr)
+        assert l.weight.tolist() == [[1.0]] and l.bias.tolist() == [0.0]
+
     def test_definitional_update(self):
         l = layer([[1.0]], [0.0])
         x = np.array([[1.0]])

@@ -73,6 +73,11 @@ class TestWeightRatio:
         with pytest.raises(ValueError, match="zero norm"):
             weight_ratio(1.0, np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("snapshot", [0.0, -1.0, np.nan, np.inf])
+    def test_snapshot_not_finite_and_positive_rejected(self, snapshot):
+        with pytest.raises(ValueError, match="snapshot norm must be finite and positive"):
+            weight_ratio(snapshot, np.ones((2, 2)))
+
 
 class TestProjectToBand:
     def test_zero_band_pins_norm_to_snapshot(self):
@@ -108,6 +113,11 @@ class TestProjectToBand:
         scale = out[0, 0] / w[0, 0]
         assert scale > 0
         assert np.allclose(out, scale * w)
+
+    @pytest.mark.parametrize("band", [-0.1, np.nan])
+    def test_negative_or_nan_band_refused(self, band):
+        with pytest.raises(ValueError, match="band must be >= 0"):
+            project_to_band(1.0, np.ones((2, 2)), band=band)
 
     def test_wide_band_lower_edge_never_binds(self):
         # ratio far below 1 but band >= 1 means no lower clamp
@@ -318,9 +328,13 @@ def test_single_level_stack_with_zero_finetune_equals_plain_training():
         (dict(levels=[level_cfg([8, 4])], finetune_neighbors=0), "finetune_neighbors"),
         *((dict(levels=[level_cfg([8, 4])], norm_order=p), "norm_order must be >= 1")
           for p in (0, 0.5, np.nan)),
+        *((dict(levels=[level_cfg([8, 4])], band=b), "band must be >= 0") for b in (-0.1, np.nan)),
+        *((dict(levels=[level_cfg([8, 4])], finetune_lr=lr), "finetune_lr must be positive")
+          for lr in (0.0, np.nan)),
     ],
     ids=["dimension-chain", "finetune-excl-weight", "finetune-excl-weight-nan", "finetune-neighbors",
-         "norm-order-0", "norm-order-half", "norm-order-nan"],
+         "norm-order-0", "norm-order-half", "norm-order-nan", "band-negative", "band-nan",
+         "finetune-lr-0", "finetune-lr-nan"],
 )
 def test_invalid_config_rejected(kwargs, message):
     with pytest.raises(ValueError, match=message):
