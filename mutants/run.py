@@ -63,6 +63,27 @@ MUTANTS = [
         f"{EVAL}::test_knn_memory_is_per_block_not_full_matrix",
     ),
     (
+        "knn-block-64",  # narrow query blocks: the train side is packed three times as often
+        "exae/evalharness.py",
+        "_KNN_BLOCK_ROWS = 192\n",
+        "_KNN_BLOCK_ROWS = 64\n",
+        f"{EVAL}::test_knn_block_uses_half_its_memory_bound",
+    ),
+    (
+        "knn-width-unchecked",  # mismatched feature widths fail inside the first block's product
+        "exae/evalharness.py",
+        "    if query_feats.shape[1] != train_feats.shape[1]:\n",
+        "    if False:\n",
+        f"{EVAL}::TestKnnClassify::test_feature_width_mismatch_refused",
+    ),
+    (
+        "features-whole-matrix",  # the whole input is encoded at once, with all its activations
+        "exae/evalharness.py",
+        "_FEATURE_BLOCK_ROWS = 1024\n",
+        "_FEATURE_BLOCK_ROWS = 2**62\n",
+        f"{EVAL}::TestExtractFeatures::test_memory_is_per_block",
+    ),
+    (
         "train-side-guard-dropped",  # an overflowing train row is blamed on a query row, or scored
         "exae/evalharness.py",
         "    if not np.isfinite(side).all():\n",
@@ -140,6 +161,13 @@ MUTANTS = [
         f"{EVAL}::TestCheckpoint::test_malformed_header_rejected",
     ),
     (
+        "layer-sizes-truncated",  # a fractional or bool layer size is truncated to an int
+        "exae/autoencoder.py",
+        "        if not all(whole) or min(self.layer_sizes) <= 0:\n",
+        "        if any(int(s) <= 0 for s in self.layer_sizes):\n",
+        "tests/test_autoencoder.py::test_non_integer_layer_sizes_refused",
+    ),
+    (
         "lr-nan-passes",  # a NaN learning rate trains to NaN weights without naming the field
         "exae/autoencoder.py",
         "        if not self.lr > 0:\n",
@@ -197,6 +225,20 @@ MUTANTS = [
         "    for k, level in enumerate(levels):\n",
         "    for k, level in enumerate([]):\n",
         "tests/test_cli.py::test_misspelled_key_rejected_with_its_path",
+    ),
+    (
+        "stack-sizes-unchecked",  # a fractional or bool stack size reaches the levels unnamed
+        "exae/cli.py",
+        "    if sizes is not None and not (isinstance(sizes, list) and all(_admits(int, s) for s in sizes)):\n",
+        "    if False:\n",
+        "tests/test_cli.py::test_value_types_checked_at_load_time",
+    ),
+    (
+        "gradcheck-zero-cases",  # --cases 0 probes nothing and reports OK
+        "exae/cli.py",
+        "    if args.cases < 1:  # a sweep that probes nothing would report OK\n",
+        "    if False:\n",
+        "tests/test_cli.py::test_gradcheck_refuses_fewer_than_one_case",
     ),
     (
         "test-cap-skipped",  # an explicit test set keeps every row whatever per_class_test says

@@ -56,8 +56,9 @@ class AEConfig:
     def __post_init__(self):
         if len(self.layer_sizes) < 2:
             raise ValueError("layer_sizes needs at least input and latent dims")
-        if any(int(s) <= 0 for s in self.layer_sizes):
-            raise ValueError(f"layer sizes must be positive, got {self.layer_sizes}")
+        whole = (isinstance(s, (int, np.integer)) and not isinstance(s, bool) for s in self.layer_sizes)
+        if not all(whole) or min(self.layer_sizes) <= 0:
+            raise ValueError(f"layer sizes must be positive integers, got {self.layer_sizes}")
         self.layer_sizes = [int(s) for s in self.layer_sizes]
         for tag in (self.hidden_activation, self.latent_activation, self.output_activation):
             if tag not in ACTIVATIONS:

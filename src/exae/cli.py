@@ -129,6 +129,9 @@ def load_config(path: str | None) -> dict:
     levels = cfg["stack"]["levels"] or []
     if not (isinstance(levels, list) and all(isinstance(level, dict) for level in levels)):
         raise ValueError("config key 'stack.levels' must be null or a list of objects")
+    sizes = cfg["stack"]["sizes"]
+    if sizes is not None and not (isinstance(sizes, list) and all(_admits(int, s) for s in sizes)):
+        raise ValueError(f"config key 'stack.sizes' must be null or a list of ints, got {sizes!r}")
     level_fields = dict.fromkeys(f.name for f in fields(AEConfig))
     for k, level in enumerate(levels):
         _merge(level_fields, level, f"stack.levels[{k}].")
@@ -263,6 +266,8 @@ def cmd_experiment(cfg: dict, args) -> int:
 
 
 def cmd_gradcheck(cfg: dict, args) -> int:
+    if args.cases < 1:  # a sweep that probes nothing would report OK
+        raise ValueError(f"--cases must be at least 1, got {args.cases}")
     worst = 0.0
     for case in range(args.cases):
         config, *probe = gradcheck_case(case, args.seed)

@@ -37,14 +37,19 @@ class CheckpointError(ValueError):
 
 
 def extract_features(stacked: StackedModel, dataset) -> Matrix:
-    """Latent codes from the assembled encoder; rows follow the input rows."""
+    """Latent codes from the assembled encoder, encoded _FEATURE_BLOCK_ROWS
+    rows at a time; rows follow the input rows."""
     x = dataset.examples if isinstance(dataset, Dataset) else np.asarray(dataset, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != stacked.assembled.input_dim:
         raise ValueError(
             f"dataset shape {x.shape} does not match encoder input dim "
             f"{stacked.assembled.input_dim}"
         )
-    return encode(stacked.assembled, x)
+    features = np.empty((x.shape[0], stacked.assembled.latent_dim))
+    for start in range(0, x.shape[0], _FEATURE_BLOCK_ROWS):
+        stop = start + _FEATURE_BLOCK_ROWS
+        features[start:stop] = encode(stacked.assembled, x[start:stop])
+    return features
 
 
 def _train_side(train: Matrix, metric: str) -> np.ndarray:
@@ -65,21 +70,28 @@ def _pairwise_dist(query: Matrix, train: Matrix, metric: str, train_side: np.nda
     values are those of the plain expressions without their full-size
     temporaries. train_side is _train_side(train, metric).
     """
-    dists = query @ train.T
     if metric == "euclidean":
-        dists *= 2.0
+        dists = (2.0 * query) @ train.T  # the doubling is exact unless a product is subnormal
         np.subtract(np.sum(query**2, axis=1)[:, None], dists, out=dists)
         dists += train_side[None, :]
         return np.maximum(dists, 0.0, out=dists)
+    dists = query @ train.T
     query_norms = np.linalg.norm(query, axis=1)  # an overflowed norm is NaN: the row is refused
     norms = np.outer(np.where(np.isinf(query_norms), np.nan, query_norms), train_side)
     dists /= np.maximum(norms, 1e-300, out=norms)
     return np.subtract(1.0, dists, out=dists)
 
 
-# Queries whose distances knn_classify holds at once: memory is O(64 x train
-# rows), whatever the number of queries.
-_KNN_BLOCK_ROWS = 64
+# Queries whose distances knn_classify holds at once: memory is O(192 x train
+# rows), whatever the number of queries. Each block's product packs the whole
+# train side again; 10000 x 2000 x 128 products took 0.146 s in 64-row blocks
+# and 0.110 s in 192-row ones (x86-64, OpenBLAS 0.3.31, 1 thread). 256-row
+# blocks would hold more than an eighth of a 4000 x 2000 distance matrix.
+_KNN_BLOCK_ROWS = 192
+# Rows extract_features encodes at once, so one block's layer activations
+# exist at a time: 10000 rows through 784-256-128 took 0.123 s as one matrix
+# and 0.092 s in 1024-row blocks, with equal bytes (same hardware and BLAS).
+_FEATURE_BLOCK_ROWS = 1024
 
 
 def knn_classify(
@@ -103,6 +115,11 @@ def knn_classify(
     """
     train_feats = as_matrix(train_feats, "train features")
     query_feats = as_matrix(query_feats, "query features")
+    if query_feats.shape[1] != train_feats.shape[1]:
+        raise ValueError(
+            f"query features have {query_feats.shape[1]} columns, "
+            f"train features {train_feats.shape[1]}"
+        )
     train_labels = np.asarray(train_labels, dtype=np.int64)
     if train_feats.shape[0] == 0:
         raise ValueError("empty training set")

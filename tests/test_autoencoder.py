@@ -1,5 +1,6 @@
 """Forward passes, the combined objective, and the training loop."""
 
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -334,6 +335,19 @@ def test_nonpositive_or_nan_lr_refused(lr):
     # a NaN lr would train to NaN weights without naming the field
     with pytest.raises(ValueError, match="lr must be positive"):
         toy_config(lr=lr)
+
+
+@pytest.mark.parametrize("sizes", [[8, 2.5], [8, True], [8, "4"], [8.0, 4], [8, 0], [8, -3]])
+def test_non_integer_layer_sizes_refused(sizes):
+    # int() would train [8, 2.5] as [8, 2] and [8, True] as [8, 1]
+    refused = re.escape(f"layer sizes must be positive integers, got {sizes}")
+    with pytest.raises(ValueError, match=refused):
+        toy_config(layer_sizes=sizes)
+
+
+def test_numpy_integer_layer_sizes_become_ints():
+    sizes = toy_config(layer_sizes=[np.int64(8), 4]).layer_sizes
+    assert sizes == [8, 4] and all(type(s) is int for s in sizes)
 
 
 def test_build_model_mirrors_dimensions():

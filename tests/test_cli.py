@@ -202,6 +202,14 @@ def test_gradcheck_command(capsys):
         assert f"case {case} {act} mean/full:" in out
 
 
+@pytest.mark.parametrize("cases", ["0", "-2"])
+def test_gradcheck_refuses_fewer_than_one_case(capsys, cases):
+    # no case probed would print a worst error of 0 and pass
+    with pytest.raises(ValueError, match=f"--cases must be at least 1, got {cases}"):
+        main(["gradcheck", "--cases", cases])
+    assert "OK" not in capsys.readouterr().out
+
+
 def test_gradcheck_refuses_a_case_with_no_conditioned_draw(monkeypatch, capsys):
     monkeypatch.setattr(autoencoder, "fd_margins", lambda *args: (0.0, 0.0))
     with pytest.raises(RuntimeError, match="case 0"):
@@ -289,6 +297,10 @@ def test_misspelled_key_rejected_with_its_path(tmp_path, monkeypatch, user, path
         ({"stack": {"lr": 2}}, None),
         ({"finetune": {"norm_order": 1.5}}, None),
         ({"data": {"per_class_test": None}}, None),
+        ({"stack": {"sizes": [32, 8.7]}}, "stack.sizes"),
+        ({"stack": {"sizes": [32, True]}}, "stack.sizes"),
+        ({"stack": {"sizes": 32}}, "stack.sizes"),
+        ({"stack": {"sizes": [32, 8]}}, None),
     ],
 )
 def test_value_types_checked_at_load_time(tmp_path, monkeypatch, user, refused):

@@ -1,6 +1,7 @@
 """Feature extraction, k-NN against a brute-force oracle, experiments, checkpoints."""
 
 import json
+import math
 import tracemalloc
 import zlib
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from exae import evalharness
-from exae.autoencoder import AEConfig, AEModel, encode, model_parameters
+from exae.autoencoder import AEConfig, AEModel, build_model, encode, model_parameters
 from exae.dataio import Dataset, SplitSpec, synth_gaussian
 from exae.evalharness import (
     CheckpointError,
@@ -25,6 +26,9 @@ from exae.evalharness import (
 )
 from exae.numkit import DenseLayer
 from exae.stacking import StackConfig, assemble, fine_tune, train_stack
+
+B = evalharness._KNN_BLOCK_ROWS  # queries per k-NN block
+FB = evalharness._FEATURE_BLOCK_ROWS  # rows per feature block
 
 
 def identity_stacked(dim):
@@ -92,6 +96,29 @@ class TestExtractFeatures:
         stacked = identity_stacked(4)
         with pytest.raises(ValueError, match="input dim"):
             extract_features(stacked, Dataset(examples=np.zeros((2, 5))))
+
+    @pytest.mark.parametrize("rows", [1, FB - 1, FB, FB + 1, 2 * FB + 1])
+    def test_blocks_equal_whole_matrix_encode(self, rows):
+        # one block short of, at and past the block boundary, and a third block
+        stacked = assemble([build_model(AEConfig(layer_sizes=[12, 9, 5], seed=3))])
+        x = np.random.default_rng(rows).uniform(size=(rows, 12))
+        got = extract_features(stacked, x)
+        assert got.shape == (rows, 5)
+        # rows in input order; bitwise on OpenBLAS, within rounding on any BLAS
+        assert np.allclose(got, encode(stacked.assembled, x), rtol=1e-13, atol=0.0)
+
+    def test_memory_is_per_block(self):
+        stacked = assemble([build_model(AEConfig(layer_sizes=[784, 256, 128], seed=0))])
+        x = np.random.default_rng(0).uniform(size=(8000, 784))
+        output = 8000 * 128 * 8
+        layer_1 = 8000 * 256 * 8  # 16 MB of whole-matrix activations
+        tracemalloc.start()
+        try:
+            extract_features(stacked, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < output + layer_1 / 4, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 def full_sort_knn(train_feats, train_labels, query_feats, k, metric="euclidean"):
@@ -202,7 +229,7 @@ class TestKnnClassify:
         # the lowest-index ties
         train = collapsed_codes(rng, 600)
         labels = rng.integers(0, 3, size=600)
-        queries = collapsed_codes(rng, 140)  # more than two query blocks
+        queries = collapsed_codes(rng, 2 * B + 12)  # more than two query blocks
         got = knn_classify(train, labels, queries, k=k, metric=metric)
         assert np.array_equal(got, full_sort_knn(train, labels, queries, k, metric))
 
@@ -212,6 +239,11 @@ class TestKnnClassify:
         labels = rng.integers(0, 3, size=30)
         got = knn_classify(feats, labels, feats, k=30)
         assert np.array_equal(got, full_sort_knn(feats, labels, feats, 30, "euclidean"))
+
+    def test_feature_width_mismatch_refused(self):
+        labels = np.zeros(5)
+        with pytest.raises(ValueError, match="query features have 2 columns, train features 3"):
+            knn_classify(np.ones((5, 3)), labels, np.ones((4, 2)))
 
     @pytest.mark.parametrize("k", [0, 31])
     def test_k_out_of_range_refused(self, k):
@@ -224,20 +256,21 @@ class TestKnnClassify:
         rng = np.random.default_rng(4)
         train = rng.normal(size=(20, 3))
         labels = rng.integers(0, 3, size=20)
-        queries = rng.normal(size=(70, 3))
+        queries = rng.normal(size=(B + 6, 3))
+        bad_row = B + 2  # in the second block of queries
         for bad in (np.nan, np.inf, -np.inf):
             feats = train.copy()
             feats[7, 1] = bad
             with pytest.raises(ValueError, match="train features .* row 7"):
                 knn_classify(feats, labels, queries, k=3, metric=metric)
             feats = queries.copy()
-            feats[66, 0] = bad  # in the second block of queries
-            with pytest.raises(ValueError, match="query features .* row 66"):
+            feats[bad_row, 0] = bad
+            with pytest.raises(ValueError, match=f"query features .* row {bad_row}"):
                 knn_classify(train, labels, feats, k=3, metric=metric)
         feats = queries.copy()
-        feats[66] = 1e160  # finite, but its squared norm, and so its norm, overflows
+        feats[bad_row] = 1e160  # finite, but its squared norm, and so its norm, overflows
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="non-finite distance for query row 66"):
+            with pytest.raises(ValueError, match=f"non-finite distance for query row {bad_row}"):
                 knn_classify(train, labels, feats, k=3, metric=metric)
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
@@ -253,9 +286,10 @@ class TestKnnClassify:
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     @pytest.mark.parametrize("k", [1, 4, 7])
-    @pytest.mark.parametrize("n_queries", [1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("n_queries", [1, 63, 64, 65, 129, B - 1, B, B + 1, 2 * B + 1])
     def test_query_block_boundaries_match_full_sort(self, n_queries, k, metric):
-        # one block short of, at and past the 64-row boundary, and a third block
+        # counts inside one block, then one block short of, at and past the
+        # block boundary, and a third block
         rng = np.random.default_rng(n_queries + 10 * k)
         train = collapsed_codes(rng, 300, live=0.5)
         labels = rng.integers(0, 4, size=300)
@@ -267,17 +301,17 @@ class TestKnnClassify:
     def test_count_tie_goes_to_smaller_sum_not_lower_label(self):
         feats = np.array([[0.0], [2.0], [10.0], [11.0]])
         labels = np.array([5, 5, 1, 1])
-        queries = np.tile([[1.0]], (70, 1))  # two blocks of the same query
+        queries = np.tile([[1.0]], (B + 6, 1))  # two blocks of the same query
         # 2-2 count tie: label 5 sums 1 + 1, label 1 sums 81 + 100
-        assert knn_classify(feats, labels, queries, k=4).tolist() == [5] * 70
+        assert knn_classify(feats, labels, queries, k=4).tolist() == [5] * (B + 6)
 
     def test_count_and_sum_tie_goes_to_lower_label(self):
         feats = np.array([[-1.0], [1.0], [5.0]])
         labels = np.array([3, 2, 3])
-        queries = np.tile([[0.0]], (65, 1))
+        queries = np.tile([[0.0]], (B + 1, 1))  # two blocks of the same query
         # label 3 comes first (lower index at the same distance), yet 1-1 at sum 1 goes to 2
         got = knn_classify(feats, labels, queries, k=2)
-        assert got.tolist() == [2] * 65
+        assert got.tolist() == [2] * (B + 1)
         assert np.array_equal(got, full_sort_knn(feats, labels, queries, 2))
 
 
@@ -294,6 +328,21 @@ def test_knn_memory_is_per_block_not_full_matrix():
     finally:
         tracemalloc.stop()
     assert peak < full_matrix / 8, f"traced peak {peak / 2**20:.2f} MiB"
+
+
+def test_knn_block_uses_half_its_memory_bound():
+    # each block's product packs the whole train side again: blocks far
+    # narrower than the bound above pay that packing many times over
+    rng = np.random.default_rng(0)
+    train = rng.normal(size=(2000, 16))
+    queries = rng.normal(size=(4000, 16))
+    tracemalloc.start()
+    try:
+        knn_classify(train, rng.integers(0, 10, size=2000), queries, k=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak > 4000 * 2000 * 8 / 16, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 def lexsort_widths(monkeypatch):
@@ -321,7 +370,8 @@ class TestSelectionPaths:
         widths = lexsort_widths(monkeypatch)
         got = knn_classify(train, labels, queries, k=5)
         # the sampled bound leaves a few dozen candidates of 2000 a row
-        assert len(widths) == 10 and max(widths) <= 2 * evalharness._KNN_GATHER_WIDTH, widths
+        assert len(widths) == math.ceil(640 / B), widths  # one lexsort a block
+        assert max(widths) <= 2 * evalharness._KNN_GATHER_WIDTH, widths
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
@@ -335,7 +385,8 @@ class TestSelectionPaths:
         widths = lexsort_widths(monkeypatch)
         got = knn_classify(train, labels, queries, k=k, metric=metric)
         # all-zero rows tie far past the width: only the ties that fit are ranked
-        assert len(widths) == 3 and max(widths) <= evalharness._KNN_GATHER_WIDTH, widths
+        assert len(widths) == math.ceil(140 / B), widths
+        assert max(widths) <= evalharness._KNN_GATHER_WIDTH, widths
         assert np.array_equal(got, want)
 
 
