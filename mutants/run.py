@@ -49,17 +49,24 @@ MUTANTS = [
         f"{EVAL}::test_nearest_equals_full_lexsort_sweep",
     ),
     (
-        "knn-finite-guard-dropped",  # overflowing distances are ranked instead of refused
+        "knn-finite-guard-dropped",  # rows whose distances overflow are ranked instead of refused
         "exae/evalharness.py",
-        "        if not finite.all():\n",
-        "        if False:\n",
+        "    if not ok.all():\n",
+        "    if False:\n",
         f"{EVAL}::TestKnnClassify::test_non_finite_input_refused",
+    ),
+    (
+        "knn-entry-bound-dropped",  # only overflowed sides are refused: a product past max scores 0
+        "exae/evalharness.py",
+        "    ok = side <= KNN_METRICS[metric]\n",
+        "    ok = np.isfinite(side)\n",
+        f"{EVAL}::TestKnnClassify::test_overflowed_product_refused_naming_the_train_row",
     ),
     (
         "knn-full-matrix",  # every block computes the whole queries x train matrix
         "exae/evalharness.py",
-        "        block = _pairwise_dist(query_feats[start:stop], train_feats, metric, train_side)\n",
-        "        block = _pairwise_dist(query_feats, train_feats, metric, train_side)[start:stop]\n",
+        "        block = _pairwise_dist(query, train_feats, metric, query_side[start:stop], train_side)\n",
+        "        block = _pairwise_dist(query_feats, train_feats, metric, query_side, train_side)[start:stop]\n",
         f"{EVAL}::test_knn_memory_is_per_block_not_full_matrix",
     ),
     (
@@ -84,17 +91,18 @@ MUTANTS = [
         f"{EVAL}::TestExtractFeatures::test_memory_is_per_block",
     ),
     (
-        "train-side-guard-dropped",  # an overflowing train row is blamed on a query row, or scored
+        "train-side-guard-dropped",  # an overflowing train row is scored instead of refused
         "exae/evalharness.py",
-        "    if not np.isfinite(side).all():\n",
-        "    if False:\n",
+        '    train_side = _side(train_feats, metric, "train")\n',
+        '    train_side = np.sum(train_feats**2, axis=1) if metric == "euclidean" else '
+        "np.linalg.norm(train_feats, axis=1)\n",
         f"{EVAL}::TestKnnClassify::test_overflowing_train_row_is_named",
     ),
     (
         "cosine-norm-guard-dropped",  # a query whose norm overflows scores cosine 0 against every row
         "exae/evalharness.py",
-        "np.where(np.isinf(query_norms), np.nan, query_norms)",
-        "query_norms",
+        '"cosine": np.sqrt(np.finfo(float).max / 2)',
+        '"cosine": np.inf',
         f"{EVAL}::TestKnnClassify::test_non_finite_input_refused",
     ),
     (
@@ -110,6 +118,13 @@ MUTANTS = [
         "        for i in rows[~certified]:\n",
         "        for i in rows[:0]:\n",
         "tests/test_exclusivity.py::TestBuildContext::test_tie_heavy_table_equals_oracle_through_fallback",
+    ),
+    (
+        "table-norm-unchecked",  # a NaN or overflowing row is ranked in the neighbor table
+        "exae/exclusivity.py",
+        "    if bad.any():\n",
+        "    if False:\n",
+        "tests/test_exclusivity.py::TestBuildContext::test_non_finite_or_overflowing_row_refused",
     ),
     (
         "table-fallback-copies-per-row",  # each fallback row copies the live rows again
@@ -152,6 +167,13 @@ MUTANTS = [
         "        if not all(0 < s < np.inf for s in self.snapshots):\n",
         "        if any(s <= 0 for s in self.snapshots):\n",
         f"{EVAL}::TestCheckpoint::test_malformed_header_rejected",
+    ),
+    (
+        "finetune-norm-order-ignored",  # fine-tuning projects in the model's norm whatever the config says
+        "exae/stacking.py",
+        "    if config.norm_order != stacked.norm_order:",
+        "    if False:",
+        "tests/test_stacking.py::TestFineTune::test_norm_order_other_than_the_models_refused",
     ),
     (
         "norm-order-defaulted",  # a header without norm_order loads as p=2

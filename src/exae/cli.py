@@ -230,8 +230,8 @@ def cmd_finetune(cfg: dict, args) -> int:
     stacked = load_checkpoint(args.checkpoint)
     train_set, _ = _train_test(cfg)
     stack_cfg = stack_config_from(cfg, train_set.dim)
+    stacked, history = fine_tune(stacked, train_set.examples, stack_cfg)  # refuses another norm_order
     out = _out_dir(cfg)
-    stacked, history = fine_tune(stacked, train_set.examples, stack_cfg)
     save_checkpoint(stacked, out / "finetuned.ckpt", config=cfg)
     record = MetricsRecord(trial=0, pretrain=[], finetune=history, accuracy=None, seconds=0.0)
     write_metrics([record], out / "finetune-metrics.csv")
@@ -287,31 +287,24 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="path to a JSON config file", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("synth", help="write a synthetic Gaussian-blob fixture as IDX files")
-    sub.add_parser("train", help="train a single autoencoder level")
-    sub.add_parser("stack", help="pretrain all levels and assemble the deep model")
+    sub.add_parser("synth", help="write a synthetic Gaussian-blob fixture as IDX files").set_defaults(run=cmd_synth)
+    sub.add_parser("train", help="train a single autoencoder level").set_defaults(run=cmd_train)
+    sub.add_parser("stack", help="pretrain all levels and assemble the deep model").set_defaults(run=cmd_stack)
     p = sub.add_parser("finetune", help="fine-tune an assembled checkpoint under the norm band")
     p.add_argument("checkpoint")
+    p.set_defaults(run=cmd_finetune)
     p = sub.add_parser("eval", help="extract features from a checkpoint and run k-NN")
     p.add_argument("checkpoint")
-    sub.add_parser("experiment", help="run the full repeated-trial protocol")
+    p.set_defaults(run=cmd_eval)
+    sub.add_parser("experiment", help="run the full repeated-trial protocol").set_defaults(run=cmd_experiment)
     p = sub.add_parser("gradcheck", help="finite-difference check of the full objective")
     p.add_argument("--cases", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=1e-4)
+    p.set_defaults(run=cmd_gradcheck)
 
     args = parser.parse_args(argv)
-    cfg = load_config(args.config)
-    handlers = {
-        "synth": cmd_synth,
-        "train": cmd_train,
-        "stack": cmd_stack,
-        "finetune": cmd_finetune,
-        "eval": cmd_eval,
-        "experiment": cmd_experiment,
-        "gradcheck": cmd_gradcheck,
-    }
-    return handlers[args.command](cfg, args)
+    return args.run(load_config(args.config), args)
 
 
 if __name__ == "__main__":

@@ -29,7 +29,9 @@ from .stacking import FinetuneEpoch, StackConfig, StackedModel, fine_tune, train
 CHECKPOINT_MAGIC = b"EXAECKPT"
 CHECKPOINT_VERSION = 1
 
-KNN_METRICS = ("euclidean", "cosine")
+# Each k-NN metric and the largest row side knn_classify accepts for it: as
+# |q.t| <= |q||t|, no product, sum or quotient in _pairwise_dist can then overflow.
+KNN_METRICS = {"euclidean": np.finfo(float).max / 8, "cosine": np.sqrt(np.finfo(float).max / 2)}
 
 
 class CheckpointError(ValueError):
@@ -52,32 +54,30 @@ def extract_features(stacked: StackedModel, dataset) -> Matrix:
     return features
 
 
-def _train_side(train: Matrix, metric: str) -> np.ndarray:
-    """sum(train**2, axis=1) for euclidean, norm(train, axis=1) for cosine; refuses an overflow."""
-    if metric not in KNN_METRICS:
-        raise ValueError(f"metric must be one of {KNN_METRICS}, got {metric!r}")
-    side = np.sum(train**2, axis=1) if metric == "euclidean" else np.linalg.norm(train, axis=1)
-    if not np.isfinite(side).all():
-        raise ValueError(f"non-finite distance for train row {np.argmin(np.isfinite(side))}")
+def _side(feats: Matrix, metric: str, name: str) -> np.ndarray:
+    """Row sums of squares (euclidean) or norms (cosine); refuses a row past KNN_METRICS[metric]."""
+    side = np.sum(feats**2, axis=1) if metric == "euclidean" else np.linalg.norm(feats, axis=1)
+    ok = side <= KNN_METRICS[metric]
+    if not ok.all():
+        raise ValueError(f"non-finite distance for {name} row {np.argmin(ok)}")
     return side
 
 
-def _pairwise_dist(query: Matrix, train: Matrix, metric: str, train_side: np.ndarray) -> Matrix:
+def _pairwise_dist(query: Matrix, train: Matrix, metric: str, query_side, train_side) -> Matrix:
     """(queries x train) distances, computed in place in the product matrix.
 
     euclidean is max(|q|^2 - 2 q.t + |t|^2, 0) and cosine is 1 - q.t /
     max(|q||t|, 1e-300), each operation applied in that order, so the
     values are those of the plain expressions without their full-size
-    temporaries. train_side is _train_side(train, metric).
+    temporaries. The sides are _side(query, ...) and _side(train, ...).
     """
     if metric == "euclidean":
         dists = (2.0 * query) @ train.T  # the doubling is exact unless a product is subnormal
-        np.subtract(np.sum(query**2, axis=1)[:, None], dists, out=dists)
+        np.subtract(query_side[:, None], dists, out=dists)
         dists += train_side[None, :]
         return np.maximum(dists, 0.0, out=dists)
     dists = query @ train.T
-    query_norms = np.linalg.norm(query, axis=1)  # an overflowed norm is NaN: the row is refused
-    norms = np.outer(np.where(np.isinf(query_norms), np.nan, query_norms), train_side)
+    norms = np.outer(query_side, train_side)
     dists /= np.maximum(norms, 1e-300, out=norms)
     return np.subtract(1.0, dists, out=dists)
 
@@ -105,8 +105,8 @@ def knn_classify(
 
     Distance ties go to the lower training index. Vote ties go to the
     label with the smaller summed distance, then to the lower label.
-    Non-finite features, and finite ones whose distances overflow, raise
-    ValueError naming the row.
+    Non-finite features, and rows past the metric's KNN_METRICS bound
+    (train rows first), raise ValueError naming the row: no distance overflows.
 
     Selection, per block of queries whose distances are computed, ranked
     and dropped in turn, gives the same neighbors, in the same order, as a
@@ -128,15 +128,16 @@ def knn_classify(
     if not 1 <= k <= train_feats.shape[0]:
         raise ValueError(f"k={k} out of range for {train_feats.shape[0]} training rows")
 
-    train_side = _train_side(train_feats, metric)
+    if metric not in KNN_METRICS:
+        raise ValueError(f"metric must be one of {tuple(KNN_METRICS)}, got {metric!r}")
+    train_side = _side(train_feats, metric, "train")
+    query_side = _side(query_feats, metric, "query")
     labels, codes = np.unique(train_labels, return_inverse=True)
     predictions = np.empty(query_feats.shape[0], dtype=np.int64)
     for start in range(0, query_feats.shape[0], _KNN_BLOCK_ROWS):
         stop = min(start + _KNN_BLOCK_ROWS, query_feats.shape[0])
-        block = _pairwise_dist(query_feats[start:stop], train_feats, metric, train_side)
-        finite = np.isfinite(block).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"non-finite distance for query row {start + np.argmin(finite)}")
+        query = query_feats[start:stop]
+        block = _pairwise_dist(query, train_feats, metric, query_side[start:stop], train_side)
         top = _nearest(block, k)
         votes = _majority(codes[top], np.take_along_axis(block, top, axis=1), len(labels))
         predictions[start:stop] = labels[votes]
@@ -289,7 +290,7 @@ class ExperimentConfig:
         if self.knn_k < 1:
             raise ValueError("knn_k must be >= 1")
         if self.metric not in KNN_METRICS:
-            raise ValueError(f"metric must be one of {KNN_METRICS}")
+            raise ValueError(f"metric must be one of {tuple(KNN_METRICS)}")
 
 
 @dataclass

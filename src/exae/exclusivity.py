@@ -171,6 +171,9 @@ def build_context(dataset: Matrix, m: int) -> ExclusivityContext:
     if not 1 <= m <= n - 1:
         raise ValueError(f"m={m} out of range for {n} rows, need 1 <= m <= n-1 = {n - 1}")
     norms = _row_norms(dataset)
+    bad = ~(norms <= np.sqrt(np.finfo(float).max / 2))  # NaN, or a norm whose cosines could overflow
+    if bad.any():
+        raise ValueError(f"row {np.argmax(bad)} has norm {norms[np.argmax(bad)]}, past sqrt(max/2)")
     zero = norms == 0.0
     divisors = np.where(zero, 1.0, norms)  # zero-norm pairs are set to -1 below
     ranks = min(m + 1, n - 1)

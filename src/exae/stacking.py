@@ -190,6 +190,8 @@ def fine_tune(stacked: StackedModel, dataset: Matrix, config: StackConfig):
     After every epoch each layer is projected back into its band (biases
     are not constrained). Returns (stacked, history of FinetuneEpoch).
     """
+    if config.norm_order != stacked.norm_order:  # the snapshots were taken in the model's norm
+        raise ValueError(f"norm_order {config.norm_order} is not the model's {stacked.norm_order}")
     model = stacked.assembled
     data = training_rows(model, dataset)
     # the phase config: level 1's loss settings at the fine-tune weight and schedule

@@ -1,7 +1,10 @@
 """End-to-end runs of every CLI subcommand on tiny synthetic configs."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +149,20 @@ def test_train_stack_finetune_eval_pipeline(tmp_path, capsys):
     assert main(["--config", str(path), "eval", str(out / "finetuned.ckpt")]) == 0
     captured = capsys.readouterr()
     assert "accuracy:" in captured.out
+
+
+def test_finetune_refuses_a_norm_order_other_than_the_checkpoints(tmp_path):
+    out = tmp_path / "out"
+    assert main(["--config", str(tiny_config(tmp_path)), "stack"]) == 0  # p = 2
+    other = tiny_config(tmp_path, finetune={"norm_order": 1}, output={"dir": str(tmp_path / "tuned")})
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-m", "exae.cli", "--config", str(other), "finetune", str(out / "stack.ckpt")],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode != 0
+    assert "ValueError: norm_order 1 is not the model's 2" in done.stderr
+    assert not (tmp_path / "tuned").exists()  # refused before the output directory is made
 
 
 def test_experiment_command(tmp_path, capsys):

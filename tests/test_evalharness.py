@@ -14,7 +14,7 @@ from exae.dataio import Dataset, SplitSpec, synth_gaussian
 from exae.evalharness import (
     CheckpointError,
     _pairwise_dist,
-    _train_side,
+    _side,
     DataSpec,
     ExperimentConfig,
     accuracy,
@@ -124,7 +124,9 @@ class TestExtractFeatures:
 def full_sort_knn(train_feats, train_labels, query_feats, k, metric="euclidean"):
     """Reference selection: a full lexsort of every distance per query, on the
     distances knn_classify computes, then the documented vote."""
-    dists = _pairwise_dist(query_feats, train_feats, metric, _train_side(train_feats, metric))
+    dists = _pairwise_dist(
+        query_feats, train_feats, metric, _side(query_feats, metric, "query"), _side(train_feats, metric, "train")
+    )
     out = []
     for q in range(len(query_feats)):
         order = np.lexsort((np.arange(len(train_feats)), dists[q]))
@@ -163,7 +165,7 @@ def test_pairwise_dist_bitwise_equal_to_expressions(metric):
     train = collapsed_codes(rng, 300, dim=16, live=0.7)
     queries = collapsed_codes(rng, 70, dim=16, live=0.7)
     queries[3] = train[8]
-    got = _pairwise_dist(queries, train, metric, _train_side(train, metric))
+    got = _pairwise_dist(queries, train, metric, _side(queries, metric, "query"), _side(train, metric, "train"))
     assert got.tobytes() == expression_dist(queries, train, metric).tobytes()
 
 
@@ -283,6 +285,56 @@ class TestKnnClassify:
             with pytest.raises(ValueError, match="non-finite distance for train row 5") as err:
                 knn_classify(train, labels, rng.normal(size=(70, 3)), k=3, metric=metric)
         assert "query" not in str(err.value)
+
+    def test_overflowed_product_refused_naming_the_train_row(self):
+        # both sides are finite, but 2 q.t is past the largest float64: the
+        # clamp would read the overflowed distance of the first query as 0
+        train = np.array([[1.3e154, 0.0], [0.0, 1.0]])
+        for query in ([[1.287e154, 0.0]], [[-1.287e154, 0.0]]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(ValueError, match="non-finite distance for train row 0$"):
+                    knn_classify(train, [0, 1], np.array(query), k=1)
+
+    def test_train_row_just_past_max_over_8_is_refused(self):
+        rng = np.random.default_rng(6)
+        train = rng.normal(size=(20, 3))
+        labels = rng.integers(0, 3, size=20)
+        queries = rng.normal(size=(5, 3))
+        edge = np.sqrt(np.finfo(float).max / 8)  # the squared norm the euclidean bound allows
+        train[9] = [edge * (1 - 1e-12), 0.0, 0.0]
+        got = knn_classify(train, labels, queries, k=3)
+        assert np.array_equal(got, full_sort_knn(train, labels, queries, 3))
+        train[9, 0] = edge * (1 + 1e-12)  # no distance overflows, but one could
+        with pytest.raises(ValueError, match="non-finite distance for train row 9$"):
+            knn_classify(train, labels, queries, k=3)
+
+    def test_cosine_query_row_just_past_root_half_max_is_refused(self):
+        rng = np.random.default_rng(7)
+        train = rng.normal(size=(20, 3))
+        labels = rng.integers(0, 3, size=20)
+        queries = rng.normal(size=(B + 6, 3))
+        bad_row = B + 2  # in the second block of queries
+        edge = np.sqrt(np.finfo(float).max / 2)  # the norm the cosine bound allows
+        queries[bad_row] = [edge * (1 - 1e-12), 0.0, 0.0]
+        got = knn_classify(train, labels, queries, k=3, metric="cosine")
+        assert np.array_equal(got, full_sort_knn(train, labels, queries, 3, "cosine"))
+        queries[bad_row, 0] = edge * (1 + 1e-12)
+        with pytest.raises(ValueError, match=f"non-finite distance for query row {bad_row}$"):
+            knn_classify(train, labels, queries, k=3, metric="cosine")
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("k", [1, 4, 7])
+    def test_all_zero_train_codes_are_ranked_by_index(self, metric, k):
+        # a collapsed arm's codes: every train side is 0, so each query's
+        # distances all tie and its neighbors are the first k train rows
+        rng = np.random.default_rng(k)
+        train = np.zeros((40, 8))
+        labels = rng.integers(0, 3, size=40)
+        queries = collapsed_codes(rng, B + 5)
+        got = knn_classify(train, labels, queries, k=k, metric=metric)
+        assert np.array_equal(got, full_sort_knn(train, labels, queries, k, metric))
+        values, counts = np.unique(labels[:k], return_counts=True)
+        assert got.tolist() == [values[np.argmax(counts)]] * (B + 5)  # count, then lower label
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     @pytest.mark.parametrize("k", [1, 4, 7])

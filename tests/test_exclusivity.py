@@ -223,6 +223,22 @@ class TestBuildContext:
         with pytest.raises(ValueError, match="at least 2"):
             build_context(np.array([[1.0]]), 1)
 
+    def test_non_finite_or_overflowing_row_refused(self):
+        rows = np.random.default_rng(8).normal(size=(6, 3))
+        rows[1, 2] = np.nan
+        with pytest.raises(ValueError, match="row 1 has norm nan"):
+            build_context(rows, 2)
+        rows[1, 2] = 0.0
+        edge = np.sqrt(np.finfo(float).max / 2)  # past it a row's cosine products could overflow
+        rows[4] = [edge * (1 - 1e-12), 0.0, 0.0]
+        assert build_context(rows, 2).neighbors.tolist() == [brute_top_m(rows, i, 2) for i in range(6)]
+        rows[4, 0] = edge * (1 + 1e-12)
+        with pytest.raises(ValueError, match="row 4 has norm"):
+            build_context(rows, 2)
+        rows[4] = 1e160  # finite, as training_rows accepts it, but its norm overflows
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="row 4 has norm inf"):
+            build_context(rows, 2)
+
     def test_toy_table_matches_per_row_brute_force(self):
         data = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]])
         ctx = build_context(data, 1)

@@ -277,6 +277,14 @@ class TestFineTune:
         for w, l in zip(before, stacked.assembled.layers):
             assert np.array_equal(w, l.weight)
 
+    def test_norm_order_other_than_the_models_refused(self):
+        # the snapshots were taken in the model's norm: a band in another norm means nothing
+        data = toy_rows(7)
+        stacked, _ = train_stack(stack_cfg(), data)
+        assert stacked.norm_order == 2
+        with pytest.raises(ValueError, match="norm_order 1 is not the model's 2"):
+            fine_tune(stacked, data, stack_cfg(norm_order=1))
+
     def test_fewer_rows_than_neighbors_at_weight_zero(self):
         # no neighbor table at weight 0, so train's row minimum does not apply
         cfg = stack_cfg(finetune_epochs=2)
