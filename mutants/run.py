@@ -106,6 +106,13 @@ MUTANTS = [
         f"{EVAL}::TestKnnClassify::test_non_finite_input_refused",
     ),
     (
+        "cosine-underflow-ranked",  # a nonzero row whose norm underflows is ranked by its raw products
+        "exae/evalharness.py",
+        '    if metric == "cosine":\n',
+        "    if False:\n",
+        f"{EVAL}::TestKnnClassify::test_cosine_row_whose_norm_underflows_is_refused",
+    ),
+    (
         "vote-sum-tie-break",  # count ties go to the lower label
         "exae/evalharness.py",
         "    return np.argmax(top & (sums == least), axis=1)\n",
@@ -127,11 +134,12 @@ MUTANTS = [
         "tests/test_exclusivity.py::TestBuildContext::test_non_finite_or_overflowing_row_refused",
     ),
     (
-        "table-fallback-copies-per-row",  # each fallback row copies the live rows again
+        "oracle-copies-nonzero-rows",  # each oracle call copies the nonzero rows to rank against
         "exae/exclusivity.py",
-        "-_cosine_to_row(dataset, i, norms, live)",
-        "-_cosine_to_row(dataset, i, norms)",
-        "tests/test_exclusivity.py::TestBuildContext::test_fallback_rows_share_one_copy_of_the_live_rows",
+        "    sims = (np.ascontiguousarray(dataset) @ dataset[j]) / np.where(zero, 1.0, norms * norms[j])\n",
+        "    nonzero, sims = norms > 0.0, np.full(dataset.shape[0], -1.0)\n"
+        "    sims[nonzero] = (dataset[nonzero] @ dataset[j]) / np.where(zero, 1.0, norms * norms[j])[nonzero]\n",
+        "tests/test_exclusivity.py::TestBuildContext::test_fallback_copies_no_rows",
     ),
     (
         "norms-whole-dataset",  # the row norms square the whole dataset at once
@@ -139,13 +147,6 @@ MUTANTS = [
         "    return np.concatenate([np.linalg.norm(dataset[s : s + _TABLE_BLOCK_ROWS], axis=1) for s in starts])\n",
         "    return np.linalg.norm(dataset, axis=1)\n",
         "tests/test_exclusivity.py::TestBuildContext::test_table_memory_is_per_block",
-    ),
-    (
-        "oracle-copies-rows",  # the oracle copies the rows even when none has zero norm
-        "exae/exclusivity.py",
-        "    return np.ascontiguousarray(dataset) if nonzero.all() else dataset[nonzero]\n",
-        "    return dataset[nonzero]\n",
-        "tests/test_exclusivity.py::test_oracle_ranks_without_copying_the_rows",
     ),
     (
         "peer-mean-drops-last",  # each row's peer mean leaves out its last neighbor
@@ -167,6 +168,13 @@ MUTANTS = [
         "        if not all(0 < s < np.inf for s in self.snapshots):\n",
         "        if any(s <= 0 for s in self.snapshots):\n",
         f"{EVAL}::TestCheckpoint::test_malformed_header_rejected",
+    ),
+    (
+        "finetune-key-unnamed",  # a bad finetune value is refused under the AEConfig field name
+        "exae/stacking.py",
+        '            raise ValueError(f"finetune.{err}") from None\n',
+        "            raise\n",
+        "tests/test_stacking.py::test_invalid_config_rejected",
     ),
     (
         "finetune-norm-order-ignored",  # fine-tuning projects in the model's norm whatever the config says

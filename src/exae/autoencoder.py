@@ -276,7 +276,7 @@ def grad_check_objective(model: AEModel, config: AEConfig, ctx, dataset: Matrix,
         h = encode(model, x)
         la, _ = recon_loss(x, decode(model, h), config.loss_reduction)
         res = excl.exclusivity_loss(h, frozen_het, frozen_hom, reduction=config.loss_reduction)
-        return la + config.excl_weight * res.excl, flat
+        return LossBreakdown(la, res.hetero_sim, res.homo_sim, config.excl_weight).total, flat
 
     return frozen_fn
 

@@ -55,11 +55,20 @@ def extract_features(stacked: StackedModel, dataset) -> Matrix:
 
 
 def _side(feats: Matrix, metric: str, name: str) -> np.ndarray:
-    """Row sums of squares (euclidean) or norms (cosine); refuses a row past KNN_METRICS[metric]."""
-    side = np.sum(feats**2, axis=1) if metric == "euclidean" else np.linalg.norm(feats, axis=1)
+    """Row sums of squares (euclidean) or norms (cosine). Refuses, naming it, a row past
+    KNN_METRICS[metric], and for cosine a row not all zero whose norm is below 1e-150:
+    two nonzero norms then multiply to at least 1e-300, the floor _pairwise_dist clamps to."""
+    with np.errstate(over="ignore"):  # an overflowed side is inf, which the bound refuses
+        side = np.sum(feats**2, axis=1) if metric == "euclidean" else np.linalg.norm(feats, axis=1)
     ok = side <= KNN_METRICS[metric]
     if not ok.all():
-        raise ValueError(f"non-finite distance for {name} row {np.argmin(ok)}")
+        what, bound = ("squared norm", "max/8") if metric == "euclidean" else ("norm", "sqrt(max/2)")
+        r = np.argmin(ok)
+        raise ValueError(f"{name} row {r} is past the {metric} bound: {what} {side[r]:.3g} > {bound}")
+    if metric == "cosine":
+        tiny = (side < 1e-150) & feats.any(axis=1)  # an underflowed norm reads 0 for a nonzero row
+        if tiny.any():
+            raise ValueError(f"{name} row {np.argmax(tiny)} is not all zero but its norm is below 1e-150")
     return side
 
 

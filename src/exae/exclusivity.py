@@ -44,7 +44,6 @@ class ExclusivityContext:
 class ExclusivityLossResult:
     hetero_sim: float  # batch reduction of cos terms against exclude-one means
     homo_sim: float  # batch reduction of cos terms against peer means
-    excl: float  # hetero_sim + (1 - homo_sim)
     grad_latent: Matrix
     grad_hetero: Matrix
     grad_homo: Matrix
@@ -98,27 +97,12 @@ def _row_norms(dataset: Matrix) -> np.ndarray:
     return np.concatenate([np.linalg.norm(dataset[s : s + _TABLE_BLOCK_ROWS], axis=1) for s in starts])
 
 
-def _live_rows(dataset: Matrix, norms: np.ndarray) -> Matrix:
-    """dataset[norms > 0.0], the rows _cosine_to_row ranks against; with no zero-norm row, the
-    same contents and C layout as np.ascontiguousarray(dataset), no copy if C-ordered."""
-    nonzero = norms > 0.0
-    return np.ascontiguousarray(dataset) if nonzero.all() else dataset[nonzero]
-
-
-def _cosine_to_row(
-    dataset: Matrix, j: int, norms: np.ndarray | None = None, live: Matrix | None = None
-) -> np.ndarray:
-    """Cosine similarity of row j to every row; pairs with a zero-norm side get -1.
-
-    live is _live_rows(dataset, norms), which a caller ranking many rows takes once.
-    """
-    norms = _row_norms(dataset) if norms is None else norms
-    sims = np.full(dataset.shape[0], -1.0)
-    if norms[j] > 0.0:
-        nonzero = norms > 0.0
-        if live is None:
-            live = _live_rows(dataset, norms)
-        sims[nonzero] = (live @ dataset[j]) / (norms[nonzero] * norms[j])
+def _cosine_to_row(dataset: Matrix, j: int, norms: np.ndarray) -> np.ndarray:
+    """Cosine similarity of row j to every row, norms being _row_norms(dataset): one
+    product over all rows (no copy if C-ordered); pairs with a zero-norm side get -1."""
+    zero = (norms == 0.0) | (norms[j] == 0.0)
+    sims = (np.ascontiguousarray(dataset) @ dataset[j]) / np.where(zero, 1.0, norms * norms[j])
+    sims[zero] = -1.0
     return sims
 
 
@@ -139,7 +123,7 @@ def top_m_neighbors(dataset: Matrix, j: int, m: int) -> list:
         raise ValueError(f"row index {j} out of range for {n} rows")
     if not 1 <= m <= n - 1:
         raise ValueError(f"m={m} out of range for {n} rows, need 1 <= m <= n-1 = {n - 1}")
-    return _rank_neighbors(_cosine_to_row(dataset, j), j, m)
+    return _rank_neighbors(_cosine_to_row(dataset, j, _row_norms(dataset)), j, m)
 
 
 def build_context(dataset: Matrix, m: int) -> ExclusivityContext:
@@ -170,7 +154,8 @@ def build_context(dataset: Matrix, m: int) -> ExclusivityContext:
         raise ValueError(f"need at least 2 rows, have {n}")
     if not 1 <= m <= n - 1:
         raise ValueError(f"m={m} out of range for {n} rows, need 1 <= m <= n-1 = {n - 1}")
-    norms = _row_norms(dataset)
+    with np.errstate(over="ignore"):  # an overflowed norm is inf, which the check below refuses
+        norms = _row_norms(dataset)
     bad = ~(norms <= np.sqrt(np.finfo(float).max / 2))  # NaN, or a norm whose cosines could overflow
     if bad.any():
         raise ValueError(f"row {np.argmax(bad)} has norm {norms[np.argmax(bad)]}, past sqrt(max/2)")
@@ -179,7 +164,6 @@ def build_context(dataset: Matrix, m: int) -> ExclusivityContext:
     ranks = min(m + 1, n - 1)
     bound = 2.0 * (d + 4) * np.finfo(np.float64).eps
     table = np.empty((n, m), dtype=np.int64)
-    live = None  # the oracle's nonzero rows, taken once for every fallback row
     for start in range(0, n, _TABLE_BLOCK_ROWS):
         stop = min(start + _TABLE_BLOCK_ROWS, n)
         rows = np.arange(start, stop)
@@ -199,9 +183,7 @@ def build_context(dataset: Matrix, m: int) -> ExclusivityContext:
             certified &= best_sims[:, m] > -1.0
         table[start:stop] = best[:, :m]
         for i in rows[~certified]:
-            if live is None:
-                live = _live_rows(dataset, norms)
-            order = np.lexsort((np.arange(n), -_cosine_to_row(dataset, i, norms, live)))
+            order = np.lexsort((np.arange(n), -_cosine_to_row(dataset, i, norms)))
             table[i] = order[order != i][:m]
     return ExclusivityContext(row_sum=dataset.sum(axis=0), count=n, neighbors=table)
 
@@ -237,12 +219,9 @@ def exclusivity_loss(
     div = latent.shape[0] if reduction == "mean" else 1
     s1, g1_u, g1_h = _clamped_cosine_batch(enc_hetero, latent, eps)
     s2, g2_u, g2_h = _clamped_cosine_batch(enc_homo, latent, eps)
-    hetero_sim = float(s1.sum() / div)
-    homo_sim = float(s2.sum() / div)
     return ExclusivityLossResult(
-        hetero_sim=hetero_sim,
-        homo_sim=homo_sim,
-        excl=hetero_sim + (1.0 - homo_sim),
+        hetero_sim=float(s1.sum() / div),
+        homo_sim=float(s2.sum() / div),
         grad_latent=(g1_h - g2_h) / div,
         grad_hetero=g1_u / div,
         grad_homo=-g2_u / div,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autoencoder import AEModel, LossBreakdown, build_model, encode, sgd_epochs, train, training_rows
+from .autoencoder import AEConfig, AEModel, LossBreakdown, build_model, encode, sgd_epochs, train, training_rows
 from .numkit import Matrix
 
 # Unused here, but perfbench/tracing.py patches these names on this module.
@@ -54,16 +54,19 @@ class StackConfig:
             raise ValueError(f"band must be >= 0, got {self.band}")
         if not self.norm_order >= 1:  # an order-0 "norm" counts nonzeros: no rescale moves it
             raise ValueError(f"norm_order must be >= 1, got {self.norm_order}")
-        if self.finetune_epochs < 0:
-            raise ValueError("finetune_epochs must be >= 0")
-        if not self.finetune_lr > 0:
-            raise ValueError("finetune_lr must be positive")
-        if self.finetune_batch_size < 1:
-            raise ValueError("finetune_batch_size must be >= 1")
-        if not self.finetune_excl_weight >= 0:
-            raise ValueError(f"finetune_excl_weight must be >= 0, got {self.finetune_excl_weight}")
-        if self.finetune_neighbors < 1:
-            raise ValueError(f"finetune_neighbors must be >= 1, got {self.finetune_neighbors}")
+        self.finetune  # AEConfig's checks refuse a bad finetune_* value here, before any pretraining
+
+    @property
+    def finetune(self) -> AEConfig:
+        """The fine-tune phase: level 1's AEConfig at the finetune_* values."""
+        try:
+            return replace(
+                self.levels[0], excl_weight=self.finetune_excl_weight, n_neighbors=self.finetune_neighbors,
+                lr=self.finetune_lr, epochs=self.finetune_epochs, batch_size=self.finetune_batch_size,
+                seed=self.finetune_seed,
+            )
+        except ValueError as err:  # AEConfig's message names its field, the finetune section's key
+            raise ValueError(f"finetune.{err}") from None
 
     @property
     def n_levels(self) -> int:
@@ -193,13 +196,6 @@ def fine_tune(stacked: StackedModel, dataset: Matrix, config: StackConfig):
     if config.norm_order != stacked.norm_order:  # the snapshots were taken in the model's norm
         raise ValueError(f"norm_order {config.norm_order} is not the model's {stacked.norm_order}")
     model = stacked.assembled
-    data = training_rows(model, dataset)
-    # the phase config: level 1's loss settings at the fine-tune weight and schedule
-    phase = replace(
-        config.levels[0], excl_weight=config.finetune_excl_weight, n_neighbors=config.finetune_neighbors,
-        lr=config.finetune_lr, epochs=config.finetune_epochs, batch_size=config.finetune_batch_size,
-        seed=config.finetune_seed,
-    )
-    epochs = sgd_epochs(model, phase, data)
+    epochs = sgd_epochs(model, config.finetune, training_rows(model, dataset))
     history = [FinetuneEpoch(loss=loss, ratios=_project_all(stacked, config.band)) for loss in epochs]
     return stacked, history

@@ -165,6 +165,14 @@ def test_finetune_refuses_a_norm_order_other_than_the_checkpoints(tmp_path):
     assert not (tmp_path / "tuned").exists()  # refused before the output directory is made
 
 
+@pytest.mark.parametrize("command", ["stack", "experiment"])
+def test_bad_finetune_value_refused_under_its_config_key_before_pretraining(tmp_path, command):
+    path = tiny_config(tmp_path, finetune={"lr": 0})
+    with pytest.raises(ValueError, match=r"^finetune\.lr must be positive, got 0$"):
+        main(["--config", str(path), command])
+    assert not (tmp_path / "out").exists()
+
+
 def test_experiment_command(tmp_path, capsys):
     path = tiny_config(tmp_path)
     assert main(["--config", str(path), "experiment"]) == 0

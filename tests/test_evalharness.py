@@ -271,9 +271,8 @@ class TestKnnClassify:
                 knn_classify(train, labels, feats, k=3, metric=metric)
         feats = queries.copy()
         feats[bad_row] = 1e160  # finite, but its squared norm, and so its norm, overflows
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match=f"non-finite distance for query row {bad_row}"):
-                knn_classify(train, labels, feats, k=3, metric=metric)
+        with pytest.raises(ValueError, match=f"query row {bad_row} is past the {metric} bound: .*inf > "):
+            knn_classify(train, labels, feats, k=3, metric=metric)
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     def test_overflowing_train_row_is_named(self, metric):
@@ -281,9 +280,8 @@ class TestKnnClassify:
         train = rng.normal(size=(20, 3))
         train[5] = 1e160  # finite, but its squared norm overflows
         labels = rng.integers(0, 3, size=20)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="non-finite distance for train row 5") as err:
-                knn_classify(train, labels, rng.normal(size=(70, 3)), k=3, metric=metric)
+        with pytest.raises(ValueError, match=f"train row 5 is past the {metric} bound") as err:
+            knn_classify(train, labels, rng.normal(size=(70, 3)), k=3, metric=metric)
         assert "query" not in str(err.value)
 
     def test_overflowed_product_refused_naming_the_train_row(self):
@@ -291,9 +289,9 @@ class TestKnnClassify:
         # clamp would read the overflowed distance of the first query as 0
         train = np.array([[1.3e154, 0.0], [0.0, 1.0]])
         for query in ([[1.287e154, 0.0]], [[-1.287e154, 0.0]]):
-            with np.errstate(over="ignore", invalid="ignore"):
-                with pytest.raises(ValueError, match="non-finite distance for train row 0$"):
-                    knn_classify(train, [0, 1], np.array(query), k=1)
+            message = r"^train row 0 is past the euclidean bound: squared norm 1\.69e\+308 > max/8$"
+            with pytest.raises(ValueError, match=message):
+                knn_classify(train, [0, 1], np.array(query), k=1)
 
     def test_train_row_just_past_max_over_8_is_refused(self):
         rng = np.random.default_rng(6)
@@ -305,7 +303,7 @@ class TestKnnClassify:
         got = knn_classify(train, labels, queries, k=3)
         assert np.array_equal(got, full_sort_knn(train, labels, queries, 3))
         train[9, 0] = edge * (1 + 1e-12)  # no distance overflows, but one could
-        with pytest.raises(ValueError, match="non-finite distance for train row 9$"):
+        with pytest.raises(ValueError, match="train row 9 is past the euclidean bound: .* > max/8$"):
             knn_classify(train, labels, queries, k=3)
 
     def test_cosine_query_row_just_past_root_half_max_is_refused(self):
@@ -319,8 +317,21 @@ class TestKnnClassify:
         got = knn_classify(train, labels, queries, k=3, metric="cosine")
         assert np.array_equal(got, full_sort_knn(train, labels, queries, 3, "cosine"))
         queries[bad_row, 0] = edge * (1 + 1e-12)
-        with pytest.raises(ValueError, match=f"non-finite distance for query row {bad_row}$"):
+        with pytest.raises(ValueError, match=rf"query row {bad_row} is past the cosine bound: .* > sqrt\(max/2\)$"):
             knn_classify(train, labels, queries, k=3, metric="cosine")
+
+    def test_cosine_row_whose_norm_underflows_is_refused(self):
+        # the norm of [1e-170, 2e-170] underflows to 0, and ranking by the raw
+        # product would give label 2; scaled by 1e160 its true nearest is label 1
+        train = np.array([[1.0, 0.0], [0.0, 1.0], [30.0, 0.1]])
+        query = np.array([[1e-170, 2e-170]])
+        assert knn_classify(train, [0, 1, 2], query * 1e160, k=1, metric="cosine").tolist() == [1]
+        with pytest.raises(ValueError, match="^query row 0 is not all zero but its norm is below 1e-150$"):
+            knn_classify(train, [0, 1, 2], query, k=1, metric="cosine")
+        with pytest.raises(ValueError, match="^train row 2 is not all zero"):
+            knn_classify(np.vstack([train[:2], query]), [0, 1, 2], train, k=1, metric="cosine")
+        edge = np.array([[2e-150, 0.0]])  # at the floor's scale, still ranked by cosine
+        assert knn_classify(train, [0, 1, 2], edge, k=1, metric="cosine").tolist() == [0]
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     @pytest.mark.parametrize("k", [1, 4, 7])

@@ -331,18 +331,20 @@ def test_single_level_stack_with_zero_finetune_equals_plain_training():
     "kwargs,message",
     [
         (dict(levels=[level_cfg([8, 4]), level_cfg([5, 2])]), "does not match"),
-        (dict(levels=[level_cfg([8, 4])], finetune_excl_weight=-1.0), "finetune_excl_weight"),
-        (dict(levels=[level_cfg([8, 4])], finetune_excl_weight=np.nan), "finetune_excl_weight"),
-        (dict(levels=[level_cfg([8, 4])], finetune_neighbors=0), "finetune_neighbors"),
+        (dict(levels=[level_cfg([8, 4])], finetune_excl_weight=-1.0), r"^finetune\.excl_weight must be >= 0"),
+        (dict(levels=[level_cfg([8, 4])], finetune_excl_weight=np.nan), r"^finetune\.excl_weight .* got nan$"),
+        (dict(levels=[level_cfg([8, 4])], finetune_neighbors=0), r"^finetune\.n_neighbors must be >= 1, got 0$"),
         *((dict(levels=[level_cfg([8, 4])], norm_order=p), "norm_order must be >= 1")
           for p in (0, 0.5, np.nan)),
         *((dict(levels=[level_cfg([8, 4])], band=b), "band must be >= 0") for b in (-0.1, np.nan)),
-        *((dict(levels=[level_cfg([8, 4])], finetune_lr=lr), "finetune_lr must be positive")
+        *((dict(levels=[level_cfg([8, 4])], finetune_lr=lr), r"^finetune\.lr must be positive")
           for lr in (0.0, np.nan)),
+        (dict(levels=[level_cfg([8, 4])], finetune_epochs=-1), r"^finetune\.epochs must be >= 0, got -1$"),
+        (dict(levels=[level_cfg([8, 4])], finetune_batch_size=0), r"^finetune\.batch_size must be >= 1, got 0$"),
     ],
     ids=["dimension-chain", "finetune-excl-weight", "finetune-excl-weight-nan", "finetune-neighbors",
          "norm-order-0", "norm-order-half", "norm-order-nan", "band-negative", "band-nan",
-         "finetune-lr-0", "finetune-lr-nan"],
+         "finetune-lr-0", "finetune-lr-nan", "finetune-epochs-negative", "finetune-batch-size-0"],
 )
 def test_invalid_config_rejected(kwargs, message):
     with pytest.raises(ValueError, match=message):
