@@ -177,18 +177,46 @@ MUTANTS = [
         "tests/test_stacking.py::test_invalid_config_rejected",
     ),
     (
-        "finetune-norm-order-ignored",  # fine-tuning projects in the model's norm whatever the config says
-        "exae/stacking.py",
-        "    if config.norm_order != stacked.norm_order:",
-        "    if False:",
-        "tests/test_stacking.py::TestFineTune::test_norm_order_other_than_the_models_refused",
-    ),
-    (
         "norm-order-defaulted",  # a header without norm_order loads as p=2
         "exae/evalharness.py",
-        'norm_order=header["norm_order"],',
-        'norm_order=header.get("norm_order", 2),',
+        'if header["norm_order"] != 2:',
+        'if header.get("norm_order", 2) != 2:',
         f"{EVAL}::TestCheckpoint::test_malformed_header_rejected",
+    ),
+    (
+        "norm-order-any-p",  # a p=1 checkpoint loads, its snapshots read as Euclidean norms
+        "exae/evalharness.py",
+        'if header["norm_order"] != 2:',
+        'if not header["norm_order"] >= 1:',
+        f"{EVAL}::TestCheckpoint::test_malformed_header_rejected",
+    ),
+    (
+        "stack-neighbors-unchecked",  # a fine-tune table too wide for the rows fails only after pretraining
+        "exae/stacking.py",
+        "        if phase.excl_weight != 0.0 and phase.n_neighbors >= n:",
+        "        if False:",
+        "tests/test_cli.py::test_stack_refuses_finetune_neighbors_past_the_rows_and_writes_nothing",
+    ),
+    (
+        "stack-neighbors-at-weight-zero",  # a phase that builds no neighbor table is refused for its width
+        "exae/stacking.py",
+        "        if phase.excl_weight != 0.0 and phase.n_neighbors >= n:",
+        "        if phase.n_neighbors >= n:",
+        "tests/test_stacking.py::test_neighbors_past_the_rows_allowed_at_weight_zero",
+    ),
+    (
+        "stack-out-dir-early",  # a refused stack leaves an empty output directory behind
+        "exae/cli.py",
+        "    stacked, histories = train_stack(stack_cfg, train_set.examples)\n    out = _out_dir(cfg)\n",
+        "    out = _out_dir(cfg)\n    stacked, histories = train_stack(stack_cfg, train_set.examples)\n",
+        "tests/test_cli.py::test_stack_refuses_finetune_neighbors_past_the_rows_and_writes_nothing",
+    ),
+    (
+        "trial-knn-k-unchecked",  # every trial trains in full before k-NN refuses its k
+        "exae/evalharness.py",
+        "    if config.knn_k > train_set.n:",
+        "    if False:",
+        f"{EVAL}::TestRunExperiment::test_knn_k_past_the_training_rows_refused_before_training",
     ),
     (
         "layer-sizes-truncated",  # a fractional or bool layer size is truncated to an int

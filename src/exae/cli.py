@@ -10,7 +10,7 @@ the dataclass that consumes it. The sections:
               autoencoder level per consecutive pair; the AEConfig fields
               shared by every level sit beside it, per-level overrides go in
               "levels" (list of objects with any AEConfig field)
-  finetune:   StackConfig: band, norm_order and the finetune_* fields
+  finetune:   StackConfig: band and the finetune_* fields
   eval:       ExperimentConfig: knn_k and metric
   experiment: ExperimentConfig: trials and base_seed
   output:     ExperimentConfig: dir (out_dir) for metrics/checkpoints
@@ -209,8 +209,8 @@ def _pretrain(cfg: dict, n_levels: int | None, checkpoint: str, metrics: str) ->
     train_set, _ = _train_test(cfg)
     stack_cfg = stack_config_from(cfg, train_set.dim)
     stack_cfg = replace(stack_cfg, levels=stack_cfg.levels[:n_levels])
-    out = _out_dir(cfg)
     stacked, histories = train_stack(stack_cfg, train_set.examples)
+    out = _out_dir(cfg)
     save_checkpoint(stacked, out / checkpoint, config=cfg)
     record = MetricsRecord(trial=0, pretrain=histories, finetune=[], accuracy=None, seconds=0.0)
     write_metrics([record], out / metrics)
@@ -230,7 +230,7 @@ def cmd_finetune(cfg: dict, args) -> int:
     stacked = load_checkpoint(args.checkpoint)
     train_set, _ = _train_test(cfg)
     stack_cfg = stack_config_from(cfg, train_set.dim)
-    stacked, history = fine_tune(stacked, train_set.examples, stack_cfg)  # refuses another norm_order
+    stacked, history = fine_tune(stacked, train_set.examples, stack_cfg)
     out = _out_dir(cfg)
     save_checkpoint(stacked, out / "finetuned.ckpt", config=cfg)
     record = MetricsRecord(trial=0, pretrain=[], finetune=history, accuracy=None, seconds=0.0)

@@ -332,6 +332,8 @@ def run_trial(config: ExperimentConfig, data: Dataset, test: Dataset | None, tri
     train_set, test_set = train_test_rows(
         data, test, replace(config.split, seed=seed), config.data.per_class_test, config.base_seed
     )
+    if config.knn_k > train_set.n:  # refused before any training, as knn_classify would after it
+        raise ValueError(f"k={config.knn_k} out of range for {train_set.n} training rows")
     stack_cfg = _reseed_stack(config.stack, seed)
     stacked, pretrain_hist = train_stack(stack_cfg, train_set.examples)
     stacked, finetune_hist = fine_tune(stacked, train_set.examples, stack_cfg)
@@ -427,7 +429,7 @@ def save_checkpoint(stacked: StackedModel, path, config: dict | None = None) -> 
         "levels": [_model_descriptor(m) for m in stacked.levels],
         "assembled": _model_descriptor(stacked.assembled),
         "snapshots": stacked.snapshots,
-        "norm_order": stacked.norm_order,
+        "norm_order": 2,  # the snapshots' norm: the Euclidean norm of the flattened weight
         "config": config,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()  # fails before the file exists
@@ -462,6 +464,8 @@ def load_checkpoint(path) -> StackedModel:
         raise CheckpointError(f"truncated checkpoint {path}")
     try:
         header = json.loads(buf[16 : 16 + header_len].decode())
+        if header["norm_order"] != 2:  # the snapshots must be Euclidean norms, as the band's are
+            raise ValueError(f"norm_order must be 2, got {header['norm_order']!r}")
 
         # parameters in header order: per layer the weight, then the bias
         blob, offset, models = view[16 + header_len : -4], 0, []
@@ -480,12 +484,7 @@ def load_checkpoint(path) -> StackedModel:
             models.append(AEModel(**halves))
         if offset != len(blob):
             raise CheckpointError(f"truncated checkpoint {path}")
-        return StackedModel(
-            levels=models[:-1],
-            assembled=models[-1],
-            snapshots=header["snapshots"],
-            norm_order=header["norm_order"],
-        )
+        return StackedModel(levels=models[:-1], assembled=models[-1], snapshots=header["snapshots"])
     except CheckpointError:
         raise
     except (ValueError, KeyError, TypeError) as err:

@@ -55,20 +55,20 @@ def omega(v: np.ndarray) -> np.ndarray:
     return np.where(v >= 0.0, v, 0.0)
 
 
-def _clamped_cosine_batch(u: Matrix, h: Matrix, eps: float):
+def _clamped_cosine_batch(u: Matrix, h: Matrix):
     """Row-wise clamped cosine with gradients.
 
     Returns (sims, grad_u, grad_h), each row independent. The clamp's
     subgradient at exactly 0 is taken as 0, so gradients flow only through
     strictly positive components of u - h. Degenerate rows (either norm
-    below eps) yield 0 similarity and 0 gradient.
+    below DEGENERATE_EPS) yield 0 similarity and 0 gradient.
     """
     d = u - h
     mask = (d > 0.0).astype(np.float64)
     c = d * mask
     nc = np.linalg.norm(c, axis=1)
     nh = np.linalg.norm(h, axis=1)
-    ok = (nc >= eps) & (nh >= eps)
+    ok = (nc >= DEGENERATE_EPS) & (nh >= DEGENERATE_EPS)
     nc_safe = np.where(ok, nc, 1.0)
     nh_safe = np.where(ok, nh, 1.0)
     dot = np.einsum("ij,ij->i", c, h)
@@ -197,11 +197,7 @@ def batch_targets(ctx: ExclusivityContext, dataset: Matrix, batch_indices) -> tu
 
 
 def exclusivity_loss(
-    latent: Matrix,
-    enc_hetero: Matrix,
-    enc_homo: Matrix,
-    eps: float = DEGENERATE_EPS,
-    reduction: str = "mean",
+    latent: Matrix, enc_hetero: Matrix, enc_homo: Matrix, reduction: str = "mean"
 ) -> ExclusivityLossResult:
     """Both cosine constraints over a row-aligned batch.
 
@@ -217,8 +213,8 @@ def exclusivity_loss(
             f"enc_hetero {enc_hetero.shape}, enc_homo {enc_homo.shape}"
         )
     div = latent.shape[0] if reduction == "mean" else 1
-    s1, g1_u, g1_h = _clamped_cosine_batch(enc_hetero, latent, eps)
-    s2, g2_u, g2_h = _clamped_cosine_batch(enc_homo, latent, eps)
+    s1, g1_u, g1_h = _clamped_cosine_batch(enc_hetero, latent)
+    s2, g2_u, g2_h = _clamped_cosine_batch(enc_homo, latent)
     return ExclusivityLossResult(
         hetero_sim=float(s1.sum() / div),
         homo_sim=float(s2.sum() / div),

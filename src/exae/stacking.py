@@ -28,12 +28,10 @@ class StackConfig:
     band is the allowed relative deviation of each layer's weight-norm
     ratio (snapshot norm over current norm) during fine-tuning; band = 0
     pins every norm to its snapshot, band >= 1 disables the lower edge.
-    norm_order is the p of the flattened-vector p-norm.
     """
 
     levels: list  # AEConfig per level, dimensions chained
     band: float = 0.6
-    norm_order: float = 2
     finetune_epochs: int = 50
     finetune_lr: float = 0.05
     finetune_batch_size: int = 32
@@ -52,8 +50,6 @@ class StackConfig:
                 )
         if not self.band >= 0:
             raise ValueError(f"band must be >= 0, got {self.band}")
-        if not self.norm_order >= 1:  # an order-0 "norm" counts nonzeros: no rescale moves it
-            raise ValueError(f"norm_order must be >= 1, got {self.norm_order}")
         self.finetune  # AEConfig's checks refuse a bad finetune_* value here, before any pretraining
 
     @property
@@ -84,7 +80,6 @@ class StackedModel:
     levels: list
     assembled: AEModel
     snapshots: list
-    norm_order: float = 2
 
     def __post_init__(self):
         n_layers = len(self.assembled.encoder) + len(self.assembled.decoder)
@@ -94,8 +89,6 @@ class StackedModel:
             )
         if not all(0 < s < np.inf for s in self.snapshots):
             raise ValueError("snapshot norms must be finite and positive")
-        if not self.norm_order >= 1:
-            raise ValueError(f"norm_order must be >= 1, got {self.norm_order}")
 
 
 @dataclass
@@ -106,22 +99,22 @@ class FinetuneEpoch:
     ratios: list
 
 
-def flat_norm(weight: Matrix, p: float = 2) -> float:
-    """p-norm of the weight matrix flattened to a single vector."""
-    return float(np.linalg.norm(np.asarray(weight).ravel(), ord=p))
+def flat_norm(weight: Matrix) -> float:
+    """Euclidean norm of the weight matrix flattened to a single vector."""
+    return float(np.linalg.norm(np.asarray(weight).ravel()))
 
 
-def weight_ratio(snapshot_norm: float, current_weight: Matrix, p: float = 2) -> float:
+def weight_ratio(snapshot_norm: float, current_weight: Matrix) -> float:
     """Snapshot norm over the current flattened weight norm."""
     if not 0 < snapshot_norm < np.inf:
         raise ValueError(f"snapshot norm must be finite and positive, got {snapshot_norm}")
-    cur = flat_norm(current_weight, p)
+    cur = flat_norm(current_weight)
     if cur == 0.0:
         raise ValueError("current weight has zero norm")
     return snapshot_norm / cur
 
 
-def project_to_band(snapshot_norm: float, current_weight: Matrix, band: float, p: float = 2) -> Matrix:
+def project_to_band(snapshot_norm: float, current_weight: Matrix, band: float) -> Matrix:
     """Rescale the weight so its ratio sits on the nearest band edge.
 
     In-band weights are returned unchanged (same object). For band >= 1
@@ -130,7 +123,7 @@ def project_to_band(snapshot_norm: float, current_weight: Matrix, band: float, p
     """
     if not band >= 0:
         raise ValueError(f"band must be >= 0, got {band}")
-    r = weight_ratio(snapshot_norm, current_weight, p)
+    r = weight_ratio(snapshot_norm, current_weight)
     lo = 0.0 if band >= 1.0 else 1.0 - band
     hi = 1.0 + band
     if lo <= r <= hi:
@@ -139,7 +132,7 @@ def project_to_band(snapshot_norm: float, current_weight: Matrix, band: float, p
     return current_weight * (r / edge)
 
 
-def assemble(levels: list, norm_order: float = 2) -> StackedModel:
+def assemble(levels: list) -> StackedModel:
     """Deep model from trained levels: encoders in order, decoders reversed.
 
     Layers are copied, so later fine-tuning never mutates the pretrained
@@ -148,10 +141,8 @@ def assemble(levels: list, norm_order: float = 2) -> StackedModel:
     encoder = [layer.copy() for level in levels for layer in level.encoder]
     decoder = [layer.copy() for level in reversed(levels) for layer in level.decoder]
     assembled = AEModel(encoder=encoder, decoder=decoder)
-    snapshots = [flat_norm(layer.weight, norm_order) for layer in assembled.layers]
-    return StackedModel(
-        levels=levels, assembled=assembled, snapshots=snapshots, norm_order=norm_order
-    )
+    snapshots = [flat_norm(layer.weight) for layer in assembled.layers]
+    return StackedModel(levels=levels, assembled=assembled, snapshots=snapshots)
 
 
 def train_stack(config: StackConfig, dataset: Matrix):
@@ -159,9 +150,17 @@ def train_stack(config: StackConfig, dataset: Matrix):
 
     Level 1 trains on the raw rows; level k trains on level k-1's latent
     codes, with the exclusivity context rebuilt in that input space.
-    Returns (StackedModel, per-level histories), pre-finetune.
+    Returns (StackedModel, per-level histories), pre-finetune. A level, or
+    the fine-tune that runs on these rows, whose neighbor table the rows
+    cannot fill is refused before level 1 trains.
     """
     data = np.asarray(dataset, dtype=np.float64)
+    n = len(data)
+    phases = {f"level {k} n_neighbors": c for k, c in enumerate(config.levels, start=1)}
+    phases["finetune.n_neighbors"] = config.finetune
+    for name, phase in phases.items():
+        if phase.excl_weight != 0.0 and phase.n_neighbors >= n:  # a row's m peers exclude itself
+            raise ValueError(f"{name}={phase.n_neighbors} needs at least {phase.n_neighbors + 1} rows, have {n}")
     levels, histories = [], []
     for k, level_cfg in enumerate(config.levels, start=1):
         model = build_model(level_cfg)
@@ -173,15 +172,15 @@ def train_stack(config: StackConfig, dataset: Matrix):
         histories.append(history)
         if k < config.n_levels:
             data = encode(model, data)
-    return assemble(levels, config.norm_order), histories
+    return assemble(levels), histories
 
 
 def _project_all(stacked: StackedModel, band: float) -> list:
     """Project every assembled layer's weight; returns the new ratios."""
     ratios = []
     for snap, layer in zip(stacked.snapshots, stacked.assembled.layers):
-        layer.weight = project_to_band(snap, layer.weight, band, stacked.norm_order)
-        ratios.append(weight_ratio(snap, layer.weight, stacked.norm_order))
+        layer.weight = project_to_band(snap, layer.weight, band)
+        ratios.append(weight_ratio(snap, layer.weight))
     return ratios
 
 
@@ -193,8 +192,6 @@ def fine_tune(stacked: StackedModel, dataset: Matrix, config: StackConfig):
     After every epoch each layer is projected back into its band (biases
     are not constrained). Returns (stacked, history of FinetuneEpoch).
     """
-    if config.norm_order != stacked.norm_order:  # the snapshots were taken in the model's norm
-        raise ValueError(f"norm_order {config.norm_order} is not the model's {stacked.norm_order}")
     model = stacked.assembled
     epochs = sgd_epochs(model, config.finetune, training_rows(model, dataset))
     history = [FinetuneEpoch(loss=loss, ratios=_project_all(stacked, config.band)) for loss in epochs]

@@ -1,10 +1,7 @@
 """End-to-end runs of every CLI subcommand on tiny synthetic configs."""
 
 import json
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -151,25 +148,19 @@ def test_train_stack_finetune_eval_pipeline(tmp_path, capsys):
     assert "accuracy:" in captured.out
 
 
-def test_finetune_refuses_a_norm_order_other_than_the_checkpoints(tmp_path):
-    out = tmp_path / "out"
-    assert main(["--config", str(tiny_config(tmp_path)), "stack"]) == 0  # p = 2
-    other = tiny_config(tmp_path, finetune={"norm_order": 1}, output={"dir": str(tmp_path / "tuned")})
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
-    done = subprocess.run(
-        [sys.executable, "-m", "exae.cli", "--config", str(other), "finetune", str(out / "stack.ckpt")],
-        env=env, capture_output=True, text=True,
-    )
-    assert done.returncode != 0
-    assert "ValueError: norm_order 1 is not the model's 2" in done.stderr
-    assert not (tmp_path / "tuned").exists()  # refused before the output directory is made
-
-
 @pytest.mark.parametrize("command", ["stack", "experiment"])
 def test_bad_finetune_value_refused_under_its_config_key_before_pretraining(tmp_path, command):
     path = tiny_config(tmp_path, finetune={"lr": 0})
     with pytest.raises(ValueError, match=r"^finetune\.lr must be positive, got 0$"):
         main(["--config", str(path), command])
+    assert not (tmp_path / "out").exists()
+
+
+def test_stack_refuses_finetune_neighbors_past_the_rows_and_writes_nothing(tmp_path):
+    # 2 classes x 8 training rows
+    path = tiny_config(tmp_path, finetune={"excl_weight": 1, "n_neighbors": 40})
+    with pytest.raises(ValueError, match=r"^finetune\.n_neighbors=40 needs at least 41 rows, have 16$"):
+        main(["--config", str(path), "stack"])
     assert not (tmp_path / "out").exists()
 
 
@@ -300,6 +291,7 @@ def test_refused_run_leaves_no_output_dir(tmp_path, monkeypatch, command):
         ({"data": {"split": {"sed": 1}}}, "data.split.sed"),
         ({"output": {"dir": "x", "directory": "y"}}, "output.directory"),
         ({"stack": {"sizes": [32, 8], "levels": [{"epohcs": 3}]}}, "stack.levels[0].epohcs"),
+        ({"finetune": {"norm_order": 2}}, "finetune.norm_order"),  # the band's norm is not a setting
     ],
 )
 def test_misspelled_key_rejected_with_its_path(tmp_path, monkeypatch, user, path):
@@ -320,7 +312,7 @@ def test_misspelled_key_rejected_with_its_path(tmp_path, monkeypatch, user, path
         ({"finetune": {"band": "0.5"}}, "finetune.band"),
         ({"stack": {"sizes": [32, 8], "levels": [{"epochs": "3"}]}}, "stack.levels[0].epochs"),
         ({"stack": {"lr": 2}}, None),
-        ({"finetune": {"norm_order": 1.5}}, None),
+        ({"finetune": {"band": 0.5}}, None),
         ({"data": {"per_class_test": None}}, None),
         ({"stack": {"sizes": [32, 8.7]}}, "stack.sizes"),
         ({"stack": {"sizes": [32, True]}}, "stack.sizes"),

@@ -574,6 +574,14 @@ class TestRunExperiment:
         assert summary["completed"] == 0
         assert set(summary["failures"]) == {0, 1}
 
+    def test_knn_k_past_the_training_rows_refused_before_training(self, tmp_path, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("a trial trained before the refusal")
+
+        monkeypatch.setattr(evalharness, "train_stack", no_training)
+        _, summary = run_experiment(experiment_config(tmp_path, trials=2, knn_k=17))  # 16 training rows
+        assert summary["failures"] == {t: "ValueError: k=17 out of range for 16 training rows" for t in (0, 1)}
+
     def test_unreadable_data_leaves_no_output_dir(self, tmp_path):
         missing = DataSpec(source="idx", images=str(tmp_path / "i.idx"), labels=str(tmp_path / "l.idx"))
         with pytest.raises(FileNotFoundError):
@@ -599,7 +607,7 @@ def joined_checkpoint(stacked, config):
         "levels": [evalharness._model_descriptor(m) for m in stacked.levels],
         "assembled": evalharness._model_descriptor(stacked.assembled),
         "snapshots": stacked.snapshots,
-        "norm_order": stacked.norm_order,
+        "norm_order": 2,
         "config": config,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()
@@ -725,13 +733,13 @@ class TestCheckpoint:
             # a non-finite snapshot makes every ratio NaN or inf: no band holds it
             *(lambda h, s=s: json.dumps({**h, "snapshots": [s] + h["snapshots"][1:]}).encode()
               for s in (np.nan, np.inf)),
-            # an order-0 "norm" counts nonzeros: no band projection could move it
-            *(lambda h, p=p: json.dumps({**h, "norm_order": p}).encode() for p in (0, 0.5, np.nan)),
+            # the snapshots are Euclidean norms: a header naming any other p is refused
+            *(lambda h, p=p: json.dumps({**h, "norm_order": p}).encode() for p in (0, 0.5, 1, np.nan)),
             lambda h: json.dumps({k: v for k, v in h.items() if k != "norm_order"}).encode(),
         ],
         ids=["undecodable-json", "missing-key", "levels-not-a-list", "snapshots-not-numbers",
-             "snapshot-nan", "snapshot-inf", "norm-order-0", "norm-order-half", "norm-order-nan",
-             "no-norm-order"],
+             "snapshot-nan", "snapshot-inf", "norm-order-0", "norm-order-half", "norm-order-1",
+             "norm-order-nan", "no-norm-order"],
     )
     def test_malformed_header_rejected(self, tmp_path, edit):
         stacked, _ = self.make_trained()

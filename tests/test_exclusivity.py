@@ -12,7 +12,6 @@ import pytest
 from exae import exclusivity
 from exae.autoencoder import LossBreakdown
 from exae.exclusivity import (
-    DEGENERATE_EPS,
     ExclusivityContext,
     _clamped_cosine_batch,
     _row_norms,
@@ -34,7 +33,7 @@ def brute_cosine(a, b):
 
 def clamped_cos(u, h):
     """cos(omega(u - h), h) of one pair, through the batch form training runs."""
-    return float(_clamped_cosine_batch(np.array([u], float), np.array([h], float), DEGENERATE_EPS)[0][0])
+    return float(_clamped_cosine_batch(np.array([u], float), np.array([h], float))[0][0])
 
 
 def row_targets(ctx, dataset, i):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from exae import exclusivity
+from exae import exclusivity, stacking
 from exae.autoencoder import AEConfig, build_model, encode, total_loss, train
 from exae.numkit import sgd_step
 from exae.stacking import (
@@ -277,14 +277,6 @@ class TestFineTune:
         for w, l in zip(before, stacked.assembled.layers):
             assert np.array_equal(w, l.weight)
 
-    def test_norm_order_other_than_the_models_refused(self):
-        # the snapshots were taken in the model's norm: a band in another norm means nothing
-        data = toy_rows(7)
-        stacked, _ = train_stack(stack_cfg(), data)
-        assert stacked.norm_order == 2
-        with pytest.raises(ValueError, match="norm_order 1 is not the model's 2"):
-            fine_tune(stacked, data, stack_cfg(norm_order=1))
-
     def test_fewer_rows_than_neighbors_at_weight_zero(self):
         # no neighbor table at weight 0, so train's row minimum does not apply
         cfg = stack_cfg(finetune_epochs=2)
@@ -334,8 +326,6 @@ def test_single_level_stack_with_zero_finetune_equals_plain_training():
         (dict(levels=[level_cfg([8, 4])], finetune_excl_weight=-1.0), r"^finetune\.excl_weight must be >= 0"),
         (dict(levels=[level_cfg([8, 4])], finetune_excl_weight=np.nan), r"^finetune\.excl_weight .* got nan$"),
         (dict(levels=[level_cfg([8, 4])], finetune_neighbors=0), r"^finetune\.n_neighbors must be >= 1, got 0$"),
-        *((dict(levels=[level_cfg([8, 4])], norm_order=p), "norm_order must be >= 1")
-          for p in (0, 0.5, np.nan)),
         *((dict(levels=[level_cfg([8, 4])], band=b), "band must be >= 0") for b in (-0.1, np.nan)),
         *((dict(levels=[level_cfg([8, 4])], finetune_lr=lr), r"^finetune\.lr must be positive")
           for lr in (0.0, np.nan)),
@@ -343,12 +333,38 @@ def test_single_level_stack_with_zero_finetune_equals_plain_training():
         (dict(levels=[level_cfg([8, 4])], finetune_batch_size=0), r"^finetune\.batch_size must be >= 1, got 0$"),
     ],
     ids=["dimension-chain", "finetune-excl-weight", "finetune-excl-weight-nan", "finetune-neighbors",
-         "norm-order-0", "norm-order-half", "norm-order-nan", "band-negative", "band-nan",
+         "band-negative", "band-nan",
          "finetune-lr-0", "finetune-lr-nan", "finetune-epochs-negative", "finetune-batch-size-0"],
 )
 def test_invalid_config_rejected(kwargs, message):
     with pytest.raises(ValueError, match=message):
         StackConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        (stack_cfg(levels=[level_cfg([8, 4]), level_cfg([4, 2], n_neighbors=12, output_activation="relu")]),
+         r"^level 2 n_neighbors=12 needs at least 13 rows, have 12$"),
+        (stack_cfg(finetune_excl_weight=1.0, finetune_neighbors=12),
+         r"^finetune\.n_neighbors=12 needs at least 13 rows, have 12$"),
+    ],
+    ids=["level-2", "finetune"],
+)
+def test_neighbors_past_the_rows_refused_before_level_1_trains(monkeypatch, cfg, message):
+    def no_training(*args):
+        raise AssertionError("a level trained before the refusal")
+
+    monkeypatch.setattr(stacking, "train", no_training)
+    with pytest.raises(ValueError, match=message):
+        train_stack(cfg, toy_rows())
+
+
+def test_neighbors_past_the_rows_allowed_at_weight_zero():
+    # no phase builds a neighbor table, so the row count sets no limit
+    cfg = stack_cfg(levels=[level_cfg([8, 4], excl_weight=0.0, n_neighbors=40)], finetune_neighbors=40)
+    _, histories = train_stack(cfg, toy_rows())
+    assert len(histories[0]) == cfg.levels[0].epochs
 
 
 def test_pretrain_error_names_level():
