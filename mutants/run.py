@@ -312,6 +312,42 @@ MUTANTS = [
         "    return train, test\n",
         "tests/test_dataio.py::test_train_test_rows_with_explicit_test_set",
     ),
+    (
+        "prototype-rows-get-no-gradient",  # only the x rows are backpropagated: a stopped gradient
+        "exae/autoencoder.py",
+        "        d_h = np.vstack((d_h + w * res.grad_latent, w * res.grad_hetero, w * res.grad_homo))\n",
+        "        d_h = d_h + w * res.grad_latent\n"
+        "        enc_acts = [a[: len(x)] for a in enc_acts]\n",
+        "tests/test_autoencoder.py::TestTotalLoss::test_gradients_match_finite_differences",
+    ),
+    (
+        "config-section-not-object",  # {"stack": 5} replaces the section and fails later, unnamed
+        "exae/cli.py",
+        " if isinstance(out[key], dict) else val\n",
+        " if isinstance(out[key], dict) and isinstance(val, dict) else val\n",
+        "tests/test_cli.py::test_value_types_checked_at_load_time",
+    ),
+    (
+        "config-file-not-object",  # a file holding a list is refused as a key with no name
+        "exae/cli.py",
+        "        if not path:\n",
+        "        if False:\n",
+        "tests/test_cli.py::test_config_file_must_hold_an_object",
+    ),
+    (
+        "model-empty-half-accepted",  # an empty encoder or decoder fails only where a layer is read
+        "exae/autoencoder.py",
+        "        if not (self.encoder and self.decoder):\n",
+        "        if False:\n",
+        "tests/test_evalharness.py::TestCheckpoint::test_model_with_an_empty_half_refused",
+    ),
+    (
+        "synth-no-image-shape",  # synth rows cannot be mirrored
+        "exae/dataio.py",
+        ", labels=np.concatenate(labels), image_shape=(1, dim))\n",
+        ", labels=np.concatenate(labels))\n",
+        "tests/test_cli.py::test_mirrored_synth_experiment_completes_every_trial",
+    ),
 ]
 
 

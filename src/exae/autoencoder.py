@@ -26,7 +26,6 @@ from .numkit import (
 )
 
 REDUCTIONS = excl.REDUCTIONS
-MEAN_GRAD_MODES = ("full", "stopped")
 
 
 @dataclass
@@ -36,8 +35,6 @@ class AEConfig:
     layer_sizes runs input -> ... -> latent; the decoder mirrors it.
     loss_reduction chooses between batch-mean losses (default, keeps the
     regularizer's strength independent of batch size) and raw sums.
-    mean_grad chooses whether gradients flow through the encoded prototype
-    branches ("full") or only through the latent branch ("stopped").
     """
 
     layer_sizes: list
@@ -51,7 +48,6 @@ class AEConfig:
     batch_size: int = 32
     seed: int = 0
     loss_reduction: str = "mean"
-    mean_grad: str = "full"
 
     def __post_init__(self):
         if len(self.layer_sizes) < 2:
@@ -75,8 +71,6 @@ class AEConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.loss_reduction not in REDUCTIONS:
             raise ValueError(f"loss_reduction must be one of {REDUCTIONS}")
-        if self.mean_grad not in MEAN_GRAD_MODES:
-            raise ValueError(f"mean_grad must be one of {MEAN_GRAD_MODES}")
 
     @property
     def input_dim(self) -> int:
@@ -95,17 +89,18 @@ class AEModel:
     decoder: list
 
     def __post_init__(self):
+        if not (self.encoder and self.decoder):
+            raise ValueError("encoder and decoder need at least one layer each")
         for prev, nxt in zip(self.encoder, self.encoder[1:]):
             if prev.out_dim != nxt.in_dim:
                 raise ValueError("encoder layer dimensions do not chain")
         for prev, nxt in zip(self.decoder, self.decoder[1:]):
             if prev.out_dim != nxt.in_dim:
                 raise ValueError("decoder layer dimensions do not chain")
-        if self.decoder and self.encoder:
-            if self.decoder[0].in_dim != self.latent_dim:
-                raise ValueError("decoder input dim does not match latent dim")
-            if self.decoder[-1].out_dim != self.input_dim:
-                raise ValueError("decoder output dim does not match encoder input dim")
+        if self.decoder[0].in_dim != self.latent_dim:
+            raise ValueError("decoder input dim does not match latent dim")
+        if self.decoder[-1].out_dim != self.input_dim:
+            raise ValueError("decoder output dim does not match encoder input dim")
 
     @property
     def input_dim(self) -> int:
@@ -212,9 +207,8 @@ def total_loss(model: AEModel, config: AEConfig, ctx, dataset: Matrix, batch_ind
     decoder layers. The encoded-prototype branches share the encoder
     weights, so the rows [x; exclude-one means; peer means] run through
     it in one forward and one backward pass, where their gradients add.
-    With mean_grad="stopped" the prototype rows get zero upstream gradient,
-    so only the x rows are backpropagated. At excl_weight 0 only x is
-    encoded, ctx is ignored and the exclusivity fields read 0 / 1 / 0.
+    At excl_weight 0 only x is encoded, ctx is ignored and the exclusivity
+    fields read 0 / 1 / 0.
     """
     idx = np.asarray(batch_indices, dtype=np.int64)
     if idx.size == 0:
@@ -236,11 +230,7 @@ def total_loss(model: AEModel, config: AEConfig, ctx, dataset: Matrix, batch_ind
     else:
         res = excl.exclusivity_loss(*np.split(enc_acts[-1], 3), reduction=config.loss_reduction)
         breakdown = LossBreakdown(recon=la, hetero_sim=res.hetero_sim, homo_sim=res.homo_sim, weight=w)
-        d_h = d_h + w * res.grad_latent
-        if config.mean_grad == "full":
-            d_h = np.vstack((d_h, w * res.grad_hetero, w * res.grad_homo))
-        else:  # zero gradient for the prototype rows: backpropagate x alone
-            enc_acts = [a[: len(x)] for a in enc_acts]
+        d_h = np.vstack((d_h + w * res.grad_latent, w * res.grad_hetero, w * res.grad_homo))
     enc_grads, _ = _backward(model.encoder, enc_acts, d_h, input_grad=False)
     return breakdown, enc_grads + dec_grads
 
@@ -251,34 +241,14 @@ def model_parameters(model: AEModel) -> list:
 
 
 def grad_check_objective(model: AEModel, config: AEConfig, ctx, dataset: Matrix, batch_indices):
-    """A loss_fn for numkit.grad_check over model_parameters(model).
-
-    With mean_grad="full" the probed function is the objective itself.
-    With "stopped" the analytic gradient is by definition the gradient of
-    a partially frozen objective whose prototype encodings stay at their
-    current values, so that frozen function is what gets probed; at the
-    unperturbed point its value coincides with the true objective.
-    """
+    """A loss_fn for numkit.grad_check over model_parameters(model): the objective itself."""
     idx = np.asarray(batch_indices, dtype=np.int64)
 
     def loss_fn():
         b, g = total_loss(model, config, ctx, dataset, idx)
         return b.total, [p for lg in g for p in (lg.weight, lg.bias)]
 
-    if config.mean_grad == "full" or config.excl_weight == 0.0:
-        return loss_fn
-
-    _, flat = loss_fn()
-    x = dataset[idx]
-    frozen_het, frozen_hom = (encode(model, raw) for raw in excl.batch_targets(ctx, dataset, idx))
-
-    def frozen_fn():
-        h = encode(model, x)
-        la, _ = recon_loss(x, decode(model, h), config.loss_reduction)
-        res = excl.exclusivity_loss(h, frozen_het, frozen_hom, reduction=config.loss_reduction)
-        return LossBreakdown(la, res.hetero_sim, res.homo_sim, config.excl_weight).total, flat
-
-    return frozen_fn
+    return loss_fn
 
 
 def _relu_margins(layers: list, acts: list) -> list:
@@ -355,13 +325,12 @@ def gradcheck_case(case: int, seed: int = 0):
 
 
 def gradcheck_errors(config: AEConfig, model: AEModel, ctx, dataset: Matrix, batch_indices) -> dict:
-    """{"reduction/mean_grad": grad_check error} for every reduction x mean-grad setting."""
+    """{reduction: grad_check error} for every loss reduction."""
     errors = {}
     for reduction in REDUCTIONS:
-        for mean_grad in MEAN_GRAD_MODES:
-            probe = replace(config, loss_reduction=reduction, mean_grad=mean_grad)
-            loss_fn = grad_check_objective(model, probe, ctx, dataset, batch_indices)
-            errors[f"{reduction}/{mean_grad}"] = grad_check(loss_fn, model_parameters(model), epsilon=1e-5)
+        probe = replace(config, loss_reduction=reduction)
+        loss_fn = grad_check_objective(model, probe, ctx, dataset, batch_indices)
+        errors[reduction] = grad_check(loss_fn, model_parameters(model), epsilon=1e-5)
     return errors
 
 

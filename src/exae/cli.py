@@ -30,7 +30,7 @@ from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
 from .autoencoder import AEConfig, gradcheck_case, gradcheck_errors
-from .dataio import Dataset, SplitSpec, save_idx, train_test_rows
+from .dataio import SplitSpec, save_idx, train_test_rows
 from .evalharness import (
     DataSpec,
     ExperimentConfig,
@@ -89,16 +89,18 @@ SECTIONS = {"data": DataSpec, "data.split": SplitSpec, "stack": AEConfig, "finet
             "eval": ExperimentConfig, "experiment": ExperimentConfig, "output": ExperimentConfig}
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
-    """override laid over base; a key base lacks raises ValueError naming its dotted path."""
+def _merge(base: dict, override, path: str = "") -> dict:
+    """override laid over base; a key base lacks, or a non-object where base
+    holds an object, raises ValueError naming its dotted path."""
+    if not isinstance(override, dict):
+        if not path:
+            raise ValueError("config file must hold a JSON object")
+        raise ValueError(f"config key {path[:-1]!r} must be an object, got {override!r}")
     out = copy.deepcopy(base)
     for key, val in override.items():
         if key not in out:
             raise ValueError(f"unknown config key {path + key!r}")
-        if isinstance(val, dict) and isinstance(out[key], dict):
-            out[key] = _merge(out[key], val, f"{path}{key}.")
-        else:
-            out[key] = val
+        out[key] = _merge(out[key], val, f"{path}{key}.") if isinstance(out[key], dict) else val
     return out
 
 
@@ -197,10 +199,8 @@ def _train_test(cfg: dict):
 def cmd_synth(cfg: dict, args) -> int:
     data, _ = load_data(data_spec_from(cfg))
     out = _out_dir(cfg)
-    n, dim = data.n, data.dim
-    fixture = Dataset(examples=data.examples, labels=data.labels, image_shape=(1, dim))
-    save_idx(fixture, out / "synth-images-idx3-ubyte", out / "synth-labels-idx1-ubyte")
-    print(f"wrote {n} rows of dim {dim} to {out}/synth-*-ubyte")
+    save_idx(data, out / "synth-images-idx3-ubyte", out / "synth-labels-idx1-ubyte")
+    print(f"wrote {data.n} rows of dim {data.dim} to {out}/synth-*-ubyte")
     return 0
 
 

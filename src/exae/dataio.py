@@ -266,7 +266,8 @@ def train_test_rows(
 def synth_gaussian(classes: int, dim: int, per_class: int, spread: float, seed: int) -> Dataset:
     """Gaussian blobs around seeded class means in [0.25, 0.75]^dim.
 
-    Examples are clipped to [0, 1]; labels attached.
+    Examples are clipped to [0, 1]; labels attached. Each row is a 1 x dim
+    image, so it can be mirrored and written as IDX.
     """
     if classes < 1 or dim < 1 or per_class < 1:
         raise ValueError("classes, dim and per_class must all be positive")
@@ -279,4 +280,4 @@ def synth_gaussian(classes: int, dim: int, per_class: int, spread: float, seed: 
         noise = rng.normal(0.0, spread, size=(per_class, dim))
         blocks.append(np.clip(mean + noise, 0.0, 1.0))
         labels.append(np.full(per_class, cls))
-    return Dataset(examples=np.vstack(blocks), labels=np.concatenate(labels))
+    return Dataset(examples=np.vstack(blocks), labels=np.concatenate(labels), image_shape=(1, dim))

@@ -46,7 +46,7 @@ from exae.stacking import StackConfig, fine_tune, train_stack
 
 def test_a1_gradient_fidelity():
     """20 random small models: analytic vs central differences < 1e-4 in
-    every reduction x mean-grad setting, under 30 s."""
+    every loss reduction, under 30 s."""
     started = time.perf_counter()
     worst = 0.0
     for case in range(20):

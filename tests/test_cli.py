@@ -127,6 +127,18 @@ def test_synth_writes_idx_fixture(tmp_path, capsys):
 
     ds = load_idx(out / "synth-images-idx3-ubyte", out / "synth-labels-idx1-ubyte")
     assert ds.n == 24
+    assert ds.image_shape == (1, 6)  # a synth row is a 1 x dim image
+
+
+def test_synth_keeps_the_image_shape_of_idx_files(tmp_path, capsys):
+    pair = Dataset(np.random.default_rng(0).uniform(size=(4, 6)), np.array([0, 0, 1, 1]), (2, 3))
+    save_idx(pair, tmp_path / "images", tmp_path / "labels")
+    data = {"source": "idx", "images": str(tmp_path / "images"), "labels": str(tmp_path / "labels")}
+    assert main(["--config", str(tiny_config(tmp_path, data=data)), "synth"]) == 0
+    out = tmp_path / "out"
+    from exae.dataio import load_idx
+
+    assert load_idx(out / "synth-images-idx3-ubyte", out / "synth-labels-idx1-ubyte").image_shape == (2, 3)
 
 
 def test_train_stack_finetune_eval_pipeline(tmp_path, capsys):
@@ -173,6 +185,15 @@ def test_experiment_command(tmp_path, capsys):
     assert summary["completed"] == 2
 
 
+def test_mirrored_synth_experiment_completes_every_trial(tmp_path, capsys):
+    # mirror_train reverses each synth row, as it does once the rows are IDX files
+    path = tiny_config(tmp_path, data={"split": {"per_class_train": 8, "mirror_train": True}})
+    assert main(["--config", str(path), "experiment"]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["completed"] == 2
+    assert not summary["failures"] and not summary["partial"]
+
+
 def test_stage_pipeline_reproduces_experiment_trial_zero_on_explicit_test_files(tmp_path, capsys):
     rng = np.random.default_rng(4)
     files = {}
@@ -215,7 +236,8 @@ def test_gradcheck_command(capsys):
     assert "OK" in out
     # cases take the activations in turn
     for case, act in enumerate(("sigmoid", "relu", "identity")):
-        assert f"case {case} {act} mean/full:" in out
+        assert f"case {case} {act} mean:" in out
+        assert f"case {case} {act} sum:" in out
 
 
 @pytest.mark.parametrize("cases", ["0", "-2"])
@@ -292,6 +314,8 @@ def test_refused_run_leaves_no_output_dir(tmp_path, monkeypatch, command):
         ({"output": {"dir": "x", "directory": "y"}}, "output.directory"),
         ({"stack": {"sizes": [32, 8], "levels": [{"epohcs": 3}]}}, "stack.levels[0].epohcs"),
         ({"finetune": {"norm_order": 2}}, "finetune.norm_order"),  # the band's norm is not a setting
+        ({"stack": {"mean_grad": "full"}}, "stack.mean_grad"),  # the full gradient is the only one
+        ({"stack": {"sizes": [32, 8], "levels": [{"mean_grad": "full"}]}}, "stack.levels[0].mean_grad"),
     ],
 )
 def test_misspelled_key_rejected_with_its_path(tmp_path, monkeypatch, user, path):
@@ -318,6 +342,9 @@ def test_misspelled_key_rejected_with_its_path(tmp_path, monkeypatch, user, path
         ({"stack": {"sizes": [32, True]}}, "stack.sizes"),
         ({"stack": {"sizes": 32}}, "stack.sizes"),
         ({"stack": {"sizes": [32, 8]}}, None),
+        ({"stack": 5}, "stack"),  # a section must be an object
+        ({"data": {"split": 3}}, "data.split"),
+        ({"eval": None}, "eval"),
     ],
 )
 def test_value_types_checked_at_load_time(tmp_path, monkeypatch, user, refused):
@@ -328,6 +355,16 @@ def test_value_types_checked_at_load_time(tmp_path, monkeypatch, user, refused):
         assert main(["--config", str(config), "synth"]) == 0
         return
     with pytest.raises(ValueError, match=re.escape(f"config key '{refused}' must be ")):
+        main(["--config", str(config), "synth"])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("user", [[1, 2], 5, None, "stack"])
+def test_config_file_must_hold_an_object(tmp_path, monkeypatch, user):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "list.json"
+    config.write_text(json.dumps(user))
+    with pytest.raises(ValueError, match="^config file must hold a JSON object$"):
         main(["--config", str(config), "synth"])
     assert not (tmp_path / "out").exists()
 

@@ -600,6 +600,19 @@ class TestRunExperiment:
             assert line.count(",") == header.count(",")
 
 
+def checkpoint_bytes(header, params):
+    """A checkpoint file's bytes: header, then params, then the CRC of all of it."""
+    header_bytes = json.dumps(header, sort_keys=True).encode()
+    body = (
+        evalharness.CHECKPOINT_MAGIC
+        + evalharness.CHECKPOINT_VERSION.to_bytes(4, "little")
+        + len(header_bytes).to_bytes(4, "little")
+        + header_bytes
+        + b"".join(p.astype("<f8").tobytes() for p in params)
+    )
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
 def joined_checkpoint(stacked, config):
     """Reference writer: the checkpoint's bytes built whole in memory, header,
     then every parameter in header order, then the CRC of all of it."""
@@ -610,16 +623,8 @@ def joined_checkpoint(stacked, config):
         "norm_order": 2,
         "config": config,
     }
-    header_bytes = json.dumps(header, sort_keys=True).encode()
     params = [p for m in stacked.levels + [stacked.assembled] for p in model_parameters(m)]
-    body = (
-        evalharness.CHECKPOINT_MAGIC
-        + evalharness.CHECKPOINT_VERSION.to_bytes(4, "little")
-        + len(header_bytes).to_bytes(4, "little")
-        + header_bytes
-        + b"".join(p.astype("<f8").tobytes() for p in params)
-    )
-    return body + zlib.crc32(body).to_bytes(4, "little")
+    return checkpoint_bytes(header, params)
 
 
 def wide_level():
@@ -752,6 +757,23 @@ class TestCheckpoint:
         # keep the checksum consistent so only the header is at fault
         path.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
         with pytest.raises(CheckpointError, match="malformed checkpoint header"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("empty", [["encoder", "decoder"], ["encoder"], ["decoder"]], ids="-".join)
+    def test_model_with_an_empty_half_refused(self, tmp_path, empty):
+        # such a file would load, and extract_features then fail with an IndexError
+        model = wide_level()
+        kept = [layer for half in ("encoder", "decoder") if half not in empty for layer in getattr(model, half)]
+        header = {
+            "levels": [],
+            "assembled": {**evalharness._model_descriptor(model), **dict.fromkeys(empty, [])},
+            "snapshots": [1.0] * len(kept),
+            "norm_order": 2,
+            "config": None,
+        }
+        path = tmp_path / "empty.ckpt"
+        path.write_bytes(checkpoint_bytes(header, [p for layer in kept for p in (layer.weight, layer.bias)]))
+        with pytest.raises(CheckpointError, match="malformed checkpoint header.*at least one layer each"):
             load_checkpoint(path)
 
     def test_corrupt_payload_rejected(self, tmp_path):
