@@ -221,9 +221,16 @@ MUTANTS = [
     (
         "layer-sizes-truncated",  # a fractional or bool layer size is truncated to an int
         "exae/autoencoder.py",
-        "        if not all(whole) or min(self.layer_sizes) <= 0:\n",
+        "        if not all(map(_is_int, self.layer_sizes)) or min(self.layer_sizes) <= 0:\n",
         "        if any(int(s) <= 0 for s in self.layer_sizes):\n",
         "tests/test_autoencoder.py::test_non_integer_layer_sizes_refused",
+    ),
+    (
+        "counts-not-integer",  # epochs=1.5 passes construction and fails in training, after earlier levels
+        "exae/autoencoder.py",
+        '        for name in ("n_neighbors", "epochs", "batch_size", "seed"):\n',
+        "        for name in ():\n",
+        "tests/test_autoencoder.py::test_non_integer_counts_refused",
     ),
     (
         "lr-nan-passes",  # a NaN learning rate trains to NaN weights without naming the field
@@ -347,6 +354,13 @@ MUTANTS = [
         ", labels=np.concatenate(labels), image_shape=(1, dim))\n",
         ", labels=np.concatenate(labels))\n",
         "tests/test_cli.py::test_mirrored_synth_experiment_completes_every_trial",
+    ),
+    (
+        "pgm-header-unchecked",  # "P5 abc 2 255" fails in int() unnamed, "P5 0 3 255" reads as a (3, 0) image
+        "exae/dataio.py",
+        "    if not all(t.isdigit() and int(t) > 0 for t in tokens[1:]):\n",
+        "    if False:\n",
+        "tests/test_dataio.py::TestLoadImageDir::test_bad_header_numbers_refused_naming_the_file",
     ),
 ]
 

@@ -9,7 +9,7 @@ values 0 / 1 / 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,10 @@ from .numkit import (
     sgd_step,
 )
 
-REDUCTIONS = excl.REDUCTIONS
+
+def _is_int(value) -> bool:
+    """An int or numpy integer, not a bool: what every size and count must be (1.5, True, NaN are not)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -33,8 +36,6 @@ class AEConfig:
     """Hyperparameters of one autoencoder.
 
     layer_sizes runs input -> ... -> latent; the decoder mirrors it.
-    loss_reduction chooses between batch-mean losses (default, keeps the
-    regularizer's strength independent of batch size) and raw sums.
     """
 
     layer_sizes: list
@@ -47,15 +48,16 @@ class AEConfig:
     epochs: int = 50
     batch_size: int = 32
     seed: int = 0
-    loss_reduction: str = "mean"
 
     def __post_init__(self):
         if len(self.layer_sizes) < 2:
             raise ValueError("layer_sizes needs at least input and latent dims")
-        whole = (isinstance(s, (int, np.integer)) and not isinstance(s, bool) for s in self.layer_sizes)
-        if not all(whole) or min(self.layer_sizes) <= 0:
+        if not all(map(_is_int, self.layer_sizes)) or min(self.layer_sizes) <= 0:
             raise ValueError(f"layer sizes must be positive integers, got {self.layer_sizes}")
         self.layer_sizes = [int(s) for s in self.layer_sizes]
+        for name in ("n_neighbors", "epochs", "batch_size", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for tag in (self.hidden_activation, self.latent_activation, self.output_activation):
             if tag not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {tag!r}, expected one of {ACTIVATIONS}")
@@ -69,8 +71,6 @@ class AEConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.loss_reduction not in REDUCTIONS:
-            raise ValueError(f"loss_reduction must be one of {REDUCTIONS}")
 
     @property
     def input_dim(self) -> int:
@@ -184,19 +184,16 @@ def decode(model: AEModel, h_batch: Matrix) -> Matrix:
     return _forward(model.decoder, h_batch)[-1]
 
 
-def recon_loss(x_batch: Matrix, xhat_batch: Matrix, reduction: str = "mean"):
-    """Summed squared error per row, reduced over the batch.
+def recon_loss(x_batch: Matrix, xhat_batch: Matrix):
+    """Summed squared error per row, averaged over the batch.
 
     Returns (loss, grad wrt xhat_batch).
     """
     if x_batch.shape != xhat_batch.shape:
         raise ValueError(f"shape mismatch: x {x_batch.shape}, xhat {xhat_batch.shape}")
-    if reduction not in REDUCTIONS:
-        raise ValueError(f"reduction must be one of {REDUCTIONS}")
     diff = xhat_batch - x_batch
-    div = x_batch.shape[0] if reduction == "mean" else 1
-    loss = float(np.sum(diff * diff) / div)
-    return loss, 2.0 * diff / div
+    loss = float(np.sum(diff * diff) / x_batch.shape[0])
+    return loss, 2.0 * diff / x_batch.shape[0]
 
 
 def total_loss(model: AEModel, config: AEConfig, ctx, dataset: Matrix, batch_indices):
@@ -222,13 +219,13 @@ def total_loss(model: AEModel, config: AEConfig, ctx, dataset: Matrix, batch_ind
     h = enc_acts[-1][: len(x)]
     dec_acts = _forward(model.decoder, h)
 
-    la, d_xhat = recon_loss(x, dec_acts[-1], config.loss_reduction)
+    la, d_xhat = recon_loss(x, dec_acts[-1])
     dec_grads, d_h = _backward(model.decoder, dec_acts, d_xhat)
 
     if w == 0.0:
         breakdown = LossBreakdown(recon=la, hetero_sim=0.0, homo_sim=1.0, weight=0.0)
     else:
-        res = excl.exclusivity_loss(*np.split(enc_acts[-1], 3), reduction=config.loss_reduction)
+        res = excl.exclusivity_loss(*np.split(enc_acts[-1], 3))
         breakdown = LossBreakdown(recon=la, hetero_sim=res.hetero_sim, homo_sim=res.homo_sim, weight=w)
         d_h = np.vstack((d_h + w * res.grad_latent, w * res.grad_hetero, w * res.grad_homo))
     enc_grads, _ = _backward(model.encoder, enc_acts, d_h, input_grad=False)
@@ -238,17 +235,6 @@ def total_loss(model: AEModel, config: AEConfig, ctx, dataset: Matrix, batch_ind
 def model_parameters(model: AEModel) -> list:
     """Flat list of parameter arrays: layer order, weight then bias."""
     return [p for layer in model.layers for p in (layer.weight, layer.bias)]
-
-
-def grad_check_objective(model: AEModel, config: AEConfig, ctx, dataset: Matrix, batch_indices):
-    """A loss_fn for numkit.grad_check over model_parameters(model): the objective itself."""
-    idx = np.asarray(batch_indices, dtype=np.int64)
-
-    def loss_fn():
-        b, g = total_loss(model, config, ctx, dataset, idx)
-        return b.total, [p for lg in g for p in (lg.weight, lg.bias)]
-
-    return loss_fn
 
 
 def _relu_margins(layers: list, acts: list) -> list:
@@ -324,14 +310,15 @@ def gradcheck_case(case: int, seed: int = 0):
     raise RuntimeError(f"gradcheck case {case} (seed {seed}): no well-conditioned draw in 100 attempts")
 
 
-def gradcheck_errors(config: AEConfig, model: AEModel, ctx, dataset: Matrix, batch_indices) -> dict:
-    """{reduction: grad_check error} for every loss reduction."""
-    errors = {}
-    for reduction in REDUCTIONS:
-        probe = replace(config, loss_reduction=reduction)
-        loss_fn = grad_check_objective(model, probe, ctx, dataset, batch_indices)
-        errors[reduction] = grad_check(loss_fn, model_parameters(model), epsilon=1e-5)
-    return errors
+def gradcheck_error(config: AEConfig, model: AEModel, ctx, dataset: Matrix, batch_indices) -> float:
+    """numkit.grad_check's error for the objective over model_parameters(model)."""
+    idx = np.asarray(batch_indices, dtype=np.int64)
+
+    def loss_fn():
+        b, g = total_loss(model, config, ctx, dataset, idx)
+        return b.total, [p for lg in g for p in (lg.weight, lg.bias)]
+
+    return grad_check(loss_fn, model_parameters(model), epsilon=1e-5)
 
 
 def _average_breakdowns(records: list, sizes: list) -> LossBreakdown:

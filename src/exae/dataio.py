@@ -156,7 +156,10 @@ def _read_pgm(path: Path) -> np.ndarray:
 
     if tokens[0] != b"P5":
         raise ValueError(f"not a binary graymap (P5): {path}")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    if not all(t.isdigit() and int(t) > 0 for t in tokens[1:]):
+        got = b" ".join(tokens[1:]).decode(errors="replace")
+        raise ValueError(f"graymap width, height and maxval must be positive integers in {path}, got {got}")
+    width, height, maxval = map(int, tokens[1:])
     if maxval != 255:
         raise ValueError(f"unsupported graymap maxval {maxval} in {path} (want 255)")
     if len(buf) - pos < width * height:

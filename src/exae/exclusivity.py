@@ -28,8 +28,6 @@ from .numkit import Matrix
 # and 0 gradient instead of dividing by ~0.
 DEGENERATE_EPS = 1e-12
 
-REDUCTIONS = ("mean", "sum")
-
 
 @dataclass(frozen=True)
 class ExclusivityContext:
@@ -42,8 +40,8 @@ class ExclusivityContext:
 
 @dataclass
 class ExclusivityLossResult:
-    hetero_sim: float  # batch reduction of cos terms against exclude-one means
-    homo_sim: float  # batch reduction of cos terms against peer means
+    hetero_sim: float  # batch mean of cos terms against exclude-one means
+    homo_sim: float  # batch mean of cos terms against peer means
     grad_latent: Matrix
     grad_hetero: Matrix
     grad_homo: Matrix
@@ -196,23 +194,19 @@ def batch_targets(ctx: ExclusivityContext, dataset: Matrix, batch_indices) -> tu
     return hetero, homo
 
 
-def exclusivity_loss(
-    latent: Matrix, enc_hetero: Matrix, enc_homo: Matrix, reduction: str = "mean"
-) -> ExclusivityLossResult:
-    """Both cosine constraints over a row-aligned batch.
+def exclusivity_loss(latent: Matrix, enc_hetero: Matrix, enc_homo: Matrix) -> ExclusivityLossResult:
+    """Both cosine constraints over a row-aligned batch, averaged over its rows.
 
     Row i of enc_hetero / enc_homo must be the encoded exclude-one mean and
     encoded peer mean of the example whose latent code is row i of latent.
     Gradients flow into all three inputs.
     """
-    if reduction not in REDUCTIONS:
-        raise ValueError(f"reduction must be one of {REDUCTIONS}, got {reduction!r}")
     if latent.shape != enc_hetero.shape or latent.shape != enc_homo.shape:
         raise ValueError(
             f"row-misaligned inputs: latent {latent.shape}, "
             f"enc_hetero {enc_hetero.shape}, enc_homo {enc_homo.shape}"
         )
-    div = latent.shape[0] if reduction == "mean" else 1
+    div = latent.shape[0]
     s1, g1_u, g1_h = _clamped_cosine_batch(enc_hetero, latent)
     s2, g2_u, g2_h = _clamped_cosine_batch(enc_homo, latent)
     return ExclusivityLossResult(

@@ -20,7 +20,7 @@ from exae.autoencoder import (
     build_model,
     encode,
     gradcheck_case,
-    gradcheck_errors,
+    gradcheck_error,
     total_loss,
     train,
 )
@@ -45,16 +45,15 @@ from exae.stacking import StackConfig, fine_tune, train_stack
 
 
 def test_a1_gradient_fidelity():
-    """20 random small models: analytic vs central differences < 1e-4 in
-    every loss reduction, under 30 s."""
+    """20 random small models: analytic vs central differences < 1e-4,
+    under 30 s."""
     started = time.perf_counter()
     worst = 0.0
     for case in range(20):
-        base_cfg, *probe = gradcheck_case(case)
-        act = base_cfg.hidden_activation
-        for setting, err in gradcheck_errors(base_cfg, *probe).items():
-            assert err < 1e-4, f"case {case} {act} {setting}: {err:.3e}"
-            worst = max(worst, err)
+        cfg, *probe = gradcheck_case(case)
+        err = gradcheck_error(cfg, *probe)
+        assert err < 1e-4, f"case {case} {cfg.hidden_activation}: {err:.3e}"
+        worst = max(worst, err)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"gradient sweep took {elapsed:.1f}s"
     print(f"\n  gradient fidelity: worst rel err {worst:.3e} in {elapsed:.1f}s")
@@ -73,7 +72,7 @@ def test_a1_cases_include_relu():
         drawn = [c for c in cases if c[0].hidden_activation == act]
         assert drawn, f"A1 draws no {act} case"
         for case in drawn:
-            assert max(gradcheck_errors(*case).values()) < 1e-4
+            assert gradcheck_error(*case) < 1e-4
 
 
 # --------------------------------------------------------------------------
@@ -147,29 +146,27 @@ def test_a3_loss_identities_and_bounds():
     total == recon + weight * excl to 1e-12; relu-latent cosines in [0, 1]."""
     data = synth_gaussian(3, 16, 20, 0.1, seed=0).examples
     checked = 0
-    for reduction in ("mean", "sum"):
-        for act, weight in (("relu", 4.0), ("relu", 0.0), ("sigmoid", 7.0)):
-            cfg = AEConfig(
-                layer_sizes=[16, 6],
-                hidden_activation=act,
-                latent_activation=act,
-                excl_weight=weight,
-                n_neighbors=4,
-                lr=0.01,
-                epochs=8,
-                batch_size=16,
-                seed=3,
-                loss_reduction=reduction,
-            )
-            _, history = train(build_model(cfg), cfg, data)
-            assert len(history) == 8
-            for b in history:
-                assert abs(b.excl - (b.hetero_sim + 1.0 - b.homo_sim)) < 1e-12
-                assert abs(b.total - (b.recon + b.weight * b.excl)) < 1e-12
-                if act == "relu" and reduction == "mean":
-                    assert 0.0 <= b.hetero_sim <= 1.0
-                    assert 0.0 <= b.homo_sim <= 1.0
-                checked += 1
+    for act, weight in (("relu", 4.0), ("relu", 0.0), ("sigmoid", 7.0)):
+        cfg = AEConfig(
+            layer_sizes=[16, 6],
+            hidden_activation=act,
+            latent_activation=act,
+            excl_weight=weight,
+            n_neighbors=4,
+            lr=0.01,
+            epochs=8,
+            batch_size=16,
+            seed=3,
+        )
+        _, history = train(build_model(cfg), cfg, data)
+        assert len(history) == 8
+        for b in history:
+            assert abs(b.excl - (b.hetero_sim + 1.0 - b.homo_sim)) < 1e-12
+            assert abs(b.total - (b.recon + b.weight * b.excl)) < 1e-12
+            if act == "relu":
+                assert 0.0 <= b.hetero_sim <= 1.0
+                assert 0.0 <= b.homo_sim <= 1.0
+            checked += 1
     print(f"\n  loss identities: {checked} epoch records checked")
 
 

@@ -236,8 +236,8 @@ def test_gradcheck_command(capsys):
     assert "OK" in out
     # cases take the activations in turn
     for case, act in enumerate(("sigmoid", "relu", "identity")):
-        assert f"case {case} {act} mean:" in out
-        assert f"case {case} {act} sum:" in out
+        assert f"case {case} {act}: max rel err " in out
+    assert out.count("max rel err") == 3  # one line per case
 
 
 @pytest.mark.parametrize("cases", ["0", "-2"])
@@ -316,6 +316,8 @@ def test_refused_run_leaves_no_output_dir(tmp_path, monkeypatch, command):
         ({"finetune": {"norm_order": 2}}, "finetune.norm_order"),  # the band's norm is not a setting
         ({"stack": {"mean_grad": "full"}}, "stack.mean_grad"),  # the full gradient is the only one
         ({"stack": {"sizes": [32, 8], "levels": [{"mean_grad": "full"}]}}, "stack.levels[0].mean_grad"),
+        ({"stack": {"loss_reduction": "mean"}}, "stack.loss_reduction"),  # the batch mean is the only one
+        ({"stack": {"sizes": [32, 8], "levels": [{"loss_reduction": "sum"}]}}, "stack.levels[0].loss_reduction"),
     ],
 )
 def test_misspelled_key_rejected_with_its_path(tmp_path, monkeypatch, user, path):

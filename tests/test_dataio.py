@@ -152,6 +152,18 @@ class TestLoadImageDir:
         with pytest.raises(ValueError, match="bad.pgm"):
             load_image_dir(tmp_path)
 
+    @pytest.mark.parametrize(
+        "header", [b"P5 abc 2 255", b"P5 -2 -3 255", b"P5 0 3 255", b"P5 2 0 255", b"P5 1 1 0", b"P5 1 1 +255"]
+    )
+    def test_bad_header_numbers_refused_naming_the_file(self, tmp_path, header):
+        # these raised int()'s or reshape's message without the file, or read
+        # "P5 0 3 255" as a (3, 0) image
+        d = tmp_path / "c"
+        d.mkdir()
+        (d / "bad.pgm").write_bytes(header + b"\n" + bytes(8))
+        with pytest.raises(ValueError, match=r"positive integers in .*bad\.pgm"):
+            load_image_dir(tmp_path)
+
     def test_comment_in_header(self, tmp_path):
         d = tmp_path / "c"
         d.mkdir()

@@ -78,7 +78,6 @@ BATCH32 = list(range(1, 64, 2))
         (cfg([784, 256], excl_weight=0.0), BATCH32),
         (cfg([784, 256], excl_weight=7.0), [5, 9, 40]),
         (cfg([784, 256], excl_weight=0.0), [5, 9, 40]),
-        (cfg([784, 256], excl_weight=7.0, loss_reduction="sum"), BATCH32),
         (cfg([64, 32, 16], "relu", excl_weight=7.0), BATCH32),
         (cfg([64, 32, 16], "sigmoid", excl_weight=7.0), BATCH32),
         (cfg([64, 32, 16], "identity", output_activation="identity", excl_weight=7.0), BATCH32),
@@ -90,7 +89,6 @@ BATCH32 = list(range(1, 64, 2))
         "784x256-batch32-w0",
         "784x256-batch3-w7",
         "784x256-batch3-w0",
-        "784x256-batch32-w7-sum",
         "relu",
         "sigmoid",
         "identity",

@@ -331,10 +331,12 @@ def test_single_level_stack_with_zero_finetune_equals_plain_training():
           for lr in (0.0, np.nan)),
         (dict(levels=[level_cfg([8, 4])], finetune_epochs=-1), r"^finetune\.epochs must be >= 0, got -1$"),
         (dict(levels=[level_cfg([8, 4])], finetune_batch_size=0), r"^finetune\.batch_size must be >= 1, got 0$"),
+        (dict(levels=[level_cfg([8, 4])], finetune_epochs=1.5), r"^finetune\.epochs must be an integer, got 1\.5$"),
     ],
     ids=["dimension-chain", "finetune-excl-weight", "finetune-excl-weight-nan", "finetune-neighbors",
          "band-negative", "band-nan",
-         "finetune-lr-0", "finetune-lr-nan", "finetune-epochs-negative", "finetune-batch-size-0"],
+         "finetune-lr-0", "finetune-lr-nan", "finetune-epochs-negative", "finetune-batch-size-0",
+         "finetune-epochs-fractional"],
 )
 def test_invalid_config_rejected(kwargs, message):
     with pytest.raises(ValueError, match=message):
