@@ -165,9 +165,51 @@ MUTANTS = [
     (
         "snapshot-non-finite-loads",  # a NaN or inf snapshot norm passes the positivity check
         "exae/stacking.py",
-        "        if not all(0 < s < np.inf for s in self.snapshots):\n",
+        "        if not all(0 < s < np.inf and not isinstance(s, bool) for s in self.snapshots):\n",
         "        if any(s <= 0 for s in self.snapshots):\n",
         f"{EVAL}::TestCheckpoint::test_malformed_header_rejected",
+    ),
+    (
+        "snapshot-bool-loads",  # a JSON true snapshot norm loads as 1.0
+        "exae/stacking.py",
+        "        if not all(0 < s < np.inf and not isinstance(s, bool) for s in self.snapshots):\n",
+        "        if not all(0 < s < np.inf for s in self.snapshots):\n",
+        f"{EVAL}::TestCheckpoint::test_malformed_header_rejected",
+    ),
+    (
+        "seed-negative-accepted",  # numpy refuses a negative seed only when that level's model is built
+        "exae/autoencoder.py",
+        "        if self.seed < 0:  # numpy would refuse it only when this level's model is built\n",
+        "        if False:\n",
+        "tests/test_autoencoder.py::test_negative_seed_refused",
+    ),
+    (
+        "lr-inf-passes",  # an infinite lr overflows the weights on the first step
+        "exae/autoencoder.py",
+        "        if not 0 < self.lr < np.inf:\n",
+        "        if not self.lr > 0:\n",
+        "tests/test_autoencoder.py::test_infinite_lr_or_excl_weight_refused",
+    ),
+    (
+        "workers-unpinned",  # a helper thread beside a BLAS that already uses every core
+        "exae/numkit.py",
+        "                return 2 if int(environ[var]) == 1 else 1\n",
+        "                return 2\n",
+        "tests/test_numkit.py::test_row_block_workers_follow_the_openblas_thread_setting",
+    ),
+    (
+        "helper-failure-dropped",  # a block that fails on the helper thread leaves its rows unwritten
+        "exae/numkit.py",
+        "                    failed.append((block, err))\n",
+        "                    failed.append((block, err)) if threading.current_thread() is threading.main_thread() else None\n",
+        "tests/test_numkit.py::test_helper_failure_is_raised_in_the_caller",
+    ),
+    (
+        "last-partial-block-skipped",  # rows past the last whole block are never computed
+        "exae/numkit.py",
+        "    for start in range(0, n, size):\n",
+        "    for start in range(0, n - n % size, size):\n",
+        "tests/test_numkit.py::test_every_block_runs_once",
     ),
     (
         "finetune-key-unnamed",  # a bad finetune value is refused under the AEConfig field name
@@ -235,8 +277,8 @@ MUTANTS = [
     (
         "lr-nan-passes",  # a NaN learning rate trains to NaN weights without naming the field
         "exae/autoencoder.py",
-        "        if not self.lr > 0:\n",
-        "        if self.lr <= 0:\n",
+        "        if not 0 < self.lr < np.inf:\n",
+        "        if self.lr <= 0 or self.lr == np.inf:\n",
         "tests/test_autoencoder.py::test_nonpositive_or_nan_lr_refused",
     ),
     (

@@ -61,16 +61,18 @@ class AEConfig:
         for tag in (self.hidden_activation, self.latent_activation, self.output_activation):
             if tag not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {tag!r}, expected one of {ACTIVATIONS}")
-        if not self.excl_weight >= 0:
-            raise ValueError(f"excl_weight must be >= 0, got {self.excl_weight}")
+        if not 0 <= self.excl_weight < np.inf:
+            raise ValueError(f"excl_weight must be >= 0 and finite, got {self.excl_weight}")
         if self.n_neighbors < 1:
             raise ValueError(f"n_neighbors must be >= 1, got {self.n_neighbors}")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:  # numpy would refuse it only when this level's model is built
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def input_dim(self) -> int:
@@ -91,12 +93,9 @@ class AEModel:
     def __post_init__(self):
         if not (self.encoder and self.decoder):
             raise ValueError("encoder and decoder need at least one layer each")
-        for prev, nxt in zip(self.encoder, self.encoder[1:]):
-            if prev.out_dim != nxt.in_dim:
-                raise ValueError("encoder layer dimensions do not chain")
-        for prev, nxt in zip(self.decoder, self.decoder[1:]):
-            if prev.out_dim != nxt.in_dim:
-                raise ValueError("decoder layer dimensions do not chain")
+        for name, half in (("encoder", self.encoder), ("decoder", self.decoder)):
+            if any(prev.out_dim != nxt.in_dim for prev, nxt in zip(half, half[1:])):
+                raise ValueError(f"{name} layer dimensions do not chain")
         if self.decoder[0].in_dim != self.latent_dim:
             raise ValueError("decoder input dim does not match latent dim")
         if self.decoder[-1].out_dim != self.input_dim:
@@ -144,17 +143,14 @@ class LossBreakdown:
 def build_model(config: AEConfig) -> AEModel:
     """Seeded model: encoder over layer_sizes, decoder over the reverse."""
     rng = np.random.default_rng(config.seed)
-    sizes = config.layer_sizes
-    encoder = []
-    for i, (a, b) in enumerate(zip(sizes, sizes[1:])):
-        tag = config.latent_activation if i == len(sizes) - 2 else config.hidden_activation
-        encoder.append(init_layer(a, b, tag, rng))
-    rev = sizes[::-1]
-    decoder = []
-    for i, (a, b) in enumerate(zip(rev, rev[1:])):
-        tag = config.output_activation if i == len(rev) - 2 else config.hidden_activation
-        decoder.append(init_layer(a, b, tag, rng))
-    return AEModel(encoder=encoder, decoder=decoder)
+
+    def half(sizes: list, last: str) -> list:  # hidden layers, then one with activation last
+        tags = [config.hidden_activation] * (len(sizes) - 2) + [last]
+        return [init_layer(a, b, tag, rng) for a, b, tag in zip(sizes, sizes[1:], tags)]
+
+    # the encoder draws from rng first, then the decoder
+    encoder = half(config.layer_sizes, config.latent_activation)
+    return AEModel(encoder=encoder, decoder=half(config.layer_sizes[::-1], config.output_activation))
 
 
 def _forward(layers: list, x: Matrix) -> list:

@@ -72,6 +72,8 @@ class SplitSpec:
     def __post_init__(self):
         if self.per_class_train < 1:
             raise ValueError("per_class_train must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _read_be_u32(buf: bytes, offset: int, path) -> int:
@@ -274,8 +276,8 @@ def synth_gaussian(classes: int, dim: int, per_class: int, spread: float, seed: 
     """
     if classes < 1 or dim < 1 or per_class < 1:
         raise ValueError("classes, dim and per_class must all be positive")
-    if spread <= 0:
-        raise ValueError(f"spread must be positive, got {spread}")
+    if not 0 < spread < np.inf:
+        raise ValueError(f"spread must be positive and finite, got {spread}")
     rng = np.random.default_rng(seed)
     blocks, labels = [], []
     for cls in range(classes):

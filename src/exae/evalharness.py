@@ -23,7 +23,7 @@ import numpy as np
 
 from .autoencoder import AEModel, LossBreakdown, encode, model_parameters
 from .dataio import Dataset, SplitSpec, load_idx, load_image_dir, synth_gaussian, train_test_rows
-from .numkit import DenseLayer, Matrix, as_matrix
+from .numkit import DenseLayer, Matrix, as_matrix, map_row_blocks
 from .stacking import FinetuneEpoch, StackConfig, StackedModel, fine_tune, train_stack
 
 CHECKPOINT_MAGIC = b"EXAECKPT"
@@ -39,8 +39,8 @@ class CheckpointError(ValueError):
 
 
 def extract_features(stacked: StackedModel, dataset) -> Matrix:
-    """Latent codes from the assembled encoder, encoded _FEATURE_BLOCK_ROWS
-    rows at a time; rows follow the input rows."""
+    """Latent codes from the assembled encoder, _FEATURE_BLOCK_ROWS rows in
+    flight at a time (see map_row_blocks); rows follow the input rows."""
     x = dataset.examples if isinstance(dataset, Dataset) else np.asarray(dataset, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != stacked.assembled.input_dim:
         raise ValueError(
@@ -48,9 +48,11 @@ def extract_features(stacked: StackedModel, dataset) -> Matrix:
             f"{stacked.assembled.input_dim}"
         )
     features = np.empty((x.shape[0], stacked.assembled.latent_dim))
-    for start in range(0, x.shape[0], _FEATURE_BLOCK_ROWS):
-        stop = start + _FEATURE_BLOCK_ROWS
+
+    def encode_rows(start, stop):
         features[start:stop] = encode(stacked.assembled, x[start:stop])
+
+    map_row_blocks(encode_rows, x.shape[0], _FEATURE_BLOCK_ROWS)
     return features
 
 
@@ -91,15 +93,15 @@ def _pairwise_dist(query: Matrix, train: Matrix, metric: str, query_side, train_
     return np.subtract(1.0, dists, out=dists)
 
 
-# Queries whose distances knn_classify holds at once: memory is O(192 x train
-# rows), whatever the number of queries. Each block's product packs the whole
-# train side again; 10000 x 2000 x 128 products took 0.146 s in 64-row blocks
-# and 0.110 s in 192-row ones (x86-64, OpenBLAS 0.3.31, 1 thread). 256-row
-# blocks would hold more than an eighth of a 4000 x 2000 distance matrix.
+# Queries whose distances knn_classify holds at once, in one block or its parts:
+# memory is O(192 x train rows) for any number of queries. Each block's product
+# packs the whole train side again; 10000 x 2000 x 128 products took 0.146 s in
+# 64-row blocks and 0.110 s in 192-row ones (x86-64, OpenBLAS 0.3.31, 1 thread).
+# 256-row blocks would hold more than an eighth of a 4000 x 2000 distance matrix.
 _KNN_BLOCK_ROWS = 192
-# Rows extract_features encodes at once, so one block's layer activations
-# exist at a time: 10000 rows through 784-256-128 took 0.123 s as one matrix
-# and 0.092 s in 1024-row blocks, with equal bytes (same hardware and BLAS).
+# Rows whose layer activations extract_features holds at once, in one block or
+# its parts: 10000 rows through 784-256-128 took 0.123 s as one matrix and
+# 0.092 s in 1024-row blocks, with equal bytes (same hardware and BLAS).
 _FEATURE_BLOCK_ROWS = 1024
 
 
@@ -143,13 +145,15 @@ def knn_classify(
     query_side = _side(query_feats, metric, "query")
     labels, codes = np.unique(train_labels, return_inverse=True)
     predictions = np.empty(query_feats.shape[0], dtype=np.int64)
-    for start in range(0, query_feats.shape[0], _KNN_BLOCK_ROWS):
-        stop = min(start + _KNN_BLOCK_ROWS, query_feats.shape[0])
+
+    def classify(start, stop):
         query = query_feats[start:stop]
         block = _pairwise_dist(query, train_feats, metric, query_side[start:stop], train_side)
         top = _nearest(block, k)
         votes = _majority(codes[top], np.take_along_axis(block, top, axis=1), len(labels))
         predictions[start:stop] = labels[votes]
+
+    map_row_blocks(classify, query_feats.shape[0], _KNN_BLOCK_ROWS)
     return predictions
 
 
@@ -264,6 +268,10 @@ class DataSpec:
             raise ValueError("test_images and test_labels must be given together")
         if self.per_class_test is not None and self.per_class_test < 1:
             raise ValueError(f"per_class_test must be >= 1 or null, got {self.per_class_test}")
+        if not 0 < self.spread < np.inf:
+            raise ValueError(f"spread must be positive and finite, got {self.spread}")
+        if self.synth_seed < 0:
+            raise ValueError(f"synth_seed must be >= 0, got {self.synth_seed}")
 
 
 def load_data(spec: DataSpec):
@@ -298,6 +306,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.knn_k < 1:
             raise ValueError("knn_k must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.metric not in KNN_METRICS:
             raise ValueError(f"metric must be one of {tuple(KNN_METRICS)}")
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import Matrix
+from .numkit import Matrix, map_row_blocks
 
 # Norms below this are treated as degenerate: the term contributes 0 loss
 # and 0 gradient instead of dividing by ~0.
@@ -83,8 +83,8 @@ def _clamped_cosine_batch(u: Matrix, h: Matrix):
     return sims, grad_u, grad_h
 
 
-# Rows of the cosine matrix build_context holds at once: each block array is
-# 2 MB for a 2000-row set. _row_norms squares as many rows at a time.
+# Rows of the cosine matrix build_context holds at once, in one block or in its
+# map_row_blocks parts: 2 MB for a 2000-row set. _row_norms squares as many.
 _TABLE_BLOCK_ROWS = 128
 
 
@@ -128,10 +128,10 @@ def build_context(dataset: Matrix, m: int) -> ExclusivityContext:
     """Compute the row sum and per-row neighbor table once, up front.
 
     Exactness contract: row i of the table is exactly top_m_neighbors(dataset,
-    i, m), ties and zero-norm rows included. Rows are ranked in blocks: one
-    GEMM gives the cosines of a block of rows to every row (zero-norm pairs
-    -1, self -inf), argpartition picks the best m+1 and lexsort orders them
-    on (-similarity, index).
+    i, m), ties and zero-norm rows included, under any map_row_blocks partition.
+    Rows are ranked in blocks: one GEMM gives the cosines of a block of rows to
+    every row (zero-norm pairs -1, self -inf), argpartition picks the best m+1
+    and lexsort orders them on (-similarity, index).
 
     The GEMM sums each dot product in another order than the oracle's
     per-row GEMV. Either cosine is within gamma_d * sum|x_k y_k| / (|x||y|)
@@ -162,8 +162,8 @@ def build_context(dataset: Matrix, m: int) -> ExclusivityContext:
     ranks = min(m + 1, n - 1)
     bound = 2.0 * (d + 4) * np.finfo(np.float64).eps
     table = np.empty((n, m), dtype=np.int64)
-    for start in range(0, n, _TABLE_BLOCK_ROWS):
-        stop = min(start + _TABLE_BLOCK_ROWS, n)
+
+    def rank(start, stop):
         rows = np.arange(start, stop)
         sims = dataset[start:stop] @ dataset.T
         sims /= divisors[start:stop, None]
@@ -183,6 +183,8 @@ def build_context(dataset: Matrix, m: int) -> ExclusivityContext:
         for i in rows[~certified]:
             order = np.lexsort((np.arange(n), -_cosine_to_row(dataset, i, norms)))
             table[i] = order[order != i][:m]
+
+    map_row_blocks(rank, n, _TABLE_BLOCK_ROWS)
     return ExclusivityContext(row_sum=dataset.sum(axis=0), count=n, neighbors=table)
 
 

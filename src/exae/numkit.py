@@ -5,11 +5,15 @@ rows. This module owns the per-layer primitives: affine layers with their
 analytic gradients, plain SGD updates, and a central-finite-difference
 gradient checker used to validate every hand-coded backward pass. The
 backward pass reads activation derivatives off the forward output.
+map_row_blocks runs independent row blocks, two at a time when the BLAS
+is pinned to one thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,3 +209,69 @@ def grad_check(loss_fn, params: list, epsilon: float = 1e-5) -> float:
             err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
             worst = max(worst, err)
     return worst
+
+
+def row_block_workers(environ, blas: str | None) -> int:
+    """2 when the BLAS is OpenBLAS and takes one thread from environ (the first of
+    these variables set to a positive count), else 1: another BLAS keeps the core."""
+    if "openblas" in (blas or "").lower():
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            if environ.get(var, "").strip().isdigit() and int(environ[var]) > 0:
+                return 2 if int(environ[var]) == 1 else 1
+    return 1
+
+
+try:  # numpy >= 1.26 names its BLAS; with an older one the BLAS is unknown
+    _BLAS = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+except (TypeError, KeyError):
+    _BLAS = None
+# read once, as the BLAS reads its thread count once, when numpy loads it
+ROW_BLOCK_WORKERS = row_block_workers(os.environ, _BLAS)
+
+
+def row_blocks(n: int, size: int) -> list:
+    """The (start, stop) blocks map_row_blocks runs: each size-row block of range(n)
+    cut into parts of size / ROW_BLOCK_WORKERS rows, so size rows are in flight at
+    once. A 1-row remainder stays with the part before it: a 1-row product is a
+    GEMV, which can round otherwise than the rows of its whole block."""
+    step, blocks = max(size // ROW_BLOCK_WORKERS, 1), []
+    for start in range(0, n, size):
+        stop = min(start + size, n)
+        cuts = [cut for cut in range(start, stop, step) if cut == start or stop - cut > 1]
+        blocks += zip(cuts, cuts[1:] + [stop])
+    return blocks
+
+
+def map_row_blocks(fn, n: int, size: int) -> None:
+    """fn(start, stop) on each of row_blocks(n, size); each block writes its own rows.
+
+    This thread and ROW_BLOCK_WORKERS - 1 helpers (none for one block), under this
+    thread's numpy error state, take blocks in order until one fails. The helpers are
+    joined, then the error of the first failing block in row order, the one an
+    in-order run would raise, is raised here.
+    """
+    blocks = row_blocks(n, size)
+    pending, failed, lock, errstate = iter(blocks), [], threading.Lock(), np.geterr()
+
+    def drain():
+        with np.errstate(**errstate):
+            while not failed:
+                with lock:
+                    block = next(pending, None)
+                if block is None:
+                    return
+                try:
+                    fn(*block)
+                except BaseException as err:
+                    failed.append((block, err))
+
+    helpers = [threading.Thread(target=drain) for _ in range(min(ROW_BLOCK_WORKERS, len(blocks)) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        drain()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]

@@ -87,8 +87,8 @@ class StackedModel:
             raise ValueError(
                 f"{len(self.snapshots)} snapshots for {n_layers} assembled layers"
             )
-        if not all(0 < s < np.inf for s in self.snapshots):
-            raise ValueError("snapshot norms must be finite and positive")
+        if not all(0 < s < np.inf and not isinstance(s, bool) for s in self.snapshots):
+            raise ValueError("snapshot norms must be finite and positive numbers, not bools")
 
 
 @dataclass

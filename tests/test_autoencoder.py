@@ -327,6 +327,22 @@ def test_nonpositive_or_nan_lr_refused(lr):
         toy_config(lr=lr)
 
 
+@pytest.mark.parametrize(
+    "field, refused", [("lr", "lr must be positive and finite"), ("excl_weight", "excl_weight must be >= 0 and finite")]
+)
+def test_infinite_lr_or_excl_weight_refused(field, refused):
+    # an infinite lr overflows the weights on the first step, an infinite weight the first loss
+    with pytest.raises(ValueError, match=f"^{refused}, got inf$"):
+        toy_config(**{field: np.inf})
+
+
+def test_negative_seed_refused():
+    # numpy's default_rng would refuse it only when the model is built
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        toy_config(seed=-1)
+    assert toy_config(seed=0).seed == 0
+
+
 @pytest.mark.parametrize("sizes", [[8, 2.5], [8, True], [8, "4"], [8.0, 4], [8, 0], [8, -3]])
 def test_non_integer_layer_sizes_refused(sizes):
     # int() would train [8, 2.5] as [8, 2] and [8, True] as [8, 1]

@@ -163,7 +163,7 @@ def test_train_stack_finetune_eval_pipeline(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["stack", "experiment"])
 def test_bad_finetune_value_refused_under_its_config_key_before_pretraining(tmp_path, command):
     path = tiny_config(tmp_path, finetune={"lr": 0})
-    with pytest.raises(ValueError, match=r"^finetune\.lr must be positive, got 0$"):
+    with pytest.raises(ValueError, match=r"^finetune\.lr must be positive and finite, got 0$"):
         main(["--config", str(path), command])
     assert not (tmp_path / "out").exists()
 
@@ -263,6 +263,31 @@ def test_per_class_test_below_one_refused(tmp_path, monkeypatch, command, cap):
     config.write_text(json.dumps({"data": {"per_class_test": cap}}))
     with pytest.raises(ValueError, match="per_class_test"):
         main(["--config", str(config), command])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, refused, command",
+    [
+        ({"data": {"synth_seed": -1}}, "^synth_seed must be >= 0, got -1$", "synth"),
+        ({"data": {"split": {"per_class_train": 8, "seed": -1}}}, "^seed must be >= 0, got -1$", "stack"),
+        ({"stack": {"seed": -1}}, "^seed must be >= 0, got -1$", "stack"),
+        # level 2's seed is refused before level 1 trains
+        ({"stack": {"levels": [{}, {"seed": -1}]}}, "^seed must be >= 0, got -1$", "stack"),
+        ({"finetune": {"seed": -1}}, r"^finetune\.seed must be >= 0, got -1$", "stack"),
+        ({"experiment": {"base_seed": -1}}, "^base_seed must be >= 0, got -1$", "experiment"),
+        ({"stack": {"lr": np.inf}}, "^lr must be positive and finite, got inf$", "stack"),
+        ({"stack": {"excl_weight": np.inf}}, "^excl_weight must be >= 0 and finite, got inf$", "experiment"),
+        ({"finetune": {"lr": np.inf}}, r"^finetune\.lr must be positive and finite, got inf$", "experiment"),
+        ({"finetune": {"excl_weight": np.inf}}, r"^finetune\.excl_weight must be >= 0 and finite, got inf$", "stack"),
+        *(({"data": {"spread": s}}, f"^spread must be positive and finite, got {s}$", "experiment")
+          for s in (np.inf, np.nan, 0.0, -0.1)),
+    ],
+)
+def test_negative_seed_or_non_finite_setting_refused_before_anything_runs(tmp_path, overrides, refused, command):
+    path = tiny_config(tmp_path, **overrides)
+    with pytest.raises(ValueError, match=refused):
+        main(["--config", str(path), command])
     assert not (tmp_path / "out").exists()
 
 

@@ -250,8 +250,17 @@ class TestSplitPerClass:
         with pytest.raises(ValueError, match="labels"):
             split_per_class(ds, SplitSpec(per_class_train=1))
 
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            SplitSpec(per_class_train=1, seed=-1)
+
 
 class TestSynthGaussian:
+    @pytest.mark.parametrize("spread", [0.0, -1.0, np.nan, np.inf])
+    def test_spread_must_be_positive_and_finite(self, spread):
+        with pytest.raises(ValueError, match=f"^spread must be positive and finite, got {spread}$"):
+            synth_gaussian(2, 3, 4, spread, seed=0)
+
     def test_tight_spread_concentrates_on_class_mean(self):
         ds = synth_gaussian(classes=2, dim=5, per_class=20, spread=1e-8, seed=0)
         for cls in (0, 1):

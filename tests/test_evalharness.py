@@ -1,14 +1,13 @@
 """Feature extraction, k-NN against a brute-force oracle, experiments, checkpoints."""
 
 import json
-import math
 import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
-from exae import evalharness
+from exae import evalharness, numkit
 from exae.autoencoder import AEConfig, AEModel, build_model, encode, model_parameters
 from exae.dataio import Dataset, SplitSpec, synth_gaussian
 from exae.evalharness import (
@@ -107,18 +106,34 @@ class TestExtractFeatures:
         # rows in input order; bitwise on OpenBLAS, within rounding on any BLAS
         assert np.allclose(got, encode(stacked.assembled, x), rtol=1e-13, atol=0.0)
 
-    def test_memory_is_per_block(self):
+    def test_memory_is_per_block(self, monkeypatch):
         stacked = assemble([build_model(AEConfig(layer_sizes=[784, 256, 128], seed=0))])
         x = np.random.default_rng(0).uniform(size=(8000, 784))
         output = 8000 * 128 * 8
         layer_1 = 8000 * 256 * 8  # 16 MB of whole-matrix activations
-        tracemalloc.start()
-        try:
-            extract_features(stacked, x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < output + layer_1 / 4, f"traced peak {peak / 2**20:.2f} MiB"
+        for workers in (1, 2):  # two half blocks in flight hold what one whole block does
+            monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", workers)
+            tracemalloc.start()
+            try:
+                extract_features(stacked, x)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < output + layer_1 / 4, f"{workers} workers: traced peak {peak / 2**20:.2f} MiB"
+
+    def test_same_bytes_on_the_helper_thread(self, monkeypatch):
+        # 2 workers halve the block, so 1 worker at half the block runs the
+        # same partition in order: the bytes must not depend on the thread
+        stacked = assemble([build_model(AEConfig(layer_sizes=[20, 12, 6], seed=4))])
+        x = np.random.default_rng(5).uniform(size=(2 * FB + 3, 20))
+        monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", 2)
+        threaded = extract_features(stacked, x)
+        monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", 1)
+        monkeypatch.setattr(evalharness, "_FEATURE_BLOCK_ROWS", FB // 2)
+        assert threaded.tobytes() == extract_features(stacked, x).tobytes()
+        # bitwise on OpenBLAS at these shapes, within rounding on any BLAS
+        monkeypatch.setattr(evalharness, "_FEATURE_BLOCK_ROWS", FB)
+        assert np.allclose(threaded, extract_features(stacked, x), rtol=1e-13, atol=0.0)
 
 
 def full_sort_knn(train_feats, train_labels, query_feats, k, metric="euclidean"):
@@ -378,24 +393,28 @@ class TestKnnClassify:
         assert np.array_equal(got, full_sort_knn(feats, labels, queries, 2))
 
 
-def test_knn_memory_is_per_block_not_full_matrix():
+def test_knn_memory_is_per_block_not_full_matrix(monkeypatch):
     rng = np.random.default_rng(0)
     train = rng.normal(size=(2000, 16))
     labels = rng.integers(0, 10, size=2000)
     queries = rng.normal(size=(4000, 16))
     full_matrix = queries.shape[0] * train.shape[0] * 8  # 61 MiB of float64 distances
-    tracemalloc.start()
-    try:
-        knn_classify(train, labels, queries, k=5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < full_matrix / 8, f"traced peak {peak / 2**20:.2f} MiB"
+    for workers in (1, 2):  # two half blocks in flight hold what one whole block does
+        monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", workers)
+        tracemalloc.start()
+        try:
+            knn_classify(train, labels, queries, k=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < full_matrix / 8, f"{workers} workers: traced peak {peak / 2**20:.2f} MiB"
 
 
-def test_knn_block_uses_half_its_memory_bound():
+def test_knn_block_uses_half_its_memory_bound(monkeypatch):
     # each block's product packs the whole train side again: blocks far
-    # narrower than the bound above pay that packing many times over
+    # narrower than the bound above pay that packing many times over. One
+    # worker holds one block at a time, so the traced peak is one block's.
+    monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", 1)
     rng = np.random.default_rng(0)
     train = rng.normal(size=(2000, 16))
     queries = rng.normal(size=(4000, 16))
@@ -406,6 +425,23 @@ def test_knn_block_uses_half_its_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak > 4000 * 2000 * 8 / 16, f"traced peak {peak / 2**20:.2f} MiB"
+    # two workers run half blocks two at a time: the same rows in flight
+    monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", 2)
+    assert 2 * max(stop - start for start, stop in numkit.row_blocks(4000, B)) == B
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+def test_knn_same_predictions_at_one_and_two_workers(monkeypatch, metric):
+    rng = np.random.default_rng(31)
+    train = collapsed_codes(rng, 500)
+    labels = rng.integers(0, 4, size=500)
+    queries = collapsed_codes(rng, 3 * B + 5)  # tie-heavy, with a partial last block
+    got = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", workers)
+        got[workers] = knn_classify(train, labels, queries, k=3, metric=metric)
+    assert got[1].tobytes() == got[2].tobytes()
+    assert np.array_equal(got[2], full_sort_knn(train, labels, queries, 3, metric))
 
 
 def lexsort_widths(monkeypatch):
@@ -433,7 +469,7 @@ class TestSelectionPaths:
         widths = lexsort_widths(monkeypatch)
         got = knn_classify(train, labels, queries, k=5)
         # the sampled bound leaves a few dozen candidates of 2000 a row
-        assert len(widths) == math.ceil(640 / B), widths  # one lexsort a block
+        assert len(widths) == len(numkit.row_blocks(640, B)), widths  # one lexsort a block
         assert max(widths) <= 2 * evalharness._KNN_GATHER_WIDTH, widths
         assert np.array_equal(got, want)
 
@@ -448,7 +484,7 @@ class TestSelectionPaths:
         widths = lexsort_widths(monkeypatch)
         got = knn_classify(train, labels, queries, k=k, metric=metric)
         # all-zero rows tie far past the width: only the ties that fit are ranked
-        assert len(widths) == math.ceil(140 / B), widths
+        assert len(widths) == len(numkit.row_blocks(140, B)), widths
         assert max(widths) <= evalharness._KNN_GATHER_WIDTH, widths
         assert np.array_equal(got, want)
 
@@ -541,6 +577,20 @@ def experiment_config(out_dir, trials=2, **kwargs):
     )
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
+
+
+@pytest.mark.parametrize(
+    "make, refused",
+    [
+        (lambda out: experiment_config(out, base_seed=-1), "^base_seed must be >= 0, got -1$"),
+        (lambda out: DataSpec(synth_seed=-1), "^synth_seed must be >= 0, got -1$"),
+        *((lambda out, s=s: DataSpec(spread=s), f"^spread must be positive and finite, got {s}$")
+          for s in (np.inf, np.nan, 0.0, -0.1)),
+    ],
+)
+def test_negative_seed_or_bad_spread_refused_at_construction(tmp_path, make, refused):
+    with pytest.raises(ValueError, match=refused):
+        make(tmp_path)
 
 
 class TestRunExperiment:
@@ -741,10 +791,12 @@ class TestCheckpoint:
             # the snapshots are Euclidean norms: a header naming any other p is refused
             *(lambda h, p=p: json.dumps({**h, "norm_order": p}).encode() for p in (0, 0.5, 1, np.nan)),
             lambda h: json.dumps({k: v for k, v in h.items() if k != "norm_order"}).encode(),
+            # JSON true would read as a norm of 1.0, as True == 1
+            lambda h: json.dumps({**h, "snapshots": [True] + h["snapshots"][1:]}).encode(),
         ],
         ids=["undecodable-json", "missing-key", "levels-not-a-list", "snapshots-not-numbers",
              "snapshot-nan", "snapshot-inf", "norm-order-0", "norm-order-half", "norm-order-1",
-             "norm-order-nan", "no-norm-order"],
+             "norm-order-nan", "no-norm-order", "snapshot-true"],
     )
     def test_malformed_header_rejected(self, tmp_path, edit):
         stacked, _ = self.make_trained()

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from exae import exclusivity
+from exae import exclusivity, numkit
 from exae.autoencoder import LossBreakdown
 from exae.exclusivity import (
     ExclusivityContext,
@@ -342,10 +342,28 @@ class TestBuildContext:
         for j in range(n):
             assert list(ctx.neighbors[j]) == top_m_neighbors(data, j, m)
 
-    def test_table_memory_is_per_block(self):
+    def test_table_memory_is_per_block(self, monkeypatch):
         data = sparse_rows()
-        peak = traced_peak(build_context, data, 6)
-        assert peak < 0.5 * data.nbytes, f"traced peak {peak / data.nbytes:.2f} x the dataset"
+        for workers in (1, 2):  # two half blocks in flight hold what one whole block does
+            monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", workers)
+            peak = traced_peak(build_context, data, 6)
+            assert peak < 0.5 * data.nbytes, f"{workers} workers: traced peak {peak / data.nbytes:.2f} x the dataset"
+
+    def test_same_table_at_one_and_two_workers(self, monkeypatch):
+        # the tie-heavy set of the fallback test: certified and fallback rows
+        # in every block, and a partial last block
+        rng = np.random.default_rng(4)
+        n, m = 3 * exclusivity._TABLE_BLOCK_ROWS + 21, 5
+        data = rng.integers(0, 4, size=(n, 12)) / 3.0
+        data[n - 50 :] = data[rng.integers(0, n - 50, size=50)]
+        data[rng.choice(n, size=6, replace=False)] = 0.0
+        tables = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", workers)
+            tables[workers] = build_context(data, m).neighbors
+        assert tables[1].tobytes() == tables[2].tobytes()
+        for j in range(n):
+            assert list(tables[2][j]) == top_m_neighbors(data, j, m), f"row {j}"
 
     def test_fallback_copies_no_rows(self):
         # half the rows are all zero, so each of those is ranked again by the

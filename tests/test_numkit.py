@@ -1,8 +1,14 @@
-"""Layer primitives, SGD, and the gradient checker against finite differences."""
+"""Layer primitives, SGD, the gradient checker against finite differences,
+and the row-block runner."""
+
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from exae import numkit
 from exae.numkit import (
     DenseLayer,
     affine_backward,
@@ -10,6 +16,9 @@ from exae.numkit import (
     as_matrix,
     grad_check,
     init_layer,
+    map_row_blocks,
+    row_block_workers,
+    row_blocks,
     sgd_step,
 )
 
@@ -220,3 +229,151 @@ def test_init_layer_bounds_and_determinism():
     assert np.abs(a.weight).max() <= limit
     assert np.array_equal(a.weight, b.weight)
     assert np.all(a.bias == 0)
+
+
+OPENBLAS = "scipy-openblas"
+
+
+@pytest.mark.parametrize(
+    "environ, want",
+    [
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "4"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 1),  # OpenBLAS's own variable first
+        ({"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "4"}, 2),
+        ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 2),
+        ({"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 1),
+        ({"OMP_NUM_THREADS": "1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, 2),  # empty or zero is not set
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "4"}, 1),
+        ({"MKL_NUM_THREADS": "1"}, 1),  # not an OpenBLAS variable
+        ({}, 1),  # unset: OpenBLAS takes every core
+    ],
+)
+def test_row_block_workers_follow_the_openblas_thread_setting(environ, want):
+    assert row_block_workers(environ, OPENBLAS) == want
+
+
+@pytest.mark.parametrize("blas", [None, "mkl-sdl", "accelerate", "blis"])
+def test_unknown_blas_gets_one_worker(blas):
+    assert row_block_workers({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, blas) == 1
+
+
+def test_module_count_is_this_process_rule():
+    assert numkit.ROW_BLOCK_WORKERS == row_block_workers(os.environ, numkit._BLAS)
+
+
+@pytest.fixture(params=[1, 2])
+def workers(request, monkeypatch):
+    monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 13, 14, 16, 17, 41])
+def test_row_blocks_cut_the_whole_blocks(workers, n):
+    blocks = row_blocks(n, 8)
+    whole = [(s, min(s + 8, n)) for s in range(0, n, 8)]
+    assert np.array_equal(np.concatenate([np.arange(a, b) for a, b in blocks]), np.arange(n))
+    if workers == 1:
+        assert blocks == whole
+    for a, b in blocks:
+        assert a // 8 == (b - 1) // 8  # inside one whole block
+        assert b - a <= 8 // workers + 1  # the rows in flight stay at one whole block
+        assert b - a > 1 or (a, b) in whole  # a 1-row block only where the whole block has one row
+
+
+def test_two_workers_halve_each_block_and_keep_a_lone_row_with_its_part(monkeypatch):
+    monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", 2)
+    assert row_blocks(17, 8) == [(0, 4), (4, 8), (8, 12), (12, 16), (16, 17)]
+    assert row_blocks(13, 8) == [(0, 4), (4, 8), (8, 13)]
+    assert row_blocks(14, 8) == [(0, 4), (4, 8), (8, 12), (12, 14)]
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 50])
+def test_every_block_runs_once(workers, n):
+    out = np.full(n, -1)
+    seen = []
+
+    def fill(start, stop):
+        seen.append((start, stop))
+        out[start:stop] = np.arange(start, stop)
+
+    map_row_blocks(fill, n, 8)
+    assert sorted(seen) == row_blocks(n, 8)
+    assert np.array_equal(out, np.arange(n))  # the last, partial block included
+
+
+def test_block_failure_reraised_and_no_thread_left(workers):
+    before = threading.active_count()
+
+    def fail(start, stop):
+        if start >= 16:
+            raise ValueError(f"block at {start}")
+
+    # every block from row 16 on fails: the first of them in order is the one raised
+    with pytest.raises(ValueError, match="block at 16"):
+        map_row_blocks(fail, 64, 8)
+    assert threading.active_count() == before
+
+
+def test_helper_failure_is_raised_in_the_caller(monkeypatch):
+    monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", 2)
+    both = threading.Barrier(2)  # each of the two blocks runs on its own thread
+
+    def fail_off_the_caller(start, stop):
+        both.wait(timeout=10)
+        if threading.current_thread() is not threading.main_thread():
+            raise ValueError("helper block")
+
+    with pytest.raises(ValueError, match="helper block"):
+        map_row_blocks(fail_off_the_caller, 4, 4)
+
+
+def test_helper_runs_under_the_callers_error_state(monkeypatch):
+    monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", 2)
+    both = threading.Barrier(2)
+    states = []
+
+    def overflow(start, stop):
+        both.wait(timeout=10)
+        states.append(np.geterr()["over"])
+        np.float64(1e308) * 10.0  # warns, which the suite makes an error, unless overflow is ignored
+
+    with np.errstate(over="ignore"):
+        map_row_blocks(overflow, 4, 4)
+    assert states == ["ignore", "ignore"]
+
+
+@pytest.mark.parametrize("workers, n, threads", [(1, 64, 0), (2, 4, 0), (2, 64, 1)])
+def test_threads_start_only_with_two_workers_and_blocks(monkeypatch, workers, n, threads):
+    monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", workers)
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(numkit.threading, "Thread", Counted)
+    map_row_blocks(lambda start, stop: None, n, 8)
+    assert len(started) == threads
+
+
+def test_many_workers_take_every_block_once(monkeypatch):
+    # more workers than cores and a short switch interval: a block taken
+    # twice or never shows as a row count other than the number of runs
+    monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", 8)
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    counts = np.zeros(5000, dtype=np.int64)
+
+    def count(start, stop):
+        counts[start:stop] += 1
+
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            map_row_blocks(count, counts.size, 16)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.all(counts == 20)
+    assert threading.active_count() == before
