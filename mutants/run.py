@@ -233,17 +233,17 @@ MUTANTS = [
         f"{EVAL}::TestCheckpoint::test_malformed_header_rejected",
     ),
     (
-        "stack-neighbors-unchecked",  # a fine-tune table too wide for the rows fails only after pretraining
+        "stack-neighbors-unchecked",  # a level's table too wide for the rows fails only once that level trains
         "exae/stacking.py",
-        "        if phase.excl_weight != 0.0 and phase.n_neighbors >= n:",
+        "        if level.excl_weight != 0.0 and level.n_neighbors >= n:",
         "        if False:",
-        "tests/test_cli.py::test_stack_refuses_finetune_neighbors_past_the_rows_and_writes_nothing",
+        "tests/test_cli.py::test_stack_refuses_neighbors_past_the_rows_and_writes_nothing",
     ),
     (
-        "stack-neighbors-at-weight-zero",  # a phase that builds no neighbor table is refused for its width
+        "stack-neighbors-at-weight-zero",  # a level that builds no neighbor table is refused for its width
         "exae/stacking.py",
-        "        if phase.excl_weight != 0.0 and phase.n_neighbors >= n:",
-        "        if phase.n_neighbors >= n:",
+        "        if level.excl_weight != 0.0 and level.n_neighbors >= n:",
+        "        if level.n_neighbors >= n:",
         "tests/test_stacking.py::test_neighbors_past_the_rows_allowed_at_weight_zero",
     ),
     (
@@ -251,7 +251,7 @@ MUTANTS = [
         "exae/cli.py",
         "    stacked, histories = train_stack(stack_cfg, train_set.examples)\n    out = _out_dir(cfg)\n",
         "    out = _out_dir(cfg)\n    stacked, histories = train_stack(stack_cfg, train_set.examples)\n",
-        "tests/test_cli.py::test_stack_refuses_finetune_neighbors_past_the_rows_and_writes_nothing",
+        "tests/test_cli.py::test_stack_refuses_neighbors_past_the_rows_and_writes_nothing",
     ),
     (
         "trial-knn-k-unchecked",  # every trial trains in full before k-NN refuses its k

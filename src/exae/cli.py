@@ -50,8 +50,6 @@ RENAMED = {
     "finetune.lr": "finetune_lr",
     "finetune.batch_size": "finetune_batch_size",
     "finetune.seed": "finetune_seed",
-    "finetune.excl_weight": "finetune_excl_weight",
-    "finetune.n_neighbors": "finetune_neighbors",
     "output.dir": "out_dir",
 }
 

@@ -462,7 +462,7 @@ def load_checkpoint(path) -> StackedModel:
     version = int.from_bytes(buf[8:12], "little")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
-            f"checkpoint version {version} not supported (want {CHECKPOINT_VERSION})"
+            f"checkpoint version {version} in {path} not supported (want {CHECKPOINT_VERSION})"
         )
     view = memoryview(buf)  # slices of a view copy nothing
     stored_crc = int.from_bytes(buf[-4:], "little")

@@ -27,7 +27,8 @@ class StackConfig:
 
     band is the allowed relative deviation of each layer's weight-norm
     ratio (snapshot norm over current norm) during fine-tuning; band = 0
-    pins every norm to its snapshot, band >= 1 disables the lower edge.
+    pins every norm to its snapshot, band >= 1 disables the lower edge,
+    and band = inf means no band: no layer is ever rescaled.
     """
 
     levels: list  # AEConfig per level, dimensions chained
@@ -36,8 +37,6 @@ class StackConfig:
     finetune_lr: float = 0.05
     finetune_batch_size: int = 32
     finetune_seed: int = 0
-    finetune_excl_weight: float = 0.0  # 0 keeps fine-tuning reconstruction-only
-    finetune_neighbors: int = 6
 
     def __post_init__(self):
         if not self.levels:
@@ -49,17 +48,16 @@ class StackConfig:
                     f"level {k} latent dim {prev.latent_dim}"
                 )
         if not self.band >= 0:
-            raise ValueError(f"band must be >= 0, got {self.band}")
+            raise ValueError(f"finetune.band must be >= 0, got {self.band}")
         self.finetune  # AEConfig's checks refuse a bad finetune_* value here, before any pretraining
 
     @property
     def finetune(self) -> AEConfig:
-        """The fine-tune phase: level 1's AEConfig at the finetune_* values."""
+        """The fine-tune phase: level 1's AEConfig at weight 0 and the finetune_* values."""
         try:
             return replace(
-                self.levels[0], excl_weight=self.finetune_excl_weight, n_neighbors=self.finetune_neighbors,
-                lr=self.finetune_lr, epochs=self.finetune_epochs, batch_size=self.finetune_batch_size,
-                seed=self.finetune_seed,
+                self.levels[0], excl_weight=0.0, lr=self.finetune_lr, epochs=self.finetune_epochs,
+                batch_size=self.finetune_batch_size, seed=self.finetune_seed,
             )
         except ValueError as err:  # AEConfig's message names its field, the finetune section's key
             raise ValueError(f"finetune.{err}") from None
@@ -150,17 +148,14 @@ def train_stack(config: StackConfig, dataset: Matrix):
 
     Level 1 trains on the raw rows; level k trains on level k-1's latent
     codes, with the exclusivity context rebuilt in that input space.
-    Returns (StackedModel, per-level histories), pre-finetune. A level, or
-    the fine-tune that runs on these rows, whose neighbor table the rows
-    cannot fill is refused before level 1 trains.
+    Returns (StackedModel, per-level histories), pre-finetune. A level whose
+    neighbor table the rows cannot fill is refused before level 1 trains.
     """
     data = np.asarray(dataset, dtype=np.float64)
     n = len(data)
-    phases = {f"level {k} n_neighbors": c for k, c in enumerate(config.levels, start=1)}
-    phases["finetune.n_neighbors"] = config.finetune
-    for name, phase in phases.items():
-        if phase.excl_weight != 0.0 and phase.n_neighbors >= n:  # a row's m peers exclude itself
-            raise ValueError(f"{name}={phase.n_neighbors} needs at least {phase.n_neighbors + 1} rows, have {n}")
+    for k, level in enumerate(config.levels, start=1):
+        if level.excl_weight != 0.0 and level.n_neighbors >= n:  # a row's m peers exclude itself
+            raise ValueError(f"level {k} n_neighbors={level.n_neighbors} needs at least {level.n_neighbors + 1} rows, have {n}")
     levels, histories = [], []
     for k, level_cfg in enumerate(config.levels, start=1):
         model = build_model(level_cfg)
@@ -187,10 +182,9 @@ def _project_all(stacked: StackedModel, band: float) -> list:
 def fine_tune(stacked: StackedModel, dataset: Matrix, config: StackConfig):
     """End-to-end training of the assembled model under the norm band.
 
-    Reconstruction-only by default; finetune_excl_weight > 0 turns the
-    exclusivity term back on, with its context built on the raw rows.
-    After every epoch each layer is projected back into its band (biases
-    are not constrained). Returns (stacked, history of FinetuneEpoch).
+    Reconstruction-only: no neighbor table is built. After every epoch
+    each layer is projected back into its band (biases are not
+    constrained). Returns (stacked, history of FinetuneEpoch).
     """
     model = stacked.assembled
     epochs = sgd_epochs(model, config.finetune, training_rows(model, dataset))

@@ -74,15 +74,13 @@ def test_readme_defaults_block_equals_load_config():
 def test_renamed_keys_reach_their_fields(tmp_path, monkeypatch):
     path = tiny_config(
         tmp_path,
-        finetune={"epochs": 3, "lr": 0.01, "batch_size": 4, "seed": 9,
-                  "excl_weight": 2.0, "n_neighbors": 5},
+        finetune={"epochs": 3, "lr": 0.01, "batch_size": 4, "seed": 9},
         eval={"knn_k": 3, "metric": "cosine"},
     )
     cfg = load_config(str(path))
     stack = cli.stack_config_from(cfg, 6)
-    assert (stack.finetune_epochs, stack.finetune_lr, stack.finetune_batch_size,
-            stack.finetune_seed, stack.finetune_excl_weight, stack.finetune_neighbors) == (
-        3, 0.01, 4, 9, 2.0, 5)
+    assert (stack.finetune_epochs, stack.finetune_lr, stack.finetune_batch_size, stack.finetune_seed) == (
+        3, 0.01, 4, 9)
     seen = []
 
     def capture(exp, loaded):
@@ -168,10 +166,10 @@ def test_bad_finetune_value_refused_under_its_config_key_before_pretraining(tmp_
     assert not (tmp_path / "out").exists()
 
 
-def test_stack_refuses_finetune_neighbors_past_the_rows_and_writes_nothing(tmp_path):
+def test_stack_refuses_neighbors_past_the_rows_and_writes_nothing(tmp_path):
     # 2 classes x 8 training rows
-    path = tiny_config(tmp_path, finetune={"excl_weight": 1, "n_neighbors": 40})
-    with pytest.raises(ValueError, match=r"^finetune\.n_neighbors=40 needs at least 41 rows, have 16$"):
+    path = tiny_config(tmp_path, stack={"n_neighbors": 40})
+    with pytest.raises(ValueError, match=r"^level 1 n_neighbors=40 needs at least 41 rows, have 16$"):
         main(["--config", str(path), "stack"])
     assert not (tmp_path / "out").exists()
 
@@ -279,7 +277,7 @@ def test_per_class_test_below_one_refused(tmp_path, monkeypatch, command, cap):
         ({"stack": {"lr": np.inf}}, "^lr must be positive and finite, got inf$", "stack"),
         ({"stack": {"excl_weight": np.inf}}, "^excl_weight must be >= 0 and finite, got inf$", "experiment"),
         ({"finetune": {"lr": np.inf}}, r"^finetune\.lr must be positive and finite, got inf$", "experiment"),
-        ({"finetune": {"excl_weight": np.inf}}, r"^finetune\.excl_weight must be >= 0 and finite, got inf$", "stack"),
+        ({"finetune": {"band": np.nan}}, r"^finetune\.band must be >= 0, got nan$", "stack"),
         *(({"data": {"spread": s}}, f"^spread must be positive and finite, got {s}$", "experiment")
           for s in (np.inf, np.nan, 0.0, -0.1)),
     ],
@@ -343,6 +341,8 @@ def test_refused_run_leaves_no_output_dir(tmp_path, monkeypatch, command):
         ({"stack": {"sizes": [32, 8], "levels": [{"mean_grad": "full"}]}}, "stack.levels[0].mean_grad"),
         ({"stack": {"loss_reduction": "mean"}}, "stack.loss_reduction"),  # the batch mean is the only one
         ({"stack": {"sizes": [32, 8], "levels": [{"loss_reduction": "sum"}]}}, "stack.levels[0].loss_reduction"),
+        # fine-tuning is reconstruction-only, so it has no weight and no neighbor table
+        *(({"finetune": {key: val}}, f"finetune.{key}") for key in ("excl_weight", "n_neighbors") for val in (0, 2)),
     ],
 )
 def test_misspelled_key_rejected_with_its_path(tmp_path, monkeypatch, user, path):

@@ -235,16 +235,19 @@ class TestFineTune:
             assert epoch.loss.excl == 0.0
             assert epoch.loss.total == pytest.approx(epoch.loss.recon, abs=1e-15)
 
-    def test_zero_weight_matches_reference_loop(self):
-        """Fine-tuning is the plain training loop plus a band projection per epoch."""
-        cfg = stack_cfg(band=0.0, finetune_epochs=4, finetune_lr=0.1)
+    @staticmethod
+    def reference_finetune(cfg, project):
+        """fine_tune's (stacked, history), checked bit for bit against an
+        independent reference loop on the same rows.
+
+        The reference uses public primitives only; total_loss reads only the
+        loss settings of its config. project=False leaves the band out.
+        """
         data = toy_rows(13, n=10)  # batch 4: each epoch ends on a 2-row batch
         stacked, _ = train_stack(cfg, data)
         ref = stacked.assembled.copy()
-        stacked, _ = fine_tune(stacked, data, cfg)
+        stacked, history = fine_tune(stacked, data, cfg)
 
-        # independent reference from public primitives; total_loss reads
-        # only the loss settings of its config
         loss_cfg = level_cfg([8, 2], excl_weight=0.0)
         layers = ref.layers
         rng = np.random.default_rng(cfg.finetune_seed)
@@ -254,15 +257,29 @@ class TestFineTune:
                 batch = perm[start : start + cfg.finetune_batch_size]
                 _, grads = total_loss(ref, loss_cfg, None, data, batch)
                 sgd_step(layers, grads, cfg.finetune_lr)
-            for snap, layer in zip(stacked.snapshots, layers):
-                layer.weight = project_to_band(snap, layer.weight, cfg.band)
+            if project:
+                for snap, layer in zip(stacked.snapshots, layers):
+                    layer.weight = project_to_band(snap, layer.weight, cfg.band)
 
         for a, b in zip(stacked.assembled.layers, layers):
             assert np.array_equal(a.weight, b.weight)
             assert np.array_equal(a.bias, b.bias)
+        return stacked, history
+
+    def test_zero_weight_matches_reference_loop(self):
+        """Fine-tuning is the plain training loop plus a band projection per epoch."""
+        self.reference_finetune(stack_cfg(band=0.0, finetune_epochs=4, finetune_lr=0.1), project=True)
+
+    def test_infinite_band_is_the_reference_loop_without_projection(self):
+        """band = inf means no band: no layer is ever rescaled."""
+        stacked, history = self.reference_finetune(
+            stack_cfg(band=np.inf, finetune_epochs=4, finetune_lr=0.1), project=False)
+        ratios = [weight_ratio(s, l.weight) for s, l in zip(stacked.snapshots, stacked.assembled.layers)]
+        assert history[-1].ratios == ratios
+        assert max(abs(r - 1.0) for r in ratios) > 0.0  # the weights moved, and nothing pulled them back
 
     def test_non_finite_rows_rejected_before_any_work(self, monkeypatch):
-        cfg = stack_cfg(finetune_excl_weight=1.5, finetune_neighbors=2)
+        cfg = stack_cfg()
         data = toy_rows(7)
         stacked, _ = train_stack(cfg, data)
         before = [l.weight.copy() for l in stacked.assembled.layers]
@@ -278,11 +295,11 @@ class TestFineTune:
             assert np.array_equal(w, l.weight)
 
     def test_fewer_rows_than_neighbors_at_weight_zero(self):
-        # no neighbor table at weight 0, so train's row minimum does not apply
+        # fine-tuning builds no neighbor table, so train's row minimum does not apply
         cfg = stack_cfg(finetune_epochs=2)
-        assert cfg.finetune_neighbors == 6
+        assert cfg.finetune.n_neighbors == 2
         stacked, _ = train_stack(cfg, toy_rows())
-        stacked, history = fine_tune(stacked, toy_rows(n=5), cfg)
+        stacked, history = fine_tune(stacked, toy_rows(n=2), cfg)
         assert len(history) == 2
 
     def test_empty_dataset_refused_by_name(self):
@@ -293,16 +310,6 @@ class TestFineTune:
         stacked, _ = train_stack(cfg, toy_rows())
         with pytest.raises(ValueError, match="dataset has no rows"):
             fine_tune(stacked, toy_rows(n=0), cfg)
-
-    def test_optional_exclusivity_term(self):
-        cfg = stack_cfg(finetune_epochs=2, finetune_excl_weight=1.5, finetune_neighbors=2)
-        data = toy_rows(7)
-        stacked, _ = train_stack(cfg, data)
-        stacked, history = fine_tune(stacked, data, cfg)
-        assert history[0].loss.weight == 1.5
-        assert history[0].loss.total == pytest.approx(
-            history[0].loss.recon + 1.5 * history[0].loss.excl, abs=1e-12
-        )
 
 
 def test_single_level_stack_with_zero_finetune_equals_plain_training():
@@ -323,18 +330,14 @@ def test_single_level_stack_with_zero_finetune_equals_plain_training():
     "kwargs,message",
     [
         (dict(levels=[level_cfg([8, 4]), level_cfg([5, 2])]), "does not match"),
-        (dict(levels=[level_cfg([8, 4])], finetune_excl_weight=-1.0), r"^finetune\.excl_weight must be >= 0"),
-        (dict(levels=[level_cfg([8, 4])], finetune_excl_weight=np.nan), r"^finetune\.excl_weight .* got nan$"),
-        (dict(levels=[level_cfg([8, 4])], finetune_neighbors=0), r"^finetune\.n_neighbors must be >= 1, got 0$"),
-        *((dict(levels=[level_cfg([8, 4])], band=b), "band must be >= 0") for b in (-0.1, np.nan)),
+        *((dict(levels=[level_cfg([8, 4])], band=b), rf"^finetune\.band must be >= 0, got {b}$") for b in (-0.1, np.nan)),
         *((dict(levels=[level_cfg([8, 4])], finetune_lr=lr), r"^finetune\.lr must be positive")
           for lr in (0.0, np.nan)),
         (dict(levels=[level_cfg([8, 4])], finetune_epochs=-1), r"^finetune\.epochs must be >= 0, got -1$"),
         (dict(levels=[level_cfg([8, 4])], finetune_batch_size=0), r"^finetune\.batch_size must be >= 1, got 0$"),
         (dict(levels=[level_cfg([8, 4])], finetune_epochs=1.5), r"^finetune\.epochs must be an integer, got 1\.5$"),
     ],
-    ids=["dimension-chain", "finetune-excl-weight", "finetune-excl-weight-nan", "finetune-neighbors",
-         "band-negative", "band-nan",
+    ids=["dimension-chain", "band-negative", "band-nan",
          "finetune-lr-0", "finetune-lr-nan", "finetune-epochs-negative", "finetune-batch-size-0",
          "finetune-epochs-fractional"],
 )
@@ -348,10 +351,8 @@ def test_invalid_config_rejected(kwargs, message):
     [
         (stack_cfg(levels=[level_cfg([8, 4]), level_cfg([4, 2], n_neighbors=12, output_activation="relu")]),
          r"^level 2 n_neighbors=12 needs at least 13 rows, have 12$"),
-        (stack_cfg(finetune_excl_weight=1.0, finetune_neighbors=12),
-         r"^finetune\.n_neighbors=12 needs at least 13 rows, have 12$"),
     ],
-    ids=["level-2", "finetune"],
+    ids=["level-2"],
 )
 def test_neighbors_past_the_rows_refused_before_level_1_trains(monkeypatch, cfg, message):
     def no_training(*args):
@@ -364,7 +365,7 @@ def test_neighbors_past_the_rows_refused_before_level_1_trains(monkeypatch, cfg,
 
 def test_neighbors_past_the_rows_allowed_at_weight_zero():
     # no phase builds a neighbor table, so the row count sets no limit
-    cfg = stack_cfg(levels=[level_cfg([8, 4], excl_weight=0.0, n_neighbors=40)], finetune_neighbors=40)
+    cfg = stack_cfg(levels=[level_cfg([8, 4], excl_weight=0.0, n_neighbors=40)])
     _, histories = train_stack(cfg, toy_rows())
     assert len(histories[0]) == cfg.levels[0].epochs
 
