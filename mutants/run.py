@@ -219,6 +219,13 @@ MUTANTS = [
         "tests/test_stacking.py::test_invalid_config_rejected",
     ),
     (
+        "header-type-error-escapes",  # a header value of the wrong JSON kind raises TypeError, untyped
+        "exae/evalharness.py",
+        "    except (ValueError, KeyError, TypeError) as err:\n",
+        "    except (ValueError, KeyError) as err:\n",
+        "tests/test_fuzz.py::test_rewritten_header_fields_load_or_raise_checkpoint_error",
+    ),
+    (
         "norm-order-defaulted",  # a header without norm_order loads as p=2
         "exae/evalharness.py",
         'if header["norm_order"] != 2:',
@@ -249,9 +256,18 @@ MUTANTS = [
     (
         "stack-out-dir-early",  # a refused stack leaves an empty output directory behind
         "exae/cli.py",
-        "    stacked, histories = train_stack(stack_cfg, train_set.examples)\n    out = _out_dir(cfg)\n",
-        "    out = _out_dir(cfg)\n    stacked, histories = train_stack(stack_cfg, train_set.examples)\n",
+        "    stacked, histories = train_stack(stack_cfg, train_set.examples)\n    out = _out_dir(exp)\n",
+        "    out = _out_dir(exp)\n    stacked, histories = train_stack(stack_cfg, train_set.examples)\n",
         "tests/test_cli.py::test_stack_refuses_neighbors_past_the_rows_and_writes_nothing",
+    ),
+    (
+        "pretrain-rows-unchecked",  # train and stack draw their rows past the k-NN row check
+        "exae/cli.py",
+        "    train_set, _ = trial_rows(exp, loaded, exp.split)\n    stack_cfg = ",
+        "    from .dataio import train_test_rows\n"
+        "    train_set, _ = train_test_rows(*loaded, exp.split, exp.data.per_class_test, exp.base_seed)\n"
+        "    stack_cfg = ",
+        "tests/test_cli.py::test_stage_commands_refuse_what_experiment_refuses_before_any_work",
     ),
     (
         "trial-knn-k-unchecked",  # every trial trains in full before k-NN refuses its k

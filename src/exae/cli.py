@@ -2,7 +2,8 @@
 
 Every subcommand reads one JSON config file (--config); anything omitted
 falls back to DEFAULT_CONFIG, which takes each default from the field of
-the dataclass that consumes it. The sections:
+the dataclass that consumes it. All but gradcheck build one ExperimentConfig
+from it (experiment_from) before any work. The sections:
 
   data:       DataSpec: source ("synth" | "idx" | "image_dir") plus its
               parameters; "split" holds SplitSpec
@@ -30,7 +31,7 @@ from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
 from .autoencoder import AEConfig, gradcheck_case, gradcheck_error
-from .dataio import SplitSpec, save_idx, train_test_rows
+from .dataio import SplitSpec, save_idx
 from .evalharness import (
     DataSpec,
     ExperimentConfig,
@@ -39,6 +40,7 @@ from .evalharness import (
     load_data,
     run_experiment,
     save_checkpoint,
+    trial_rows,
     write_metrics,
     MetricsRecord,
 )
@@ -147,14 +149,6 @@ def _as_fields(cfg: dict, *sections: str) -> dict:
     return {RENAMED.get(f"{s}.{key}", key): val for s in sections for key, val in cfg[s].items()}
 
 
-def data_spec_from(cfg: dict) -> DataSpec:
-    return DataSpec(**{key: val for key, val in cfg["data"].items() if key != "split"})
-
-
-def split_spec_from(cfg: dict) -> SplitSpec:
-    return SplitSpec(**cfg["data"]["split"])
-
-
 def level_configs_from(cfg: dict, input_dim: int) -> list:
     """One AEConfig per consecutive size pair, with optional overrides."""
     st = cfg["stack"]
@@ -175,28 +169,29 @@ def level_configs_from(cfg: dict, input_dim: int) -> list:
     return levels
 
 
-def stack_config_from(cfg: dict, input_dim: int) -> StackConfig:
-    return StackConfig(levels=level_configs_from(cfg, input_dim), **_as_fields(cfg, "finetune"))
+def experiment_from(cfg: dict):
+    """(ExperimentConfig, (data, test)): every setting built and checked once,
+    before any work, and the data read once, as its width sizes the stack."""
+    spec = DataSpec(**{key: val for key, val in cfg["data"].items() if key != "split"})
+    loaded = load_data(spec)
+    exp = ExperimentConfig(
+        data=spec,
+        split=SplitSpec(**cfg["data"]["split"]),
+        stack=StackConfig(levels=level_configs_from(cfg, loaded[0].dim), **_as_fields(cfg, "finetune")),
+        **_as_fields(cfg, "eval", "experiment", "output"),
+    )
+    return exp, loaded
 
 
-def _out_dir(cfg: dict) -> Path:
-    out = Path(cfg["output"]["dir"])
+def _out_dir(exp: ExperimentConfig) -> Path:
+    out = Path(exp.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _train_test(cfg: dict):
-    """The (train, test) rows an experiment's trial trains on and queries,
-    drawn at the config's own seeds: trial 0's rows when they are defaults."""
-    data, test = load_data(data_spec_from(cfg))
-    return train_test_rows(
-        data, test, split_spec_from(cfg), cfg["data"]["per_class_test"], cfg["experiment"]["base_seed"]
-    )
-
-
 def cmd_synth(cfg: dict, args) -> int:
-    data, _ = load_data(data_spec_from(cfg))
-    out = _out_dir(cfg)
+    exp, (data, _) = experiment_from(cfg)
+    out = _out_dir(exp)
     save_idx(data, out / "synth-images-idx3-ubyte", out / "synth-labels-idx1-ubyte")
     print(f"wrote {data.n} rows of dim {data.dim} to {out}/synth-*-ubyte")
     return 0
@@ -204,11 +199,11 @@ def cmd_synth(cfg: dict, args) -> int:
 
 def _pretrain(cfg: dict, n_levels: int | None, checkpoint: str, metrics: str) -> int:
     """Pretrain and assemble the first n_levels levels (None: all of them)."""
-    train_set, _ = _train_test(cfg)
-    stack_cfg = stack_config_from(cfg, train_set.dim)
-    stack_cfg = replace(stack_cfg, levels=stack_cfg.levels[:n_levels])
+    exp, loaded = experiment_from(cfg)
+    train_set, _ = trial_rows(exp, loaded, exp.split)
+    stack_cfg = replace(exp.stack, levels=exp.stack.levels[:n_levels])
     stacked, histories = train_stack(stack_cfg, train_set.examples)
-    out = _out_dir(cfg)
+    out = _out_dir(exp)
     save_checkpoint(stacked, out / checkpoint, config=cfg)
     record = MetricsRecord(trial=0, pretrain=histories, finetune=[], accuracy=None, seconds=0.0)
     write_metrics([record], out / metrics)
@@ -225,11 +220,10 @@ def cmd_stack(cfg: dict, args) -> int:
 
 
 def cmd_finetune(cfg: dict, args) -> int:
-    stacked = load_checkpoint(args.checkpoint)
-    train_set, _ = _train_test(cfg)
-    stack_cfg = stack_config_from(cfg, train_set.dim)
-    stacked, history = fine_tune(stacked, train_set.examples, stack_cfg)
-    out = _out_dir(cfg)
+    exp, loaded = experiment_from(cfg)
+    train_set, _ = trial_rows(exp, loaded, exp.split)
+    stacked, history = fine_tune(load_checkpoint(args.checkpoint), train_set.examples, exp.stack)
+    out = _out_dir(exp)
     save_checkpoint(stacked, out / "finetuned.ckpt", config=cfg)
     record = MetricsRecord(trial=0, pretrain=[], finetune=history, accuracy=None, seconds=0.0)
     write_metrics([record], out / "finetune-metrics.csv")
@@ -242,23 +236,15 @@ def cmd_finetune(cfg: dict, args) -> int:
 
 
 def cmd_eval(cfg: dict, args) -> int:
-    stacked = load_checkpoint(args.checkpoint)
-    train_set, test_set = _train_test(cfg)
-    acc = evaluate(stacked, train_set, test_set, cfg["eval"]["knn_k"], cfg["eval"]["metric"])
-    print(f"accuracy: {acc:.4f} ({test_set.n} queries, k={cfg['eval']['knn_k']})")
+    exp, loaded = experiment_from(cfg)
+    train_set, test_set = trial_rows(exp, loaded, exp.split)
+    acc = evaluate(load_checkpoint(args.checkpoint), train_set, test_set, exp.knn_k, exp.metric)
+    print(f"accuracy: {acc:.4f} ({test_set.n} queries, k={exp.knn_k})")
     return 0
 
 
 def cmd_experiment(cfg: dict, args) -> int:
-    spec = data_spec_from(cfg)
-    loaded = load_data(spec)  # read once: its width sizes the stack
-    exp = ExperimentConfig(
-        data=spec,
-        split=split_spec_from(cfg),
-        stack=stack_config_from(cfg, loaded[0].dim),
-        **_as_fields(cfg, "eval", "experiment", "output"),
-    )
-    records, summary = run_experiment(exp, loaded)
+    records, summary = run_experiment(*experiment_from(cfg))
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0 if not summary["partial"] else 1
 

@@ -335,15 +335,21 @@ def _reseed_stack(stack: StackConfig, seed: int) -> StackConfig:
     return replace(stack, levels=levels, finetune_seed=seed)
 
 
+def trial_rows(config: ExperimentConfig, loaded, split: SplitSpec):
+    """The (train, test) rows that split draws from loaded, the (data, test)
+    pair of load_data(config.data). A knn_k past the training rows is refused
+    here, before any training, as knn_classify would refuse it after it."""
+    # base_seed draws a capped explicit test set: every trial faces the same queries
+    train_set, test_set = train_test_rows(*loaded, split, config.data.per_class_test, config.base_seed)
+    if config.knn_k > train_set.n:
+        raise ValueError(f"k={config.knn_k} out of range for {train_set.n} training rows")
+    return train_set, test_set
+
+
 def run_trial(config: ExperimentConfig, data: Dataset, test: Dataset | None, trial: int) -> MetricsRecord:
     seed = config.base_seed + trial
     started = time.perf_counter()
-    # base_seed draws a capped explicit test set: every trial faces the same queries
-    train_set, test_set = train_test_rows(
-        data, test, replace(config.split, seed=seed), config.data.per_class_test, config.base_seed
-    )
-    if config.knn_k > train_set.n:  # refused before any training, as knn_classify would after it
-        raise ValueError(f"k={config.knn_k} out of range for {train_set.n} training rows")
+    train_set, test_set = trial_rows(config, (data, test), replace(config.split, seed=seed))
     stack_cfg = _reseed_stack(config.stack, seed)
     stacked, pretrain_hist = train_stack(stack_cfg, train_set.examples)
     stacked, finetune_hist = fine_tune(stacked, train_set.examples, stack_cfg)

@@ -46,16 +46,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def activate(tag: str, z: np.ndarray) -> np.ndarray:
-    if tag == "identity":
-        return z
-    if tag == "relu":
-        return np.maximum(z, 0.0)
-    if tag == "sigmoid":
-        return _sigmoid(z)
-    raise ValueError(f"unknown activation {tag!r}, expected one of {ACTIVATIONS}")
-
-
 @dataclass
 class DenseLayer:
     """One affine layer: out = activation(x @ weight.T + bias).
@@ -116,12 +106,12 @@ def affine_forward(layer: DenseLayer, x: Matrix) -> Matrix:
             f"{layer.weight.shape} (expected {layer.in_dim} columns)"
         )
     # the bias and relu go into the product's own buffer: the bytes of
-    # activate(tag, x @ W.T + b) without its full-size temporaries
+    # relu, sigmoid or identity of x @ W.T + b without its full-size temporaries
     z = x @ layer.weight.T
     z += layer.bias
     if layer.activation == "relu":
         return np.maximum(z, 0.0, out=z)
-    return activate(layer.activation, z)
+    return _sigmoid(z) if layer.activation == "sigmoid" else z
 
 
 def affine_backward(layer: DenseLayer, x: Matrix, out: Matrix, grad_out: Matrix, input_grad: bool = True):

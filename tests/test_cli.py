@@ -60,9 +60,10 @@ def test_defaults_cover_documented_operating_point():
         AEConfig(layer_sizes=[512, 256], output_activation="relu"),
         AEConfig(layer_sizes=[256, 128], output_activation="relu"),
     ]
-    assert cli.stack_config_from(cfg, 784) == StackConfig(levels=levels)
-    assert cli.data_spec_from(cfg) == DataSpec()
-    assert cli.split_spec_from(cfg) == SplitSpec(per_class_train=10)
+    exp, _ = cli.experiment_from(cfg)  # the default synth rows are 32 wide
+    assert exp.stack == StackConfig(levels=[AEConfig(layer_sizes=[32, 512]), *levels[1:]])
+    assert exp.data == DataSpec()
+    assert exp.split == SplitSpec(per_class_train=10)
 
 
 def test_readme_defaults_block_equals_load_config():
@@ -77,8 +78,7 @@ def test_renamed_keys_reach_their_fields(tmp_path, monkeypatch):
         finetune={"epochs": 3, "lr": 0.01, "batch_size": 4, "seed": 9},
         eval={"knn_k": 3, "metric": "cosine"},
     )
-    cfg = load_config(str(path))
-    stack = cli.stack_config_from(cfg, 6)
+    stack = cli.experiment_from(load_config(str(path)))[0].stack
     assert (stack.finetune_epochs, stack.finetune_lr, stack.finetune_batch_size, stack.finetune_seed) == (
         3, 0.01, 4, 9)
     seen = []
@@ -174,6 +174,55 @@ def test_stack_refuses_neighbors_past_the_rows_and_writes_nothing(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.fixture(scope="module")
+def stack_checkpoint(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("checkpoint")
+    assert main(["--config", str(tiny_config(tmp)), "stack"]) == 0
+    return tmp / "out" / "stack.ckpt"
+
+
+def explicit_test_files(tmp_path):
+    rng = np.random.default_rng(4)
+    files = {}
+    for name, per_class in (("train", 12), ("test", 8)):
+        pair = Dataset(rng.uniform(size=(2 * per_class, 6)), np.repeat([0, 1], per_class), (2, 3))
+        files[name] = [str(tmp_path / f"{name}-images"), str(tmp_path / f"{name}-labels")]
+        save_idx(pair, *files[name])
+    return {"source": "idx", "images": files["train"][0], "labels": files["train"][1],
+            "test_images": files["test"][0], "test_labels": files["test"][1]}
+
+
+@pytest.mark.parametrize(
+    "overrides, refused",
+    [
+        ({"eval": {"metric": "manhattan"}}, "metric must be one of ('euclidean', 'cosine')"),
+        ({"eval": {"knn_k": 0}}, "knn_k must be >= 1"),
+        ({"experiment": {"trials": 0}}, "trials must be >= 1"),
+        ({"experiment": {"base_seed": -1}, "data": {"per_class_test": 3}}, "base_seed must be >= 0, got -1"),
+        ({"eval": {"knn_k": 40}}, "k=40 out of range for 16 training rows"),  # 2 classes x 8 training rows
+    ],
+    ids=["metric-manhattan", "knn_k-0", "trials-0", "base_seed-negative", "knn_k-past-the-rows"],
+)
+@pytest.mark.parametrize("command", ["train", "stack", "finetune", "eval"])
+def test_stage_commands_refuse_what_experiment_refuses_before_any_work(
+        tmp_path, stack_checkpoint, overrides, refused, command):
+    overrides = {**overrides, "output": {"dir": str(tmp_path / "experiment")}}
+    if "per_class_test" in overrides.get("data", {}):
+        overrides["data"] = {**overrides["data"], **explicit_test_files(tmp_path)}
+    path = tiny_config(tmp_path, **overrides)
+    try:  # a config refused at build time raises; a trial's refusal is in summary.json
+        main(["--config", str(path), "experiment"])
+        experiment_says = json.loads((tmp_path / "experiment" / "summary.json").read_text())["failures"]["0"]
+    except ValueError as err:
+        experiment_says = f"ValueError: {err}"
+    assert experiment_says == f"ValueError: {refused}"
+    path = tiny_config(tmp_path, **{**overrides, "output": {"dir": str(tmp_path / "out")}})
+    args = [command, str(stack_checkpoint)] if command in ("finetune", "eval") else [command]
+    with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+        main(["--config", str(path), *args])
+    assert not (tmp_path / "out").exists()
+
+
 def test_experiment_command(tmp_path, capsys):
     path = tiny_config(tmp_path)
     assert main(["--config", str(path), "experiment"]) == 0
@@ -193,15 +242,8 @@ def test_mirrored_synth_experiment_completes_every_trial(tmp_path, capsys):
 
 
 def test_stage_pipeline_reproduces_experiment_trial_zero_on_explicit_test_files(tmp_path, capsys):
-    rng = np.random.default_rng(4)
-    files = {}
-    for name, per_class in (("train", 12), ("test", 8)):
-        pair = Dataset(rng.uniform(size=(2 * per_class, 6)), np.repeat([0, 1], per_class), (2, 3))
-        files[name] = [str(tmp_path / f"{name}-images"), str(tmp_path / f"{name}-labels")]
-        save_idx(pair, *files[name])
-    data = {"source": "idx", "images": files["train"][0], "labels": files["train"][1],
-            "test_images": files["test"][0], "test_labels": files["test"][1],
-            "per_class_test": 3, "split": {"per_class_train": 5, "mirror_train": True}}
+    data = {**explicit_test_files(tmp_path), "per_class_test": 3,
+            "split": {"per_class_train": 5, "mirror_train": True}}
     path = tiny_config(tmp_path, data=data)
     out = tmp_path / "out"
     assert main(["--config", str(path), "stack"]) == 0

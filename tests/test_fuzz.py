@@ -4,7 +4,12 @@ Every truncation length of a tiny checkpoint, IDX pair and graymap, and a
 seeded sample of checkpoint byte flips, must raise an error that names the
 damaged file: CheckpointError for a checkpoint, ValueError for the data
 files. Any other exception type, or a load that succeeds, fails the test.
+A checkpoint whose header fields are rewritten, with its CRC recomputed,
+must load or raise CheckpointError, and never raise another type.
 """
+
+import json
+import zlib
 
 import numpy as np
 
@@ -54,6 +59,56 @@ def test_every_truncation_and_sampled_flip_of_a_checkpoint_is_refused(tmp_path):
     load_checkpoint(path)  # the undamaged file loads
     rng = np.random.default_rng(0)
     assert escapes(path, path.read_bytes(), lambda: load_checkpoint(path), CheckpointError, str(path), rng) == []
+
+
+# values a rewritten header field takes: bad signs, sizes, types and JSON kinds
+HEADER_POOL = [-1, 0, float("nan"), 1e300, 1.5, "x", [], {}, None, True]
+
+
+def header_fields(header):
+    """(description, container, key) of each header field the fuzz rewrites:
+    every layer's in, out and activation, each snapshot norm and the whole
+    list, norm_order and config."""
+    models = [(f"levels[{k}]", m) for k, m in enumerate(header["levels"])] + [("assembled", header["assembled"])]
+    for name, model in models:
+        for half in ("encoder", "decoder"):
+            for j, layer in enumerate(model[half]):
+                for key in ("in", "out", "activation"):
+                    yield f"{name}.{half}[{j}].{key}", layer, key
+    for j in range(len(header["snapshots"])):
+        yield f"snapshots[{j}]", header["snapshots"], j
+    for key in ("snapshots", "norm_order", "config"):
+        yield key, header, key
+
+
+def test_rewritten_header_fields_load_or_raise_checkpoint_error(tmp_path):
+    levels = [
+        build_model(AEConfig(layer_sizes=[6, 4], seed=0)),
+        build_model(AEConfig(layer_sizes=[4, 3], output_activation="relu", seed=1)),
+    ]
+    path = tmp_path / "stack.ckpt"
+    save_checkpoint(assemble(levels), path, config={"stack": {"sizes": [6, 4, 3]}})
+    whole = path.read_bytes()
+    header_len = int.from_bytes(whole[12:16], "little")
+    params = whole[16 + header_len : -4]
+    n_fields = len(list(header_fields(json.loads(whole[16 : 16 + header_len]))))
+    assert n_fields == 3 * 8 + 4 + 3  # 8 layers in two levels and the assembled model, 4 snapshots
+    found = []
+    for f in range(n_fields):
+        for val in HEADER_POOL:
+            header = json.loads(whole[16 : 16 + header_len])  # a fresh copy to rewrite
+            what, container, key = list(header_fields(header))[f]
+            container[key] = val
+            text = json.dumps(header, sort_keys=True).encode()
+            body = whole[:12] + len(text).to_bytes(4, "little") + text + params
+            path.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+            try:
+                load_checkpoint(path)
+            except CheckpointError:
+                pass
+            except Exception as err:  # another type is what the fuzz looks for, so it is recorded
+                found.append(f"{what} = {val!r}: {err!r}")
+    assert found == []
 
 
 def test_every_truncation_of_an_idx_pair_is_refused_naming_the_file(tmp_path):
