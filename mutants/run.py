@@ -261,13 +261,56 @@ MUTANTS = [
         "tests/test_cli.py::test_stack_refuses_neighbors_past_the_rows_and_writes_nothing",
     ),
     (
-        "pretrain-rows-unchecked",  # train and stack draw their rows past the k-NN row check
+        "pretrain-rows-unchecked",  # stack draws its rows past the k-NN row check
         "exae/cli.py",
-        "    train_set, _ = trial_rows(exp, loaded, exp.split)\n    stack_cfg = ",
+        "    train_set, _, stack_cfg = trial_setup(exp, loaded, 0)\n    stacked, histories = ",
         "    from .dataio import train_test_rows\n"
         "    train_set, _ = train_test_rows(*loaded, exp.split, exp.data.per_class_test, exp.base_seed)\n"
-        "    stack_cfg = ",
+        "    stack_cfg = exp.stack\n"
+        "    stacked, histories = ",
         "tests/test_cli.py::test_stage_commands_refuse_what_experiment_refuses_before_any_work",
+    ),
+    (
+        "trial-finetune-seed-dropped",  # every trial fine-tunes with seed 0 whatever its base_seed + t
+        "exae/evalharness.py",
+        "levels=levels, finetune_seed=seed)",
+        "levels=levels)",
+        f"{EVAL}::TestRunExperiment::test_trial_setup_seeds_every_phase_with_base_seed_plus_trial",
+    ),
+    (
+        "level-seed-settable",  # stack.seed and stack.levels[k].seed are keys again, which each trial overwrites
+        "exae/cli.py",
+        '"epochs", "batch_size")\n',
+        '"epochs", "batch_size", "seed")\n',
+        "tests/test_cli.py::test_negative_seed_or_non_finite_setting_refused_before_anything_runs",
+    ),
+    (
+        "per-class-test-unpaired",  # a cap without test files is accepted and caps nothing
+        "exae/evalharness.py",
+        "        if self.per_class_test is not None and self.test_images is None:",
+        "        if False:",
+        "tests/test_cli.py::test_incomplete_data_source_refused",
+    ),
+    (
+        "activation-refusal-unnamed",  # a bad activation is refused without naming the field that holds it
+        "exae/autoencoder.py",
+        'raise ValueError(f"{name} must be one of {ACTIVATIONS}, got {getattr(self, name)!r}")',
+        'raise ValueError(f"unknown activation {getattr(self, name)!r}, expected one of {ACTIVATIONS}")',
+        "tests/test_cli.py::test_unknown_activation_refused_naming_its_field",
+    ),
+    (
+        "finetune-failure-unnamed",  # a diverging fine-tune surfaces as a bare numeric error
+        "exae/stacking.py",
+        '        raise RuntimeError(f"fine-tuning failed: {err}") from err\n',
+        "        raise\n",
+        "tests/test_stacking.py::test_finetune_error_names_its_phase",
+    ),
+    (
+        "finetune-rows-wrapped",  # rows training_rows refuses surface as a fine-tuning RuntimeError
+        "exae/stacking.py",
+        "    epochs = sgd_epochs(model, config.finetune, training_rows(model, dataset))\n    try:\n",
+        "    try:\n        epochs = sgd_epochs(model, config.finetune, training_rows(model, dataset))\n",
+        "tests/test_stacking.py::TestFineTune::test_non_finite_rows_rejected_before_any_work",
     ),
     (
         "trial-knn-k-unchecked",  # every trial trains in full before k-NN refuses its k

@@ -58,9 +58,9 @@ class AEConfig:
         for name in ("n_neighbors", "epochs", "batch_size", "seed"):
             if not _is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for tag in (self.hidden_activation, self.latent_activation, self.output_activation):
-            if tag not in ACTIVATIONS:
-                raise ValueError(f"unknown activation {tag!r}, expected one of {ACTIVATIONS}")
+        for name in ("hidden_activation", "latent_activation", "output_activation"):
+            if getattr(self, name) not in ACTIVATIONS:
+                raise ValueError(f"{name} must be one of {ACTIVATIONS}, got {getattr(self, name)!r}")
         if not 0 <= self.excl_weight < np.inf:
             raise ValueError(f"excl_weight must be >= 0 and finite, got {self.excl_weight}")
         if self.n_neighbors < 1:

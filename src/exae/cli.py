@@ -6,17 +6,17 @@ the dataclass that consumes it. All but gradcheck build one ExperimentConfig
 from it (experiment_from) before any work. The sections:
 
   data:       DataSpec: source ("synth" | "idx" | "image_dir") plus its
-              parameters; "split" holds SplitSpec
+              parameters; "split" holds SplitSpec but its seed
   stack:      sizes is the dimension chain input -> ... -> latent, one
-              autoencoder level per consecutive pair; the AEConfig fields
+              autoencoder level per consecutive pair; the LEVEL_KEYS fields
               shared by every level sit beside it, per-level overrides go in
-              "levels" (list of objects with any AEConfig field)
-  finetune:   StackConfig: band and the finetune_* fields
+              "levels" (list of objects with any LEVEL_KEYS field)
+  finetune:   StackConfig: band and the finetune_* fields but the seed
   eval:       ExperimentConfig: knn_k and metric
-  experiment: ExperimentConfig: trials and base_seed
+  experiment: ExperimentConfig: trials and base_seed (trial t's seed is base_seed + t)
   output:     ExperimentConfig: dir (out_dir) for metrics/checkpoints
 
-Subcommands: synth, train, stack, finetune, eval, experiment, gradcheck.
+Subcommands: synth, stack, finetune, eval (these three run trial 0), experiment, gradcheck.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import argparse
 import copy
 import json
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, fields
 from pathlib import Path
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
@@ -40,7 +40,7 @@ from .evalharness import (
     load_data,
     run_experiment,
     save_checkpoint,
-    trial_rows,
+    trial_setup,
     write_metrics,
     MetricsRecord,
 )
@@ -51,7 +51,6 @@ RENAMED = {
     "finetune.epochs": "finetune_epochs",
     "finetune.lr": "finetune_lr",
     "finetune.batch_size": "finetune_batch_size",
-    "finetune.seed": "finetune_seed",
     "output.dir": "out_dir",
 }
 
@@ -66,17 +65,21 @@ def _defaults(cls, *names: str) -> dict:
     }
 
 
+# The AEConfig fields "stack" and each "stack.levels" object set: stack.sizes gives
+# layer_sizes, a level has no hidden layer, and each trial sets the seed.
+LEVEL_KEYS = ("latent_activation", "output_activation", "excl_weight", "n_neighbors", "lr", "epochs", "batch_size")
+
 DEFAULT_CONFIG = {
     "data": {
         **_defaults(DataSpec),
-        "split": {"per_class_train": 10, **_defaults(SplitSpec)},  # SplitSpec has no default for it
+        "split": {"per_class_train": 10, **_defaults(SplitSpec, "mirror_train")},  # trials set seed
     },
     "stack": {
         "sizes": None,  # default: [input dim, 512, 256, 128] -> 3 levels
-        **_defaults(AEConfig),
-        "levels": None,  # optional per-level AEConfig overrides
+        **_defaults(AEConfig, *LEVEL_KEYS),
+        "levels": None,  # optional per-level overrides
     },
-    "finetune": _defaults(StackConfig),
+    "finetune": _defaults(StackConfig, "band", "finetune_epochs", "finetune_lr", "finetune_batch_size"),
     "eval": _defaults(ExperimentConfig, "knn_k", "metric"),
     "experiment": _defaults(ExperimentConfig, "trials", "base_seed"),
     "output": _defaults(ExperimentConfig, "out_dir"),
@@ -134,9 +137,8 @@ def load_config(path: str | None) -> dict:
     sizes = cfg["stack"]["sizes"]
     if sizes is not None and not (isinstance(sizes, list) and all(_admits(int, s) for s in sizes)):
         raise ValueError(f"config key 'stack.sizes' must be null or a list of ints, got {sizes!r}")
-    level_fields = dict.fromkeys(f.name for f in fields(AEConfig))
     for k, level in enumerate(levels):
-        _merge(level_fields, level, f"stack.levels[{k}].")
+        _merge(dict.fromkeys(LEVEL_KEYS), level, f"stack.levels[{k}].")
         _check_types(level, AEConfig, f"stack.levels[{k}].")
     for name, cls in SECTIONS.items():
         section, _, sub = name.partition(".")
@@ -155,7 +157,7 @@ def level_configs_from(cfg: dict, input_dim: int) -> list:
     sizes = st["sizes"] or [input_dim] + DEFAULT_STACK_TAIL
     if sizes[0] != input_dim:
         raise ValueError(f"stack sizes start at {sizes[0]} but data dim is {input_dim}")
-    shared = {key: val for key, val in st.items() if key not in ("sizes", "levels")}
+    shared = {key: st[key] for key in LEVEL_KEYS}
     overrides = st["levels"] or [{}] * (len(sizes) - 1)
     if len(overrides) != len(sizes) - 1:
         raise ValueError(f"{len(overrides)} level overrides for {len(sizes) - 1} levels")
@@ -197,32 +199,22 @@ def cmd_synth(cfg: dict, args) -> int:
     return 0
 
 
-def _pretrain(cfg: dict, n_levels: int | None, checkpoint: str, metrics: str) -> int:
-    """Pretrain and assemble the first n_levels levels (None: all of them)."""
+def cmd_stack(cfg: dict, args) -> int:
     exp, loaded = experiment_from(cfg)
-    train_set, _ = trial_rows(exp, loaded, exp.split)
-    stack_cfg = replace(exp.stack, levels=exp.stack.levels[:n_levels])
+    train_set, _, stack_cfg = trial_setup(exp, loaded, 0)
     stacked, histories = train_stack(stack_cfg, train_set.examples)
     out = _out_dir(exp)
-    save_checkpoint(stacked, out / checkpoint, config=cfg)
+    save_checkpoint(stacked, out / "stack.ckpt", config=cfg)
     record = MetricsRecord(trial=0, pretrain=histories, finetune=[], accuracy=None, seconds=0.0)
-    write_metrics([record], out / metrics)
-    print(f"pretrained {stack_cfg.n_levels} level(s); checkpoint: {out / checkpoint}")
+    write_metrics([record], out / "stack-metrics.csv")
+    print(f"pretrained {stack_cfg.n_levels} level(s); checkpoint: {out / 'stack.ckpt'}")
     return 0
-
-
-def cmd_train(cfg: dict, args) -> int:
-    return _pretrain(cfg, 1, "model.ckpt", "train-metrics.csv")
-
-
-def cmd_stack(cfg: dict, args) -> int:
-    return _pretrain(cfg, None, "stack.ckpt", "stack-metrics.csv")
 
 
 def cmd_finetune(cfg: dict, args) -> int:
     exp, loaded = experiment_from(cfg)
-    train_set, _ = trial_rows(exp, loaded, exp.split)
-    stacked, history = fine_tune(load_checkpoint(args.checkpoint), train_set.examples, exp.stack)
+    train_set, _, stack_cfg = trial_setup(exp, loaded, 0)
+    stacked, history = fine_tune(load_checkpoint(args.checkpoint), train_set.examples, stack_cfg)
     out = _out_dir(exp)
     save_checkpoint(stacked, out / "finetuned.ckpt", config=cfg)
     record = MetricsRecord(trial=0, pretrain=[], finetune=history, accuracy=None, seconds=0.0)
@@ -237,7 +229,7 @@ def cmd_finetune(cfg: dict, args) -> int:
 
 def cmd_eval(cfg: dict, args) -> int:
     exp, loaded = experiment_from(cfg)
-    train_set, test_set = trial_rows(exp, loaded, exp.split)
+    train_set, test_set, _ = trial_setup(exp, loaded, 0)
     acc = evaluate(load_checkpoint(args.checkpoint), train_set, test_set, exp.knn_k, exp.metric)
     print(f"accuracy: {acc:.4f} ({test_set.n} queries, k={exp.knn_k})")
     return 0
@@ -272,7 +264,6 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("synth", help="write a synthetic Gaussian-blob fixture as IDX files").set_defaults(run=cmd_synth)
-    sub.add_parser("train", help="train a single autoencoder level").set_defaults(run=cmd_train)
     sub.add_parser("stack", help="pretrain all levels and assemble the deep model").set_defaults(run=cmd_stack)
     p = sub.add_parser("finetune", help="fine-tune an assembled checkpoint under the norm band")
     p.add_argument("checkpoint")

@@ -268,6 +268,8 @@ class DataSpec:
             raise ValueError("test_images and test_labels must be given together")
         if self.per_class_test is not None and self.per_class_test < 1:
             raise ValueError(f"per_class_test must be >= 1 or null, got {self.per_class_test}")
+        if self.per_class_test is not None and self.test_images is None:  # it caps nothing else
+            raise ValueError("per_class_test needs test_images and test_labels")
         if not 0 < self.spread < np.inf:
             raise ValueError(f"spread must be positive and finite, got {self.spread}")
         if self.synth_seed < 0:
@@ -330,27 +332,24 @@ class MetricsRecord:
             raise ValueError(f"accuracy {self.accuracy} outside [0, 1]")
 
 
-def _reseed_stack(stack: StackConfig, seed: int) -> StackConfig:
-    levels = [replace(cfg, seed=seed) for cfg in stack.levels]
-    return replace(stack, levels=levels, finetune_seed=seed)
-
-
-def trial_rows(config: ExperimentConfig, loaded, split: SplitSpec):
-    """The (train, test) rows that split draws from loaded, the (data, test)
-    pair of load_data(config.data). A knn_k past the training rows is refused
-    here, before any training, as knn_classify would refuse it after it."""
+def trial_setup(config: ExperimentConfig, loaded, trial: int):
+    """Trial t's (train, test) rows and StackConfig: its split, every level and
+    its fine-tune are seeded base_seed + t. loaded is the (data, test) pair of
+    load_data(config.data). A knn_k past the training rows is refused here,
+    before any training, as knn_classify would refuse it after it."""
+    seed = config.base_seed + trial
     # base_seed draws a capped explicit test set: every trial faces the same queries
-    train_set, test_set = train_test_rows(*loaded, split, config.data.per_class_test, config.base_seed)
+    train_set, test_set = train_test_rows(
+        *loaded, replace(config.split, seed=seed), config.data.per_class_test, config.base_seed)
     if config.knn_k > train_set.n:
         raise ValueError(f"k={config.knn_k} out of range for {train_set.n} training rows")
-    return train_set, test_set
+    levels = [replace(level, seed=seed) for level in config.stack.levels]
+    return train_set, test_set, replace(config.stack, levels=levels, finetune_seed=seed)
 
 
 def run_trial(config: ExperimentConfig, data: Dataset, test: Dataset | None, trial: int) -> MetricsRecord:
-    seed = config.base_seed + trial
     started = time.perf_counter()
-    train_set, test_set = trial_rows(config, (data, test), replace(config.split, seed=seed))
-    stack_cfg = _reseed_stack(config.stack, seed)
+    train_set, test_set, stack_cfg = trial_setup(config, (data, test), trial)
     stacked, pretrain_hist = train_stack(stack_cfg, train_set.examples)
     stacked, finetune_hist = fine_tune(stacked, train_set.examples, stack_cfg)
     return MetricsRecord(

@@ -184,9 +184,13 @@ def fine_tune(stacked: StackedModel, dataset: Matrix, config: StackConfig):
 
     Reconstruction-only: no neighbor table is built. After every epoch
     each layer is projected back into its band (biases are not
-    constrained). Returns (stacked, history of FinetuneEpoch).
+    constrained). Returns (stacked, history of FinetuneEpoch). A failure past
+    training_rows' checks is raised naming the phase, as train_stack names its level.
     """
     model = stacked.assembled
     epochs = sgd_epochs(model, config.finetune, training_rows(model, dataset))
-    history = [FinetuneEpoch(loss=loss, ratios=_project_all(stacked, config.band)) for loss in epochs]
+    try:
+        history = [FinetuneEpoch(loss=loss, ratios=_project_all(stacked, config.band)) for loss in epochs]
+    except Exception as err:
+        raise RuntimeError(f"fine-tuning failed: {err}") from err
     return stacked, history

@@ -343,6 +343,13 @@ def test_negative_seed_refused():
     assert toy_config(seed=0).seed == 0
 
 
+@pytest.mark.parametrize("name", ["hidden_activation", "latent_activation", "output_activation"])
+def test_unknown_activation_refused_naming_its_field(name):
+    refused = f"{name} must be one of ('identity', 'relu', 'sigmoid'), got 'x'"
+    with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+        toy_config(**{name: "x"})
+
+
 @pytest.mark.parametrize("sizes", [[8, 2.5], [8, True], [8, "4"], [8.0, 4], [8, 0], [8, -3]])
 def test_non_integer_layer_sizes_refused(sizes):
     # int() would train [8, 2.5] as [8, 2] and [8, True] as [8, 1]

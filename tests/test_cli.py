@@ -75,12 +75,11 @@ def test_readme_defaults_block_equals_load_config():
 def test_renamed_keys_reach_their_fields(tmp_path, monkeypatch):
     path = tiny_config(
         tmp_path,
-        finetune={"epochs": 3, "lr": 0.01, "batch_size": 4, "seed": 9},
+        finetune={"epochs": 3, "lr": 0.01, "batch_size": 4},
         eval={"knn_k": 3, "metric": "cosine"},
     )
     stack = cli.experiment_from(load_config(str(path)))[0].stack
-    assert (stack.finetune_epochs, stack.finetune_lr, stack.finetune_batch_size, stack.finetune_seed) == (
-        3, 0.01, 4, 9)
+    assert (stack.finetune_epochs, stack.finetune_lr, stack.finetune_batch_size) == (3, 0.01, 4)
     seen = []
 
     def capture(exp, loaded):
@@ -143,10 +142,6 @@ def test_train_stack_finetune_eval_pipeline(tmp_path, capsys):
     path = tiny_config(tmp_path)
     out = tmp_path / "out"
 
-    assert main(["--config", str(path), "train"]) == 0
-    assert (out / "model.ckpt").exists()
-    assert (out / "train-metrics.csv").exists()
-
     assert main(["--config", str(path), "stack"]) == 0
     assert (out / "stack.ckpt").exists()
 
@@ -203,7 +198,7 @@ def explicit_test_files(tmp_path):
     ],
     ids=["metric-manhattan", "knn_k-0", "trials-0", "base_seed-negative", "knn_k-past-the-rows"],
 )
-@pytest.mark.parametrize("command", ["train", "stack", "finetune", "eval"])
+@pytest.mark.parametrize("command", ["stack", "finetune", "eval"])
 def test_stage_commands_refuse_what_experiment_refuses_before_any_work(
         tmp_path, stack_checkpoint, overrides, refused, command):
     overrides = {**overrides, "output": {"dir": str(tmp_path / "experiment")}}
@@ -253,6 +248,21 @@ def test_stage_pipeline_reproduces_experiment_trial_zero_on_explicit_test_files(
     assert main(["--config", str(path), "experiment"]) == 0
     trial_zero = json.loads((out / "summary.json").read_text())["accuracies"][0]
     assert eval_line == f"accuracy: {trial_zero:.4f} (6 queries, k=1)"
+
+
+def test_stage_commands_run_experiment_trial_zero_at_a_nonzero_base_seed(tmp_path, capsys):
+    path = tiny_config(tmp_path, experiment={"trials": 2, "base_seed": 5})
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "stack"]) == 0
+    assert main(["--config", str(path), "finetune", str(out / "stack.ckpt")]) == 0
+    assert main(["--config", str(path), "eval", str(out / "finetuned.ckpt")]) == 0
+    eval_line = capsys.readouterr().out.splitlines()[-1]
+    stage_rows = [(out / name).read_text().splitlines()[1:] for name in ("stack-metrics.csv", "finetune-metrics.csv")]
+    assert main(["--config", str(path), "experiment"]) == 0
+    rows = (out / "metrics.csv").read_text().splitlines()
+    assert stage_rows == [[r for r in rows if r.startswith(f"0,{phase}")] for phase in ("pretrain", "finetune")]
+    trial_zero = json.loads((out / "summary.json").read_text())["accuracies"][0]
+    assert eval_line == f"accuracy: {trial_zero:.4f} (8 queries, k=1)"
 
 
 def test_experiment_reads_data_once(tmp_path, monkeypatch):
@@ -310,11 +320,11 @@ def test_per_class_test_below_one_refused(tmp_path, monkeypatch, command, cap):
     "overrides, refused, command",
     [
         ({"data": {"synth_seed": -1}}, "^synth_seed must be >= 0, got -1$", "synth"),
-        ({"data": {"split": {"per_class_train": 8, "seed": -1}}}, "^seed must be >= 0, got -1$", "stack"),
-        ({"stack": {"seed": -1}}, "^seed must be >= 0, got -1$", "stack"),
-        # level 2's seed is refused before level 1 trains
-        ({"stack": {"levels": [{}, {"seed": -1}]}}, "^seed must be >= 0, got -1$", "stack"),
-        ({"finetune": {"seed": -1}}, r"^finetune\.seed must be >= 0, got -1$", "stack"),
+        # experiment.base_seed + t seeds trial t's split, levels and fine-tune: no other seed is a key
+        ({"data": {"split": {"per_class_train": 8, "seed": -1}}}, r"^unknown config key 'data\.split\.seed'$", "stack"),
+        ({"stack": {"seed": -1}}, r"^unknown config key 'stack\.seed'$", "stack"),
+        ({"stack": {"levels": [{}, {"seed": -1}]}}, r"^unknown config key 'stack\.levels\[1\]\.seed'$", "stack"),
+        ({"finetune": {"seed": -1}}, r"^unknown config key 'finetune\.seed'$", "stack"),
         ({"experiment": {"base_seed": -1}}, "^base_seed must be >= 0, got -1$", "experiment"),
         ({"stack": {"lr": np.inf}}, "^lr must be positive and finite, got inf$", "stack"),
         ({"stack": {"excl_weight": np.inf}}, "^excl_weight must be >= 0 and finite, got inf$", "experiment"),
@@ -339,6 +349,29 @@ def test_unknown_source_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "stack, name",
+    [({"latent_activation": "x"}, "latent_activation"), ({"output_activation": "x"}, "output_activation"),
+     ({"levels": [{}, {"output_activation": "x"}]}, "output_activation")],
+)
+def test_unknown_activation_refused_naming_its_field(tmp_path, stack, name):
+    path = tiny_config(tmp_path, stack=stack)
+    refused = f"{name} must be one of ('identity', 'relu', 'sigmoid'), got 'x'"
+    with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+        main(["--config", str(path), "experiment"])
+    assert not (tmp_path / "out").exists()
+
+
+def test_fine_tune_failure_names_its_phase(tmp_path, stack_checkpoint):
+    path = tiny_config(tmp_path, finetune={"lr": 1e308})
+    assert main(["--config", str(path), "experiment"]) == 1
+    failures = json.loads((tmp_path / "out" / "summary.json").read_text())["failures"]
+    assert set(failures) == {"0", "1"}
+    assert all(f.startswith("RuntimeError: fine-tuning failed: ") for f in failures.values())
+    with pytest.raises(RuntimeError, match="^fine-tuning failed: "):
+        main(["--config", str(path), "finetune", str(stack_checkpoint)])
+
+
+@pytest.mark.parametrize(
     "data, missing",
     [
         ({"source": "idx"}, "'idx' needs images and labels"),
@@ -347,6 +380,8 @@ def test_unknown_source_rejected(tmp_path):
         ({"source": "idx", "images": "i.idx", "labels": "l.idx", "test_images": "t.idx"},
          "test_images and test_labels must be given together"),
         ({"test_labels": "t.idx"}, "test_images and test_labels must be given together"),
+        # the cap applies to explicit test files only; on a split it would cap nothing
+        ({"per_class_test": 3}, "per_class_test needs test_images and test_labels"),
     ],
 )
 def test_incomplete_data_source_refused(tmp_path, monkeypatch, data, missing):
@@ -358,7 +393,7 @@ def test_incomplete_data_source_refused(tmp_path, monkeypatch, data, missing):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["train", "stack", "finetune", "experiment"])
+@pytest.mark.parametrize("command", ["stack", "finetune", "experiment"])
 def test_refused_run_leaves_no_output_dir(tmp_path, monkeypatch, command):
     # the IDX files are missing: the data is refused before anything is written
     monkeypatch.chdir(tmp_path)
@@ -385,6 +420,9 @@ def test_refused_run_leaves_no_output_dir(tmp_path, monkeypatch, command):
         ({"stack": {"sizes": [32, 8], "levels": [{"loss_reduction": "sum"}]}}, "stack.levels[0].loss_reduction"),
         # fine-tuning is reconstruction-only, so it has no weight and no neighbor table
         *(({"finetune": {key: val}}, f"finetune.{key}") for key in ("excl_weight", "n_neighbors") for val in (0, 2)),
+        # a level has no hidden layer, and stack.sizes alone gives each level's dimensions
+        ({"stack": {"hidden_activation": "sigmoid"}}, "stack.hidden_activation"),
+        ({"stack": {"sizes": [32, 8], "levels": [{"layer_sizes": [32, 8]}]}}, "stack.levels[0].layer_sizes"),
     ],
 )
 def test_misspelled_key_rejected_with_its_path(tmp_path, monkeypatch, user, path):

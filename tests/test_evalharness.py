@@ -3,13 +3,14 @@
 import json
 import tracemalloc
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from exae import evalharness, numkit
 from exae.autoencoder import AEConfig, AEModel, build_model, encode, model_parameters
-from exae.dataio import Dataset, SplitSpec, synth_gaussian
+from exae.dataio import Dataset, SplitSpec, split_per_class, synth_gaussian
 from exae.evalharness import (
     CheckpointError,
     _pairwise_dist,
@@ -631,6 +632,15 @@ class TestRunExperiment:
         monkeypatch.setattr(evalharness, "train_stack", no_training)
         _, summary = run_experiment(experiment_config(tmp_path, trials=2, knn_k=17))  # 16 training rows
         assert summary["failures"] == {t: "ValueError: k=17 out of range for 16 training rows" for t in (0, 1)}
+
+    def test_trial_setup_seeds_every_phase_with_base_seed_plus_trial(self, tmp_path):
+        levels = [small_stack_cfg(6, latent=4).levels[0], small_stack_cfg(4, latent=3).levels[0]]
+        config = experiment_config(tmp_path, base_seed=3, stack=small_stack_cfg(6, levels=levels))
+        loaded = evalharness.load_data(config.data)
+        train_set, test_set, stack = evalharness.trial_setup(config, loaded, 2)
+        assert stack == replace(config.stack, levels=[replace(l, seed=5) for l in levels], finetune_seed=5)
+        want = split_per_class(loaded[0], SplitSpec(per_class_train=8, seed=5))
+        assert [d.examples.tobytes() for d in (train_set, test_set)] == [d.examples.tobytes() for d in want]
 
     def test_unreadable_data_leaves_no_output_dir(self, tmp_path):
         missing = DataSpec(source="idx", images=str(tmp_path / "i.idx"), labels=str(tmp_path / "l.idx"))

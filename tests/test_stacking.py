@@ -374,3 +374,11 @@ def test_pretrain_error_names_level():
     bad = stack_cfg(dims=(8, 4, 2))
     with pytest.raises(RuntimeError, match="level 1"):
         train_stack(bad, np.full((12, 8), np.nan))
+
+
+def test_finetune_error_names_its_phase():
+    # pretraining names its level; a diverging fine-tune names its phase
+    cfg = stack_cfg(finetune_lr=1e308)
+    stacked, _ = train_stack(cfg, toy_rows())
+    with pytest.raises(RuntimeError, match="^fine-tuning failed: "):
+        fine_tune(stacked, toy_rows(), cfg)
