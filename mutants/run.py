@@ -29,23 +29,23 @@ EVAL = "tests/test_evalharness.py"
 MUTANTS = [
     (
         "trim-dropped",  # rows past the gather width rank every tie at the bound
-        "exae/evalharness.py",
+        "exae/numkit.py",
         "    if wide.size:\n",
         "    if False:\n",
         f"{EVAL}::TestSelectionPaths::test_ties_are_filled_without_per_row_lexsort",
     ),
     (
         "tie-fill-short",  # a trimmed row keeps one tie too few and ranks a farther entry
-        "exae/evalharness.py",
+        "exae/numkit.py",
         "<= room[:, None]",
         "< room[:, None]",
         f"{EVAL}::TestKnnClassify::test_collapsed_codes_match_full_sort",
     ),
     (
-        "gather-ties-high-index",  # equal distances go to the higher training index
-        "exae/evalharness.py",
-        "np.lexsort((index, dists), axis=1)",
-        "np.lexsort((-index, dists), axis=1)",
+        "gather-ties-high-index",  # equal values go to the higher column index
+        "exae/numkit.py",
+        "np.lexsort((index, vals), axis=1)",
+        "np.lexsort((-index, vals), axis=1)",
         f"{EVAL}::test_nearest_equals_full_lexsort_sweep",
     ),
     (
@@ -113,6 +113,13 @@ MUTANTS = [
         f"{EVAL}::TestKnnClassify::test_cosine_row_whose_norm_underflows_is_refused",
     ),
     (
+        "vote-sum-unscaled",  # k distances near the euclidean bound overflow their label's sum
+        "exae/evalharness.py",
+        "        sums[rows, codes[:, j]] += dists[:, j] * scale\n",
+        "        sums[rows, codes[:, j]] += dists[:, j]\n",
+        "tests/test_fuzz.py::test_knn_equals_full_sort_on_hostile_sets",
+    ),
+    (
         "vote-sum-tie-break",  # count ties go to the lower label
         "exae/evalharness.py",
         "    return np.argmax(top & (sums == least), axis=1)\n",
@@ -122,9 +129,16 @@ MUTANTS = [
     (
         "table-fallback",  # uncertified rows keep their GEMM ranking
         "exae/exclusivity.py",
-        "        for i in rows[~certified]:\n",
-        "        for i in rows[:0]:\n",
+        "        if uncertified.size:",
+        "        if False:",
         "tests/test_exclusivity.py::TestBuildContext::test_tie_heavy_table_equals_oracle_through_fallback",
+    ),
+    (
+        "fallback-keeps-self",  # the block-wide fallback ranks each row among its own neighbors
+        "exae/exclusivity.py",
+        "            fallback[np.arange(uncertified.size), uncertified] = np.inf\n",
+        "",
+        "tests/test_fuzz.py::test_neighbor_table_equals_oracle_on_hostile_sets",
     ),
     (
         "table-norm-unchecked",  # a NaN or overflowing row is ranked in the neighbor table

@@ -39,7 +39,6 @@ class AEConfig:
     """
 
     layer_sizes: list
-    hidden_activation: str = "relu"
     latent_activation: str = "relu"
     output_activation: str = "sigmoid"
     excl_weight: float = 7.0
@@ -58,7 +57,7 @@ class AEConfig:
         for name in ("n_neighbors", "epochs", "batch_size", "seed"):
             if not _is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("hidden_activation", "latent_activation", "output_activation"):
+        for name in ("latent_activation", "output_activation"):
             if getattr(self, name) not in ACTIVATIONS:
                 raise ValueError(f"{name} must be one of {ACTIVATIONS}, got {getattr(self, name)!r}")
         if not 0 <= self.excl_weight < np.inf:
@@ -144,8 +143,8 @@ def build_model(config: AEConfig) -> AEModel:
     """Seeded model: encoder over layer_sizes, decoder over the reverse."""
     rng = np.random.default_rng(config.seed)
 
-    def half(sizes: list, last: str) -> list:  # hidden layers, then one with activation last
-        tags = [config.hidden_activation] * (len(sizes) - 2) + [last]
+    def half(sizes: list, last: str) -> list:  # hidden layers take latent_activation, the last one last
+        tags = [config.latent_activation] * (len(sizes) - 2) + [last]
         return [init_layer(a, b, tag, rng) for a, b, tag in zip(sizes, sizes[1:], tags)]
 
     # the encoder draws from rng first, then the decoder
@@ -292,7 +291,6 @@ def gradcheck_case(case: int, seed: int = 0):
         weight = float(rng.uniform(0.5, 8.0))
         config = AEConfig(
             layer_sizes=dims,
-            hidden_activation=act,
             latent_activation=act,
             excl_weight=weight,
             n_neighbors=min(3, n - 1),

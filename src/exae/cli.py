@@ -249,7 +249,7 @@ def cmd_gradcheck(cfg: dict, args) -> int:
         config, *probe = gradcheck_case(case, args.seed)
         err = gradcheck_error(config, *probe)
         worst = max(worst, err)
-        print(f"case {case} {config.hidden_activation}: max rel err {err:.3e}")
+        print(f"case {case} {config.latent_activation}: max rel err {err:.3e}")
     ok = worst < args.tolerance
     print(f"worst: {worst:.3e} ({'OK' if ok else 'FAIL'} at {args.tolerance:g})")
     return 0 if ok else 1

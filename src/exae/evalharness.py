@@ -23,7 +23,7 @@ import numpy as np
 
 from .autoencoder import AEModel, LossBreakdown, encode, model_parameters
 from .dataio import Dataset, SplitSpec, load_idx, load_image_dir, synth_gaussian, train_test_rows
-from .numkit import DenseLayer, Matrix, as_matrix, map_row_blocks
+from .numkit import DenseLayer, Matrix, as_matrix, map_row_blocks, smallest
 from .stacking import FinetuneEpoch, StackConfig, StackedModel, fine_tune, train_stack
 
 CHECKPOINT_MAGIC = b"EXAECKPT"
@@ -122,7 +122,7 @@ def knn_classify(
     Selection, per block of queries whose distances are computed, ranked
     and dropped in turn, gives the same neighbors, in the same order, as a
     lexsort of every distance on (distance, index), so the distances, tie
-    rules and votes are unchanged. See _nearest.
+    rules and votes are unchanged. See numkit.smallest.
     """
     train_feats = as_matrix(train_feats, "train features")
     query_feats = as_matrix(query_feats, "query features")
@@ -149,7 +149,7 @@ def knn_classify(
     def classify(start, stop):
         query = query_feats[start:stop]
         block = _pairwise_dist(query, train_feats, metric, query_side[start:stop], train_side)
-        top = _nearest(block, k)
+        top = smallest(block, k)
         votes = _majority(codes[top], np.take_along_axis(block, top, axis=1), len(labels))
         predictions[start:stop] = labels[votes]
 
@@ -157,58 +157,17 @@ def knn_classify(
     return predictions
 
 
-# Every _KNN_SAMPLE_STRIDE-th column of a block bounds each row's reach-th
-# distance (8 and 16 were slower on 2000 training rows), and a row with more
-# than _KNN_GATHER_WIDTH distances under that bound drops its surplus ties.
-_KNN_SAMPLE_STRIDE = 4
-_KNN_GATHER_WIDTH = 64
-
-
-def _nearest(block: Matrix, reach: int) -> np.ndarray:
-    """The reach smallest entries of each row, as column indices in
-    (distance, index) order: the first reach columns of a full lexsort.
-
-    The reach-th smallest value of a strided sample of a row's columns (+inf
-    when the sample is shorter than reach) bounds the row's own reach-th
-    distance, so the row's candidates, its distances at or below the bound,
-    hold the reach nearest. A row with more than _KNN_GATHER_WIDTH
-    candidates keeps only the lowest-index ties at the bound that fit below
-    its reach-th place; then every row lexsorts its candidates.
-    """
-    n = block.shape[1]
-    sample = block[:, ::_KNN_SAMPLE_STRIDE]
-    bound = np.full((block.shape[0], 1), np.inf)
-    if sample.shape[1] >= reach:
-        bound = np.sort(sample, axis=1)[:, reach - 1 : reach]
-    picked = block <= bound
-    counts = picked.sum(axis=1)
-    wide = np.flatnonzero(counts > _KNN_GATHER_WIDTH)
-    if wide.size:
-        tied = block[wide] == bound[wide]
-        room = reach - (counts[wide] - tied.sum(axis=1))
-        picked[wide] &= ~tied | (np.cumsum(tied, axis=1) <= room[:, None])
-        counts[wide] = picked[wide].sum(axis=1)
-    # candidates of each row, left-aligned and padded with (inf, n)
-    line, cols = np.divmod(np.flatnonzero(picked), n)
-    slot = np.arange(cols.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    index = np.full((block.shape[0], counts.max()), n)
-    dists = np.full(index.shape, np.inf)
-    index[line, slot] = cols
-    dists[line, slot] = block[line, cols]
-    order = np.lexsort((index, dists), axis=1)[:, :reach]
-    return np.take_along_axis(index, order, axis=1)
-
-
 def _majority(codes: np.ndarray, dists: Matrix, n_labels: int) -> np.ndarray:
     """The winning label code of each row: codes and dists hold a query's
     neighbors' label codes and distances in neighbor order, the order each
-    label's distances are summed in."""
-    rows = np.arange(codes.shape[0])
+    label's distances are summed in, each times 2^-ceil(log2 k): exact but for
+    subnormals, and k distances of up to max/2 (the euclidean bound) sum below max."""
+    rows, scale = np.arange(codes.shape[0]), 0.5 ** (codes.shape[1] - 1).bit_length()
     counts = np.zeros((codes.shape[0], n_labels), dtype=np.int64)
     sums = np.zeros(counts.shape)
     for j in range(codes.shape[1]):
         counts[rows, codes[:, j]] += 1
-        sums[rows, codes[:, j]] += dists[:, j]
+        sums[rows, codes[:, j]] += dists[:, j] * scale
     top = counts == counts.max(axis=1, keepdims=True)
     least = np.min(np.where(top, sums, np.inf), axis=1, keepdims=True)
     return np.argmax(top & (sums == least), axis=1)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import Matrix, map_row_blocks
+from .numkit import Matrix, map_row_blocks, smallest
 
 # Norms below this are treated as degenerate: the term contributes 0 loss
 # and 0 gradient instead of dividing by ~0.
@@ -129,9 +129,8 @@ def build_context(dataset: Matrix, m: int) -> ExclusivityContext:
 
     Exactness contract: row i of the table is exactly top_m_neighbors(dataset,
     i, m), ties and zero-norm rows included, under any map_row_blocks partition.
-    Rows are ranked in blocks: one GEMM gives the cosines of a block of rows to
-    every row (zero-norm pairs -1, self -inf), argpartition picks the best m+1
-    and lexsort orders them on (-similarity, index).
+    One GEMM gives the minus-cosines of a block of rows to every row (zero-norm
+    pairs +1, self +inf), and numkit.smallest ranks the best m+1 of each.
 
     The GEMM sums each dot product in another order than the oracle's
     per-row GEMV. Either cosine is within gamma_d * sum|x_k y_k| / (|x||y|)
@@ -139,12 +138,12 @@ def build_context(dataset: Matrix, m: int) -> ExclusivityContext:
     division, so the two differ by less than half of the bound
     2(d+4)*eps. A row keeps its GEMM ranking only when it is certified:
     every adjacent gap among ranks 1..m+1 exceeds the bound, so no rounding
-    can reorder them, and rank m+1 lies above -1, the value zero-norm pairs
-    share (with m = n-1 there is no rank m+1 and only the order is
-    checked). Every other row (exact or
-    near ties, duplicates, zero-norm rows) is ranked again on the oracle's
-    own similarities, _cosine_to_row(...), by a lexsort on (-similarity,
-    index): the order of _rank_neighbors without its Python sort.
+    can reorder them, and rank m+1 lies below +1, the value zero-norm pairs
+    share (with m = n-1 there is no rank m+1 and only the order is checked).
+    A block's other rows (exact or near ties, duplicates, zero-norm rows)
+    are ranked together by numkit.smallest on the oracle's own negated
+    cosines, -_cosine_to_row(...) with self at +inf: the order of
+    _rank_neighbors without its Python sort.
     """
     dataset = np.asarray(dataset, dtype=np.float64)
     n, d = dataset.shape
@@ -158,7 +157,7 @@ def build_context(dataset: Matrix, m: int) -> ExclusivityContext:
     if bad.any():
         raise ValueError(f"row {np.argmax(bad)} has norm {norms[np.argmax(bad)]}, past sqrt(max/2)")
     zero = norms == 0.0
-    divisors = np.where(zero, 1.0, norms)  # zero-norm pairs are set to -1 below
+    divisors = np.where(zero, 1.0, norms)  # zero-norm pairs are set to +1 below
     ranks = min(m + 1, n - 1)
     bound = 2.0 * (d + 4) * np.finfo(np.float64).eps
     table = np.empty((n, m), dtype=np.int64)
@@ -167,22 +166,23 @@ def build_context(dataset: Matrix, m: int) -> ExclusivityContext:
         rows = np.arange(start, stop)
         sims = dataset[start:stop] @ dataset.T
         sims /= divisors[start:stop, None]
-        sims /= divisors
-        sims[zero[start:stop], :] = -1.0
-        sims[:, zero] = -1.0
-        sims[rows - start, rows] = -np.inf
-        best = np.argpartition(sims, -ranks, axis=1)[:, -ranks:]
+        sims /= -divisors  # bitwise the negated quotient
+        sims[zero[start:stop], :] = 1.0
+        sims[:, zero] = 1.0
+        sims[rows - start, rows] = np.inf
+        best = smallest(sims, ranks)
         best_sims = np.take_along_axis(sims, best, axis=1)
-        order = np.lexsort((best, -best_sims), axis=1)
-        best = np.take_along_axis(best, order, axis=1)
-        best_sims = np.take_along_axis(best_sims, order, axis=1)
-        certified = np.all(best_sims[:, :-1] - best_sims[:, 1:] > bound, axis=1)
+        certified = np.all(best_sims[:, 1:] - best_sims[:, :-1] > bound, axis=1)
         if ranks > m:
-            certified &= best_sims[:, m] > -1.0
+            certified &= best_sims[:, m] < 1.0
         table[start:stop] = best[:, :m]
-        for i in rows[~certified]:
-            order = np.lexsort((np.arange(n), -_cosine_to_row(dataset, i, norms)))
-            table[i] = order[order != i][:m]
+        uncertified = rows[~certified]
+        if uncertified.size:  # ranked again on the oracle's cosines, in the block's own buffer
+            fallback = sims[: uncertified.size]
+            for r, i in enumerate(uncertified):
+                np.negative(_cosine_to_row(dataset, i, norms), out=fallback[r])
+            fallback[np.arange(uncertified.size), uncertified] = np.inf
+            table[uncertified] = smallest(fallback, m)
 
     map_row_blocks(rank, n, _TABLE_BLOCK_ROWS)
     return ExclusivityContext(row_sum=dataset.sum(axis=0), count=n, neighbors=table)

@@ -52,7 +52,7 @@ def test_a1_gradient_fidelity():
     for case in range(20):
         cfg, *probe = gradcheck_case(case)
         err = gradcheck_error(cfg, *probe)
-        assert err < 1e-4, f"case {case} {cfg.hidden_activation}: {err:.3e}"
+        assert err < 1e-4, f"case {case} {cfg.latent_activation}: {err:.3e}"
         worst = max(worst, err)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"gradient sweep took {elapsed:.1f}s"
@@ -69,7 +69,7 @@ def test_a1_cases_include_relu():
     at random kept none."""
     cases = [gradcheck_case(case) for case in range(20)]
     for act in ("relu", "sigmoid"):
-        drawn = [c for c in cases if c[0].hidden_activation == act]
+        drawn = [c for c in cases if c[0].latent_activation == act]
         assert drawn, f"A1 draws no {act} case"
         for case in drawn:
             assert gradcheck_error(*case) < 1e-4
@@ -149,7 +149,6 @@ def test_a3_loss_identities_and_bounds():
     for act, weight in (("relu", 4.0), ("relu", 0.0), ("sigmoid", 7.0)):
         cfg = AEConfig(
             layer_sizes=[16, 6],
-            hidden_activation=act,
             latent_activation=act,
             excl_weight=weight,
             n_neighbors=4,
@@ -208,7 +207,6 @@ def _trend_arm(seed, weight):
     train_set, test_set = split_per_class(data, SplitSpec(per_class_train=10, seed=seed))
     cfg = AEConfig(
         layer_sizes=[32, 16, 4],
-        hidden_activation="sigmoid",
         latent_activation="sigmoid",
         excl_weight=weight,
         n_neighbors=6,

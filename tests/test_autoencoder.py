@@ -32,7 +32,6 @@ def identity_model(dim):
 def toy_config(**kwargs):
     defaults = dict(
         layer_sizes=[2, 3, 2],
-        hidden_activation="sigmoid",
         latent_activation="sigmoid",
         output_activation="sigmoid",
         excl_weight=7.0,
@@ -196,9 +195,7 @@ class TestTotalLoss:
         assert gradcheck_error(cfg, model, ctx, data, range(6)) < 1e-4
 
     def test_relu_model_gradients_match_finite_differences(self):
-        cfg = toy_config(
-            hidden_activation="relu", latent_activation="relu", seed=5, excl_weight=3.0
-        )
+        cfg = toy_config(latent_activation="relu", seed=5, excl_weight=3.0)
         model = build_model(cfg)
         data = toy_data(9)
         ctx = build_context(data, cfg.n_neighbors)
@@ -232,16 +229,12 @@ class TestTrain:
             assert np.array_equal(a, b)
 
     def test_loss_descends_on_toy_set(self):
-        cfg = toy_config(
-            epochs=50, lr=0.05, hidden_activation="relu", latent_activation="relu"
-        )
+        cfg = toy_config(epochs=50, lr=0.05, latent_activation="relu")
         model, history = train(build_model(cfg), cfg, toy_data())
         assert history[-1].total < history[0].total
 
     def test_identities_and_bounds_every_epoch(self):
-        cfg = toy_config(
-            hidden_activation="relu", latent_activation="relu", epochs=12, excl_weight=2.0
-        )
+        cfg = toy_config(latent_activation="relu", epochs=12, excl_weight=2.0)
         model, history = train(build_model(cfg), cfg, toy_data(8))
         for b in history:
             assert abs(b.excl - (b.hetero_sim + 1.0 - b.homo_sim)) < 1e-12
@@ -343,7 +336,7 @@ def test_negative_seed_refused():
     assert toy_config(seed=0).seed == 0
 
 
-@pytest.mark.parametrize("name", ["hidden_activation", "latent_activation", "output_activation"])
+@pytest.mark.parametrize("name", ["latent_activation", "output_activation"])
 def test_unknown_activation_refused_naming_its_field(name):
     refused = f"{name} must be one of ('identity', 'relu', 'sigmoid'), got 'x'"
     with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):

@@ -1,6 +1,7 @@
 """Feature extraction, k-NN against a brute-force oracle, experiments, checkpoints."""
 
 import json
+import math
 import tracemalloc
 import zlib
 from dataclasses import replace
@@ -139,17 +140,21 @@ class TestExtractFeatures:
 
 def full_sort_knn(train_feats, train_labels, query_feats, k, metric="euclidean"):
     """Reference selection: a full lexsort of every distance per query, on the
-    distances knn_classify computes, then the documented vote."""
-    dists = _pairwise_dist(
-        query_feats, train_feats, metric, _side(query_feats, metric, "query"), _side(train_feats, metric, "train")
-    )
+    distances knn_classify computes (one product per block of numkit.row_blocks,
+    as a block's shape can change the last bits), then the documented vote:
+    count, then the sum in neighbor order of each distance / 2^ceil(log2 k)."""
+    query_side, train_side = _side(query_feats, metric, "query"), _side(train_feats, metric, "train")
+    dists = np.vstack([
+        _pairwise_dist(query_feats[a:b], train_feats, metric, query_side[a:b], train_side)
+        for a, b in numkit.row_blocks(len(query_feats), B)
+    ])
     out = []
     for q in range(len(query_feats)):
         order = np.lexsort((np.arange(len(train_feats)), dists[q]))
         tally = {}
         for i in order[:k]:
             cnt, tot = tally.get(int(train_labels[i]), (0, 0.0))
-            tally[int(train_labels[i])] = (cnt + 1, tot + dists[q, i])
+            tally[int(train_labels[i])] = (cnt + 1, tot + dists[q, i] / 2 ** math.ceil(math.log2(k)))
         out.append(min(tally, key=lambda l: (-tally[l][0], tally[l][1], l)))
     return np.array(out)
 
@@ -446,7 +451,7 @@ def test_knn_same_predictions_at_one_and_two_workers(monkeypatch, metric):
 
 
 def lexsort_widths(monkeypatch):
-    """The width of every row-wise lexsort _nearest runs: the candidates it ranks."""
+    """The width of every row-wise lexsort numkit.smallest runs: the candidates it ranks."""
     widths = []
     lexsort = np.lexsort
 
@@ -454,12 +459,12 @@ def lexsort_widths(monkeypatch):
         widths.append(keys[0].shape[-1])
         return lexsort(keys, axis=axis)
 
-    monkeypatch.setattr(evalharness.np, "lexsort", lexsort_spy)
+    monkeypatch.setattr(numkit.np, "lexsort", lexsort_spy)
     return widths
 
 
 class TestSelectionPaths:
-    """How many candidates of each row reach _nearest's one lexsort."""
+    """How many candidates of each row reach numkit.smallest's one lexsort."""
 
     def test_healthy_codes_rank_only_candidates(self, monkeypatch):
         rng = np.random.default_rng(0)
@@ -471,7 +476,7 @@ class TestSelectionPaths:
         got = knn_classify(train, labels, queries, k=5)
         # the sampled bound leaves a few dozen candidates of 2000 a row
         assert len(widths) == len(numkit.row_blocks(640, B)), widths  # one lexsort a block
-        assert max(widths) <= 2 * evalharness._KNN_GATHER_WIDTH, widths
+        assert max(widths) <= 2 * numkit._SMALLEST_GATHER_WIDTH, widths
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
@@ -486,7 +491,7 @@ class TestSelectionPaths:
         got = knn_classify(train, labels, queries, k=k, metric=metric)
         # all-zero rows tie far past the width: only the ties that fit are ranked
         assert len(widths) == len(numkit.row_blocks(140, B)), widths
-        assert max(widths) <= evalharness._KNN_GATHER_WIDTH, widths
+        assert max(widths) <= numkit._SMALLEST_GATHER_WIDTH, widths
         assert np.array_equal(got, want)
 
 
@@ -514,19 +519,19 @@ SELECTION_KINDS = ["normal", "tie-heavy", "collapsed", "inf"]
 def test_nearest_equals_full_lexsort_sweep(kind):
     # n below, at and above the sample stride and the gather width; reach up to n
     rng = np.random.default_rng(SELECTION_KINDS.index(kind))
-    stride, width = evalharness._KNN_SAMPLE_STRIDE, evalharness._KNN_GATHER_WIDTH
+    stride, width = numkit._SMALLEST_SAMPLE_STRIDE, numkit._SMALLEST_GATHER_WIDTH
     sizes = [1, 2, stride - 1, stride, stride + 1, 3 * stride, width, width + 1, 4 * width, 700]
     for trial in range(60):
         n = sizes[trial % len(sizes)]
         reach = n if trial % 7 == 0 else int(rng.integers(1, min(n, 10) + 1))
         block = distance_block(kind, rng, int(rng.integers(1, 70)), n)
-        got = evalharness._nearest(block, reach)
+        got = numkit.smallest(block, reach)
         assert np.array_equal(got, lexsort_nearest(block, reach)), (trial, n, reach)
 
 
 @pytest.mark.parametrize("kind", SELECTION_KINDS[:3])
 def test_knn_equals_full_sort_sweep(kind):
-    # whole knn_classify runs on codes; ±inf distances are swept on _nearest above
+    # whole knn_classify runs on codes; ±inf distances are swept on numkit.smallest above
     rng = np.random.default_rng(10 + SELECTION_KINDS.index(kind))
     for trial in range(24):
         n = [2, 3, 5, 9, 40, 300][trial % 6]

@@ -71,7 +71,7 @@ def gradients_both_ways(monkeypatch, config, n, batch, seed=0):
 
 
 def cfg(sizes, act="relu", **kwargs):
-    return AEConfig(layer_sizes=sizes, hidden_activation=act, latent_activation=act, **kwargs)
+    return AEConfig(layer_sizes=sizes, latent_activation=act, **kwargs)
 
 
 BATCH32 = list(range(1, 64, 2))

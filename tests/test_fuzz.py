@@ -1,4 +1,5 @@
-"""Seeded boundary fuzz: damaged artifacts are refused with a typed error.
+"""Seeded boundary fuzz: damaged artifacts are refused with a typed error,
+and the neighbor table and k-NN equal their oracles on hostile sets.
 
 Every truncation length of a tiny checkpoint, IDX pair and graymap, and a
 seeded sample of checkpoint byte flips, must raise an error that names the
@@ -6,16 +7,25 @@ damaged file: CheckpointError for a checkpoint, ValueError for the data
 files. Any other exception type, or a load that succeeds, fails the test.
 A checkpoint whose header fields are rewritten, with its CRC recomputed,
 must load or raise CheckpointError, and never raise another type.
+
+On seeded sets with duplicate rows, exact ties, all-zero rows and norms just
+inside the refusal bounds, build_context equals top_m_neighbors row for row
+and knn_classify equals the full-lexsort oracle, at 1 and 2 row-block workers.
 """
 
 import json
+import threading
 import zlib
 
 import numpy as np
+import pytest
+from test_evalharness import full_sort_knn
 
+from exae import exclusivity, numkit
 from exae.autoencoder import AEConfig, build_model
 from exae.dataio import Dataset, load_idx, load_image_dir, save_idx
-from exae.evalharness import CheckpointError, load_checkpoint, save_checkpoint
+from exae.evalharness import KNN_METRICS, CheckpointError, knn_classify, load_checkpoint, save_checkpoint
+from exae.exclusivity import build_context, top_m_neighbors
 from exae.stacking import assemble
 
 N_FLIPS = 300
@@ -128,3 +138,71 @@ def test_every_truncation_of_a_graymap_is_refused_naming_the_file(tmp_path):
     path.write_bytes(whole)
     assert load_image_dir(tmp_path).image_shape == (3, 2)  # the undamaged file loads
     assert escapes(path, whole, lambda: load_image_dir(tmp_path), ValueError, str(path)) == []
+
+
+def hostile_rows(rng, n, edge):
+    """n quantized rows (exact ties; with one column every nonzero pair ties at 1),
+    a quarter of them copies of others, a twentieth all zero and a twentieth
+    scaled to a norm just inside edge: near ties with the rows they copy."""
+    data = rng.integers(0, 4, size=(n, int(rng.integers(1, 9)))) / 3.0
+    data[rng.choice(n, n // 4, replace=False)] = data[rng.integers(0, n, size=n // 4)]
+    data[rng.choice(n, max(1, n // 20), replace=False)] = 0.0
+    big = rng.choice(n, max(1, n // 20), replace=False)
+    norms = np.linalg.norm(data[big], axis=1, keepdims=True)
+    data[big] *= edge * (1 - 1e-9) / np.where(norms > 0.0, norms, np.inf)
+    return data
+
+
+def fallback_widths(monkeypatch):
+    """The rows of each block-wide fallback: an exclusivity.smallest call that
+    ranks the rows whose oracle cosines its thread has just computed."""
+    oracle_rows, widths = {}, []
+    real_cosine, real_smallest = exclusivity._cosine_to_row, exclusivity.smallest
+
+    def cosine_spy(dataset, j, norms):
+        oracle_rows.setdefault(threading.get_ident(), []).append(j)
+        return real_cosine(dataset, j, norms)
+
+    def smallest_spy(values, reach):
+        rows = oracle_rows.pop(threading.get_ident(), [])
+        if rows:
+            assert len(rows) == values.shape[0], "the fallback ranks other rows than it computed"
+            widths.append(len(rows))
+        return real_smallest(values, reach)
+
+    monkeypatch.setattr(exclusivity, "_cosine_to_row", cosine_spy)
+    monkeypatch.setattr(exclusivity, "smallest", smallest_spy)
+    return widths
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_neighbor_table_equals_oracle_on_hostile_sets(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    n = [2, 7, 40, 150, 260, 300][seed]  # one block, then two and three of them
+    data = hostile_rows(rng, n, np.sqrt(np.finfo(float).max / 2))
+    # top_m_neighbors(j, m) is the first m of top_m_neighbors(j, n - 1): one sort
+    oracle = np.array([top_m_neighbors(data, j, n - 1) for j in range(n)]).reshape(n, n - 1)
+    widths = fallback_widths(monkeypatch)
+    for m in sorted({1, min(6, n - 1), n - 1}):
+        for workers in (1, 2):
+            monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", workers)
+            assert np.array_equal(build_context(data, m).neighbors, oracle[:, :m]), (m, workers)
+    if n >= 150:
+        assert max(widths) > 1, widths  # a block ranked several uncertified rows in one call
+
+
+@pytest.mark.parametrize("metric", sorted(KNN_METRICS))
+@pytest.mark.parametrize("seed", range(4))
+def test_knn_equals_full_sort_on_hostile_sets(monkeypatch, metric, seed):
+    rng = np.random.default_rng(10 + seed)
+    n = [3, 20, 90, 300][seed]
+    # the euclidean bound is on the squared norm, the cosine one on the norm
+    edge = np.sqrt(KNN_METRICS[metric]) if metric == "euclidean" else KNN_METRICS[metric]
+    feats = hostile_rows(rng, n + [5, 60, 130, 250][seed], edge)
+    train, queries = feats[:n], feats[n:]
+    labels = rng.integers(0, 3, size=n)
+    for k in sorted({1, min(6, n), n}):  # k = n sums n distances of up to max/2 at the euclidean bound
+        for workers in (1, 2):  # the oracle ranks the distances of the same row blocks
+            monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", workers)
+            want = full_sort_knn(train, labels, queries, k, metric)
+            assert np.array_equal(knn_classify(train, labels, queries, k, metric), want), (k, workers)

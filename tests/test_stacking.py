@@ -20,7 +20,6 @@ from exae.stacking import (
 def level_cfg(sizes, **kwargs):
     defaults = dict(
         layer_sizes=sizes,
-        hidden_activation="relu",
         latent_activation="relu",
         output_activation="sigmoid",
         excl_weight=2.0,
