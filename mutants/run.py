@@ -292,7 +292,7 @@ MUTANTS = [
         f"{EVAL}::TestRunExperiment::test_trial_setup_seeds_every_phase_with_base_seed_plus_trial",
     ),
     (
-        "level-seed-settable",  # stack.seed and stack.levels[k].seed are keys again, which each trial overwrites
+        "level-seed-settable",  # stack.seed is a key again, which each trial overwrites
         "exae/cli.py",
         '"epochs", "batch_size")\n',
         '"epochs", "batch_size", "seed")\n',
@@ -369,6 +369,13 @@ MUTANTS = [
         "tests/test_forward_cache.py",
     ),
     (
+        "table-underflow-accepted",  # a nonzero row whose norm underflows is ranked as zero-norm
+        "exae/exclusivity.py",
+        '    refuse_underflowed_norms(dataset, norms, "row")\n',
+        "",
+        "tests/test_exclusivity.py::TestBuildContext::test_row_whose_norm_underflows_refused_naming_it",
+    ),
+    (
         "table-bound-zero",  # every row with distinct rounded similarities is certified
         "exae/exclusivity.py",
         "    bound = 2.0 * (d + 4) * np.finfo(np.float64).eps\n",
@@ -400,17 +407,17 @@ MUTANTS = [
         "tests/test_autoencoder.py::TestTotalLoss::test_breakdown_stores_four_fields_and_derives_excl_and_total",
     ),
     (
-        "level-keys-unchecked",  # a misspelled level key reaches AEConfig as a TypeError
-        "exae/cli.py",
-        "    for k, level in enumerate(levels):\n",
-        "    for k, level in enumerate([]):\n",
-        "tests/test_cli.py::test_misspelled_key_rejected_with_its_path",
-    ),
-    (
         "stack-sizes-unchecked",  # a fractional or bool stack size reaches the levels unnamed
         "exae/cli.py",
-        "    if sizes is not None and not (isinstance(sizes, list) and all(_admits(int, s) for s in sizes)):\n",
+        "    if sizes is not None and not (isinstance(sizes, list) and len(sizes) >= 2 and all(_admits(int, s) for s in sizes)):\n",
         "    if False:\n",
+        "tests/test_cli.py::test_value_types_checked_at_load_time",
+    ),
+    (
+        "stack-sizes-length-unchecked",  # [] trains the default chain, [32] is refused naming no key
+        "exae/cli.py",
+        " and len(sizes) >= 2 and ",
+        " and ",
         "tests/test_cli.py::test_value_types_checked_at_load_time",
     ),
     (

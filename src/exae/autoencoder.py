@@ -112,12 +112,6 @@ class AEModel:
     def layers(self) -> list:
         return list(self.encoder) + list(self.decoder)
 
-    def copy(self) -> "AEModel":
-        return AEModel(
-            encoder=[layer.copy() for layer in self.encoder],
-            decoder=[layer.copy() for layer in self.decoder],
-        )
-
 
 @dataclass
 class LossBreakdown:

@@ -7,10 +7,9 @@ from it (experiment_from) before any work. The sections:
 
   data:       DataSpec: source ("synth" | "idx" | "image_dir") plus its
               parameters; "split" holds SplitSpec but its seed
-  stack:      sizes is the dimension chain input -> ... -> latent, one
-              autoencoder level per consecutive pair; the LEVEL_KEYS fields
-              shared by every level sit beside it, per-level overrides go in
-              "levels" (list of objects with any LEVEL_KEYS field)
+  stack:      sizes is the dimension chain input -> ... -> latent (null, or
+              two or more ints), one autoencoder level per consecutive pair;
+              the LEVEL_KEYS fields beside it set every level
   finetune:   StackConfig: band and the finetune_* fields but the seed
   eval:       ExperimentConfig: knn_k and metric
   experiment: ExperimentConfig: trials and base_seed (trial t's seed is base_seed + t)
@@ -65,8 +64,9 @@ def _defaults(cls, *names: str) -> dict:
     }
 
 
-# The AEConfig fields "stack" and each "stack.levels" object set: stack.sizes gives
-# layer_sizes, a level has no hidden layer, and each trial sets the seed.
+# The AEConfig fields the "stack" section sets for every level (levels 2+ output
+# latent_activation): stack.sizes gives layer_sizes, a level has no hidden layer,
+# and each trial sets the seed.
 LEVEL_KEYS = ("latent_activation", "output_activation", "excl_weight", "n_neighbors", "lr", "epochs", "batch_size")
 
 DEFAULT_CONFIG = {
@@ -77,7 +77,6 @@ DEFAULT_CONFIG = {
     "stack": {
         "sizes": None,  # default: [input dim, 512, 256, 128] -> 3 levels
         **_defaults(AEConfig, *LEVEL_KEYS),
-        "levels": None,  # optional per-level overrides
     },
     "finetune": _defaults(StackConfig, "band", "finetune_epochs", "finetune_lr", "finetune_batch_size"),
     "eval": _defaults(ExperimentConfig, "knn_k", "metric"),
@@ -131,15 +130,9 @@ def load_config(path: str | None) -> dict:
         return copy.deepcopy(DEFAULT_CONFIG)
     with open(path) as f:
         cfg = _merge(DEFAULT_CONFIG, json.load(f))
-    levels = cfg["stack"]["levels"] or []
-    if not (isinstance(levels, list) and all(isinstance(level, dict) for level in levels)):
-        raise ValueError("config key 'stack.levels' must be null or a list of objects")
     sizes = cfg["stack"]["sizes"]
-    if sizes is not None and not (isinstance(sizes, list) and all(_admits(int, s) for s in sizes)):
-        raise ValueError(f"config key 'stack.sizes' must be null or a list of ints, got {sizes!r}")
-    for k, level in enumerate(levels):
-        _merge(dict.fromkeys(LEVEL_KEYS), level, f"stack.levels[{k}].")
-        _check_types(level, AEConfig, f"stack.levels[{k}].")
+    if sizes is not None and not (isinstance(sizes, list) and len(sizes) >= 2 and all(_admits(int, s) for s in sizes)):
+        raise ValueError(f"config key 'stack.sizes' must be null or a list of two or more ints, got {sizes!r}")
     for name, cls in SECTIONS.items():
         section, _, sub = name.partition(".")
         _check_types(cfg[section][sub] if sub else cfg[section], cls, name + ".")
@@ -152,23 +145,16 @@ def _as_fields(cfg: dict, *sections: str) -> dict:
 
 
 def level_configs_from(cfg: dict, input_dim: int) -> list:
-    """One AEConfig per consecutive size pair, with optional overrides."""
+    """One AEConfig per consecutive size pair, each set by the stack section."""
     st = cfg["stack"]
     sizes = st["sizes"] or [input_dim] + DEFAULT_STACK_TAIL
     if sizes[0] != input_dim:
         raise ValueError(f"stack sizes start at {sizes[0]} but data dim is {input_dim}")
-    shared = {key: st[key] for key in LEVEL_KEYS}
-    overrides = st["levels"] or [{}] * (len(sizes) - 1)
-    if len(overrides) != len(sizes) - 1:
-        raise ValueError(f"{len(overrides)} level overrides for {len(sizes) - 1} levels")
-    levels = []
-    for k, (a, b) in enumerate(zip(sizes, sizes[1:])):
-        level = {**shared, "layer_sizes": [a, b]}
-        if k > 0:  # level 1 reconstructs [0,1] pixels; deeper levels reconstruct codes
-            level["output_activation"] = st["latent_activation"]
-        level.update(overrides[k])
-        levels.append(AEConfig(**level))
-    return levels
+    first = {key: st[key] for key in LEVEL_KEYS}
+    # level 1 reconstructs [0,1] pixels; deeper levels reconstruct codes
+    deeper = {**first, "output_activation": st["latent_activation"]}
+    pairs = enumerate(zip(sizes, sizes[1:]))
+    return [AEConfig(**(deeper if k else first), layer_sizes=[a, b]) for k, (a, b) in pairs]
 
 
 def experiment_from(cfg: dict):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .autoencoder import AEModel, LossBreakdown, encode, model_parameters
 from .dataio import Dataset, SplitSpec, load_idx, load_image_dir, synth_gaussian, train_test_rows
-from .numkit import DenseLayer, Matrix, as_matrix, map_row_blocks, smallest
+from .numkit import DenseLayer, Matrix, as_matrix, map_row_blocks, refuse_underflowed_norms, smallest
 from .stacking import FinetuneEpoch, StackConfig, StackedModel, fine_tune, train_stack
 
 CHECKPOINT_MAGIC = b"EXAECKPT"
@@ -68,9 +68,7 @@ def _side(feats: Matrix, metric: str, name: str) -> np.ndarray:
         r = np.argmin(ok)
         raise ValueError(f"{name} row {r} is past the {metric} bound: {what} {side[r]:.3g} > {bound}")
     if metric == "cosine":
-        tiny = (side < 1e-150) & feats.any(axis=1)  # an underflowed norm reads 0 for a nonzero row
-        if tiny.any():
-            raise ValueError(f"{name} row {np.argmax(tiny)} is not all zero but its norm is below 1e-150")
+        refuse_underflowed_norms(feats, side, f"{name} row")
     return side
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import Matrix, map_row_blocks, smallest
+from .numkit import Matrix, map_row_blocks, refuse_underflowed_norms, smallest
 
 # Norms below this are treated as degenerate: the term contributes 0 loss
 # and 0 gradient instead of dividing by ~0.
@@ -130,7 +130,9 @@ def build_context(dataset: Matrix, m: int) -> ExclusivityContext:
     Exactness contract: row i of the table is exactly top_m_neighbors(dataset,
     i, m), ties and zero-norm rows included, under any map_row_blocks partition.
     One GEMM gives the minus-cosines of a block of rows to every row (zero-norm
-    pairs +1, self +inf), and numkit.smallest ranks the best m+1 of each.
+    pairs +1, self +inf), and numkit.smallest ranks the best m+1 of each. A
+    row not all zero whose norm is below 1e-150 is refused, as the oracle
+    would rank it as a zero-norm row.
 
     The GEMM sums each dot product in another order than the oracle's
     per-row GEMV. Either cosine is within gamma_d * sum|x_k y_k| / (|x||y|)
@@ -151,11 +153,12 @@ def build_context(dataset: Matrix, m: int) -> ExclusivityContext:
         raise ValueError(f"need at least 2 rows, have {n}")
     if not 1 <= m <= n - 1:
         raise ValueError(f"m={m} out of range for {n} rows, need 1 <= m <= n-1 = {n - 1}")
-    with np.errstate(over="ignore"):  # an overflowed norm is inf, which the check below refuses
+    with np.errstate(over="ignore", under="ignore"):  # an overflowed or underflowed norm is refused below
         norms = _row_norms(dataset)
     bad = ~(norms <= np.sqrt(np.finfo(float).max / 2))  # NaN, or a norm whose cosines could overflow
     if bad.any():
         raise ValueError(f"row {np.argmax(bad)} has norm {norms[np.argmax(bad)]}, past sqrt(max/2)")
+    refuse_underflowed_norms(dataset, norms, "row")
     zero = norms == 0.0
     divisors = np.where(zero, 1.0, norms)  # zero-norm pairs are set to +1 below
     ranks = min(m + 1, n - 1)

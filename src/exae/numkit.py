@@ -37,6 +37,14 @@ def as_matrix(data, name: str = "matrix") -> Matrix:
     return arr
 
 
+def refuse_underflowed_norms(rows: Matrix, norms: np.ndarray, name: str) -> None:
+    """Refuses, naming it, a row not all zero whose norm is below 1e-150, as its squares
+    may have underflowed: it would read as an all-zero row."""
+    tiny = (norms < 1e-150) & rows.any(axis=1)
+    if tiny.any():
+        raise ValueError(f"{name} {np.argmax(tiny)} is not all zero but its norm is below 1e-150")
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, with e = e^-|z| so
     # exp never overflows: the same bytes as evaluating each branch on its rows

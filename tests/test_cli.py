@@ -102,15 +102,14 @@ def test_user_config_merges_over_defaults(tmp_path):
     assert cfg["experiment"]["trials"] == 2
 
 
-def test_level_configs_respect_overrides():
-    cfg = load_config(None)
-    cfg["stack"]["sizes"] = [8, 4, 2]
-    cfg["stack"]["levels"] = [{"epochs": 9}, {"lr": 0.01}]
-    levels = level_configs_from(cfg, 8)
-    assert levels[0].epochs == 9
-    assert levels[1].lr == 0.01
-    assert levels[0].output_activation == "sigmoid"
-    assert levels[1].output_activation == "relu"  # reconstructs codes
+def test_stack_settings_reach_every_level(tmp_path):
+    stack = {"sizes": [6, 5, 4, 3], "epochs": 3, "lr": 0.02, "excl_weight": 1.5, "latent_activation": "identity"}
+    levels = cli.experiment_from(load_config(str(tiny_config(tmp_path, stack=stack))))[0].stack.levels
+    assert [level.layer_sizes for level in levels] == [[6, 5], [5, 4], [4, 3]]
+    assert {(level.epochs, level.lr, level.excl_weight, level.n_neighbors) for level in levels} == {(3, 0.02, 1.5, 2)}
+    assert {level.latent_activation for level in levels} == {"identity"}
+    # level 1 reconstructs [0,1] pixels; levels 2+ reconstruct codes
+    assert [level.output_activation for level in levels] == ["sigmoid", "identity", "identity"]
 
 
 def test_synth_writes_idx_fixture(tmp_path, capsys):
@@ -323,7 +322,7 @@ def test_per_class_test_below_one_refused(tmp_path, monkeypatch, command, cap):
         # experiment.base_seed + t seeds trial t's split, levels and fine-tune: no other seed is a key
         ({"data": {"split": {"per_class_train": 8, "seed": -1}}}, r"^unknown config key 'data\.split\.seed'$", "stack"),
         ({"stack": {"seed": -1}}, r"^unknown config key 'stack\.seed'$", "stack"),
-        ({"stack": {"levels": [{}, {"seed": -1}]}}, r"^unknown config key 'stack\.levels\[1\]\.seed'$", "stack"),
+        ({"stack": {"levels": [{}, {"seed": -1}]}}, r"^unknown config key 'stack\.levels'$", "stack"),  # no level has keys of its own
         ({"finetune": {"seed": -1}}, r"^unknown config key 'finetune\.seed'$", "stack"),
         ({"experiment": {"base_seed": -1}}, "^base_seed must be >= 0, got -1$", "experiment"),
         ({"stack": {"lr": np.inf}}, "^lr must be positive and finite, got inf$", "stack"),
@@ -350,8 +349,7 @@ def test_unknown_source_rejected(tmp_path):
 
 @pytest.mark.parametrize(
     "stack, name",
-    [({"latent_activation": "x"}, "latent_activation"), ({"output_activation": "x"}, "output_activation"),
-     ({"levels": [{}, {"output_activation": "x"}]}, "output_activation")],
+    [({"latent_activation": "x"}, "latent_activation"), ({"output_activation": "x"}, "output_activation")],
 )
 def test_unknown_activation_refused_naming_its_field(tmp_path, stack, name):
     path = tiny_config(tmp_path, stack=stack)
@@ -412,17 +410,17 @@ def test_refused_run_leaves_no_output_dir(tmp_path, monkeypatch, command):
         ({"evl": {"knn_k": 3}}, "evl"),
         ({"data": {"split": {"sed": 1}}}, "data.split.sed"),
         ({"output": {"dir": "x", "directory": "y"}}, "output.directory"),
-        ({"stack": {"sizes": [32, 8], "levels": [{"epohcs": 3}]}}, "stack.levels[0].epohcs"),
+        # the stack section sets every level: there are no per-level overrides
+        ({"stack": {"levels": None}}, "stack.levels"),
         ({"finetune": {"norm_order": 2}}, "finetune.norm_order"),  # the band's norm is not a setting
         ({"stack": {"mean_grad": "full"}}, "stack.mean_grad"),  # the full gradient is the only one
-        ({"stack": {"sizes": [32, 8], "levels": [{"mean_grad": "full"}]}}, "stack.levels[0].mean_grad"),
+        ({"stack": {"levels": []}}, "stack.levels"),
         ({"stack": {"loss_reduction": "mean"}}, "stack.loss_reduction"),  # the batch mean is the only one
-        ({"stack": {"sizes": [32, 8], "levels": [{"loss_reduction": "sum"}]}}, "stack.levels[0].loss_reduction"),
+        ({"stack": {"levels": [{}]}}, "stack.levels"),
         # fine-tuning is reconstruction-only, so it has no weight and no neighbor table
         *(({"finetune": {key: val}}, f"finetune.{key}") for key in ("excl_weight", "n_neighbors") for val in (0, 2)),
         # a level has no hidden layer, and stack.sizes alone gives each level's dimensions
         ({"stack": {"hidden_activation": "sigmoid"}}, "stack.hidden_activation"),
-        ({"stack": {"sizes": [32, 8], "levels": [{"layer_sizes": [32, 8]}]}}, "stack.levels[0].layer_sizes"),
     ],
 )
 def test_misspelled_key_rejected_with_its_path(tmp_path, monkeypatch, user, path):
@@ -441,7 +439,7 @@ def test_misspelled_key_rejected_with_its_path(tmp_path, monkeypatch, user, path
         ({"stack": {"epochs": True}}, "stack.epochs"),
         ({"data": {"split": {"per_class_train": None}}}, "data.split.per_class_train"),
         ({"finetune": {"band": "0.5"}}, "finetune.band"),
-        ({"stack": {"sizes": [32, 8], "levels": [{"epochs": "3"}]}}, "stack.levels[0].epochs"),
+        ({"stack": {"sizes": []}}, "stack.sizes"),  # no level; null is the default chain
         ({"stack": {"lr": 2}}, None),
         ({"finetune": {"band": 0.5}}, None),
         ({"data": {"per_class_test": None}}, None),
@@ -452,6 +450,7 @@ def test_misspelled_key_rejected_with_its_path(tmp_path, monkeypatch, user, path
         ({"stack": 5}, "stack"),  # a section must be an object
         ({"data": {"split": 3}}, "data.split"),
         ({"eval": None}, "eval"),
+        ({"stack": {"sizes": [32]}}, "stack.sizes"),  # a level needs two sizes
     ],
 )
 def test_value_types_checked_at_load_time(tmp_path, monkeypatch, user, refused):
@@ -474,14 +473,6 @@ def test_config_file_must_hold_an_object(tmp_path, monkeypatch, user):
     with pytest.raises(ValueError, match="^config file must hold a JSON object$"):
         main(["--config", str(config), "synth"])
     assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("levels", [[3], {"epochs": 3}, [{"epochs": 3}, None]])
-def test_levels_must_be_a_list_of_objects(tmp_path, levels):
-    config = tmp_path / "levels.json"
-    config.write_text(json.dumps({"stack": {"sizes": [32, 8], "levels": levels}}))
-    with pytest.raises(ValueError, match="'stack.levels' must be null or a list of objects"):
-        load_config(str(config))
 
 
 def test_no_config_run_unchanged_by_restating_every_default(tmp_path, monkeypatch):

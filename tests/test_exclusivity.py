@@ -244,6 +244,20 @@ class TestBuildContext:
         with pytest.raises(ValueError, match="row 4 has norm inf"):
             build_context(rows, 2)
 
+    def test_row_whose_norm_underflows_refused_naming_it(self):
+        # the squares of 1e-170 underflow, so the norm reads 0 and the oracle
+        # ranks row 2 as zero-norm: its duplicate, row 5, would leave its table
+        rows = np.random.default_rng(0).uniform(size=(8, 3))
+        rows[[2, 5]] = [1e-170, 2e-170, 0.0]
+        for errors in ("warn", "raise"):
+            with np.errstate(all=errors), pytest.raises(ValueError) as refused:
+                build_context(rows, 3)
+            assert str(refused.value) == "row 2 is not all zero but its norm is below 1e-150"
+        rows[[2, 5]] = [1e-140, 2e-140, 0.0]  # squares that stay normal: accepted, each in the other's table
+        ctx = build_context(rows, 3)
+        assert ctx.neighbors.tolist() == [top_m_neighbors(rows, i, 3) for i in range(8)]
+        assert ctx.neighbors[2, 0] == 5 and ctx.neighbors[5, 0] == 2
+
     def test_toy_table_matches_per_row_brute_force(self):
         data = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]])
         ctx = build_context(data, 1)

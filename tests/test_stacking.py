@@ -1,5 +1,7 @@
 """Greedy pretraining, assembly wiring, the norm-ratio band, fine-tuning."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -244,7 +246,7 @@ class TestFineTune:
         """
         data = toy_rows(13, n=10)  # batch 4: each epoch ends on a 2-row batch
         stacked, _ = train_stack(cfg, data)
-        ref = stacked.assembled.copy()
+        ref = copy.deepcopy(stacked.assembled)
         stacked, history = fine_tune(stacked, data, cfg)
 
         loss_cfg = level_cfg([8, 2], excl_weight=0.0)
