@@ -7,8 +7,9 @@ independent; a failed trial is recorded and the rest proceed.
 
 Checkpoint binary layout (all integers little-endian):
   8-byte magic "EXAECKPT" | u32 version | u32 header length |
-  JSON header (architecture, snapshots, optional config) |
-  parameter block (float64 LE, header order) | u32 CRC-32 of all prior bytes
+  JSON header (level architectures, optional config) |
+  parameter block (float64 LE: the levels in header order, then the layers
+  assembled from them in stacking.assembly_order) | u32 CRC-32 of all prior bytes
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .autoencoder import AEModel, LossBreakdown, encode, model_parameters
 from .dataio import Dataset, SplitSpec, load_idx, load_image_dir, synth_gaussian, train_test_rows
 from .numkit import DenseLayer, Matrix, as_matrix, map_row_blocks, refuse_underflowed_norms, smallest
-from .stacking import FinetuneEpoch, StackConfig, StackedModel, fine_tune, train_stack
+from .stacking import FinetuneEpoch, StackConfig, StackedModel, assembly_order, fine_tune, train_stack
 
 CHECKPOINT_MAGIC = b"EXAECKPT"
 CHECKPOINT_VERSION = 1
@@ -60,7 +61,7 @@ def _side(feats: Matrix, metric: str, name: str) -> np.ndarray:
     """Row sums of squares (euclidean) or norms (cosine). Refuses, naming it, a row past
     KNN_METRICS[metric], and for cosine a row not all zero whose norm is below 1e-150:
     two nonzero norms then multiply to at least 1e-300, the floor _pairwise_dist clamps to."""
-    with np.errstate(over="ignore"):  # an overflowed side is inf, which the bound refuses
+    with np.errstate(over="ignore", under="ignore"):  # refused below, not raised: an overflowed side is inf
         side = np.sum(feats**2, axis=1) if metric == "euclidean" else np.linalg.norm(feats, axis=1)
     ok = side <= KNN_METRICS[metric]
     if not ok.all():
@@ -394,16 +395,10 @@ def _model_descriptor(model: AEModel) -> dict:
 
 
 def save_checkpoint(stacked: StackedModel, path, config: dict | None = None) -> None:
-    """Write the levels, assembled model, and snapshots; bit-exact on reload.
+    """Write the levels and the assembled model's parameters; bit-exact on reload.
 
     Each parameter is written from its own buffer under a running CRC: no copy of the file."""
-    header = {
-        "levels": [_model_descriptor(m) for m in stacked.levels],
-        "assembled": _model_descriptor(stacked.assembled),
-        "snapshots": stacked.snapshots,
-        "norm_order": 2,  # the snapshots' norm: the Euclidean norm of the flattened weight
-        "config": config,
-    }
+    header = {"levels": [_model_descriptor(m) for m in stacked.levels], "config": config}
     header_bytes = json.dumps(header, sort_keys=True).encode()  # fails before the file exists
     chunks = [CHECKPOINT_MAGIC, CHECKPOINT_VERSION.to_bytes(4, "little")]
     chunks += [len(header_bytes).to_bytes(4, "little"), header_bytes]
@@ -434,30 +429,29 @@ def load_checkpoint(path) -> StackedModel:
     header_len = int.from_bytes(buf[12:16], "little")
     if 16 + header_len > len(buf) - 4:
         raise CheckpointError(f"truncated checkpoint {path}")
+    blob, offset = view[16 + header_len : -4], 0
+
+    def layer(n_in, n_out, activation) -> DenseLayer:  # the next weight and bias in the block
+        nonlocal offset
+        end = offset + 8 * n_out * (n_in + 1)
+        if not offset < end <= len(blob):
+            raise CheckpointError(f"truncated checkpoint {path}")
+        flat = np.frombuffer(blob[offset:end], "<f8")
+        offset = end
+        return DenseLayer(flat[: n_out * n_in].reshape(n_out, n_in).copy(), flat[n_out * n_in :].copy(), activation)
+
     try:
         header = json.loads(buf[16 : 16 + header_len].decode())
-        if header["norm_order"] != 2:  # the snapshots must be Euclidean norms, as the band's are
-            raise ValueError(f"norm_order must be 2, got {header['norm_order']!r}")
-
-        # parameters in header order: per layer the weight, then the bias
-        blob, offset, models = view[16 + header_len : -4], 0, []
-        for desc in header["levels"] + [header["assembled"]]:
-            halves = {"encoder": [], "decoder": []}
-            for half, layers in halves.items():
-                for s in desc[half]:
-                    n_out, n_in = s["out"], s["in"]
-                    end = offset + 8 * n_out * (n_in + 1)
-                    if not offset < end <= len(blob):
-                        raise CheckpointError(f"truncated checkpoint {path}")
-                    flat = np.frombuffer(blob[offset:end], "<f8")
-                    weight = flat[: n_out * n_in].reshape(n_out, n_in).copy()
-                    layers.append(DenseLayer(weight, flat[n_out * n_in :].copy(), s["activation"]))
-                    offset = end
-            models.append(AEModel(**halves))
+        levels = [
+            AEModel(*([layer(s["in"], s["out"], s["activation"]) for s in desc[h]] for h in ("encoder", "decoder")))
+            for desc in header["levels"]
+        ]
+        halves = assembly_order(levels)  # the assembled layers' shapes and activations
+        assembled = AEModel(*([layer(l.in_dim, l.out_dim, l.activation) for l in half] for half in halves))
         if offset != len(blob):
             raise CheckpointError(f"truncated checkpoint {path}")
-        return StackedModel(levels=models[:-1], assembled=models[-1], snapshots=header["snapshots"])
+        return StackedModel(levels, assembled)
     except CheckpointError:
         raise
     except (ValueError, KeyError, TypeError) as err:
-        raise CheckpointError(f"malformed checkpoint header in {path}: {err!r}") from err
+        raise CheckpointError(f"malformed checkpoint {path}: {err!r}") from err

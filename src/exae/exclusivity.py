@@ -34,8 +34,7 @@ class ExclusivityContext:
     """Precomputed training-set structure, immutable after construction."""
 
     row_sum: np.ndarray  # exact sum of all training rows
-    count: int  # number of training rows
-    neighbors: np.ndarray  # (count, m) indices, row i never contains i
+    neighbors: np.ndarray  # (training rows, m) indices, row i never contains i
 
 
 @dataclass
@@ -188,13 +187,13 @@ def build_context(dataset: Matrix, m: int) -> ExclusivityContext:
             table[uncertified] = smallest(fallback, m)
 
     map_row_blocks(rank, n, _TABLE_BLOCK_ROWS)
-    return ExclusivityContext(row_sum=dataset.sum(axis=0), count=n, neighbors=table)
+    return ExclusivityContext(row_sum=dataset.sum(axis=0), neighbors=table)
 
 
 def batch_targets(ctx: ExclusivityContext, dataset: Matrix, batch_indices) -> tuple:
     """Stacked prototypes for a batch of row indices: (hetero, homo) matrices."""
     idx = np.asarray(batch_indices, dtype=np.int64)
-    hetero = (ctx.row_sum - dataset[idx]) / (ctx.count - 1)
+    hetero = (ctx.row_sum - dataset[idx]) / (len(ctx.neighbors) - 1)
     homo = dataset[ctx.neighbors[idx]].mean(axis=1)
     return hetero, homo
 

@@ -1,11 +1,11 @@
 """Greedy layerwise pretraining, stack assembly, and banded fine-tuning.
 
 Each level trains as a standalone autoencoder on the previous level's
-latent codes. Assembly concatenates the encoders in level order and the
-decoders in reverse level order, then records each layer's flattened
-weight norm. Fine-tuning retrains the assembled network end to end and,
-after every epoch, rescales any layer whose snapshot-to-current norm ratio
-left the band [1 - band, 1 + band].
+latent codes. Assembly copies the level layers in assembly_order. Each
+assembled layer's snapshot is the flattened weight norm of the level layer
+it was copied from. Fine-tuning retrains the assembled network end to end
+and, after every epoch, rescales any layer whose snapshot-to-current norm
+ratio left the band [1 - band, 1 + band].
 """
 
 from __future__ import annotations
@@ -69,24 +69,22 @@ class StackConfig:
 
 @dataclass
 class StackedModel:
-    """Pretrained levels, the assembled deep model, and its norm snapshots.
-
-    snapshots holds one flattened weight norm per assembled layer (encoder
-    layers first, then decoder layers), taken at assembly time.
-    """
+    """Pretrained levels and the deep model assembled from them."""
 
     levels: list
     assembled: AEModel
-    snapshots: list
 
     def __post_init__(self):
-        n_layers = len(self.assembled.encoder) + len(self.assembled.decoder)
-        if len(self.snapshots) != n_layers:
-            raise ValueError(
-                f"{len(self.snapshots)} snapshots for {n_layers} assembled layers"
-            )
-        if not all(0 < s < np.inf and not isinstance(s, bool) for s in self.snapshots):
-            raise ValueError("snapshot norms must be finite and positive numbers, not bools")
+        self.snapshots  # refuses a level weight whose norm is zero or not finite
+
+    @property
+    def snapshots(self) -> list:
+        """One flattened weight norm per assembled layer, taken from the level layer it
+        was assembled from: fine-tuning moves only the assembled copies."""
+        snapshots = [flat_norm(layer.weight) for half in assembly_order(self.levels) for layer in half]
+        if not all(0 < s < np.inf for s in snapshots):
+            raise ValueError("snapshot norms must be finite and positive")
+        return snapshots
 
 
 @dataclass
@@ -130,17 +128,18 @@ def project_to_band(snapshot_norm: float, current_weight: Matrix, band: float) -
     return current_weight * (r / edge)
 
 
-def assemble(levels: list) -> StackedModel:
-    """Deep model from trained levels: encoders in order, decoders reversed.
+def assembly_order(levels: list) -> tuple:
+    """The level layers as the deep model stacks them, (encoder, decoder): the
+    encoders in level order, then the decoders in reverse level order."""
+    encoder = [layer for level in levels for layer in level.encoder]
+    decoder = [layer for level in reversed(levels) for layer in level.decoder]
+    return encoder, decoder
 
-    Layers are copied, so later fine-tuning never mutates the pretrained
-    levels. Snapshots are recorded from the copies.
-    """
-    encoder = [layer.copy() for level in levels for layer in level.encoder]
-    decoder = [layer.copy() for level in reversed(levels) for layer in level.decoder]
-    assembled = AEModel(encoder=encoder, decoder=decoder)
-    snapshots = [flat_norm(layer.weight) for layer in assembled.layers]
-    return StackedModel(levels=levels, assembled=assembled, snapshots=snapshots)
+
+def assemble(levels: list) -> StackedModel:
+    """Deep model from trained levels, its layers copied in assembly_order, so
+    later fine-tuning never mutates the pretrained levels."""
+    return StackedModel(levels, AEModel(*([layer.copy() for layer in half] for half in assembly_order(levels))))
 
 
 def train_stack(config: StackConfig, dataset: Matrix):
@@ -170,10 +169,10 @@ def train_stack(config: StackConfig, dataset: Matrix):
     return assemble(levels), histories
 
 
-def _project_all(stacked: StackedModel, band: float) -> list:
-    """Project every assembled layer's weight; returns the new ratios."""
+def _project_all(snapshots: list, model: AEModel, band: float) -> list:
+    """Project every layer's weight into the band around its snapshot; returns the new ratios."""
     ratios = []
-    for snap, layer in zip(stacked.snapshots, stacked.assembled.layers):
+    for snap, layer in zip(snapshots, model.layers):
         layer.weight = project_to_band(snap, layer.weight, band)
         ratios.append(weight_ratio(snap, layer.weight))
     return ratios
@@ -187,10 +186,10 @@ def fine_tune(stacked: StackedModel, dataset: Matrix, config: StackConfig):
     constrained). Returns (stacked, history of FinetuneEpoch). A failure past
     training_rows' checks is raised naming the phase, as train_stack names its level.
     """
-    model = stacked.assembled
+    model, snapshots = stacked.assembled, stacked.snapshots
     epochs = sgd_epochs(model, config.finetune, training_rows(model, dataset))
     try:
-        history = [FinetuneEpoch(loss=loss, ratios=_project_all(stacked, config.band)) for loss in epochs]
+        history = [FinetuneEpoch(loss=loss, ratios=_project_all(snapshots, model, config.band)) for loss in epochs]
     except Exception as err:
         raise RuntimeError(f"fine-tuning failed: {err}") from err
     return stacked, history

@@ -26,7 +26,7 @@ from exae.evalharness import (
     save_checkpoint,
 )
 from exae.numkit import DenseLayer
-from exae.stacking import StackConfig, assemble, fine_tune, train_stack
+from exae.stacking import StackConfig, assemble, fine_tune, flat_norm, train_stack
 
 B = evalharness._KNN_BLOCK_ROWS  # queries per k-NN block
 FB = evalharness._FEATURE_BLOCK_ROWS  # rows per feature block
@@ -354,6 +354,12 @@ class TestKnnClassify:
         edge = np.array([[2e-150, 0.0]])  # at the floor's scale, still ranked by cosine
         assert knn_classify(train, [0, 1, 2], edge, k=1, metric="cosine").tolist() == [0]
 
+    def test_cosine_row_whose_norm_underflows_is_refused_when_numpy_raises(self):
+        # its squares underflow: under np.errstate(all="raise") that must not escape the refusal
+        train = np.array([[1e-170, 2e-170, 0.0], [1.0, 0.0, 0.0]])
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="^train row 0 is not all zero"):
+            knn_classify(train, [0, 1], np.ones((1, 3)), k=1, metric="cosine")
+
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     @pytest.mark.parametrize("k", [1, 4, 7])
     def test_all_zero_train_codes_are_ranked_by_index(self, metric, k):
@@ -680,7 +686,16 @@ def checkpoint_bytes(header, params):
 
 def joined_checkpoint(stacked, config):
     """Reference writer: the checkpoint's bytes built whole in memory, header,
-    then every parameter in header order, then the CRC of all of it."""
+    then the levels' parameters and the assembled ones, then the CRC of all of it."""
+    header = {"levels": [evalharness._model_descriptor(m) for m in stacked.levels], "config": config}
+    params = [p for m in stacked.levels + [stacked.assembled] for p in model_parameters(m)]
+    return checkpoint_bytes(header, params)
+
+
+def old_layout(stacked, config=None):
+    """(header, parameter copies) of a version-1 file as written before the header
+    dropped the assembled descriptor, the snapshots and norm_order: the loader
+    ignores those keys. Older loaders need norm_order, so they refuse new files."""
     header = {
         "levels": [evalharness._model_descriptor(m) for m in stacked.levels],
         "assembled": evalharness._model_descriptor(stacked.assembled),
@@ -688,8 +703,19 @@ def joined_checkpoint(stacked, config):
         "norm_order": 2,
         "config": config,
     }
-    params = [p for m in stacked.levels + [stacked.assembled] for p in model_parameters(m)]
-    return checkpoint_bytes(header, params)
+    return header, [p.copy() for m in stacked.levels + [stacked.assembled] for p in model_parameters(m)]
+
+
+def assert_bit_identical(a, b):
+    """Levels, assembled model and snapshots equal bit for bit, activations included."""
+    assert len(a.levels) == len(b.levels)
+    for ma, mb in zip(a.levels + [a.assembled], b.levels + [b.assembled]):
+        assert [l.activation for l in ma.layers] == [l.activation for l in mb.layers]
+        assert (len(ma.encoder), len(ma.decoder)) == (len(mb.encoder), len(mb.decoder))
+        for la, lb in zip(ma.layers, mb.layers):
+            assert la.weight.tobytes() == lb.weight.tobytes() and la.weight.shape == lb.weight.shape
+            assert la.bias.tobytes() == lb.bias.tobytes()
+    assert a.snapshots == b.snapshots
 
 
 def wide_level():
@@ -707,13 +733,18 @@ class TestCheckpoint:
         stacked, _ = fine_tune(stacked, data.examples, cfg)
         return stacked, data
 
-    @pytest.mark.parametrize("config", [None, {"note": "test", "sizes": [6, 4, 3]}])
-    def test_streamed_bytes_equal_joined_writer(self, tmp_path, config):
+    def make_two_level(self):
+        """A fine-tuned 6-4-3 stack, its data and its StackConfig."""
         data = synth_gaussian(2, 6, 10, 0.1, seed=1)
         levels = [small_stack_cfg(6, latent=4).levels[0], small_stack_cfg(4, latent=3).levels[0]]
         cfg = small_stack_cfg(6, levels=levels)
         stacked, _ = train_stack(cfg, data.examples)
         stacked, _ = fine_tune(stacked, data.examples, cfg)
+        return stacked, data, cfg
+
+    @pytest.mark.parametrize("config", [None, {"note": "test", "sizes": [6, 4, 3]}])
+    def test_streamed_bytes_equal_joined_writer(self, tmp_path, config):
+        stacked, _, _ = self.make_two_level()
         assert len(stacked.levels) == 2
         save_checkpoint(stacked, tmp_path / "m.ckpt", config=config)
         assert (tmp_path / "m.ckpt").read_bytes() == joined_checkpoint(stacked, config)
@@ -735,15 +766,35 @@ class TestCheckpoint:
         stacked, _ = self.make_trained()
         path = tmp_path / "m.ckpt"
         save_checkpoint(stacked, path, config={"note": "test"})
-        back = load_checkpoint(path)
-        for a, b in zip(stacked.assembled.layers, back.assembled.layers):
-            assert np.array_equal(a.weight, b.weight)
-            assert np.array_equal(a.bias, b.bias)
-            assert a.activation == b.activation
-        for la, lb in zip(stacked.levels, back.levels):
-            for a, b in zip(la.layers, lb.layers):
-                assert np.array_equal(a.weight, b.weight)
-        assert back.snapshots == stacked.snapshots
+        assert_bit_identical(stacked, load_checkpoint(path))
+
+    def test_header_holds_only_levels_and_config(self, tmp_path):
+        stacked, _, _ = self.make_two_level()
+        save_checkpoint(stacked, tmp_path / "m.ckpt", config={"note": "test"})
+        buf = (tmp_path / "m.ckpt").read_bytes()
+        header = json.loads(buf[16 : 16 + int.from_bytes(buf[12:16], "little")])
+        levels = [evalharness._model_descriptor(m) for m in stacked.levels]
+        assert header == {"levels": levels, "config": {"note": "test"}}
+
+    @pytest.mark.parametrize("n_levels", [1, 2])
+    def test_old_layout_loads_bit_identical(self, tmp_path, n_levels):
+        stacked = self.make_trained()[0] if n_levels == 1 else self.make_two_level()[0]
+        assert len(stacked.levels) == n_levels
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(checkpoint_bytes(*old_layout(stacked, {"note": "test"})))
+        assert_bit_identical(stacked, load_checkpoint(path))
+
+    def test_snapshots_are_the_norms_taken_at_assembly(self, tmp_path):
+        data = synth_gaussian(2, 6, 10, 0.1, seed=1)
+        cfg = small_stack_cfg(6, finetune_epochs=3)
+        stacked, _ = train_stack(cfg, data.examples)
+        at_assembly = [flat_norm(layer.weight) for layer in stacked.assembled.layers]
+        assert stacked.snapshots == at_assembly
+        stacked, _ = fine_tune(stacked, data.examples, cfg)
+        assert [flat_norm(layer.weight) for layer in stacked.assembled.layers] != at_assembly  # the layers moved
+        assert stacked.snapshots == at_assembly
+        save_checkpoint(stacked, tmp_path / "m.ckpt")
+        assert load_checkpoint(tmp_path / "m.ckpt").snapshots == at_assembly
 
     def test_round_trip_preserves_features(self, tmp_path):
         stacked, data = self.make_trained(seed=3)
@@ -797,21 +848,10 @@ class TestCheckpoint:
         "edit",
         [
             lambda h: b"{not json",
-            lambda h: json.dumps({k: v for k, v in h.items() if k != "assembled"}).encode(),
+            lambda h: json.dumps({k: v for k, v in h.items() if k != "levels"}).encode(),
             lambda h: json.dumps({**h, "levels": 3}).encode(),
-            lambda h: json.dumps({**h, "snapshots": ["1.0"] * len(h["snapshots"])}).encode(),
-            # a non-finite snapshot makes every ratio NaN or inf: no band holds it
-            *(lambda h, s=s: json.dumps({**h, "snapshots": [s] + h["snapshots"][1:]}).encode()
-              for s in (np.nan, np.inf)),
-            # the snapshots are Euclidean norms: a header naming any other p is refused
-            *(lambda h, p=p: json.dumps({**h, "norm_order": p}).encode() for p in (0, 0.5, 1, np.nan)),
-            lambda h: json.dumps({k: v for k, v in h.items() if k != "norm_order"}).encode(),
-            # JSON true would read as a norm of 1.0, as True == 1
-            lambda h: json.dumps({**h, "snapshots": [True] + h["snapshots"][1:]}).encode(),
         ],
-        ids=["undecodable-json", "missing-key", "levels-not-a-list", "snapshots-not-numbers",
-             "snapshot-nan", "snapshot-inf", "norm-order-0", "norm-order-half", "norm-order-1",
-             "norm-order-nan", "no-norm-order", "snapshot-true"],
+        ids=["undecodable-json", "missing-key", "levels-not-a-list"],
     )
     def test_malformed_header_rejected(self, tmp_path, edit):
         stacked, _ = self.make_trained()
@@ -823,7 +863,7 @@ class TestCheckpoint:
         body = buf[:12] + len(header).to_bytes(4, "little") + header + buf[16 + header_len : -4]
         # keep the checksum consistent so only the header is at fault
         path.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
-        with pytest.raises(CheckpointError, match="malformed checkpoint header"):
+        with pytest.raises(CheckpointError, match="malformed checkpoint "):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("empty", [["encoder", "decoder"], ["encoder"], ["decoder"]], ids="-".join)
@@ -831,16 +871,43 @@ class TestCheckpoint:
         # such a file would load, and extract_features then fail with an IndexError
         model = wide_level()
         kept = [layer for half in ("encoder", "decoder") if half not in empty for layer in getattr(model, half)]
-        header = {
-            "levels": [],
-            "assembled": {**evalharness._model_descriptor(model), **dict.fromkeys(empty, [])},
-            "snapshots": [1.0] * len(kept),
-            "norm_order": 2,
-            "config": None,
-        }
+        header = {"levels": [{**evalharness._model_descriptor(model), **dict.fromkeys(empty, [])}], "config": None}
         path = tmp_path / "empty.ckpt"
         path.write_bytes(checkpoint_bytes(header, [p for layer in kept for p in (layer.weight, layer.bias)]))
-        with pytest.raises(CheckpointError, match="malformed checkpoint header.*at least one layer each"):
+        with pytest.raises(CheckpointError, match="malformed checkpoint .*at least one layer each"):
+            load_checkpoint(path)
+
+    # Each file below loads under a loader that reads the old header's assembled
+    # descriptor and snapshots: they describe a valid model beside faulty levels.
+
+    def test_level_that_does_not_chain_refused(self, tmp_path):
+        # level 2 read as 3-4-3 instead of 4-3-4: the same parameter count, so only the chain is at fault
+        header, params = old_layout(self.make_two_level()[0])
+        (enc,), (dec,) = header["levels"][1]["encoder"], header["levels"][1]["decoder"]
+        enc["in"], enc["out"], dec["in"], dec["out"] = 3, 4, 4, 3
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(checkpoint_bytes(header, params))
+        with pytest.raises(CheckpointError, match="encoder layer dimensions do not chain"):
+            load_checkpoint(path)
+
+    def test_empty_level_list_refused(self, tmp_path):
+        stacked, _ = self.make_trained()
+        header, params = old_layout(stacked)
+        header["levels"] = []
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(checkpoint_bytes(header, params[len(model_parameters(stacked.levels[0])) :]))
+        with pytest.raises(CheckpointError, match="at least one layer each"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, 0.0], ids=["nan", "all-zero"])
+    def test_level_weight_without_a_finite_positive_norm_refused(self, tmp_path, value):
+        # its snapshot would be NaN or 0: every band ratio NaN, inf or a division by zero
+        header, params = old_layout(self.make_trained()[0])
+        params[0][...] = 0.0  # level 1's encoder weight
+        params[0][0, 0] = value
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(checkpoint_bytes(header, params))
+        with pytest.raises(CheckpointError, match="snapshot norms must be finite and positive"):
             load_checkpoint(path)
 
     def test_corrupt_payload_rejected(self, tmp_path):

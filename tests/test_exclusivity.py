@@ -115,9 +115,7 @@ class TestClampedCosine:
 
 class TestExcludeOneMean:
     def test_three_row_hand_case(self):
-        ctx = ExclusivityContext(
-            row_sum=np.array([6.0, 9.0]), count=3, neighbors=np.zeros((3, 1), dtype=int)
-        )
+        ctx = ExclusivityContext(row_sum=np.array([6.0, 9.0]), neighbors=np.zeros((3, 1), dtype=int))
         data = np.array([[0.0, 3.0], [2.0, 2.0], [4.0, 4.0]])
         assert np.allclose(row_targets(ctx, data, 0)[0], [3.0, 3.0])
 

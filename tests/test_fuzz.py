@@ -11,6 +11,8 @@ must load or raise CheckpointError, and never raise another type.
 On seeded sets with duplicate rows, exact ties, all-zero rows and norms just
 inside the refusal bounds, build_context equals top_m_neighbors row for row
 and knn_classify equals the full-lexsort oracle, at 1 and 2 row-block workers.
+A row past a bound, a NaN row, and a cosine row whose norm underflows are
+refused with the same ValueError under np.errstate(all="raise") as without it.
 """
 
 import json
@@ -77,17 +79,13 @@ HEADER_POOL = [-1, 0, float("nan"), 1e300, 1.5, "x", [], {}, None, True]
 
 def header_fields(header):
     """(description, container, key) of each header field the fuzz rewrites:
-    every layer's in, out and activation, each snapshot norm and the whole
-    list, norm_order and config."""
-    models = [(f"levels[{k}]", m) for k, m in enumerate(header["levels"])] + [("assembled", header["assembled"])]
-    for name, model in models:
+    every level layer's in, out and activation, the level list and config."""
+    for k, model in enumerate(header["levels"]):
         for half in ("encoder", "decoder"):
             for j, layer in enumerate(model[half]):
                 for key in ("in", "out", "activation"):
-                    yield f"{name}.{half}[{j}].{key}", layer, key
-    for j in range(len(header["snapshots"])):
-        yield f"snapshots[{j}]", header["snapshots"], j
-    for key in ("snapshots", "norm_order", "config"):
+                    yield f"levels[{k}].{half}[{j}].{key}", layer, key
+    for key in ("levels", "config"):
         yield key, header, key
 
 
@@ -102,7 +100,7 @@ def test_rewritten_header_fields_load_or_raise_checkpoint_error(tmp_path):
     header_len = int.from_bytes(whole[12:16], "little")
     params = whole[16 + header_len : -4]
     n_fields = len(list(header_fields(json.loads(whole[16 : 16 + header_len]))))
-    assert n_fields == 3 * 8 + 4 + 3  # 8 layers in two levels and the assembled model, 4 snapshots
+    assert n_fields == 3 * 4 + 2  # 4 layers in two levels
     found = []
     for f in range(n_fields):
         for val in HEADER_POOL:
@@ -175,6 +173,32 @@ def fallback_widths(monkeypatch):
     return widths
 
 
+def refused_copies(rng, rows, edge, tiny):
+    """Copies of rows in which one seeded row is refused: its first two entries
+    (v, 2v) past edge, or NaN, and with tiny 1e-170: a norm that underflows."""
+    for v in [2 * edge, np.nan] + [1e-170] * tiny:
+        bad = rows.copy()
+        r = int(rng.integers(len(rows)))
+        bad[r] = 0.0
+        bad[r, :2] = np.array([v, 2 * v])[: rows.shape[1]]
+        yield bad
+
+
+def same_refusal_when_raising(call):
+    """call() raises ValueError, and the same one under np.errstate(all="raise"):
+    no over- or underflow on its way to the refusal escapes as FloatingPointError."""
+    found = []
+    for state in ({}, {"all": "raise"}):
+        with np.errstate(**state):
+            try:
+                call()
+            except Exception as err:  # the type is what is compared
+                found.append(repr(err))
+            else:
+                found.append("accepted")
+    assert found[0].startswith("ValueError(") and found[1] == found[0], found
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_neighbor_table_equals_oracle_on_hostile_sets(monkeypatch, seed):
     rng = np.random.default_rng(seed)
@@ -189,6 +213,8 @@ def test_neighbor_table_equals_oracle_on_hostile_sets(monkeypatch, seed):
             assert np.array_equal(build_context(data, m).neighbors, oracle[:, :m]), (m, workers)
     if n >= 150:
         assert max(widths) > 1, widths  # a block ranked several uncertified rows in one call
+    for bad in refused_copies(rng, data, np.sqrt(np.finfo(float).max / 2), tiny=True):
+        same_refusal_when_raising(lambda: build_context(bad, min(6, n - 1)))
 
 
 @pytest.mark.parametrize("metric", sorted(KNN_METRICS))
@@ -206,3 +232,8 @@ def test_knn_equals_full_sort_on_hostile_sets(monkeypatch, metric, seed):
             monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", workers)
             want = full_sort_knn(train, labels, queries, k, metric)
             assert np.array_equal(knn_classify(train, labels, queries, k, metric), want), (k, workers)
+    # a cosine row whose norm underflows is refused; a euclidean one is ranked
+    for bad in refused_copies(rng, train, edge, tiny=metric == "cosine"):
+        same_refusal_when_raising(lambda: knn_classify(bad, labels, queries, 1, metric))
+    for bad in refused_copies(rng, queries, edge, tiny=metric == "cosine"):
+        same_refusal_when_raising(lambda: knn_classify(train, labels, bad, 1, metric))
