@@ -435,13 +435,6 @@ MUTANTS = [
         "tests/test_dataio.py::test_train_test_rows_with_explicit_test_set",
     ),
     (
-        "explicit-test-mirror-dropped",  # mirror_train reaches only the split path
-        "exae/dataio.py",
-        "    return (mirror(train) if split.mirror_train else train), test\n",
-        "    return train, test\n",
-        "tests/test_dataio.py::test_train_test_rows_with_explicit_test_set",
-    ),
-    (
         "prototype-rows-get-no-gradient",  # only the x rows are backpropagated: a stopped gradient
         "exae/autoencoder.py",
         "        d_h = np.vstack((d_h + w * res.grad_latent, w * res.grad_hetero, w * res.grad_homo))\n",
@@ -471,18 +464,25 @@ MUTANTS = [
         "tests/test_evalharness.py::TestCheckpoint::test_model_with_an_empty_half_refused",
     ),
     (
-        "synth-no-image-shape",  # synth rows cannot be mirrored
+        "synth-no-image-shape",  # exae synth cannot write synth rows as IDX
         "exae/dataio.py",
         ", labels=np.concatenate(labels), image_shape=(1, dim))\n",
         ", labels=np.concatenate(labels))\n",
-        "tests/test_cli.py::test_mirrored_synth_experiment_completes_every_trial",
+        "tests/test_cli.py::test_synth_writes_idx_fixture",
     ),
     (
-        "pgm-header-unchecked",  # "P5 abc 2 255" fails in int() unnamed, "P5 0 3 255" reads as a (3, 0) image
+        "idx-label-range-unchecked",  # a u8 cast writes label 256 as 0 and -1 as 255
         "exae/dataio.py",
-        "    if not all(t.isdigit() and int(t) > 0 for t in tokens[1:]):\n",
+        "    if outside.size:  # IDX labels are u8: astype would wrap 256 to 0\n",
         "    if False:\n",
-        "tests/test_dataio.py::TestLoadImageDir::test_bad_header_numbers_refused_naming_the_file",
+        "tests/test_dataio.py::TestLoadIdx::test_label_outside_u8_refused_naming_its_row_before_writing",
+    ),
+    (
+        "test-width-unchecked",  # every trial trains, then fails at the first query
+        "exae/evalharness.py",
+        "    if test.dim != data.dim:\n",
+        "    if False:\n",
+        "tests/test_cli.py::test_test_files_of_another_width_refused_before_any_level_trains",
     ),
 ]
 

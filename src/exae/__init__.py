@@ -8,7 +8,7 @@ nearest-neighbor evaluation harness.
 """
 
 from .autoencoder import AEConfig, AEModel, LossBreakdown, build_model, decode, encode, total_loss, train
-from .dataio import Dataset, SplitSpec, load_idx, load_image_dir, mirror, split_per_class, synth_gaussian
+from .dataio import Dataset, SplitSpec, load_idx, split_per_class, synth_gaussian
 from .evalharness import (
     DataSpec,
     ExperimentConfig,

@@ -5,7 +5,7 @@ falls back to DEFAULT_CONFIG, which takes each default from the field of
 the dataclass that consumes it. All but gradcheck build one ExperimentConfig
 from it (experiment_from) before any work. The sections:
 
-  data:       DataSpec: source ("synth" | "idx" | "image_dir") plus its
+  data:       DataSpec: source ("synth" | "idx") plus its
               parameters; "split" holds SplitSpec but its seed
   stack:      sizes is the dimension chain input -> ... -> latent (null, or
               two or more ints), one autoencoder level per consecutive pair;
@@ -72,7 +72,7 @@ LEVEL_KEYS = ("latent_activation", "output_activation", "excl_weight", "n_neighb
 DEFAULT_CONFIG = {
     "data": {
         **_defaults(DataSpec),
-        "split": {"per_class_train": 10, **_defaults(SplitSpec, "mirror_train")},  # trials set seed
+        "split": {"per_class_train": 10},  # trials set seed
     },
     "stack": {
         "sizes": None,  # default: [input dim, 512, 256, 128] -> 3 levels

@@ -1,10 +1,7 @@
-"""Dataset ingestion, augmentation, splits, and synthetic fixtures.
+"""Dataset ingestion, splits, and synthetic fixtures.
 
-Supported on-disk formats:
-  * IDX (big-endian): magic 0x00000803 for u8 image tensors of shape
-    count x H x W, magic 0x00000801 for u8 label vectors.
-  * Directories of binary portable graymaps ("P5", maxval 255), one
-    subdirectory per class.
+The one on-disk format is IDX (big-endian): magic 0x00000803 for u8 image
+tensors of shape count x H x W, magic 0x00000801 for u8 label vectors.
 
 Pixels are scaled to [0, 1] by dividing by 255; labels exist only for
 evaluation and never enter training.
@@ -63,11 +60,10 @@ class Dataset:
 
 @dataclass
 class SplitSpec:
-    """Per-class training selection: how many rows, which seed, mirror or not."""
+    """Per-class training selection: how many rows, which seed."""
 
     per_class_train: int
     seed: int = 0
-    mirror_train: bool = False
 
     def __post_init__(self):
         if self.per_class_train < 1:
@@ -121,6 +117,10 @@ def save_idx(dataset: Dataset, image_path, label_path) -> None:
         raise ValueError("dataset has no image shape")
     if dataset.labels is None:
         raise ValueError("dataset has no labels")
+    outside = np.flatnonzero((dataset.labels < 0) | (dataset.labels > 255))
+    if outside.size:  # IDX labels are u8: astype would wrap 256 to 0
+        row = outside[0]
+        raise ValueError(f"label {dataset.labels[row]} in row {row} is outside the IDX u8 range 0..255")
     h, w = dataset.image_shape
     pixels = np.rint(dataset.examples * 255.0).astype(np.uint8)
     with open(image_path, "wb") as f:
@@ -129,89 +129,6 @@ def save_idx(dataset: Dataset, image_path, label_path) -> None:
     with open(label_path, "wb") as f:
         f.write(struct.pack(">II", LABEL_MAGIC, dataset.n))
         f.write(dataset.labels.astype(np.uint8).tobytes())
-
-
-def _read_pgm(path: Path) -> np.ndarray:
-    """Binary P5 graymap with maxval 255 -> uint8 array (H, W)."""
-    try:
-        buf = path.read_bytes()
-    except OSError as err:
-        raise ValueError(f"unreadable image file {path}: {err}") from err
-
-    # header tokens: "P5", width, height, maxval; '#' starts a comment
-    pos, tokens = 0, []
-    while len(tokens) < 4:
-        if pos >= len(buf):
-            raise ValueError(f"truncated graymap header in {path}")
-        ch = buf[pos : pos + 1]
-        if ch.isspace():
-            pos += 1
-        elif ch == b"#":
-            while pos < len(buf) and buf[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        else:
-            start = pos
-            while pos < len(buf) and not buf[pos : pos + 1].isspace():
-                pos += 1
-            tokens.append(buf[start:pos])
-    pos += 1  # single whitespace byte after maxval
-
-    if tokens[0] != b"P5":
-        raise ValueError(f"not a binary graymap (P5): {path}")
-    if not all(t.isdigit() and int(t) > 0 for t in tokens[1:]):
-        got = b" ".join(tokens[1:]).decode(errors="replace")
-        raise ValueError(f"graymap width, height and maxval must be positive integers in {path}, got {got}")
-    width, height, maxval = map(int, tokens[1:])
-    if maxval != 255:
-        raise ValueError(f"unsupported graymap maxval {maxval} in {path} (want 255)")
-    if len(buf) - pos < width * height:
-        raise ValueError(f"truncated graymap pixel data in {path}")
-    return np.frombuffer(buf, dtype=np.uint8, count=width * height, offset=pos).reshape(
-        height, width
-    )
-
-
-def load_image_dir(root_path) -> Dataset:
-    """One subdirectory per class of equal-sized graymaps.
-
-    Rows are ordered by (class name, file name); labels enumerate the
-    sorted class directories.
-    """
-    root = Path(root_path)
-    class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
-    if not class_dirs:
-        raise ValueError(f"no class subdirectories under {root}")
-    rows, labels, shape = [], [], None
-    for label, class_dir in enumerate(class_dirs):
-        for img_path in sorted(p for p in class_dir.iterdir() if p.is_file()):
-            img = _read_pgm(img_path)
-            if shape is None:
-                shape = img.shape
-            elif img.shape != shape:
-                raise ValueError(
-                    f"image size {img.shape} in {img_path} differs from first size {shape}"
-                )
-            rows.append(img.reshape(-1).astype(np.float64) / 255.0)
-            labels.append(label)
-    if not rows:
-        raise ValueError(f"no image files under {root}")
-    return Dataset(examples=np.vstack(rows), labels=np.asarray(labels), image_shape=shape)
-
-
-def mirror(dataset: Dataset) -> Dataset:
-    """Originals followed by horizontally flipped copies; labels duplicated."""
-    if dataset.image_shape is None:
-        raise ValueError("cannot mirror a dataset without an image shape")
-    h, w = dataset.image_shape
-    flipped = dataset.examples.reshape(dataset.n, h, w)[:, :, ::-1].reshape(dataset.n, h * w)
-    labels = None
-    if dataset.labels is not None:
-        labels = np.concatenate([dataset.labels, dataset.labels])
-    return Dataset(
-        examples=np.vstack([dataset.examples, flipped]),
-        labels=labels,
-        image_shape=dataset.image_shape,
-    )
 
 
 def _subset(dataset: Dataset, rows: list) -> Dataset:
@@ -237,14 +154,9 @@ def _draw_per_class(dataset: Dataset, per_class: int, seed: int, spare: int):
 
 
 def split_per_class(dataset: Dataset, spec: SplitSpec):
-    """Seeded per-class split into (train, test), disjoint by source row.
-
-    Mirroring, when requested, is applied to the training side only,
-    after selection.
-    """
+    """Seeded per-class split into (train, test), disjoint by source row."""
     chosen, rest = _draw_per_class(dataset, spec.per_class_train, spec.seed, spare=1)
-    train = _subset(dataset, chosen)
-    return (mirror(train) if spec.mirror_train else train), _subset(dataset, rest)
+    return _subset(dataset, chosen), _subset(dataset, rest)
 
 
 def select_per_class(dataset: Dataset, per_class: int, seed: int) -> Dataset:
@@ -265,14 +177,14 @@ def train_test_rows(
     train = select_per_class(data, split.per_class_train, split.seed)
     if per_class_test:
         test = select_per_class(test, per_class_test, test_seed)
-    return (mirror(train) if split.mirror_train else train), test
+    return train, test
 
 
 def synth_gaussian(classes: int, dim: int, per_class: int, spread: float, seed: int) -> Dataset:
     """Gaussian blobs around seeded class means in [0.25, 0.75]^dim.
 
     Examples are clipped to [0, 1]; labels attached. Each row is a 1 x dim
-    image, so it can be mirrored and written as IDX.
+    image, so it can be written as IDX.
     """
     if classes < 1 or dim < 1 or per_class < 1:
         raise ValueError("classes, dim and per_class must all be positive")

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .autoencoder import AEModel, LossBreakdown, encode, model_parameters
-from .dataio import Dataset, SplitSpec, load_idx, load_image_dir, synth_gaussian, train_test_rows
+from .dataio import Dataset, SplitSpec, load_idx, synth_gaussian, train_test_rows
 from .numkit import DenseLayer, Matrix, as_matrix, map_row_blocks, refuse_underflowed_norms, smallest
 from .stacking import FinetuneEpoch, StackConfig, StackedModel, assembly_order, fine_tune, train_stack
 
@@ -198,8 +198,7 @@ class DataSpec:
     """Where the experiment's data comes from.
 
     source "synth" draws Gaussian blobs; "idx" reads an IDX pair (plus an
-    optional held-out test pair, in which case no split is performed);
-    "image_dir" reads a graymap directory tree.
+    optional held-out test pair, in which case no split is performed).
     """
 
     source: str = "synth"
@@ -212,13 +211,12 @@ class DataSpec:
     labels: str | None = None
     test_images: str | None = None
     test_labels: str | None = None
-    root: str | None = None
     per_class_test: int | None = None  # cap the explicit test set, per class
 
     def __post_init__(self):
-        if self.source not in ("synth", "idx", "image_dir"):
+        if self.source not in ("synth", "idx"):
             raise ValueError(f"unknown data source {self.source!r}")
-        needed = {"idx": ("images", "labels"), "image_dir": ("root",)}.get(self.source, ())
+        needed = ("images", "labels") if self.source == "idx" else ()
         missing = [key for key in needed if getattr(self, key) is None]
         if missing:
             raise ValueError(f"data source {self.source!r} needs {' and '.join(missing)}")
@@ -235,19 +233,23 @@ class DataSpec:
 
 
 def load_data(spec: DataSpec):
-    """Returns (dataset, explicit_test_or_None)."""
+    """Returns (dataset, explicit_test_or_None). A test set whose rows are
+    not as wide as the dataset's is refused here, before any training."""
     if spec.source == "synth":
         return (
             synth_gaussian(spec.classes, spec.dim, spec.per_class, spec.spread, spec.synth_seed),
             None,
         )
-    if spec.source == "idx":
-        data = load_idx(spec.images, spec.labels)
-        test = None
-        if spec.test_images is not None:
-            test = load_idx(spec.test_images, spec.test_labels)
-        return data, test
-    return load_image_dir(spec.root), None
+    data = load_idx(spec.images, spec.labels)
+    if spec.test_images is None:
+        return data, None
+    test = load_idx(spec.test_images, spec.test_labels)
+    if test.dim != data.dim:
+        raise ValueError(
+            f"test rows in {spec.test_images} are {test.dim} wide but "
+            f"training rows in {spec.images} are {data.dim} wide"
+        )
+    return data, test
 
 
 @dataclass

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from exae import autoencoder, cli
+from exae import autoencoder, cli, stacking
 from exae.autoencoder import AEConfig
 from exae.cli import DEFAULT_CONFIG, level_configs_from, load_config, main
 from exae.dataio import Dataset, SplitSpec, save_idx
@@ -226,18 +226,9 @@ def test_experiment_command(tmp_path, capsys):
     assert summary["completed"] == 2
 
 
-def test_mirrored_synth_experiment_completes_every_trial(tmp_path, capsys):
-    # mirror_train reverses each synth row, as it does once the rows are IDX files
-    path = tiny_config(tmp_path, data={"split": {"per_class_train": 8, "mirror_train": True}})
-    assert main(["--config", str(path), "experiment"]) == 0
-    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert summary["completed"] == 2
-    assert not summary["failures"] and not summary["partial"]
-
-
 def test_stage_pipeline_reproduces_experiment_trial_zero_on_explicit_test_files(tmp_path, capsys):
     data = {**explicit_test_files(tmp_path), "per_class_test": 3,
-            "split": {"per_class_train": 5, "mirror_train": True}}
+            "split": {"per_class_train": 5}}
     path = tiny_config(tmp_path, data=data)
     out = tmp_path / "out"
     assert main(["--config", str(path), "stack"]) == 0
@@ -374,7 +365,7 @@ def test_fine_tune_failure_names_its_phase(tmp_path, stack_checkpoint):
     [
         ({"source": "idx"}, "'idx' needs images and labels"),
         ({"source": "idx", "labels": "l.idx"}, "'idx' needs images"),
-        ({"source": "image_dir"}, "'image_dir' needs root"),
+        ({"source": "image_dir"}, "unknown data source 'image_dir'"),  # IDX is the one file format
         ({"source": "idx", "images": "i.idx", "labels": "l.idx", "test_images": "t.idx"},
          "test_images and test_labels must be given together"),
         ({"test_labels": "t.idx"}, "test_images and test_labels must be given together"),
@@ -388,6 +379,27 @@ def test_incomplete_data_source_refused(tmp_path, monkeypatch, data, missing):
     config.write_text(json.dumps({"data": data}))
     with pytest.raises(ValueError, match=re.escape(missing)):
         main(["--config", str(config), "stack"])
+    assert not (tmp_path / "out").exists()
+
+
+def test_test_files_of_another_width_refused_before_any_level_trains(tmp_path, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a level trained")
+
+    monkeypatch.setattr(stacking, "train", no_training)
+    rng = np.random.default_rng(5)
+    for name, width in (("train", 6), ("test", 8)):
+        pair = Dataset(rng.uniform(size=(24, width)), np.repeat([0, 1], 12), (1, width))
+        save_idx(pair, tmp_path / f"{name}-images", tmp_path / f"{name}-labels")
+    data = {"source": "idx", "images": str(tmp_path / "train-images"), "labels": str(tmp_path / "train-labels"),
+            "test_images": str(tmp_path / "test-images"), "test_labels": str(tmp_path / "test-labels")}
+    path = tiny_config(tmp_path, data=data)
+    refused = (f"test rows in {tmp_path / 'test-images'} are 8 wide but "
+               f"training rows in {tmp_path / 'train-images'} are 6 wide")
+    for command in ("experiment", "stack", "eval"):
+        args = [command, "none.ckpt"] if command == "eval" else [command]
+        with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+            main(["--config", str(path), *args])
     assert not (tmp_path / "out").exists()
 
 
@@ -421,6 +433,9 @@ def test_refused_run_leaves_no_output_dir(tmp_path, monkeypatch, command):
         *(({"finetune": {key: val}}, f"finetune.{key}") for key in ("excl_weight", "n_neighbors") for val in (0, 2)),
         # a level has no hidden layer, and stack.sizes alone gives each level's dimensions
         ({"stack": {"hidden_activation": "sigmoid"}}, "stack.hidden_activation"),
+        # IDX is the one file format, and training rows are never mirrored
+        ({"data": {"root": "digits"}}, "data.root"),
+        ({"data": {"split": {"mirror_train": True}}}, "data.split.mirror_train"),
     ],
 )
 def test_misspelled_key_rejected_with_its_path(tmp_path, monkeypatch, user, path):

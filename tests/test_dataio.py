@@ -1,4 +1,4 @@
-"""IDX and graymap parsing, mirroring, splits, synthetic blobs."""
+"""IDX parsing and writing, splits, synthetic blobs."""
 
 import struct
 
@@ -9,23 +9,12 @@ from exae.dataio import (
     Dataset,
     SplitSpec,
     load_idx,
-    load_image_dir,
-    mirror,
     save_idx,
     select_per_class,
     split_per_class,
     synth_gaussian,
     train_test_rows,
 )
-
-
-def save_pgm(path, image: np.ndarray) -> None:
-    """Write a uint8 (H, W) array as a binary P5 graymap."""
-    image = np.asarray(image, dtype=np.uint8)
-    h, w = image.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode())
-        f.write(image.tobytes())
 
 
 def write_idx_pair(tmp_path, pixels, labels, h, w):
@@ -95,112 +84,18 @@ class TestLoadIdx:
         assert np.array_equal(back.labels, ds.labels)
         assert back.image_shape == ds.image_shape
 
+    def test_every_u8_label_round_trips(self, tmp_path):
+        ds = Dataset(examples=np.zeros((256, 2)), labels=np.arange(256), image_shape=(1, 2))
+        save_idx(ds, tmp_path / "i", tmp_path / "l")
+        assert load_idx(tmp_path / "i", tmp_path / "l").labels.tolist() == list(range(256))
 
-class TestLoadImageDir:
-    def make_tree(self, root, per_class_images):
-        for cls, images in per_class_images.items():
-            d = root / cls
-            d.mkdir(parents=True)
-            for name, arr in images.items():
-                save_pgm(d / name, np.asarray(arr, dtype=np.uint8))
-
-    def test_two_classes(self, tmp_path):
-        self.make_tree(
-            tmp_path,
-            {
-                "apple": {"a.pgm": [[0, 128], [255, 0]]},
-                "pear": {"b.pgm": [[10, 20], [30, 40]]},
-            },
-        )
-        ds = load_image_dir(tmp_path)
-        assert ds.n == 2
-        assert ds.labels.tolist() == [0, 1]
-        assert ds.image_shape == (2, 2)
-        assert np.allclose(ds.examples[0], np.array([0, 128, 255, 0]) / 255.0)
-
-    def test_deterministic_order(self, tmp_path):
-        self.make_tree(
-            tmp_path,
-            {
-                "b": {"z.pgm": [[1]], "a.pgm": [[2]]},
-                "a": {"q.pgm": [[3]]},
-            },
-        )
-        one = load_image_dir(tmp_path)
-        two = load_image_dir(tmp_path)
-        assert np.array_equal(one.examples, two.examples)
-        # class "a" sorts first; within "b", file "a.pgm" before "z.pgm"
-        assert np.allclose(one.examples[:, 0] * 255.0, [3, 2, 1])
-
-    def test_all_white_graymap(self, tmp_path):
-        self.make_tree(tmp_path, {"c": {"w.pgm": np.full((3, 3), 255)}})
-        ds = load_image_dir(tmp_path)
-        assert np.array_equal(ds.examples[0], np.ones(9))
-
-    def test_mixed_dimensions_rejected(self, tmp_path):
-        self.make_tree(
-            tmp_path,
-            {"c": {"a.pgm": [[1, 2]], "b.pgm": [[1], [2]]}},
-        )
-        with pytest.raises(ValueError, match="b.pgm"):
-            load_image_dir(tmp_path)
-
-    def test_non_graymap_rejected(self, tmp_path):
-        d = tmp_path / "c"
-        d.mkdir()
-        (d / "bad.pgm").write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
-        with pytest.raises(ValueError, match="bad.pgm"):
-            load_image_dir(tmp_path)
-
-    @pytest.mark.parametrize(
-        "header", [b"P5 abc 2 255", b"P5 -2 -3 255", b"P5 0 3 255", b"P5 2 0 255", b"P5 1 1 0", b"P5 1 1 +255"]
-    )
-    def test_bad_header_numbers_refused_naming_the_file(self, tmp_path, header):
-        # these raised int()'s or reshape's message without the file, or read
-        # "P5 0 3 255" as a (3, 0) image
-        d = tmp_path / "c"
-        d.mkdir()
-        (d / "bad.pgm").write_bytes(header + b"\n" + bytes(8))
-        with pytest.raises(ValueError, match=r"positive integers in .*bad\.pgm"):
-            load_image_dir(tmp_path)
-
-    def test_comment_in_header(self, tmp_path):
-        d = tmp_path / "c"
-        d.mkdir()
-        (d / "img.pgm").write_bytes(b"P5\n# a comment\n2 1\n255\n\x05\x06")
-        ds = load_image_dir(tmp_path)
-        assert np.allclose(ds.examples[0] * 255.0, [5, 6])
-
-
-class TestMirror:
-    def test_row_reversal(self):
-        ds = Dataset(examples=np.array([[0.1, 0.2, 0.3]]), image_shape=(1, 3))
-        out = mirror(ds)
-        assert out.n == 2
-        assert np.allclose(out.examples[1], [0.3, 0.2, 0.1])
-
-    def test_symmetric_image_unchanged(self):
-        ds = Dataset(examples=np.array([[0.1, 0.5, 0.1]]), image_shape=(1, 3))
-        out = mirror(ds)
-        assert np.array_equal(out.examples[0], out.examples[1])
-
-    def test_double_mirror_has_each_original_twice(self):
-        rng = np.random.default_rng(1)
-        ds = Dataset(examples=rng.uniform(size=(3, 6)), labels=np.arange(3), image_shape=(2, 3))
-        out = mirror(mirror(ds))
-        assert out.n == 12
-        for row in ds.examples:
-            matches = sum(np.array_equal(row, r) for r in out.examples)
-            assert matches == 2
-
-    def test_labels_duplicated(self):
-        ds = Dataset(examples=np.zeros((2, 4)), labels=np.array([3, 9]), image_shape=(2, 2))
-        assert mirror(ds).labels.tolist() == [3, 9, 3, 9]
-
-    def test_requires_image_shape(self):
-        ds = Dataset(examples=np.zeros((2, 4)))
-        with pytest.raises(ValueError, match="image shape"):
-            mirror(ds)
+    @pytest.mark.parametrize("label", [256, -1])
+    def test_label_outside_u8_refused_naming_its_row_before_writing(self, tmp_path, label):
+        # a u8 cast would write 256 as 0 and -1 as 255
+        ds = Dataset(examples=np.zeros((4, 2)), labels=[0, 1, label, label], image_shape=(1, 2))
+        with pytest.raises(ValueError, match=f"^label {label} in row 2 is outside the IDX u8 range 0..255$"):
+            save_idx(ds, tmp_path / "i", tmp_path / "l")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSplitPerClass:
@@ -211,13 +106,6 @@ class TestSplitPerClass:
             examples=rng.uniform(size=(n, dim)),
             labels=np.repeat(np.arange(classes), per_class),
         )
-
-    def test_counts_with_mirroring(self):
-        ds = self.make()
-        ds = Dataset(examples=ds.examples, labels=ds.labels, image_shape=(2, 2))
-        train, test = split_per_class(ds, SplitSpec(per_class_train=10, mirror_train=True))
-        assert train.n == 60  # 30 selected, doubled by mirroring
-        assert test.n == 6
 
     def test_leave_one_out(self):
         ds = self.make(per_class=5)
@@ -321,9 +209,9 @@ def test_train_test_rows_with_explicit_test_set():
     rng = np.random.default_rng(3)
     data = Dataset(rng.uniform(size=(30, 4)), np.repeat([0, 1, 2], 10), image_shape=(2, 2))
     test = Dataset(rng.uniform(size=(24, 4)), np.repeat([0, 1, 2], 8), image_shape=(2, 2))
-    split = SplitSpec(per_class_train=4, seed=7, mirror_train=True)
+    split = SplitSpec(per_class_train=4, seed=7)
     train, queries = train_test_rows(data, test, split, per_class_test=3, test_seed=1)
-    expected = mirror(select_per_class(data, 4, seed=7))
+    expected = select_per_class(data, 4, seed=7)
     assert np.array_equal(train.examples, expected.examples)
     assert np.array_equal(train.labels, expected.labels)
     assert np.array_equal(queries.examples, select_per_class(test, 3, seed=1).examples)

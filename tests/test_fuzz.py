@@ -1,7 +1,7 @@
 """Seeded boundary fuzz: damaged artifacts are refused with a typed error,
 and the neighbor table and k-NN equal their oracles on hostile sets.
 
-Every truncation length of a tiny checkpoint, IDX pair and graymap, and a
+Every truncation length of a tiny checkpoint and IDX pair, and a
 seeded sample of checkpoint byte flips, must raise an error that names the
 damaged file: CheckpointError for a checkpoint, ValueError for the data
 files. Any other exception type, or a load that succeeds, fails the test.
@@ -25,7 +25,7 @@ from test_evalharness import full_sort_knn
 
 from exae import exclusivity, numkit
 from exae.autoencoder import AEConfig, build_model
-from exae.dataio import Dataset, load_idx, load_image_dir, save_idx
+from exae.dataio import Dataset, load_idx, save_idx
 from exae.evalharness import KNN_METRICS, CheckpointError, knn_classify, load_checkpoint, save_checkpoint
 from exae.exclusivity import build_context, top_m_neighbors
 from exae.stacking import assemble
@@ -127,15 +127,6 @@ def test_every_truncation_of_an_idx_pair_is_refused_naming_the_file(tmp_path):
     load_idx(images, labels)  # the undamaged pair loads
     for path in (images, labels):
         assert escapes(path, path.read_bytes(), lambda: load_idx(images, labels), ValueError, str(path)) == []
-
-
-def test_every_truncation_of_a_graymap_is_refused_naming_the_file(tmp_path):
-    (tmp_path / "c").mkdir()
-    path = tmp_path / "c" / "img.pgm"
-    whole = b"P5\n2 3\n255\n" + bytes(range(10, 70, 10))
-    path.write_bytes(whole)
-    assert load_image_dir(tmp_path).image_shape == (3, 2)  # the undamaged file loads
-    assert escapes(path, whole, lambda: load_image_dir(tmp_path), ValueError, str(path)) == []
 
 
 def hostile_rows(rng, n, edge):
