@@ -207,8 +207,8 @@ MUTANTS = [
     (
         "seed-negative-accepted",  # numpy refuses a negative seed only when that level's model is built
         "exae/autoencoder.py",
-        "        if self.seed < 0:  # numpy would refuse it only when this level's model is built\n",
-        "        if False:\n",
+        '        self.seed = integer(self.seed, "seed", least=0)\n',
+        '        self.seed = integer(self.seed, "seed", least=-1)\n',
         "tests/test_autoencoder.py::test_negative_seed_refused",
     ),
     (
@@ -301,8 +301,8 @@ MUTANTS = [
     (
         "per-class-test-unpaired",  # a cap without test files is accepted and caps nothing
         "exae/evalharness.py",
-        "        if self.per_class_test is not None and self.test_images is None:",
-        "        if False:",
+        "            if self.test_images is None:  # it caps nothing else\n",
+        "            if False:\n",
         "tests/test_cli.py::test_incomplete_data_source_refused",
     ),
     (
@@ -336,15 +336,15 @@ MUTANTS = [
     (
         "layer-sizes-truncated",  # a fractional or bool layer size is truncated to an int
         "exae/autoencoder.py",
-        "        if not all(map(_is_int, self.layer_sizes)) or min(self.layer_sizes) <= 0:\n",
-        "        if any(int(s) <= 0 for s in self.layer_sizes):\n",
+        'self.layer_sizes = [integer(s, f"layer_sizes[{i}]") for i, s in enumerate(self.layer_sizes)]',
+        "self.layer_sizes = [int(s) for s in self.layer_sizes]",
         "tests/test_autoencoder.py::test_non_integer_layer_sizes_refused",
     ),
     (
         "counts-not-integer",  # epochs=1.5 passes construction and fails in training, after earlier levels
         "exae/autoencoder.py",
-        '        for name in ("n_neighbors", "epochs", "batch_size", "seed"):\n',
-        "        for name in ():\n",
+        '        self.epochs = integer(self.epochs, "epochs", least=0)\n',
+        "",
         "tests/test_autoencoder.py::test_non_integer_counts_refused",
     ),
     (
@@ -423,8 +423,8 @@ MUTANTS = [
     (
         "gradcheck-zero-cases",  # --cases 0 probes nothing and reports OK
         "exae/cli.py",
-        "    if args.cases < 1:  # a sweep that probes nothing would report OK\n",
-        "    if False:\n",
+        '    integer(args.cases, "--cases")  # a sweep that probes nothing would report OK\n',
+        "",
         "tests/test_cli.py::test_gradcheck_refuses_fewer_than_one_case",
     ),
     (
@@ -483,6 +483,41 @@ MUTANTS = [
         "    if test.dim != data.dim:\n",
         "    if False:\n",
         "tests/test_cli.py::test_test_files_of_another_width_refused_before_any_level_trains",
+    ),
+    (
+        "integer-takes-bool",  # True passes as 1: one training row per class, one trial, k = 1
+        "exae/numkit.py",
+        "    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):\n",
+        "    if not isinstance(value, (int, np.integer)):\n",
+        "tests/test_numkit.py::test_integer_refuses_naming_its_setting",
+    ),
+    (
+        "integer-least-off-by-one",  # a value one below its least passes: seed -1, zero trials
+        "exae/numkit.py",
+        "    if value < least:\n",
+        "    if value < least - 1:\n",
+        "tests/test_numkit.py::test_integer_refuses_naming_its_setting",
+    ),
+    (
+        "image-shape-truncated",  # (2.5, 2) is kept as a 2 x 2 header over 5-byte rows
+        "exae/dataio.py",
+        'self.image_shape = (integer(h, "image_shape[0]"), integer(w, "image_shape[1]"))',
+        "self.image_shape = (int(h), int(w))",
+        "tests/test_integers.py::test_image_shapes_the_idx_writer_would_corrupt_are_refused",
+    ),
+    (
+        "ckpt-header-length-unchecked",  # a header length past the file is read as malformed JSON, not as truncation
+        "exae/evalharness.py",
+        "    if 16 + header_len > len(buf) - 4:\n",
+        "    if False:\n",
+        f"{EVAL}::TestCheckpoint::test_checksummed_file_of_the_wrong_length_refused",
+    ),
+    (
+        "ckpt-trailing-bytes-accepted",  # bytes after the last parameter load silently
+        "exae/evalharness.py",
+        "        if offset != len(blob):\n",
+        "        if False:\n",
+        f"{EVAL}::TestCheckpoint::test_checksummed_file_of_the_wrong_length_refused",
     ),
 ]
 

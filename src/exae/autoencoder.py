@@ -22,13 +22,9 @@ from .numkit import (
     as_matrix,
     grad_check,
     init_layer,
+    integer,
     sgd_step,
 )
-
-
-def _is_int(value) -> bool:
-    """An int or numpy integer, not a bool: what every size and count must be (1.5, True, NaN are not)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -51,27 +47,19 @@ class AEConfig:
     def __post_init__(self):
         if len(self.layer_sizes) < 2:
             raise ValueError("layer_sizes needs at least input and latent dims")
-        if not all(map(_is_int, self.layer_sizes)) or min(self.layer_sizes) <= 0:
-            raise ValueError(f"layer sizes must be positive integers, got {self.layer_sizes}")
-        self.layer_sizes = [int(s) for s in self.layer_sizes]
-        for name in ("n_neighbors", "epochs", "batch_size", "seed"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        self.layer_sizes = [integer(s, f"layer_sizes[{i}]") for i, s in enumerate(self.layer_sizes)]
+        self.n_neighbors = integer(self.n_neighbors, "n_neighbors")
+        self.epochs = integer(self.epochs, "epochs", least=0)
+        self.batch_size = integer(self.batch_size, "batch_size")
+        # numpy would refuse a negative seed only when this level's model is built
+        self.seed = integer(self.seed, "seed", least=0)
         for name in ("latent_activation", "output_activation"):
             if getattr(self, name) not in ACTIVATIONS:
                 raise ValueError(f"{name} must be one of {ACTIVATIONS}, got {getattr(self, name)!r}")
         if not 0 <= self.excl_weight < np.inf:
             raise ValueError(f"excl_weight must be >= 0 and finite, got {self.excl_weight}")
-        if self.n_neighbors < 1:
-            raise ValueError(f"n_neighbors must be >= 1, got {self.n_neighbors}")
         if not 0 < self.lr < np.inf:
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.seed < 0:  # numpy would refuse it only when this level's model is built
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def input_dim(self) -> int:

@@ -43,6 +43,7 @@ from .evalharness import (
     write_metrics,
     MetricsRecord,
 )
+from .numkit import integer
 from .stacking import StackConfig, fine_tune, train_stack
 
 # config key -> dataclass field, where the two names differ
@@ -228,8 +229,8 @@ def cmd_experiment(cfg: dict, args) -> int:
 
 
 def cmd_gradcheck(cfg: dict, args) -> int:
-    if args.cases < 1:  # a sweep that probes nothing would report OK
-        raise ValueError(f"--cases must be at least 1, got {args.cases}")
+    integer(args.cases, "--cases")  # a sweep that probes nothing would report OK
+    integer(args.seed, "--seed", least=0)
     worst = 0.0
     for case in range(args.cases):
         config, *probe = gradcheck_case(case, args.seed)

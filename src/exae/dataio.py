@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .numkit import integer
+
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 
@@ -42,7 +44,7 @@ class Dataset:
                 )
         if self.image_shape is not None:
             h, w = self.image_shape
-            self.image_shape = (int(h), int(w))
+            self.image_shape = (integer(h, "image_shape[0]"), integer(w, "image_shape[1]"))
             if h * w != self.examples.shape[1]:
                 raise ValueError(
                     f"image shape {self.image_shape} does not match row length "
@@ -66,10 +68,8 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.per_class_train < 1:
-            raise ValueError("per_class_train must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        self.per_class_train = integer(self.per_class_train, "per_class_train")
+        self.seed = integer(self.seed, "seed", least=0)
 
 
 def _read_be_u32(buf: bytes, offset: int, path) -> int:
@@ -141,7 +141,7 @@ def _draw_per_class(dataset: Dataset, per_class: int, seed: int, spare: int):
     a class needs per_class + spare rows."""
     if dataset.labels is None:
         raise ValueError("per-class selection needs labels")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer(seed, "seed", least=0))
     chosen, rest = [], []
     for cls in np.unique(dataset.labels):
         members = np.flatnonzero(dataset.labels == cls)
@@ -161,9 +161,7 @@ def split_per_class(dataset: Dataset, spec: SplitSpec):
 
 def select_per_class(dataset: Dataset, per_class: int, seed: int) -> Dataset:
     """Seeded selection of exactly per_class rows from every class."""
-    if per_class < 1:
-        raise ValueError(f"per_class must be >= 1, got {per_class}")
-    return _subset(dataset, _draw_per_class(dataset, per_class, seed, spare=0)[0])
+    return _subset(dataset, _draw_per_class(dataset, integer(per_class, "per_class"), seed, spare=0)[0])
 
 
 def train_test_rows(
@@ -186,11 +184,10 @@ def synth_gaussian(classes: int, dim: int, per_class: int, spread: float, seed: 
     Examples are clipped to [0, 1]; labels attached. Each row is a 1 x dim
     image, so it can be written as IDX.
     """
-    if classes < 1 or dim < 1 or per_class < 1:
-        raise ValueError("classes, dim and per_class must all be positive")
+    classes, dim, per_class = integer(classes, "classes"), integer(dim, "dim"), integer(per_class, "per_class")
     if not 0 < spread < np.inf:
         raise ValueError(f"spread must be positive and finite, got {spread}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer(seed, "seed", least=0))
     blocks, labels = [], []
     for cls in range(classes):
         mean = rng.uniform(0.25, 0.75, size=dim)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .autoencoder import AEModel, LossBreakdown, encode, model_parameters
 from .dataio import Dataset, SplitSpec, load_idx, synth_gaussian, train_test_rows
-from .numkit import DenseLayer, Matrix, as_matrix, map_row_blocks, refuse_underflowed_norms, smallest
+from .numkit import DenseLayer, Matrix, as_matrix, integer, map_row_blocks, refuse_underflowed_norms, smallest
 from .stacking import FinetuneEpoch, StackConfig, StackedModel, assembly_order, fine_tune, train_stack
 
 CHECKPOINT_MAGIC = b"EXAECKPT"
@@ -135,7 +135,7 @@ def knn_classify(
         raise ValueError("empty training set")
     if train_labels.shape != (train_feats.shape[0],):
         raise ValueError("train labels length does not match train rows")
-    if not 1 <= k <= train_feats.shape[0]:
+    if integer(k, "k") > train_feats.shape[0]:
         raise ValueError(f"k={k} out of range for {train_feats.shape[0]} training rows")
 
     if metric not in KNN_METRICS:
@@ -222,14 +222,15 @@ class DataSpec:
             raise ValueError(f"data source {self.source!r} needs {' and '.join(missing)}")
         if (self.test_images is None) != (self.test_labels is None):
             raise ValueError("test_images and test_labels must be given together")
-        if self.per_class_test is not None and self.per_class_test < 1:
-            raise ValueError(f"per_class_test must be >= 1 or null, got {self.per_class_test}")
-        if self.per_class_test is not None and self.test_images is None:  # it caps nothing else
-            raise ValueError("per_class_test needs test_images and test_labels")
+        if self.per_class_test is not None:
+            self.per_class_test = integer(self.per_class_test, "per_class_test")
+            if self.test_images is None:  # it caps nothing else
+                raise ValueError("per_class_test needs test_images and test_labels")
+        for name in ("classes", "dim", "per_class"):
+            setattr(self, name, integer(getattr(self, name), name))
         if not 0 < self.spread < np.inf:
             raise ValueError(f"spread must be positive and finite, got {self.spread}")
-        if self.synth_seed < 0:
-            raise ValueError(f"synth_seed must be >= 0, got {self.synth_seed}")
+        self.synth_seed = integer(self.synth_seed, "synth_seed", least=0)
 
 
 def load_data(spec: DataSpec):
@@ -264,12 +265,9 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.knn_k < 1:
-            raise ValueError("knn_k must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        self.trials = integer(self.trials, "trials")
+        self.knn_k = integer(self.knn_k, "knn_k")
+        self.base_seed = integer(self.base_seed, "base_seed", least=0)
         if self.metric not in KNN_METRICS:
             raise ValueError(f"metric must be one of {tuple(KNN_METRICS)}")
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import Matrix, map_row_blocks, refuse_underflowed_norms, smallest
+from .numkit import Matrix, integer, map_row_blocks, refuse_underflowed_norms, smallest
 
 # Norms below this are treated as degenerate: the term contributes 0 loss
 # and 0 gradient instead of dividing by ~0.
@@ -118,7 +118,7 @@ def top_m_neighbors(dataset: Matrix, j: int, m: int) -> list:
     n = dataset.shape[0]
     if not 0 <= j < n:
         raise ValueError(f"row index {j} out of range for {n} rows")
-    if not 1 <= m <= n - 1:
+    if integer(m, "m") > n - 1:
         raise ValueError(f"m={m} out of range for {n} rows, need 1 <= m <= n-1 = {n - 1}")
     return _rank_neighbors(_cosine_to_row(dataset, j, _row_norms(dataset)), j, m)
 
@@ -150,7 +150,7 @@ def build_context(dataset: Matrix, m: int) -> ExclusivityContext:
     n, d = dataset.shape
     if n < 2:
         raise ValueError(f"need at least 2 rows, have {n}")
-    if not 1 <= m <= n - 1:
+    if integer(m, "m") > n - 1:
         raise ValueError(f"m={m} out of range for {n} rows, need 1 <= m <= n-1 = {n - 1}")
     with np.errstate(over="ignore", under="ignore"):  # an overflowed or underflowed norm is refused below
         norms = _row_norms(dataset)

@@ -6,7 +6,8 @@ analytic gradients, plain SGD updates, and a central-finite-difference
 gradient checker used to validate every hand-coded backward pass. The
 backward pass reads activation derivatives off the forward output.
 map_row_blocks runs independent row blocks, two at a time when the BLAS
-is pinned to one thread; smallest is the one (value, index) selection.
+is pinned to one thread; smallest is the one (value, index) selection, and
+integer the one check of a whole-number setting.
 """
 
 from __future__ import annotations
@@ -24,11 +25,20 @@ Matrix = np.ndarray
 ACTIVATIONS = ("identity", "relu", "sigmoid")
 
 
+def integer(value, name: str, least: int = 1) -> int:
+    """value as an int. Every size, count, seed and k is checked here: anything
+    but an int or numpy integer (a bool, 2.5, "3", NaN), or one below least,
+    raises ValueError naming name."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def as_matrix(data, name: str = "matrix") -> Matrix:
     """Coerce to a 2-D float64 array, rejecting non-finite entries (named in errors)."""
     arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
     finite = np.isfinite(arr).all(axis=1)

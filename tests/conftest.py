@@ -1,4 +1,20 @@
-"""Prints one summary line per acceptance check at the end of a run."""
+"""Shared fixtures, and one summary line per acceptance check at the end of a run."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+
+@pytest.fixture(scope="session")
+def stroke_proxy():
+    """perfbench's stroke_proxy(classes, per_class, seed), MNIST-shaped sparse rows,
+    loaded read-only from perfbench/proxy.py so that src/ does not carry it."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_proxy", Path(__file__).resolve().parent.parent / "perfbench" / "proxy.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.stroke_proxy
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -343,11 +343,19 @@ def test_unknown_activation_refused_naming_its_field(name):
         toy_config(**{name: "x"})
 
 
-@pytest.mark.parametrize("sizes", [[8, 2.5], [8, True], [8, "4"], [8.0, 4], [8, 0], [8, -3]])
-def test_non_integer_layer_sizes_refused(sizes):
+@pytest.mark.parametrize(
+    "sizes, refused",
+    [([8, 2.5], "layer_sizes[1] must be an integer, got 2.5"),
+     ([8, True], "layer_sizes[1] must be an integer, got True"),
+     ([8, "4"], "layer_sizes[1] must be an integer, got '4'"),
+     ([8.0, 4], "layer_sizes[0] must be an integer, got 8.0"),
+     ([8, 0], "layer_sizes[1] must be >= 1, got 0"),
+     ([8, -3], "layer_sizes[1] must be >= 1, got -3")],
+    ids=[f"sizes{i}" for i in range(6)],
+)
+def test_non_integer_layer_sizes_refused(sizes, refused):
     # int() would train [8, 2.5] as [8, 2] and [8, True] as [8, 1]
-    refused = re.escape(f"layer sizes must be positive integers, got {sizes}")
-    with pytest.raises(ValueError, match=refused):
+    with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
         toy_config(layer_sizes=sizes)
 
 

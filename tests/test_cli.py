@@ -190,8 +190,8 @@ def explicit_test_files(tmp_path):
     "overrides, refused",
     [
         ({"eval": {"metric": "manhattan"}}, "metric must be one of ('euclidean', 'cosine')"),
-        ({"eval": {"knn_k": 0}}, "knn_k must be >= 1"),
-        ({"experiment": {"trials": 0}}, "trials must be >= 1"),
+        ({"eval": {"knn_k": 0}}, "knn_k must be >= 1, got 0"),
+        ({"experiment": {"trials": 0}}, "trials must be >= 1, got 0"),
         ({"experiment": {"base_seed": -1}, "data": {"per_class_test": 3}}, "base_seed must be >= 0, got -1"),
         ({"eval": {"knn_k": 40}}, "k=40 out of range for 16 training rows"),  # 2 classes x 8 training rows
     ],
@@ -283,7 +283,7 @@ def test_gradcheck_command(capsys):
 @pytest.mark.parametrize("cases", ["0", "-2"])
 def test_gradcheck_refuses_fewer_than_one_case(capsys, cases):
     # no case probed would print a worst error of 0 and pass
-    with pytest.raises(ValueError, match=f"--cases must be at least 1, got {cases}"):
+    with pytest.raises(ValueError, match=f"^--cases must be >= 1, got {cases}$"):
         main(["gradcheck", "--cases", cases])
     assert "OK" not in capsys.readouterr().out
 
@@ -400,6 +400,14 @@ def test_test_files_of_another_width_refused_before_any_level_trains(tmp_path, m
         args = [command, "none.ckpt"] if command == "eval" else [command]
         with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
             main(["--config", str(path), *args])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["stack", "experiment"])
+def test_stack_sizes_that_do_not_start_at_the_data_width_refused(tmp_path, command):
+    path = tiny_config(tmp_path, stack={"sizes": [5, 3]})  # the synth rows are 6 wide
+    with pytest.raises(ValueError, match="^stack sizes start at 5 but data dim is 6$"):
+        main(["--config", str(path), command])
     assert not (tmp_path / "out").exists()
 
 

@@ -1,5 +1,6 @@
 """IDX parsing and writing, splits, synthetic blobs."""
 
+import re
 import struct
 
 import numpy as np
@@ -234,3 +235,21 @@ def test_dataset_validates_range_and_labels():
         Dataset(examples=np.zeros((2, 2)), labels=np.array([1]))
     with pytest.raises(ValueError, match="image shape"):
         Dataset(examples=np.zeros((2, 4)), image_shape=(3, 3))
+
+
+@pytest.mark.parametrize("examples", [np.zeros(4), np.zeros((2, 2, 2))], ids=["1-D", "3-D"])
+def test_dataset_examples_must_be_2_d(examples):
+    with pytest.raises(ValueError, match=rf"^examples must be 2-D, got shape {re.escape(str(examples.shape))}$"):
+        Dataset(examples)
+
+
+@pytest.mark.parametrize(
+    "dataset, refused",
+    [(Dataset(np.zeros((2, 4)), labels=[0, 1]), "dataset has no image shape"),
+     (Dataset(np.zeros((2, 4)), image_shape=(2, 2)), "dataset has no labels")],
+    ids=["no-image-shape", "no-labels"],
+)
+def test_save_idx_needs_an_image_shape_and_labels_before_writing(tmp_path, dataset, refused):
+    with pytest.raises(ValueError, match=f"^{refused}$"):
+        save_idx(dataset, tmp_path / "images", tmp_path / "labels")
+    assert list(tmp_path.iterdir()) == []

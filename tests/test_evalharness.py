@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 import zlib
 from dataclasses import replace
@@ -263,15 +264,24 @@ class TestKnnClassify:
         got = knn_classify(feats, labels, feats, k=30)
         assert np.array_equal(got, full_sort_knn(feats, labels, feats, 30, "euclidean"))
 
+    def test_label_count_other_than_train_rows_refused(self):
+        with pytest.raises(ValueError, match="^train labels length does not match train rows$"):
+            knn_classify(np.eye(3), [0, 1], np.eye(3))
+
+    def test_unknown_metric_refused(self):
+        with pytest.raises(ValueError, match=re.escape("metric must be one of ('euclidean', 'cosine'), got 'manhattan'")):
+            knn_classify(np.eye(3), [0, 1, 2], np.eye(3), metric="manhattan")
+
     def test_feature_width_mismatch_refused(self):
         labels = np.zeros(5)
         with pytest.raises(ValueError, match="query features have 2 columns, train features 3"):
             knn_classify(np.ones((5, 3)), labels, np.ones((4, 2)))
 
-    @pytest.mark.parametrize("k", [0, 31])
-    def test_k_out_of_range_refused(self, k):
+    @pytest.mark.parametrize("k, refused", [(0, "k must be >= 1, got 0"), (31, "k=31 out of range for 30 training rows")],
+                             ids=["0", "31"])
+    def test_k_out_of_range_refused(self, k, refused):
         feats = np.zeros((30, 2))
-        with pytest.raises(ValueError, match=f"k={k} out of range for 30 training rows"):
+        with pytest.raises(ValueError, match=f"^{refused}$"):
             knn_classify(feats, np.zeros(30), feats, k=k)
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
@@ -824,6 +834,20 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", ["header-length-past-the-file", "bytes-after-the-last-parameter"])
+    def test_checksummed_file_of_the_wrong_length_refused(self, tmp_path, edit):
+        # the CRC holds, so only the header length or the parameter count is at fault
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(self.make_trained()[0], path)
+        body = bytearray(path.read_bytes()[:-4])
+        if edit == "header-length-past-the-file":
+            body[12:16] = len(body).to_bytes(4, "little")
+        else:
+            body += np.zeros(1, "<f8").tobytes()
+        path.write_bytes(bytes(body) + zlib.crc32(body).to_bytes(4, "little"))
+        with pytest.raises(CheckpointError, match=f"^truncated checkpoint {re.escape(str(path))}$"):
             load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):

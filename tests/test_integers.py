@@ -1,0 +1,196 @@
+"""The one whole-number rule at every site that takes a size, count, seed, k or m.
+
+Each site refuses a fraction, a bool, a string and the value one below its
+least with a ValueError that names its field, when its dataclass is built or
+its function is entered, and takes a numpy integer.
+"""
+
+import argparse
+import re
+
+import numpy as np
+import pytest
+
+from exae.autoencoder import AEConfig
+from exae.cli import cmd_gradcheck
+from exae.dataio import Dataset, SplitSpec, load_idx, save_idx, select_per_class, synth_gaussian
+from exae.evalharness import DataSpec, ExperimentConfig, knn_classify
+from exae.exclusivity import build_context, top_m_neighbors
+from exae.stacking import StackConfig
+
+CASES = ["fraction", "bool", "string", "below-least"]
+
+
+def refuses(make, name: str, least: int, case: str) -> None:
+    """make(value) raises exactly the rule's message for case's value."""
+    value = {"fraction": 2.5, "bool": True, "string": "3", "below-least": least - 1}[case]
+    tail = f"must be >= {least}, got {value}" if case == "below-least" else f"must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} {re.escape(tail)}$"):
+        make(value)
+
+
+def labelled(rows=6, dim=2, seed=0):
+    rng = np.random.default_rng(seed)
+    return Dataset(rng.uniform(size=(rows, dim)), np.arange(rows) % 2)
+
+
+AE_FIELDS = [("layer_sizes[1]", 1), ("n_neighbors", 1), ("epochs", 0), ("batch_size", 1), ("seed", 0)]
+
+
+def ae_config(name, value):
+    if name == "layer_sizes[1]":
+        return AEConfig(layer_sizes=[4, value])
+    return AEConfig(layer_sizes=[4, 2], **{name: value})
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("name, least", AE_FIELDS)
+def test_ae_config(name, least, case):
+    refuses(lambda v: ae_config(name, v), name, least, case)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in AE_FIELDS])
+def test_ae_config_takes_a_numpy_integer(name):
+    cfg = ae_config(name, np.int64(1))
+    got = cfg.layer_sizes[1] if name == "layer_sizes[1]" else getattr(cfg, name)
+    assert type(got) is int and got == 1
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("name, least", [("per_class_train", 1), ("seed", 0)])
+def test_split_spec(name, least, case):
+    refuses(lambda v: SplitSpec(**{"per_class_train": 1, name: v}), name, least, case)
+
+
+def test_split_spec_takes_numpy_integers():
+    spec = SplitSpec(per_class_train=np.int64(2), seed=np.int64(3))
+    assert (spec.per_class_train, spec.seed) == (2, 3) and type(spec.per_class_train) is type(spec.seed) is int
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("name, least", [("per_class", 1), ("seed", 0)])
+def test_select_per_class(name, least, case):
+    refuses(lambda v: select_per_class(labelled(), **{"per_class": 1, "seed": 0, name: v}), name, least, case)
+
+
+def test_select_per_class_takes_numpy_integers():
+    assert select_per_class(labelled(), np.int64(2), np.int64(0)).n == 4
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("name, least", [("classes", 1), ("dim", 1), ("per_class", 1), ("seed", 0)])
+def test_synth_gaussian(name, least, case):
+    def make(value):
+        args = {"classes": 2, "dim": 3, "per_class": 4, "seed": 0, name: value}
+        return synth_gaussian(**args, spread=0.1)
+
+    refuses(make, name, least, case)
+
+
+def test_synth_gaussian_takes_numpy_integers():
+    ds = synth_gaussian(np.int64(2), np.int64(3), np.int64(4), 0.1, seed=np.int64(0))
+    assert ds.examples.shape == (8, 3) and ds.image_shape == (1, 3)
+
+
+DATA_FIELDS = [("classes", 1), ("dim", 1), ("per_class", 1), ("per_class_test", 1), ("synth_seed", 0)]
+TEST_FILES = dict(test_images="t-images", test_labels="t-labels")  # per_class_test caps only these
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("name, least", DATA_FIELDS)
+def test_data_spec(name, least, case):
+    refuses(lambda v: DataSpec(**TEST_FILES, **{name: v}), name, least, case)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in DATA_FIELDS])
+def test_data_spec_takes_a_numpy_integer(name):
+    got = getattr(DataSpec(**TEST_FILES, **{name: np.int64(2)}), name)
+    assert type(got) is int and got == 2
+
+
+def experiment(**kwargs):
+    stack = StackConfig(levels=[AEConfig(layer_sizes=[32, 4])])
+    return ExperimentConfig(data=DataSpec(), split=SplitSpec(per_class_train=2), stack=stack, **kwargs)
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("name, least", [("trials", 1), ("knn_k", 1), ("base_seed", 0)])
+def test_experiment_config(name, least, case):
+    refuses(lambda v: experiment(**{name: v}), name, least, case)
+
+
+def test_experiment_config_takes_numpy_integers():
+    exp = experiment(trials=np.int64(2), knn_k=np.int64(3), base_seed=np.int64(4))
+    assert (exp.trials, exp.knn_k, exp.base_seed) == (2, 3, 4)
+    assert all(type(v) is int for v in (exp.trials, exp.knn_k, exp.base_seed))
+
+
+def gradcheck(**kwargs):
+    return cmd_gradcheck({}, argparse.Namespace(**{"cases": 1, "seed": 0, "tolerance": 1e-4, **kwargs}))
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("name, least", [("cases", 1), ("seed", 0)])
+def test_gradcheck_options(name, least, case, capsys):
+    refuses(lambda v: gradcheck(**{name: v}), f"--{name}", least, case)
+    assert capsys.readouterr().out == ""  # refused before any case is probed
+
+
+def test_gradcheck_options_take_numpy_integers(capsys):
+    assert gradcheck(cases=np.int64(1), seed=np.int64(0)) == 0
+    assert "case 0 sigmoid" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("side", [0, 1])
+def test_dataset_image_shape(side, case):
+    def make(value):
+        shape = [2, 2]
+        shape[side] = value
+        return Dataset(np.zeros((2, 4)), [0, 1], image_shape=tuple(shape))
+
+    refuses(make, f"image_shape[{side}]", 1, case)
+
+
+@pytest.mark.parametrize(
+    "width, shape, refused",
+    [(5, (2.5, 2), "image_shape[0] must be an integer, got 2.5"),  # was written as a 2 x 2 header
+     (6, (-2, -3), "image_shape[0] must be >= 1, got -2")],  # failed inside save_idx's struct.pack
+)
+def test_image_shapes_the_idx_writer_would_corrupt_are_refused(width, shape, refused):
+    with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+        Dataset(np.zeros((2, width)), [0, 1], image_shape=shape)
+
+
+def test_numpy_image_shape_round_trips_bit_identical(tmp_path):
+    rng = np.random.default_rng(3)
+    ds = Dataset(rng.integers(0, 256, size=(4, 784)) / 255.0, [0, 1, 2, 3], image_shape=(np.int64(28), 28))
+    assert ds.image_shape == (28, 28) and all(type(s) is int for s in ds.image_shape)
+    save_idx(ds, tmp_path / "images", tmp_path / "labels")
+    back = load_idx(tmp_path / "images", tmp_path / "labels")
+    assert back.image_shape == (28, 28)
+    assert back.examples.tobytes() == ds.examples.tobytes()
+    assert back.labels.tobytes() == ds.labels.tobytes()
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_knn_classify_k(case):
+    feats = np.eye(4)
+    refuses(lambda v: knn_classify(feats, [0, 1, 0, 1], feats, k=v), "k", 1, case)
+
+
+def test_knn_classify_takes_a_numpy_integer_k():
+    feats = np.eye(4)
+    assert knn_classify(feats, [0, 1, 0, 1], feats, k=np.int64(1)).tolist() == [0, 1, 0, 1]
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("table", [build_context, lambda data, m: top_m_neighbors(data, 0, m)],
+                         ids=["build_context", "top_m_neighbors"])
+def test_neighbor_count_m(table, case):
+    refuses(lambda v: table(labelled(rows=5, dim=3).examples, v), "m", 1, case)
+
+
+def test_neighbor_tables_take_a_numpy_integer_m():
+    data = labelled(rows=5, dim=3).examples
+    assert build_context(data, np.int64(2)).neighbors[0].tolist() == top_m_neighbors(data, 0, np.int64(2))

@@ -2,6 +2,7 @@
 and the row-block runner."""
 
 import os
+import re
 import sys
 import threading
 
@@ -16,6 +17,7 @@ from exae.numkit import (
     as_matrix,
     grad_check,
     init_layer,
+    integer,
     map_row_blocks,
     row_block_workers,
     row_blocks,
@@ -220,6 +222,43 @@ class TestGradCheck:
 def test_as_matrix_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
         as_matrix([[1.0, np.inf]])
+
+
+@pytest.mark.parametrize("data", [[1.0, 2.0], 3.0, np.zeros((2, 2, 2))], ids=["1-D", "0-D", "3-D"])
+def test_as_matrix_refuses_anything_but_2_d(data):
+    # a 1-D array is refused, not read as one row: no caller passes one
+    with pytest.raises(ValueError, match=rf"^expected a 2-D array, got shape {re.escape(str(np.shape(data)))}$"):
+        as_matrix(data)
+
+
+@pytest.mark.parametrize(
+    "value, least, refused",
+    [(2.5, 1, "n must be an integer, got 2.5"),
+     (True, 0, "n must be an integer, got True"),
+     (np.bool_(True), 0, f"n must be an integer, got {np.bool_(True)!r}"),
+     ("3", 1, "n must be an integer, got '3'"),
+     (np.float64(2.0), 1, f"n must be an integer, got {np.float64(2.0)!r}"),
+     (float("nan"), 1, "n must be an integer, got nan"),
+     (None, 1, "n must be an integer, got None"),
+     (0, 1, "n must be >= 1, got 0"),
+     (np.int64(-1), 0, "n must be >= 0, got -1"),
+     (4, 5, "n must be >= 5, got 4")],
+)
+def test_integer_refuses_naming_its_setting(value, least, refused):
+    with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+        integer(value, "n", least)
+
+
+@pytest.mark.parametrize("value, least", [(1, 1), (0, 0), (np.int64(7), 1), (np.uint8(5), 5), (np.int32(-2), -2), (2**70, 1)])
+def test_integer_returns_a_python_int_at_or_above_least(value, least):
+    got = integer(value, "n", least)
+    assert type(got) is int and got == value
+
+
+def test_integer_default_least_is_one():
+    assert integer(1, "n") == 1
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+        integer(0, "n")
 
 
 def test_init_layer_bounds_and_determinism():

@@ -279,6 +279,15 @@ class TestFineTune:
         assert history[-1].ratios == ratios
         assert max(abs(r - 1.0) for r in ratios) > 0.0  # the weights moved, and nothing pulled them back
 
+    def test_rows_of_another_width_rejected_before_any_work(self):
+        cfg = stack_cfg()
+        stacked, _ = train_stack(cfg, toy_rows(7))
+        before = [l.weight.copy() for l in stacked.assembled.layers]
+        with pytest.raises(ValueError, match=r"^dataset shape \(12, 5\) does not match model input dim 8$"):
+            fine_tune(stacked, np.full((12, 5), 0.5), cfg)
+        for w, l in zip(before, stacked.assembled.layers):
+            assert np.array_equal(w, l.weight)
+
     def test_non_finite_rows_rejected_before_any_work(self, monkeypatch):
         cfg = stack_cfg()
         data = toy_rows(7)
