@@ -214,8 +214,8 @@ MUTANTS = [
     (
         "lr-inf-passes",  # an infinite lr overflows the weights on the first step
         "exae/autoencoder.py",
-        "        if not 0 < self.lr < np.inf:\n",
-        "        if not self.lr > 0:\n",
+        '        self.lr = real(self.lr, "lr", positive=True)\n',
+        '        self.lr = real(self.lr, "lr", positive=True, finite=False)\n',
         "tests/test_autoencoder.py::test_infinite_lr_or_excl_weight_refused",
     ),
     (
@@ -349,9 +349,9 @@ MUTANTS = [
     ),
     (
         "lr-nan-passes",  # a NaN learning rate trains to NaN weights without naming the field
-        "exae/autoencoder.py",
-        "        if not 0 < self.lr < np.inf:\n",
-        "        if self.lr <= 0 or self.lr == np.inf:\n",
+        "exae/numkit.py",
+        "    if not (x > 0 if positive else x >= 0) or",
+        "    if (x <= 0 if positive else x < 0) or",
         "tests/test_autoencoder.py::test_nonpositive_or_nan_lr_refused",
     ),
     (
@@ -409,7 +409,7 @@ MUTANTS = [
     (
         "stack-sizes-unchecked",  # a fractional or bool stack size reaches the levels unnamed
         "exae/cli.py",
-        "    if sizes is not None and not (isinstance(sizes, list) and len(sizes) >= 2 and all(_admits(int, s) for s in sizes)):\n",
+        "    if sizes is not None and not (isinstance(sizes, list) and len(sizes) >= 2 and all(type(s) is int for s in sizes)):\n",
         "    if False:\n",
         "tests/test_cli.py::test_value_types_checked_at_load_time",
     ),
@@ -426,6 +426,13 @@ MUTANTS = [
         '    integer(args.cases, "--cases")  # a sweep that probes nothing would report OK\n',
         "",
         "tests/test_cli.py::test_gradcheck_refuses_fewer_than_one_case",
+    ),
+    (
+        "gradcheck-any-tolerance",  # --tolerance inf reports OK whatever the error, nan or -1 FAIL
+        "exae/cli.py",
+        '    real(args.tolerance, "--tolerance", positive=True)',
+        "    pass",
+        "tests/test_cli.py::test_gradcheck_refuses_a_tolerance_that_fixes_the_verdict",
     ),
     (
         "test-cap-skipped",  # an explicit test set keeps every row whatever per_class_test says
@@ -497,6 +504,69 @@ MUTANTS = [
         "    if value < least:\n",
         "    if value < least - 1:\n",
         "tests/test_numkit.py::test_integer_refuses_naming_its_setting",
+    ),
+    (
+        "real-takes-bool",  # True passes as 1.0: a learning rate, weight or band of one
+        "exae/numkit.py",
+        "    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):\n",
+        "    if not isinstance(value, (int, float, np.integer, np.floating)):\n",
+        "tests/test_numkit.py::test_real_refuses_naming_its_setting",
+    ),
+    (
+        "real-type-unchecked",  # "x" or [] as a setting fails in float() without naming its key
+        "exae/numkit.py",
+        "    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):\n",
+        "    if False:\n",
+        "tests/test_fuzz.py::test_every_one_key_config_override_builds_or_is_refused_naming_its_field",
+    ),
+    (
+        "real-inf-when-finite",  # an infinite weight or spread passes where only the band may be infinite
+        "exae/numkit.py",
+        " or (finite and x == math.inf):\n",
+        ":\n",
+        "tests/test_numkit.py::test_real_refuses_naming_its_setting",
+    ),
+    (
+        "real-zero-when-positive",  # lr 0 passes: training runs and nothing moves
+        "exae/numkit.py",
+        "(x > 0 if positive else x >= 0)",
+        "(x >= 0 if positive else x >= 0)",
+        "tests/test_numkit.py::test_real_refuses_naming_its_setting",
+    ),
+    (
+        "real-overflow-unnamed",  # a 400-digit int escapes as OverflowError, naming no setting
+        "exae/numkit.py",
+        "    except OverflowError:\n",
+        "    except ZeroDivisionError:\n",
+        "tests/test_numkit.py::test_real_refuses_naming_its_setting",
+    ),
+    (
+        "path-type-unchecked",  # images=5 is accepted and fails when the file is opened
+        "exae/evalharness.py",
+        "            if not isinstance(getattr(self, name), (str, Path, type(None))):\n",
+        "            if False:\n",
+        "tests/test_integers.py::test_data_spec_path_of_another_type_refused",
+    ),
+    (
+        "out-dir-type-unchecked",  # out_dir=5 is accepted and fails when the first file is written
+        "exae/evalharness.py",
+        "        if not isinstance(self.out_dir, (str, Path)):\n",
+        "        if False:\n",
+        "tests/test_integers.py::test_experiment_out_dir_of_another_type_refused",
+    ),
+    (
+        "experiment-metric-unhashable",  # metric [] raises TypeError: unhashable type
+        "exae/evalharness.py",
+        "        if not isinstance(self.metric, str) or self.metric not in KNN_METRICS:",
+        "        if self.metric not in KNN_METRICS:",
+        "tests/test_fuzz.py::test_every_one_key_config_override_builds_or_is_refused_naming_its_field",
+    ),
+    (
+        "knn-metric-unhashable",  # knn_classify(metric={}) raises TypeError: unhashable type
+        "exae/evalharness.py",
+        "    if not isinstance(metric, str) or metric not in KNN_METRICS:",
+        "    if metric not in KNN_METRICS:",
+        "tests/test_integers.py::test_unhashable_or_non_string_metric_refused",
     ),
     (
         "image-shape-truncated",  # (2.5, 2) is kept as a 2 x 2 header over 5-byte rows

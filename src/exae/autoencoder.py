@@ -23,6 +23,7 @@ from .numkit import (
     grad_check,
     init_layer,
     integer,
+    real,
     sgd_step,
 )
 
@@ -56,10 +57,8 @@ class AEConfig:
         for name in ("latent_activation", "output_activation"):
             if getattr(self, name) not in ACTIVATIONS:
                 raise ValueError(f"{name} must be one of {ACTIVATIONS}, got {getattr(self, name)!r}")
-        if not 0 <= self.excl_weight < np.inf:
-            raise ValueError(f"excl_weight must be >= 0 and finite, got {self.excl_weight}")
-        if not 0 < self.lr < np.inf:
-            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        self.excl_weight = real(self.excl_weight, "excl_weight")
+        self.lr = real(self.lr, "lr", positive=True)
 
     @property
     def input_dim(self) -> int:

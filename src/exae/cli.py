@@ -2,8 +2,8 @@
 
 Every subcommand reads one JSON config file (--config); anything omitted
 falls back to DEFAULT_CONFIG, which takes each default from the field of
-the dataclass that consumes it. All but gradcheck build one ExperimentConfig
-from it (experiment_from) before any work. The sections:
+the dataclass that consumes it and checks its value. All but gradcheck build
+one ExperimentConfig from it (experiment_from) before any training. The sections:
 
   data:       DataSpec: source ("synth" | "idx") plus its
               parameters; "split" holds SplitSpec but its seed
@@ -26,8 +26,6 @@ import json
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
-from types import UnionType
-from typing import Union, get_args, get_origin, get_type_hints
 
 from .autoencoder import AEConfig, gradcheck_case, gradcheck_error
 from .dataio import SplitSpec, save_idx
@@ -43,7 +41,7 @@ from .evalharness import (
     write_metrics,
     MetricsRecord,
 )
-from .numkit import integer
+from .numkit import integer, real
 from .stacking import StackConfig, fine_tune, train_stack
 
 # config key -> dataclass field, where the two names differ
@@ -87,10 +85,6 @@ DEFAULT_CONFIG = {
 
 DEFAULT_STACK_TAIL = [512, 256, 128]
 
-# config section -> the dataclass whose field annotations type its values
-SECTIONS = {"data": DataSpec, "data.split": SplitSpec, "stack": AEConfig, "finetune": StackConfig,
-            "eval": ExperimentConfig, "experiment": ExperimentConfig, "output": ExperimentConfig}
-
 
 def _merge(base: dict, override, path: str = "") -> dict:
     """override laid over base; a key base lacks, or a non-object where base
@@ -107,36 +101,17 @@ def _merge(base: dict, override, path: str = "") -> dict:
     return out
 
 
-def _admits(hint, val) -> bool:
-    """Whether a JSON value may set a field annotated hint: a float field takes
-    an int, an X | None field takes null, and no number field takes a bool."""
-    if get_origin(hint) in (Union, UnionType):
-        return any(_admits(arm, val) for arm in get_args(hint))
-    kind = (int, float) if hint is float else get_origin(hint) or hint
-    return isinstance(val, kind) and (hint is bool or not isinstance(val, bool))
-
-
-def _check_types(section: dict, cls, path: str) -> None:
-    """A value cls's field annotation refuses raises ValueError naming its dotted path."""
-    hints = get_type_hints(cls)
-    for key, val in section.items():
-        hint = hints.get(RENAMED.get(path + key, key))  # None for CLI-only keys
-        if hint is not None and not _admits(hint, val):
-            want = getattr(hint, "__name__", hint)  # str | None has no __name__
-            raise ValueError(f"config key {path + key!r} must be {want}, got {val!r}")
-
-
 def load_config(path: str | None) -> dict:
+    """DEFAULT_CONFIG with the file's values laid over it. Only the file's shape and
+    stack.sizes, a key no dataclass has, are checked here: the dataclasses that
+    experiment_from builds check every other value."""
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
     with open(path) as f:
         cfg = _merge(DEFAULT_CONFIG, json.load(f))
     sizes = cfg["stack"]["sizes"]
-    if sizes is not None and not (isinstance(sizes, list) and len(sizes) >= 2 and all(_admits(int, s) for s in sizes)):
+    if sizes is not None and not (isinstance(sizes, list) and len(sizes) >= 2 and all(type(s) is int for s in sizes)):
         raise ValueError(f"config key 'stack.sizes' must be null or a list of two or more ints, got {sizes!r}")
-    for name, cls in SECTIONS.items():
-        section, _, sub = name.partition(".")
-        _check_types(cfg[section][sub] if sub else cfg[section], cls, name + ".")
     return cfg
 
 
@@ -160,12 +135,14 @@ def level_configs_from(cfg: dict, input_dim: int) -> list:
 
 def experiment_from(cfg: dict):
     """(ExperimentConfig, (data, test)): every setting built and checked once,
-    before any work, and the data read once, as its width sizes the stack."""
+    before any training, and the data read once, as its width sizes the stack.
+    The data section is checked before the read, the other sections after it."""
     spec = DataSpec(**{key: val for key, val in cfg["data"].items() if key != "split"})
+    split = SplitSpec(**cfg["data"]["split"])
     loaded = load_data(spec)
     exp = ExperimentConfig(
         data=spec,
-        split=SplitSpec(**cfg["data"]["split"]),
+        split=split,
         stack=StackConfig(levels=level_configs_from(cfg, loaded[0].dim), **_as_fields(cfg, "finetune")),
         **_as_fields(cfg, "eval", "experiment", "output"),
     )
@@ -231,6 +208,7 @@ def cmd_experiment(cfg: dict, args) -> int:
 def cmd_gradcheck(cfg: dict, args) -> int:
     integer(args.cases, "--cases")  # a sweep that probes nothing would report OK
     integer(args.seed, "--seed", least=0)
+    real(args.tolerance, "--tolerance", positive=True)  # at inf every error passes, at nan or <= 0 none
     worst = 0.0
     for case in range(args.cases):
         config, *probe = gradcheck_case(case, args.seed)

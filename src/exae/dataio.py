@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numkit import integer
+from .numkit import integer, real
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -185,8 +185,7 @@ def synth_gaussian(classes: int, dim: int, per_class: int, spread: float, seed: 
     image, so it can be written as IDX.
     """
     classes, dim, per_class = integer(classes, "classes"), integer(dim, "dim"), integer(per_class, "per_class")
-    if not 0 < spread < np.inf:
-        raise ValueError(f"spread must be positive and finite, got {spread}")
+    spread = real(spread, "spread", positive=True)
     rng = np.random.default_rng(integer(seed, "seed", least=0))
     blocks, labels = [], []
     for cls in range(classes):

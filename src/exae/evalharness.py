@@ -24,7 +24,7 @@ import numpy as np
 
 from .autoencoder import AEModel, LossBreakdown, encode, model_parameters
 from .dataio import Dataset, SplitSpec, load_idx, synth_gaussian, train_test_rows
-from .numkit import DenseLayer, Matrix, as_matrix, integer, map_row_blocks, refuse_underflowed_norms, smallest
+from .numkit import DenseLayer, Matrix, as_matrix, integer, map_row_blocks, real, refuse_underflowed_norms, smallest
 from .stacking import FinetuneEpoch, StackConfig, StackedModel, assembly_order, fine_tune, train_stack
 
 CHECKPOINT_MAGIC = b"EXAECKPT"
@@ -138,7 +138,7 @@ def knn_classify(
     if integer(k, "k") > train_feats.shape[0]:
         raise ValueError(f"k={k} out of range for {train_feats.shape[0]} training rows")
 
-    if metric not in KNN_METRICS:
+    if not isinstance(metric, str) or metric not in KNN_METRICS:  # [] is unhashable
         raise ValueError(f"metric must be one of {tuple(KNN_METRICS)}, got {metric!r}")
     train_side = _side(train_feats, metric, "train")
     query_side = _side(query_feats, metric, "query")
@@ -216,6 +216,9 @@ class DataSpec:
     def __post_init__(self):
         if self.source not in ("synth", "idx"):
             raise ValueError(f"unknown data source {self.source!r}")
+        for name in ("images", "labels", "test_images", "test_labels"):
+            if not isinstance(getattr(self, name), (str, Path, type(None))):
+                raise ValueError(f"{name} must be a str, a Path or None, got {getattr(self, name)!r}")
         needed = ("images", "labels") if self.source == "idx" else ()
         missing = [key for key in needed if getattr(self, key) is None]
         if missing:
@@ -228,8 +231,7 @@ class DataSpec:
                 raise ValueError("per_class_test needs test_images and test_labels")
         for name in ("classes", "dim", "per_class"):
             setattr(self, name, integer(getattr(self, name), name))
-        if not 0 < self.spread < np.inf:
-            raise ValueError(f"spread must be positive and finite, got {self.spread}")
+        self.spread = real(self.spread, "spread", positive=True)
         self.synth_seed = integer(self.synth_seed, "synth_seed", least=0)
 
 
@@ -268,8 +270,10 @@ class ExperimentConfig:
         self.trials = integer(self.trials, "trials")
         self.knn_k = integer(self.knn_k, "knn_k")
         self.base_seed = integer(self.base_seed, "base_seed", least=0)
-        if self.metric not in KNN_METRICS:
+        if not isinstance(self.metric, str) or self.metric not in KNN_METRICS:  # [] is unhashable
             raise ValueError(f"metric must be one of {tuple(KNN_METRICS)}")
+        if not isinstance(self.out_dir, (str, Path)):
+            raise ValueError(f"out_dir must be a str or a Path, got {self.out_dir!r}")
 
 
 @dataclass

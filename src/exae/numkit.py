@@ -7,7 +7,7 @@ gradient checker used to validate every hand-coded backward pass. The
 backward pass reads activation derivatives off the forward output.
 map_row_blocks runs independent row blocks, two at a time when the BLAS
 is pinned to one thread; smallest is the one (value, index) selection, and
-integer the one check of a whole-number setting.
+integer and real the one check of a whole-number and of a real-valued setting.
 """
 
 from __future__ import annotations
@@ -34,6 +34,23 @@ def integer(value, name: str, least: int = 1) -> int:
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return int(value)
+
+
+def real(value, name: str, positive: bool = False, finite: bool = True) -> float:
+    """value as a float. Every real-valued setting is checked here: anything but an
+    int, float or numpy integer or float (a bool, "0.5", None), an int past the
+    float range, NaN, a value below 0, 0 itself when positive, or infinity when
+    finite raises ValueError naming name."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+    if not (x > 0 if positive else x >= 0) or (finite and x == math.inf):
+        want = ("positive" if positive else ">= 0") + (" and finite" if finite else "")
+        raise ValueError(f"{name} must be {want}, got {value}")
+    return x
 
 
 def as_matrix(data, name: str = "matrix") -> Matrix:
@@ -161,8 +178,7 @@ def affine_backward(layer: DenseLayer, x: Matrix, out: Matrix, grad_out: Matrix,
 
 def sgd_step(layers: list, grads: list, lr: float) -> list:
     """In-place p <- p - lr * g over every layer. Deterministic."""
-    if not lr > 0:
-        raise ValueError(f"learning rate must be positive, got {lr}")
+    real(lr, "learning rate", positive=True)
     if len(layers) != len(grads):
         raise ValueError(f"{len(layers)} layers but {len(grads)} gradient entries")
     for i, (layer, g) in enumerate(zip(layers, grads)):
@@ -187,8 +203,7 @@ def grad_check(loss_fn, params: list, epsilon: float = 1e-5) -> float:
 
     Relative error per coordinate: |analytic - numeric| / max(1, |analytic|, |numeric|).
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    real(epsilon, "epsilon", positive=True)
     loss, grads = loss_fn()
     if not np.isfinite(loss):
         raise ValueError(f"loss_fn returned non-finite loss {loss}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autoencoder import AEConfig, AEModel, LossBreakdown, build_model, encode, sgd_epochs, train, training_rows
-from .numkit import Matrix
+from .numkit import Matrix, real
 
 # Unused here, but perfbench/tracing.py patches these names on this module.
 from .autoencoder import sgd_step, total_loss  # noqa: F401
@@ -47,8 +47,7 @@ class StackConfig:
                     f"level {k + 1} input dim {nxt.input_dim} does not match "
                     f"level {k} latent dim {prev.latent_dim}"
                 )
-        if not self.band >= 0:
-            raise ValueError(f"finetune.band must be >= 0, got {self.band}")
+        self.band = real(self.band, "finetune.band", finite=False)
         self.finetune  # AEConfig's checks refuse a bad finetune_* value here, before any pretraining
 
     @property
@@ -117,8 +116,7 @@ def project_to_band(snapshot_norm: float, current_weight: Matrix, band: float) -
     the lower edge is never binding. The projection multiplies by a
     nonnegative scalar, so weight direction is preserved.
     """
-    if not band >= 0:
-        raise ValueError(f"band must be >= 0, got {band}")
+    real(band, "band", finite=False)
     r = weight_ratio(snapshot_norm, current_weight)
     lo = 0.0 if band >= 1.0 else 1.0 - band
     hi = 1.0 + band

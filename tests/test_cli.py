@@ -288,6 +288,15 @@ def test_gradcheck_refuses_fewer_than_one_case(capsys, cases):
     assert "OK" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tolerance", ["inf", "nan", "-1", "0"])
+def test_gradcheck_refuses_a_tolerance_that_fixes_the_verdict(capsys, tolerance):
+    # every error is OK at inf, and FAIL at nan, 0 or below
+    refused = f"--tolerance must be positive and finite, got {float(tolerance)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+        main(["gradcheck", "--cases", "1", "--tolerance", tolerance])
+    assert capsys.readouterr().out == ""
+
+
 def test_gradcheck_refuses_a_case_with_no_conditioned_draw(monkeypatch, capsys):
     monkeypatch.setattr(autoencoder, "fd_margins", lambda *args: (0.0, 0.0))
     with pytest.raises(RuntimeError, match="case 0"):
@@ -458,10 +467,14 @@ def test_misspelled_key_rejected_with_its_path(tmp_path, monkeypatch, user, path
 @pytest.mark.parametrize(
     "user, refused",
     [
-        ({"stack": {"epochs": "3"}}, "stack.epochs"),
-        ({"stack": {"epochs": True}}, "stack.epochs"),
-        ({"data": {"split": {"per_class_train": None}}}, "data.split.per_class_train"),
-        ({"finetune": {"band": "0.5"}}, "finetune.band"),
+        # a value is refused by its dataclass, under its field's name (finetune.* by dotted
+        # key); refused is then the whole message, and the id keeps the key the case sets
+        pytest.param({"stack": {"epochs": "3"}}, "^epochs must be an integer, got '3'$", id="user0-stack.epochs"),
+        pytest.param({"stack": {"epochs": True}}, "^epochs must be an integer, got True$", id="user1-stack.epochs"),
+        pytest.param({"data": {"split": {"per_class_train": None}}}, "^per_class_train must be an integer, got None$",
+                     id="user2-data.split.per_class_train"),
+        pytest.param({"finetune": {"band": "0.5"}}, r"^finetune\.band must be a real number, got '0\.5'$",
+                     id="user3-finetune.band"),
         ({"stack": {"sizes": []}}, "stack.sizes"),  # no level; null is the default chain
         ({"stack": {"lr": 2}}, None),
         ({"finetune": {"band": 0.5}}, None),
@@ -483,7 +496,8 @@ def test_value_types_checked_at_load_time(tmp_path, monkeypatch, user, refused):
     if refused is None:
         assert main(["--config", str(config), "synth"]) == 0
         return
-    with pytest.raises(ValueError, match=re.escape(f"config key '{refused}' must be ")):
+    match = refused if refused.startswith("^") else re.escape(f"config key '{refused}' must be ")
+    with pytest.raises(ValueError, match=match):
         main(["--config", str(config), "synth"])
     assert not (tmp_path / "out").exists()
 

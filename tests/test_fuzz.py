@@ -13,6 +13,10 @@ inside the refusal bounds, build_context equals top_m_neighbors row for row
 and knn_classify equals the full-lexsort oracle, at 1 and 2 row-block workers.
 A row past a bound, a NaN row, and a cosine row whose norm underflows are
 refused with the same ValueError under np.errstate(all="raise") as without it.
+
+Every one-key override of the default config, for each value of a pool of
+bad signs, sizes, types and JSON kinds, builds its ExperimentConfig or is
+refused with a ValueError that names the key's field.
 """
 
 import json
@@ -25,6 +29,7 @@ from test_evalharness import full_sort_knn
 
 from exae import exclusivity, numkit
 from exae.autoencoder import AEConfig, build_model
+from exae.cli import DEFAULT_CONFIG, experiment_from, load_config
 from exae.dataio import Dataset, load_idx, save_idx
 from exae.evalharness import KNN_METRICS, CheckpointError, knn_classify, load_checkpoint, save_checkpoint
 from exae.exclusivity import build_context, top_m_neighbors
@@ -228,3 +233,36 @@ def test_knn_equals_full_sort_on_hostile_sets(monkeypatch, metric, seed):
         same_refusal_when_raising(lambda: knn_classify(bad, labels, queries, 1, metric))
     for bad in refused_copies(rng, queries, edge, tiny=metric == "cosine"):
         same_refusal_when_raising(lambda: knn_classify(train, labels, bad, 1, metric))
+
+
+# the values each config key takes in turn: bad signs, sizes, types and JSON kinds
+CONFIG_POOL = [-1, 0, 1, 3, 2.5, 1e-300, 1e308, float("nan"), float("inf"), "x", [], {}, None, True, [8, 4, 2]]
+
+
+def value_keys(section, path=""):
+    """The dotted key of every value of a config section, nested sections included."""
+    for key, val in section.items():
+        if isinstance(val, dict):
+            yield from value_keys(val, f"{path}{key}.")
+        else:
+            yield path + key
+
+
+def test_every_one_key_config_override_builds_or_is_refused_naming_its_field(tmp_path):
+    # the dataclasses check every value: a config builds, or its ValueError names the key's
+    # last part (so finetune.lr may be named lr or finetune.lr, and output.dir out_dir)
+    path, found, keys = tmp_path / "config.json", [], list(value_keys(DEFAULT_CONFIG))
+    assert len(keys) == 29
+    for key in keys:
+        *sections, last = key.split(".")
+        for val in CONFIG_POOL:
+            override = {last: val}
+            for section in reversed(sections):
+                override = {section: override}
+            path.write_text(json.dumps(override))
+            try:
+                experiment_from(load_config(str(path)))
+            except Exception as err:  # another type is what the sweep looks for, so it is recorded
+                if not isinstance(err, ValueError) or last not in str(err):
+                    found.append(f"{key} = {val!r}: {err!r}")
+    assert found == []

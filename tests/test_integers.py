@@ -1,12 +1,20 @@
-"""The one whole-number rule at every site that takes a size, count, seed, k or m.
+"""The one whole-number rule at every site that takes a size, count, seed, k or m,
+and the one real-number rule at every site that takes a weight, rate, spread,
+band, step or tolerance.
 
-Each site refuses a fraction, a bool, a string and the value one below its
-least with a ValueError that names its field, when its dataclass is built or
-its function is entered, and takes a numpy integer.
+Each integer site refuses a fraction, a bool, a string and the value one below
+its least with a ValueError that names its field, when its dataclass is built or
+its function is entered, and takes a numpy integer. Each real site likewise
+refuses a bool, a string, None, NaN, the value just below its least, infinity
+(but the band, where it means no band) and an int too large for a float, and
+takes an int or a numpy float as a float. Paths, the output directory and the
+k-NN metric refuse a value of another type by name too.
 """
 
 import argparse
+import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +24,8 @@ from exae.cli import cmd_gradcheck
 from exae.dataio import Dataset, SplitSpec, load_idx, save_idx, select_per_class, synth_gaussian
 from exae.evalharness import DataSpec, ExperimentConfig, knn_classify
 from exae.exclusivity import build_context, top_m_neighbors
-from exae.stacking import StackConfig
+from exae.numkit import DenseLayer, LayerGrads, grad_check, sgd_step
+from exae.stacking import StackConfig, project_to_band
 
 CASES = ["fraction", "bool", "string", "below-least"]
 
@@ -194,3 +203,102 @@ def test_neighbor_count_m(table, case):
 def test_neighbor_tables_take_a_numpy_integer_m():
     data = labelled(rows=5, dim=3).examples
     assert build_context(data, np.int64(2)).neighbors[0].tolist() == top_m_neighbors(data, 0, np.int64(2))
+
+
+REAL_CASES = ["bool", "string", "none", "nan", "below-least", "inf", "too-large"]
+
+
+def refuses_real(make, name: str, positive: bool, case: str, finite: bool = True) -> None:
+    """make(value) raises exactly the real rule's message for case's value."""
+    least = 0.0 if positive else -5e-324  # just below the least value taken
+    value = {"bool": True, "string": "0.5", "none": None, "nan": math.nan, "below-least": least,
+             "inf": math.inf, "too-large": 10**400}[case]
+    if case == "too-large":
+        tail = "is too large for a float"
+    elif case in ("bool", "string", "none"):
+        tail = f"must be a real number, got {value!r}"
+    else:
+        tail = f"must be {'positive' if positive else '>= 0'}{' and finite' if finite else ''}, got {value}"
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} {re.escape(tail)}$"):
+        make(value)
+
+
+def one_step(lr):
+    return sgd_step([DenseLayer(np.eye(2), np.zeros(2))], [LayerGrads(np.ones((2, 2)), np.ones(2))], lr)
+
+
+def probe(epsilon):
+    p = np.array([0.5])
+    return grad_check(lambda: (float(p[0] ** 2), [2 * p]), [p], epsilon)
+
+
+# (site, name in its message, positive, finite, make(value))
+REAL_SITES = [
+    ("AEConfig.excl_weight", "excl_weight", False, True, lambda v: AEConfig(layer_sizes=[4, 2], excl_weight=v)),
+    ("AEConfig.lr", "lr", True, True, lambda v: AEConfig(layer_sizes=[4, 2], lr=v)),
+    ("StackConfig.band", "finetune.band", False, False,
+     lambda v: StackConfig(levels=[AEConfig(layer_sizes=[4, 2])], band=v)),
+    ("StackConfig.finetune_lr", "finetune.lr", True, True,
+     lambda v: StackConfig(levels=[AEConfig(layer_sizes=[4, 2])], finetune_lr=v)),
+    ("DataSpec.spread", "spread", True, True, lambda v: DataSpec(spread=v)),
+    ("synth_gaussian", "spread", True, True, lambda v: synth_gaussian(2, 3, 4, v, seed=0)),
+    ("project_to_band", "band", False, False, lambda v: project_to_band(1.0, np.eye(2), v)),
+    ("sgd_step", "learning rate", True, True, one_step),
+    ("grad_check", "epsilon", True, True, probe),
+    ("gradcheck --tolerance", "--tolerance", True, True, lambda v: gradcheck(tolerance=v)),
+]
+
+
+@pytest.mark.parametrize("case", REAL_CASES)
+@pytest.mark.parametrize("site, name, positive, finite, make", REAL_SITES, ids=[s[0] for s in REAL_SITES])
+def test_real_setting(site, name, positive, finite, make, case):
+    if case == "inf" and not finite:
+        assert make(math.inf) is not None  # an infinite band is no band
+        return
+    refuses_real(make, name, positive, case, finite)
+
+
+@pytest.mark.parametrize("value", [2, np.float64(0.5)], ids=["int", "float64"])
+@pytest.mark.parametrize("site, name, positive, finite, make", REAL_SITES, ids=[s[0] for s in REAL_SITES])
+def test_real_setting_takes_an_int_or_numpy_float(site, name, positive, finite, make, value):
+    make(value)
+
+
+@pytest.mark.parametrize("value", [2, np.float64(0.5)], ids=["int", "float64"])
+def test_real_fields_hold_python_floats(value):
+    level = AEConfig(layer_sizes=[4, 2], excl_weight=value, lr=value)
+    stack = StackConfig(levels=[level], band=value, finetune_lr=value)
+    got = [level.excl_weight, level.lr, stack.band, stack.finetune.lr, DataSpec(spread=value).spread]
+    assert all(type(g) is float and g == value for g in got)
+
+
+@pytest.mark.parametrize("name", ["images", "labels", "test_images", "test_labels"])
+@pytest.mark.parametrize("value", [5, ["i.idx"], True])
+def test_data_spec_path_of_another_type_refused(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a str, a Path or None, got {re.escape(repr(value))}$"):
+        DataSpec(**{name: value})
+
+
+def test_data_spec_paths_take_a_str_a_path_or_none():
+    spec = DataSpec(source="idx", images=Path("i.idx"), labels="l.idx", test_images=None, test_labels=None)
+    assert spec.images == Path("i.idx") and spec.labels == "l.idx"
+
+
+@pytest.mark.parametrize("value", [5, None, ["out"]])
+def test_experiment_out_dir_of_another_type_refused(value):
+    with pytest.raises(ValueError, match=f"^out_dir must be a str or a Path, got {re.escape(repr(value))}$"):
+        experiment(out_dir=value)
+
+
+def test_experiment_out_dir_takes_a_path():
+    assert experiment(out_dir=Path("runs")).out_dir == Path("runs")
+
+
+@pytest.mark.parametrize("value", [[], {}, 5, None], ids=["list", "dict", "int", "none"])
+def test_unhashable_or_non_string_metric_refused(value):
+    with pytest.raises(ValueError, match=r"^metric must be one of \('euclidean', 'cosine'\)$"):
+        experiment(metric=value)
+    feats = np.eye(4)
+    refused = f"metric must be one of ('euclidean', 'cosine'), got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+        knn_classify(feats, [0, 1, 0, 1], feats, k=1, metric=value)

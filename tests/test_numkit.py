@@ -19,6 +19,7 @@ from exae.numkit import (
     init_layer,
     integer,
     map_row_blocks,
+    real,
     row_block_workers,
     row_blocks,
     sgd_step,
@@ -259,6 +260,38 @@ def test_integer_default_least_is_one():
     assert integer(1, "n") == 1
     with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
         integer(0, "n")
+
+
+@pytest.mark.parametrize(
+    "value, positive, finite, refused",
+    [(True, False, True, "x must be a real number, got True"),
+     (np.bool_(False), False, True, f"x must be a real number, got {np.bool_(False)!r}"),
+     ("0.5", False, True, "x must be a real number, got '0.5'"),
+     (None, False, False, "x must be a real number, got None"),
+     (1 + 0j, False, True, "x must be a real number, got (1+0j)"),
+     (float("nan"), False, False, "x must be >= 0, got nan"),
+     (float("nan"), True, True, "x must be positive and finite, got nan"),
+     (-1, False, True, "x must be >= 0 and finite, got -1"),
+     (np.float64(-0.5), False, False, "x must be >= 0, got -0.5"),
+     (0, True, True, "x must be positive and finite, got 0"),
+     (float("inf"), False, True, "x must be >= 0 and finite, got inf"),
+     (float("-inf"), False, False, "x must be >= 0, got -inf"),
+     (10**400, False, False, "x is too large for a float"),
+     (-(10**400), True, True, "x is too large for a float")],
+)
+def test_real_refuses_naming_its_setting(value, positive, finite, refused):
+    with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+        real(value, "x", positive=positive, finite=finite)
+
+
+@pytest.mark.parametrize(
+    "value, positive, finite",
+    [(0, False, True), (2, True, True), (np.float64(0.5), True, True), (np.int64(3), True, True),
+     (np.float32(0.25), False, True), (5e-324, True, True), (float("inf"), False, False), (2**1000, True, True)],
+)
+def test_real_returns_a_python_float(value, positive, finite):
+    got = real(value, "x", positive=positive, finite=finite)
+    assert type(got) is float and got == value
 
 
 def test_init_layer_bounds_and_determinism():
