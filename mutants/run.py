@@ -306,6 +306,27 @@ MUTANTS = [
         "tests/test_cli.py::test_incomplete_data_source_refused",
     ),
     (
+        "test-pair-without-train-pair",  # test files with no training pair are never read: blobs are scored
+        "exae/evalharness.py",
+        "        if self.test_images is not None and self.images is None:  # every file named is read\n",
+        "        if False:\n",
+        "tests/test_cli.py::test_incomplete_data_source_refused",
+    ),
+    (
+        "images-without-labels",  # images alone is accepted and fails when the label file is opened
+        "exae/evalharness.py",
+        '        for pair in ("images", "labels"), ("test_images", "test_labels"):\n',
+        '        for pair in (("test_images", "test_labels"),):\n',
+        "tests/test_cli.py::test_incomplete_data_source_refused",
+    ),
+    (
+        "idx-pair-unread",  # a config naming an IDX pair trains and scores on synthetic blobs
+        "exae/evalharness.py",
+        "    if spec.images is None:\n",
+        "    if True:\n",
+        "tests/test_cli.py::test_config_naming_an_idx_pair_trains_on_its_rows",
+    ),
+    (
         "activation-refusal-unnamed",  # a bad activation is refused without naming the field that holds it
         "exae/autoencoder.py",
         'raise ValueError(f"{name} must be one of {ACTIVATIONS}, got {getattr(self, name)!r}")',
@@ -555,11 +576,11 @@ MUTANTS = [
         "tests/test_integers.py::test_experiment_out_dir_of_another_type_refused",
     ),
     (
-        "experiment-metric-unhashable",  # metric [] raises TypeError: unhashable type
+        "experiment-metric-unchecked",  # metric [] or "manhattan" builds, and every trial fails at k-NN
         "exae/evalharness.py",
-        "        if not isinstance(self.metric, str) or self.metric not in KNN_METRICS:",
-        "        if self.metric not in KNN_METRICS:",
-        "tests/test_fuzz.py::test_every_one_key_config_override_builds_or_is_refused_naming_its_field",
+        "        check_metric(self.metric)\n",
+        "",
+        "tests/test_integers.py::test_unhashable_or_non_string_metric_refused",
     ),
     (
         "knn-metric-unhashable",  # knn_classify(metric={}) raises TypeError: unhashable type

@@ -5,8 +5,7 @@ falls back to DEFAULT_CONFIG, which takes each default from the field of
 the dataclass that consumes it and checks its value. All but gradcheck build
 one ExperimentConfig from it (experiment_from) before any training. The sections:
 
-  data:       DataSpec: source ("synth" | "idx") plus its
-              parameters; "split" holds SplitSpec but its seed
+  data:       DataSpec (IDX files if given, else synth blobs); "split": SplitSpec but seed
   stack:      sizes is the dimension chain input -> ... -> latent (null, or
               two or more ints), one autoencoder level per consecutive pair;
               the LEVEL_KEYS fields beside it set every level
@@ -207,11 +206,10 @@ def cmd_experiment(cfg: dict, args) -> int:
 
 def cmd_gradcheck(cfg: dict, args) -> int:
     integer(args.cases, "--cases")  # a sweep that probes nothing would report OK
-    integer(args.seed, "--seed", least=0)
     real(args.tolerance, "--tolerance", positive=True)  # at inf every error passes, at nan or <= 0 none
     worst = 0.0
     for case in range(args.cases):
-        config, *probe = gradcheck_case(case, args.seed)
+        config, *probe = gradcheck_case(case)
         err = gradcheck_error(config, *probe)
         worst = max(worst, err)
         print(f"case {case} {config.latent_activation}: max rel err {err:.3e}")
@@ -239,7 +237,6 @@ def main(argv=None) -> int:
     sub.add_parser("experiment", help="run the full repeated-trial protocol").set_defaults(run=cmd_experiment)
     p = sub.add_parser("gradcheck", help="finite-difference check of the full objective")
     p.add_argument("--cases", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(run=cmd_gradcheck)
 

@@ -35,6 +35,12 @@ CHECKPOINT_VERSION = 1
 KNN_METRICS = {"euclidean": np.finfo(float).max / 8, "cosine": np.sqrt(np.finfo(float).max / 2)}
 
 
+def check_metric(metric) -> None:
+    """ValueError unless metric names a KNN_METRICS entry: the one metric check."""
+    if not isinstance(metric, str) or metric not in KNN_METRICS:  # [] is unhashable
+        raise ValueError(f"metric must be one of {tuple(KNN_METRICS)}, got {metric!r}")
+
+
 class CheckpointError(ValueError):
     """Raised for unreadable, truncated, corrupt, or wrong-version checkpoints."""
 
@@ -138,8 +144,7 @@ def knn_classify(
     if integer(k, "k") > train_feats.shape[0]:
         raise ValueError(f"k={k} out of range for {train_feats.shape[0]} training rows")
 
-    if not isinstance(metric, str) or metric not in KNN_METRICS:  # [] is unhashable
-        raise ValueError(f"metric must be one of {tuple(KNN_METRICS)}, got {metric!r}")
+    check_metric(metric)
     train_side = _side(train_feats, metric, "train")
     query_side = _side(query_feats, metric, "query")
     labels, codes = np.unique(train_labels, return_inverse=True)
@@ -197,11 +202,10 @@ def accuracy(predicted, truth) -> float:
 class DataSpec:
     """Where the experiment's data comes from.
 
-    source "synth" draws Gaussian blobs; "idx" reads an IDX pair (plus an
-    optional held-out test pair, in which case no split is performed).
+    Given images and labels, that IDX pair is read (plus an optional held-out
+    test pair, in which case no split is performed); else synth_gaussian draws blobs.
     """
 
-    source: str = "synth"
     classes: int = 3
     dim: int = 32
     per_class: int = 100
@@ -214,17 +218,14 @@ class DataSpec:
     per_class_test: int | None = None  # cap the explicit test set, per class
 
     def __post_init__(self):
-        if self.source not in ("synth", "idx"):
-            raise ValueError(f"unknown data source {self.source!r}")
         for name in ("images", "labels", "test_images", "test_labels"):
             if not isinstance(getattr(self, name), (str, Path, type(None))):
                 raise ValueError(f"{name} must be a str, a Path or None, got {getattr(self, name)!r}")
-        needed = ("images", "labels") if self.source == "idx" else ()
-        missing = [key for key in needed if getattr(self, key) is None]
-        if missing:
-            raise ValueError(f"data source {self.source!r} needs {' and '.join(missing)}")
-        if (self.test_images is None) != (self.test_labels is None):
-            raise ValueError("test_images and test_labels must be given together")
+        for pair in ("images", "labels"), ("test_images", "test_labels"):
+            if (getattr(self, pair[0]) is None) != (getattr(self, pair[1]) is None):
+                raise ValueError(f"{pair[0]} and {pair[1]} must be given together")
+        if self.test_images is not None and self.images is None:  # every file named is read
+            raise ValueError("test_images and test_labels need images and labels")
         if self.per_class_test is not None:
             self.per_class_test = integer(self.per_class_test, "per_class_test")
             if self.test_images is None:  # it caps nothing else
@@ -238,11 +239,8 @@ class DataSpec:
 def load_data(spec: DataSpec):
     """Returns (dataset, explicit_test_or_None). A test set whose rows are
     not as wide as the dataset's is refused here, before any training."""
-    if spec.source == "synth":
-        return (
-            synth_gaussian(spec.classes, spec.dim, spec.per_class, spec.spread, spec.synth_seed),
-            None,
-        )
+    if spec.images is None:
+        return synth_gaussian(spec.classes, spec.dim, spec.per_class, spec.spread, spec.synth_seed), None
     data = load_idx(spec.images, spec.labels)
     if spec.test_images is None:
         return data, None
@@ -270,8 +268,7 @@ class ExperimentConfig:
         self.trials = integer(self.trials, "trials")
         self.knn_k = integer(self.knn_k, "knn_k")
         self.base_seed = integer(self.base_seed, "base_seed", least=0)
-        if not isinstance(self.metric, str) or self.metric not in KNN_METRICS:  # [] is unhashable
-            raise ValueError(f"metric must be one of {tuple(KNN_METRICS)}")
+        check_metric(self.metric)
         if not isinstance(self.out_dir, (str, Path)):
             raise ValueError(f"out_dir must be a str or a Path, got {self.out_dir!r}")
 

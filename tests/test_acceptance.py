@@ -327,7 +327,7 @@ def _tiny_experiment(out_dir):
     level = AEConfig(layer_sizes=[8, 4], excl_weight=2.0, n_neighbors=2,
                      lr=0.05, epochs=3, batch_size=8, seed=0)
     return ExperimentConfig(
-        data=DataSpec(source="synth", classes=2, dim=8, per_class=12, spread=0.08, synth_seed=0),
+        data=DataSpec(classes=2, dim=8, per_class=12, spread=0.08, synth_seed=0),
         split=SplitSpec(per_class_train=8),
         stack=StackConfig(levels=[level], band=0.6, finetune_epochs=2,
                           finetune_lr=0.02, finetune_batch_size=8, finetune_seed=0),

@@ -9,8 +9,8 @@ import pytest
 
 from exae import autoencoder, cli, stacking
 from exae.autoencoder import AEConfig
-from exae.cli import DEFAULT_CONFIG, level_configs_from, load_config, main
-from exae.dataio import Dataset, SplitSpec, save_idx
+from exae.cli import DEFAULT_CONFIG, experiment_from, level_configs_from, load_config, main
+from exae.dataio import Dataset, SplitSpec, load_idx, save_idx
 from exae.evalharness import DataSpec
 from exae.stacking import StackConfig
 
@@ -18,7 +18,6 @@ from exae.stacking import StackConfig
 def tiny_config(tmp_path, **overrides):
     cfg = {
         "data": {
-            "source": "synth",
             "classes": 2,
             "dim": 6,
             "per_class": 12,
@@ -129,7 +128,7 @@ def test_synth_writes_idx_fixture(tmp_path, capsys):
 def test_synth_keeps_the_image_shape_of_idx_files(tmp_path, capsys):
     pair = Dataset(np.random.default_rng(0).uniform(size=(4, 6)), np.array([0, 0, 1, 1]), (2, 3))
     save_idx(pair, tmp_path / "images", tmp_path / "labels")
-    data = {"source": "idx", "images": str(tmp_path / "images"), "labels": str(tmp_path / "labels")}
+    data = {"images": str(tmp_path / "images"), "labels": str(tmp_path / "labels")}
     assert main(["--config", str(tiny_config(tmp_path, data=data)), "synth"]) == 0
     out = tmp_path / "out"
     from exae.dataio import load_idx
@@ -182,14 +181,14 @@ def explicit_test_files(tmp_path):
         pair = Dataset(rng.uniform(size=(2 * per_class, 6)), np.repeat([0, 1], per_class), (2, 3))
         files[name] = [str(tmp_path / f"{name}-images"), str(tmp_path / f"{name}-labels")]
         save_idx(pair, *files[name])
-    return {"source": "idx", "images": files["train"][0], "labels": files["train"][1],
+    return {"images": files["train"][0], "labels": files["train"][1],
             "test_images": files["test"][0], "test_labels": files["test"][1]}
 
 
 @pytest.mark.parametrize(
     "overrides, refused",
     [
-        ({"eval": {"metric": "manhattan"}}, "metric must be one of ('euclidean', 'cosine')"),
+        ({"eval": {"metric": "manhattan"}}, "metric must be one of ('euclidean', 'cosine'), got 'manhattan'"),
         ({"eval": {"knn_k": 0}}, "knn_k must be >= 1, got 0"),
         ({"experiment": {"trials": 0}}, "trials must be >= 1, got 0"),
         ({"experiment": {"base_seed": -1}, "data": {"per_class_test": 3}}, "base_seed must be >= 0, got -1"),
@@ -261,23 +260,44 @@ def test_experiment_reads_data_once(tmp_path, monkeypatch):
     reads, real = [], evalharness.load_data
 
     def counting(spec):
-        reads.append(spec.source)
+        reads.append(spec.images)
         return real(spec)
 
     monkeypatch.setattr(cli, "load_data", counting)
     monkeypatch.setattr(evalharness, "load_data", counting)
     assert main(["--config", str(tiny_config(tmp_path)), "experiment"]) == 0
-    assert reads == ["synth"]
+    assert reads == [None]
+
+
+def test_config_naming_an_idx_pair_trains_on_its_rows(tmp_path):
+    # the files decide the source: a named pair is read, not the 32-wide blobs of the defaults
+    pair = Dataset(np.random.default_rng(6).uniform(size=(4, 6)), np.array([0, 0, 1, 1]), (2, 3))
+    save_idx(pair, tmp_path / "images", tmp_path / "labels")
+    config = tmp_path / "idx.json"
+    config.write_text(json.dumps({"data": {"images": str(tmp_path / "images"), "labels": str(tmp_path / "labels")}}))
+    exp, (data, test) = experiment_from(load_config(str(config)))
+    assert data.dim == 6 and test is None
+    assert data.examples.tobytes() == load_idx(tmp_path / "images", tmp_path / "labels").examples.tobytes()
+    assert exp.stack.levels[0].input_dim == 6
 
 
 def test_gradcheck_command(capsys):
-    assert main(["gradcheck", "--cases", "3", "--seed", "0"]) == 0
+    assert main(["gradcheck", "--cases", "3"]) == 0
     out = capsys.readouterr().out
     assert "OK" in out
     # cases take the activations in turn
     for case, act in enumerate(("sigmoid", "relu", "identity")):
         assert f"case {case} {act}: max rel err " in out
     assert out.count("max rel err") == 3  # one line per case
+
+
+def test_gradcheck_has_no_seed_option(capsys):
+    # its cases are its draws: case c's attempt a is seeded c*100 + a, and --cases reaches further ones
+    with pytest.raises(SystemExit) as exit_info:
+        main(["gradcheck", "--cases", "1", "--seed", "1"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --seed 1" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("cases", ["0", "-2"])
@@ -340,11 +360,15 @@ def test_negative_seed_or_non_finite_setting_refused_before_anything_runs(tmp_pa
     assert not (tmp_path / "out").exists()
 
 
-def test_unknown_source_rejected(tmp_path):
+def test_unknown_source_rejected(tmp_path, monkeypatch):
+    # the data files decide the source, so no value of data.source is a setting
+    monkeypatch.chdir(tmp_path)
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"data": {"source": "nope"}}))
-    with pytest.raises(ValueError, match="source"):
-        main(["--config", str(path), "synth"])
+    for source in ("nope", "synth", "idx", None):
+        path.write_text(json.dumps({"data": {"source": source}}))
+        with pytest.raises(ValueError, match=r"^unknown config key 'data\.source'$"):
+            main(["--config", str(path), "synth"])
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -372,10 +396,11 @@ def test_fine_tune_failure_names_its_phase(tmp_path, stack_checkpoint):
 @pytest.mark.parametrize(
     "data, missing",
     [
-        ({"source": "idx"}, "'idx' needs images and labels"),
-        ({"source": "idx", "labels": "l.idx"}, "'idx' needs images"),
-        ({"source": "image_dir"}, "unknown data source 'image_dir'"),  # IDX is the one file format
-        ({"source": "idx", "images": "i.idx", "labels": "l.idx", "test_images": "t.idx"},
+        ({"images": "i.idx"}, "images and labels must be given together"),
+        ({"labels": "l.idx", "test_images": "t.idx", "test_labels": "t.idx"}, "images and labels must be given together"),
+        # every file named is read: a test pair needs a training pair
+        ({"test_images": "t.idx", "test_labels": "t.idx"}, "test_images and test_labels need images and labels"),
+        ({"images": "i.idx", "labels": "l.idx", "test_images": "t.idx"},
          "test_images and test_labels must be given together"),
         ({"test_labels": "t.idx"}, "test_images and test_labels must be given together"),
         # the cap applies to explicit test files only; on a split it would cap nothing
@@ -386,7 +411,7 @@ def test_incomplete_data_source_refused(tmp_path, monkeypatch, data, missing):
     monkeypatch.chdir(tmp_path)
     config = tmp_path / "data.json"
     config.write_text(json.dumps({"data": data}))
-    with pytest.raises(ValueError, match=re.escape(missing)):
+    with pytest.raises(ValueError, match=f"^{re.escape(missing)}$"):
         main(["--config", str(config), "stack"])
     assert not (tmp_path / "out").exists()
 
@@ -400,7 +425,7 @@ def test_test_files_of_another_width_refused_before_any_level_trains(tmp_path, m
     for name, width in (("train", 6), ("test", 8)):
         pair = Dataset(rng.uniform(size=(24, width)), np.repeat([0, 1], 12), (1, width))
         save_idx(pair, tmp_path / f"{name}-images", tmp_path / f"{name}-labels")
-    data = {"source": "idx", "images": str(tmp_path / "train-images"), "labels": str(tmp_path / "train-labels"),
+    data = {"images": str(tmp_path / "train-images"), "labels": str(tmp_path / "train-labels"),
             "test_images": str(tmp_path / "test-images"), "test_labels": str(tmp_path / "test-labels")}
     path = tiny_config(tmp_path, data=data)
     refused = (f"test rows in {tmp_path / 'test-images'} are 8 wide but "
@@ -425,7 +450,7 @@ def test_refused_run_leaves_no_output_dir(tmp_path, monkeypatch, command):
     # the IDX files are missing: the data is refused before anything is written
     monkeypatch.chdir(tmp_path)
     config = tmp_path / "missing.json"
-    config.write_text(json.dumps({"data": {"source": "idx", "images": "i.idx", "labels": "l.idx"}}))
+    config.write_text(json.dumps({"data": {"images": "i.idx", "labels": "l.idx"}}))
     args = ["finetune", "none.ckpt"] if command == "finetune" else [command]
     with pytest.raises(FileNotFoundError):
         main(["--config", str(config), *args])

@@ -589,7 +589,7 @@ class TestAccuracy:
 
 def experiment_config(out_dir, trials=2, **kwargs):
     defaults = dict(
-        data=DataSpec(source="synth", classes=2, dim=6, per_class=12, spread=0.08, synth_seed=0),
+        data=DataSpec(classes=2, dim=6, per_class=12, spread=0.08, synth_seed=0),
         split=SplitSpec(per_class_train=8),
         stack=small_stack_cfg(6, latent=3),
         trials=trials,
@@ -664,7 +664,7 @@ class TestRunExperiment:
         assert [d.examples.tobytes() for d in (train_set, test_set)] == [d.examples.tobytes() for d in want]
 
     def test_unreadable_data_leaves_no_output_dir(self, tmp_path):
-        missing = DataSpec(source="idx", images=str(tmp_path / "i.idx"), labels=str(tmp_path / "l.idx"))
+        missing = DataSpec(images=str(tmp_path / "i.idx"), labels=str(tmp_path / "l.idx"))
         with pytest.raises(FileNotFoundError):
             run_experiment(experiment_config(tmp_path / "out", data=missing))
         assert not (tmp_path / "out").exists()

@@ -16,9 +16,13 @@ refused with the same ValueError under np.errstate(all="raise") as without it.
 
 Every one-key override of the default config, for each value of a pool of
 bad signs, sizes, types and JSON kinds, builds its ExperimentConfig or is
-refused with a ValueError that names the key's field.
+refused with a ValueError that names the key's field. So does a seeded sample
+of two-key overrides (naming one of its two fields), plus every pair of
+data-file keys with a path on one: there a named file that does not exist
+must be opened, and so refused, not built around.
 """
 
+import itertools
 import json
 import threading
 import zlib
@@ -248,21 +252,60 @@ def value_keys(section, path=""):
             yield path + key
 
 
-def test_every_one_key_config_override_builds_or_is_refused_naming_its_field(tmp_path):
-    # the dataclasses check every value: a config builds, or its ValueError names the key's
-    # last part (so finetune.lr may be named lr or finetune.lr, and output.dir out_dir)
-    path, found, keys = tmp_path / "config.json", [], list(value_keys(DEFAULT_CONFIG))
-    assert len(keys) == 29
-    for key in keys:
+def escape(path, override):
+    """What the override, a list of (dotted key, value) written to path, did, or None
+    when it built its ExperimentConfig naming no file, raised a ValueError naming one
+    of its keys' last parts (so finetune.lr may be named lr or finetune.lr, and
+    output.dir out_dir), or failed to open a file it names. The sweeps run where no
+    file the pool names exists, so a config that names one and builds never read it."""
+    config = {}
+    for key, val in override:
         *sections, last = key.split(".")
-        for val in CONFIG_POOL:
-            override = {last: val}
-            for section in reversed(sections):
-                override = {section: override}
-            path.write_text(json.dumps(override))
-            try:
-                experiment_from(load_config(str(path)))
-            except Exception as err:  # another type is what the sweep looks for, so it is recorded
-                if not isinstance(err, ValueError) or last not in str(err):
-                    found.append(f"{key} = {val!r}: {err!r}")
-    assert found == []
+        node = config
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[last] = val
+    path.write_text(json.dumps(config))
+    try:
+        exp, _ = experiment_from(load_config(str(path)))
+    except FileNotFoundError as err:  # a path the config names is opened
+        return None if any(err.filename == val for _, val in override) else repr(err)
+    except Exception as err:  # another type is what the sweep looks for, so it is recorded
+        named = any(key.rpartition(".")[2] in str(err) for key, _ in override)
+        return None if isinstance(err, ValueError) and named else repr(err)
+    unread = [name for name in PATHS if getattr(exp.data, name) is not None]
+    return f"built without reading {unread}" if unread else None
+
+
+# the data paths and the data-file keys, and the pool's one string: a path that names no file
+PATHS = ("images", "labels", "test_images", "test_labels")
+FILE_KEYS = [f"data.{name}" for name in (*PATHS, "per_class_test")]
+NO_FILE = "x"
+N_PAIRS = 300
+
+
+def sweep(tmp_path, overrides):
+    """(override, what it did) of each override that escapes."""
+    found = [(override, escape(tmp_path / "config.json", override)) for override in overrides]
+    return [(override, what) for override, what in found if what is not None]
+
+
+def test_every_one_key_config_override_builds_or_is_refused_naming_its_field(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    keys = list(value_keys(DEFAULT_CONFIG))
+    assert len(keys) == 28
+    assert sweep(tmp_path, [[(key, val)] for key in keys for val in CONFIG_POOL]) == []
+
+
+def test_sampled_two_key_config_overrides_build_or_are_refused_naming_a_field(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert NO_FILE in CONFIG_POOL and not (tmp_path / NO_FILE).exists()
+    rng = np.random.default_rng(0)
+    pairs = list(itertools.combinations(value_keys(DEFAULT_CONFIG), 2))
+    drawn = [
+        [(pairs[p][0], CONFIG_POOL[i]), (pairs[p][1], CONFIG_POOL[j])]
+        for p, i, j in rng.integers([len(pairs), len(CONFIG_POOL), len(CONFIG_POOL)], size=(N_PAIRS, 3))
+    ]
+    # and every ordered pair of data-file keys: each pool value on one, the path on the other
+    files = [[(a, val), (b, NO_FILE)] for a, b in itertools.permutations(FILE_KEYS, 2) for val in CONFIG_POOL]
+    assert sweep(tmp_path, drawn + files) == []
