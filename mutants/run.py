@@ -442,18 +442,18 @@ MUTANTS = [
         "tests/test_cli.py::test_value_types_checked_at_load_time",
     ),
     (
-        "gradcheck-zero-cases",  # --cases 0 probes nothing and reports OK
-        "exae/cli.py",
-        '    integer(args.cases, "--cases")  # a sweep that probes nothing would report OK\n',
-        "",
-        "tests/test_cli.py::test_gradcheck_refuses_fewer_than_one_case",
+        "synth-beside-files-unread",  # dim=784 beside an IDX pair is checked, then the file's rows are used
+        "exae/evalharness.py",
+        "            if self.images is not None and f.name in self.SYNTH and getattr(self, f.name) != f.default:\n",
+        "            if False:\n",
+        "tests/test_cli.py::test_incomplete_data_source_refused",
     ),
     (
-        "gradcheck-any-tolerance",  # --tolerance inf reports OK whatever the error, nan or -1 FAIL
-        "exae/cli.py",
-        '    real(args.tolerance, "--tolerance", positive=True)',
-        "    pass",
-        "tests/test_cli.py::test_gradcheck_refuses_a_tolerance_that_fixes_the_verdict",
+        "checkpoint-levels-unchecked",  # a 6-4-3 relu checkpoint fine-tunes under a config of other levels
+        "exae/evalharness.py",
+        "        if have != built:\n",
+        "        if False:\n",
+        "tests/test_cli.py::test_checkpoint_the_stack_section_does_not_build_refused_before_any_work",
     ),
     (
         "test-cap-skipped",  # an explicit test set keeps every row whatever per_class_test says

@@ -27,7 +27,7 @@ from .exclusivity import (
     omega,
     top_m_neighbors,
 )
-from .numkit import DenseLayer, affine_backward, affine_forward, grad_check, sgd_step
+from .numkit import DenseLayer, affine_backward, affine_forward, sgd_step
 from .stacking import StackConfig, StackedModel, fine_tune, project_to_band, train_stack, weight_ratio
 
 __version__ = "0.1.0"

@@ -20,7 +20,6 @@ from .numkit import (
     affine_backward,
     affine_forward,
     as_matrix,
-    grad_check,
     init_layer,
     integer,
     real,
@@ -211,89 +210,6 @@ def total_loss(model: AEModel, config: AEConfig, ctx, dataset: Matrix, batch_ind
 def model_parameters(model: AEModel) -> list:
     """Flat list of parameter arrays: layer order, weight then bias."""
     return [p for layer in model.layers for p in (layer.weight, layer.bias)]
-
-
-def _relu_margins(layers: list, acts: list) -> list:
-    """The smallest |pre-activation| of each relu layer, recomputed from a _forward cache."""
-    return [
-        float(np.abs(a @ layer.weight.T + layer.bias).min())
-        for layer, a in zip(layers, acts)
-        if layer.activation == "relu"
-    ]
-
-
-def fd_margins(model: AEModel, config: AEConfig, ctx, dataset: Matrix, batch_indices):
-    """Distance of a batch from the objective's non-smooth set.
-
-    Returns (kink_margin, min_norm): the smallest |pre-activation| over
-    every relu unit in any forward branch together with the smallest
-    |entry| of either clamp argument (leaving out entries where a relu
-    latent is 0 on both sides), and the smallest vector norm that
-    enters a cosine denominator. Central differences are only meaningful
-    when both sit comfortably above the probe step, so fixture generators
-    should resample cases that come back too small.
-    """
-    idx = np.asarray(batch_indices, dtype=np.int64)
-    acts = _forward(model.layers, dataset[idx])
-    kinks = _relu_margins(model.layers, acts)
-    h = acts[len(model.encoder)]
-    norms = [float(np.linalg.norm(h, axis=1).min())]
-    if config.excl_weight != 0.0:
-        relu_latent = model.encoder[-1].activation == "relu"
-        for raw in excl.batch_targets(ctx, dataset, idx):
-            enc_acts = _forward(model.encoder, raw)
-            kinks += _relu_margins(model.encoder, enc_acts)
-            d = enc_acts[-1] - h
-            # a relu latent unit at 0 on both sides keeps d exactly 0 under the
-            # probe (its pre-activations are margins already), so it is no kink
-            clamp_args = d[(enc_acts[-1] != 0) | (h != 0)] if relu_latent else d
-            kinks.append(float(np.abs(clamp_args).min(initial=np.inf)))
-            norms.append(float(np.linalg.norm(excl.omega(d), axis=1).min()))
-    return min(kinks) if kinks else np.inf, min(norms)
-
-
-def gradcheck_case(case: int):
-    """The first draw of probe case `case` whose batch sits clear of every kink.
-
-    Cases take the activations in turn, so every one is probed. Central
-    differences are only valid away from clamp/relu kinks and small cosine
-    norms, so a draw too close to one is resampled (about 1 sigmoid draw in
-    20 clears both margins); attempt a is seeded case*100 + a.
-    Returns (config, model, neighbor context, data, batch) and raises
-    RuntimeError when none of 100 attempts is well conditioned.
-    """
-    act = ("sigmoid", "relu", "identity")[case % 3]
-    for attempt in range(100):
-        rng = np.random.default_rng(case * 100 + attempt)
-        dims = [int(rng.integers(2, 9)) for _ in range(int(rng.integers(2, 4)))]
-        n = int(rng.integers(4, 9))
-        batch = list(range(min(n, int(rng.integers(2, 7)))))
-        data = rng.uniform(0.05, 0.95, size=(n, dims[0]))
-        weight = float(rng.uniform(0.5, 8.0))
-        config = AEConfig(
-            layer_sizes=dims,
-            latent_activation=act,
-            excl_weight=weight,
-            n_neighbors=min(3, n - 1),
-            seed=int(rng.integers(0, 2**31)),
-        )
-        model = build_model(config)
-        ctx = excl.build_context(data, config.n_neighbors)
-        kink, norm = fd_margins(model, config, ctx, data, batch)
-        if kink > 1e-3 and norm > 0.05:
-            return config, model, ctx, data, batch
-    raise RuntimeError(f"gradcheck case {case}: no well-conditioned draw in 100 attempts")
-
-
-def gradcheck_error(config: AEConfig, model: AEModel, ctx, dataset: Matrix, batch_indices) -> float:
-    """numkit.grad_check's error for the objective over model_parameters(model)."""
-    idx = np.asarray(batch_indices, dtype=np.int64)
-
-    def loss_fn():
-        b, g = total_loss(model, config, ctx, dataset, idx)
-        return b.total, [p for lg in g for p in (lg.weight, lg.bias)]
-
-    return grad_check(loss_fn, model_parameters(model), epsilon=1e-5)
 
 
 def _average_breakdowns(records: list, sizes: list) -> LossBreakdown:

@@ -2,8 +2,8 @@
 
 Every subcommand reads one JSON config file (--config); anything omitted
 falls back to DEFAULT_CONFIG, which takes each default from the field of
-the dataclass that consumes it and checks its value. All but gradcheck build
-one ExperimentConfig from it (experiment_from) before any training. The sections:
+the dataclass that consumes it and checks its value. Each builds one
+ExperimentConfig from it (experiment_from) before any training. The sections:
 
   data:       DataSpec (IDX files if given, else synth blobs); "split": SplitSpec but seed
   stack:      sizes is the dimension chain input -> ... -> latent (null, or
@@ -14,7 +14,8 @@ one ExperimentConfig from it (experiment_from) before any training. The sections
   experiment: ExperimentConfig: trials and base_seed (trial t's seed is base_seed + t)
   output:     ExperimentConfig: dir (out_dir) for metrics/checkpoints
 
-Subcommands: synth, stack, finetune, eval (these three run trial 0), experiment, gradcheck.
+Subcommands: synth, stack, finetune, eval (these three run trial 0), experiment.
+finetune and eval refuse a checkpoint whose levels the stack section does not build.
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 
-from .autoencoder import AEConfig, gradcheck_case, gradcheck_error
+from .autoencoder import AEConfig
 from .dataio import SplitSpec, save_idx
 from .evalharness import (
     DataSpec,
     ExperimentConfig,
+    check_levels,
     evaluate,
     load_checkpoint,
     load_data,
@@ -40,7 +42,6 @@ from .evalharness import (
     write_metrics,
     MetricsRecord,
 )
-from .numkit import integer, real
 from .stacking import StackConfig, fine_tune, train_stack
 
 # config key -> dataclass field, where the two names differ
@@ -177,7 +178,8 @@ def cmd_stack(cfg: dict, args) -> int:
 def cmd_finetune(cfg: dict, args) -> int:
     exp, loaded = experiment_from(cfg)
     train_set, _, stack_cfg = trial_setup(exp, loaded, 0)
-    stacked, history = fine_tune(load_checkpoint(args.checkpoint), train_set.examples, stack_cfg)
+    stacked = check_levels(load_checkpoint(args.checkpoint), stack_cfg.levels, args.checkpoint)
+    stacked, history = fine_tune(stacked, train_set.examples, stack_cfg)
     out = _out_dir(exp)
     save_checkpoint(stacked, out / "finetuned.ckpt", config=cfg)
     record = MetricsRecord(trial=0, pretrain=[], finetune=history, accuracy=None, seconds=0.0)
@@ -193,7 +195,8 @@ def cmd_finetune(cfg: dict, args) -> int:
 def cmd_eval(cfg: dict, args) -> int:
     exp, loaded = experiment_from(cfg)
     train_set, test_set, _ = trial_setup(exp, loaded, 0)
-    acc = evaluate(load_checkpoint(args.checkpoint), train_set, test_set, exp.knn_k, exp.metric)
+    stacked = check_levels(load_checkpoint(args.checkpoint), exp.stack.levels, args.checkpoint)
+    acc = evaluate(stacked, train_set, test_set, exp.knn_k, exp.metric)
     print(f"accuracy: {acc:.4f} ({test_set.n} queries, k={exp.knn_k})")
     return 0
 
@@ -202,20 +205,6 @@ def cmd_experiment(cfg: dict, args) -> int:
     records, summary = run_experiment(*experiment_from(cfg))
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0 if not summary["partial"] else 1
-
-
-def cmd_gradcheck(cfg: dict, args) -> int:
-    integer(args.cases, "--cases")  # a sweep that probes nothing would report OK
-    real(args.tolerance, "--tolerance", positive=True)  # at inf every error passes, at nan or <= 0 none
-    worst = 0.0
-    for case in range(args.cases):
-        config, *probe = gradcheck_case(case)
-        err = gradcheck_error(config, *probe)
-        worst = max(worst, err)
-        print(f"case {case} {config.latent_activation}: max rel err {err:.3e}")
-    ok = worst < args.tolerance
-    print(f"worst: {worst:.3e} ({'OK' if ok else 'FAIL'} at {args.tolerance:g})")
-    return 0 if ok else 1
 
 
 def main(argv=None) -> int:
@@ -235,10 +224,6 @@ def main(argv=None) -> int:
     p.add_argument("checkpoint")
     p.set_defaults(run=cmd_eval)
     sub.add_parser("experiment", help="run the full repeated-trial protocol").set_defaults(run=cmd_experiment)
-    p = sub.add_parser("gradcheck", help="finite-difference check of the full objective")
-    p.add_argument("--cases", type=int, default=5)
-    p.add_argument("--tolerance", type=float, default=1e-4)
-    p.set_defaults(run=cmd_gradcheck)
 
     args = parser.parse_args(argv)
     return args.run(load_config(args.config), args)

@@ -17,12 +17,13 @@ from __future__ import annotations
 import json
 import time
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
-from .autoencoder import AEModel, LossBreakdown, encode, model_parameters
+from .autoencoder import AEModel, LossBreakdown, build_model, encode, model_parameters
 from .dataio import Dataset, SplitSpec, load_idx, synth_gaussian, train_test_rows
 from .numkit import DenseLayer, Matrix, as_matrix, integer, map_row_blocks, real, refuse_underflowed_norms, smallest
 from .stacking import FinetuneEpoch, StackConfig, StackedModel, assembly_order, fine_tune, train_stack
@@ -206,6 +207,8 @@ class DataSpec:
     test pair, in which case no split is performed); else synth_gaussian draws blobs.
     """
 
+    SYNTH = ("classes", "dim", "per_class", "spread", "synth_seed")  # read only without images
+
     classes: int = 3
     dim: int = 32
     per_class: int = 100
@@ -234,6 +237,9 @@ class DataSpec:
             setattr(self, name, integer(getattr(self, name), name))
         self.spread = real(self.spread, "spread", positive=True)
         self.synth_seed = integer(self.synth_seed, "synth_seed", least=0)
+        for f in fields(self):  # a synth setting beside the files would go unread
+            if self.images is not None and f.name in self.SYNTH and getattr(self, f.name) != f.default:
+                raise ValueError(f"{f.name} is unread when images are given, got {getattr(self, f.name)!r}")
 
 
 def load_data(spec: DataSpec):
@@ -393,6 +399,16 @@ def _model_descriptor(model: AEModel) -> dict:
         half: [{"in": l.in_dim, "out": l.out_dim, "activation": l.activation} for l in layers]
         for half, layers in (("encoder", model.encoder), ("decoder", model.decoder))
     }
+
+
+def check_levels(stacked: StackedModel, levels: list, path) -> StackedModel:
+    """stacked, the checkpoint at path, unless a level's sizes or activations differ from
+    those build_model gives the AEConfig levels: ValueError naming the first that does."""
+    want = [_model_descriptor(build_model(level)) for level in levels]
+    for k, (have, built) in enumerate(zip_longest(map(_model_descriptor, stacked.levels), want, fillvalue="none"), 1):
+        if have != built:
+            raise ValueError(f"checkpoint {path} level {k} is {have}, but the stack section builds {built}")
+    return stacked
 
 
 def save_checkpoint(stacked: StackedModel, path, config: dict | None = None) -> None:

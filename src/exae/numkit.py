@@ -2,9 +2,8 @@
 
 Everything downstream runs on 2-D float64 numpy arrays with examples as
 rows. This module owns the per-layer primitives: affine layers with their
-analytic gradients, plain SGD updates, and a central-finite-difference
-gradient checker used to validate every hand-coded backward pass. The
-backward pass reads activation derivatives off the forward output.
+analytic gradients and plain SGD updates. The backward pass reads
+activation derivatives off the forward output.
 map_row_blocks runs independent row blocks, two at a time when the BLAS
 is pinned to one thread; smallest is the one (value, index) selection, and
 integer and real the one check of a whole-number and of a real-valued setting.
@@ -191,47 +190,6 @@ def sgd_step(layers: list, grads: list, lr: float) -> list:
         layer.weight -= lr * g.weight
         layer.bias -= lr * g.bias
     return layers
-
-
-def grad_check(loss_fn, params: list, epsilon: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    loss_fn takes no arguments and returns (loss, grads) where grads is a
-    list of arrays aligned with params. It must be deterministic and pure
-    in the current values of params; the arrays in params are perturbed in
-    place while probing and restored afterwards.
-
-    Relative error per coordinate: |analytic - numeric| / max(1, |analytic|, |numeric|).
-    """
-    real(epsilon, "epsilon", positive=True)
-    loss, grads = loss_fn()
-    if not np.isfinite(loss):
-        raise ValueError(f"loss_fn returned non-finite loss {loss}")
-    if len(grads) != len(params):
-        raise ValueError(f"{len(params)} params but {len(grads)} gradients")
-    worst = 0.0
-    for p, g in zip(params, grads):
-        g = np.asarray(g)
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("loss_fn returned a non-finite gradient")
-        flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
-        for k in range(flat_p.size):
-            orig = flat_p[k]
-            flat_p[k] = orig + epsilon
-            lo_hi = loss_fn()[0]
-            flat_p[k] = orig - epsilon
-            lo_lo = loss_fn()[0]
-            flat_p[k] = orig
-            if not (np.isfinite(lo_hi) and np.isfinite(lo_lo)):
-                raise ValueError("loss_fn returned non-finite loss while probing")
-            numeric = (lo_hi - lo_lo) / (2.0 * epsilon)
-            analytic = flat_g[k]
-            err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
-            worst = max(worst, err)
-    return worst
 
 
 def row_block_workers(environ, blas: str | None) -> int:

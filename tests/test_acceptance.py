@@ -13,14 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from gradprobe import gradcheck_case, gradcheck_error
 
 from exae.autoencoder import (
     AEConfig,
     AEModel,
     build_model,
     encode,
-    gradcheck_case,
-    gradcheck_error,
     total_loss,
     train,
 )

@@ -3,8 +3,10 @@
 import re
 from dataclasses import fields
 
+import gradprobe
 import numpy as np
 import pytest
+from gradprobe import grad_check, gradcheck_case, gradcheck_error
 
 from exae.autoencoder import (
     AEConfig,
@@ -13,14 +15,14 @@ from exae.autoencoder import (
     build_model,
     decode,
     encode,
-    gradcheck_error,
+    model_parameters,
     recon_loss,
     total_loss,
     train,
 )
 from exae import exclusivity
 from exae.exclusivity import build_context
-from exae.numkit import DenseLayer, affine_backward, affine_forward, grad_check, sgd_step
+from exae.numkit import DenseLayer, affine_backward, affine_forward, sgd_step
 
 
 def identity_model(dim):
@@ -120,10 +122,6 @@ class TestReconLoss:
         assert grad_check(loss_fn, [xhat], epsilon=1e-6) < 1e-4
 
 
-def model_params(model):
-    return [p for layer in model.layers for p in (layer.weight, layer.bias)]
-
-
 def flatten_grads(grads):
     return [g for lg in grads for g in (lg.weight, lg.bias)]
 
@@ -199,23 +197,30 @@ class TestTotalLoss:
         model = build_model(cfg)
         data = toy_data(9)
         ctx = build_context(data, cfg.n_neighbors)
-        params = model_params(model)
+        assert gradcheck_error(cfg, model, ctx, data, range(6)) < 1e-4
 
-        def loss_fn():
-            breakdown, grads = total_loss(model, cfg, ctx, data, range(6))
-            return breakdown.total, flatten_grads(grads)
 
-        assert grad_check(loss_fn, params, epsilon=1e-5) < 1e-4
+def test_probe_cases_0_to_2_take_each_activation_and_pass():
+    for case, act in enumerate(("sigmoid", "relu", "identity")):
+        config, *probe = gradcheck_case(case)
+        assert config.latent_activation == act
+        assert gradcheck_error(config, *probe) < 1e-4, f"case {case} {act}"
+
+
+def test_probe_case_with_no_conditioned_draw_refused_naming_it(monkeypatch):
+    monkeypatch.setattr(gradprobe, "fd_margins", lambda *args: (0.0, 0.0))
+    with pytest.raises(RuntimeError, match="^gradcheck case 4: no well-conditioned draw in 100 attempts$"):
+        gradcheck_case(4)
 
 
 class TestTrain:
     def test_zero_epochs_leaves_model_and_history_empty(self):
         cfg = toy_config(epochs=0)
         model = build_model(cfg)
-        before = [p.copy() for p in model_params(model)]
+        before = [p.copy() for p in model_parameters(model)]
         model, history = train(model, cfg, toy_data())
         assert history == []
-        for p, q in zip(model_params(model), before):
+        for p, q in zip(model_parameters(model), before):
             assert np.array_equal(p, q)
 
     def test_same_seed_gives_bit_identical_models(self):
@@ -224,7 +229,7 @@ class TestTrain:
         for _ in range(2):
             cfg = toy_config(epochs=8)
             model, _ = train(build_model(cfg), cfg, data)
-            runs.append(model_params(model))
+            runs.append(model_parameters(model))
         for a, b in zip(*runs):
             assert np.array_equal(a, b)
 
@@ -256,7 +261,7 @@ class TestTrain:
     def test_non_finite_rows_rejected_before_any_work(self, monkeypatch):
         cfg = toy_config(excl_weight=2.0)
         model = build_model(cfg)
-        before = [p.copy() for p in model_params(model)]
+        before = [p.copy() for p in model_parameters(model)]
         data = toy_data()
         data[3, 1] = np.nan
 
@@ -266,7 +271,7 @@ class TestTrain:
         monkeypatch.setattr(exclusivity, "build_context", no_table)
         with pytest.raises(ValueError, match="dataset contains non-finite entries, first in row 3"):
             train(model, cfg, data)
-        for p, q in zip(model_params(model), before):
+        for p, q in zip(model_parameters(model), before):
             assert np.array_equal(p, q)
 
     def test_zero_weight_training_matches_plain_reference_loop(self):
@@ -292,7 +297,7 @@ class TestTrain:
                     grads[i], grad = affine_backward(layers[i], acts[i], acts[i + 1], grad)
                 sgd_step(layers, grads, cfg.lr)
 
-        for a, b in zip(model_params(model), model_params(ref)):
+        for a, b in zip(model_parameters(model), model_parameters(ref)):
             assert np.array_equal(a, b)
 
     def test_non_finite_loss_aborts_with_location(self):
@@ -404,10 +409,4 @@ def test_grad_check_full_objective_toy_set():
     model = build_model(cfg)
     data = toy_data(21)
     ctx = build_context(data, cfg.n_neighbors)
-    params = model_params(model)
-
-    def loss_fn():
-        breakdown, grads = total_loss(model, cfg, ctx, data, range(6))
-        return breakdown.total, flatten_grads(grads)
-
-    assert grad_check(loss_fn, params, epsilon=1e-5) < 1e-4
+    assert gradcheck_error(cfg, model, ctx, data, range(6)) < 1e-4

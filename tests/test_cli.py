@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from exae import autoencoder, cli, stacking
+from exae import cli, stacking
 from exae.autoencoder import AEConfig
 from exae.cli import DEFAULT_CONFIG, experiment_from, level_configs_from, load_config, main
 from exae.dataio import Dataset, SplitSpec, load_idx, save_idx
@@ -37,6 +37,8 @@ def tiny_config(tmp_path, **overrides):
     }
     for key, val in overrides.items():
         cfg[key] = {**cfg.get(key, {}), **val}
+    if "images" in cfg["data"]:  # the files give the rows: a synth setting beside them is refused
+        cfg["data"] = {key: val for key, val in cfg["data"].items() if key not in DataSpec.SYNTH}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
@@ -281,47 +283,46 @@ def test_config_naming_an_idx_pair_trains_on_its_rows(tmp_path):
     assert exp.stack.levels[0].input_dim == 6
 
 
-def test_gradcheck_command(capsys):
-    assert main(["gradcheck", "--cases", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "OK" in out
-    # cases take the activations in turn
-    for case, act in enumerate(("sigmoid", "relu", "identity")):
-        assert f"case {case} {act}: max rel err " in out
-    assert out.count("max rel err") == 3  # one line per case
-
-
-def test_gradcheck_has_no_seed_option(capsys):
-    # its cases are its draws: case c's attempt a is seeded c*100 + a, and --cases reaches further ones
+def test_gradcheck_is_no_subcommand(capsys):
+    # gate A1 is the one gradient check: its probe lives with the tests (tests/gradprobe.py)
     with pytest.raises(SystemExit) as exit_info:
-        main(["gradcheck", "--cases", "1", "--seed", "1"])
+        main(["gradcheck"])
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
-    assert "unrecognized arguments: --seed 1" in captured.err and captured.out == ""
+    assert "invalid choice: 'gradcheck'" in captured.err and captured.out == ""
 
 
-@pytest.mark.parametrize("cases", ["0", "-2"])
-def test_gradcheck_refuses_fewer_than_one_case(capsys, cases):
-    # no case probed would print a worst error of 0 and pass
-    with pytest.raises(ValueError, match=f"^--cases must be >= 1, got {cases}$"):
-        main(["gradcheck", "--cases", cases])
-    assert "OK" not in capsys.readouterr().out
+def level(n_in, n_out, latent="relu", output="sigmoid"):
+    """A level's descriptor as a checkpoint header holds it."""
+    return {"encoder": [{"in": n_in, "out": n_out, "activation": latent}],
+            "decoder": [{"in": n_out, "out": n_in, "activation": output}]}
 
 
-@pytest.mark.parametrize("tolerance", ["inf", "nan", "-1", "0"])
-def test_gradcheck_refuses_a_tolerance_that_fixes_the_verdict(capsys, tolerance):
-    # every error is OK at inf, and FAIL at nan, 0 or below
-    refused = f"--tolerance must be positive and finite, got {float(tolerance)}"
+@pytest.mark.parametrize(
+    "stack, k, have, built",  # stack_checkpoint is 6-4-3 with relu latents
+    [
+        ({"sizes": [6, 5, 3]}, 1, level(6, 4), level(6, 5)),
+        ({"latent_activation": "sigmoid"}, 1, level(6, 4), level(6, 4, latent="sigmoid")),
+        ({"output_activation": "relu"}, 1, level(6, 4), level(6, 4, output="relu")),
+        ({"sizes": [6, 4]}, 2, level(4, 3, output="relu"), "none"),
+        ({"sizes": [6, 4, 3, 2]}, 3, "none", level(3, 2, output="relu")),
+    ],
+    ids=["size", "latent-activation", "output-activation", "fewer-levels", "more-levels"],
+)
+@pytest.mark.parametrize("command", ["finetune", "eval"])
+def test_checkpoint_the_stack_section_does_not_build_refused_before_any_work(
+        tmp_path, monkeypatch, stack_checkpoint, stack, k, have, built, command):
+    # else the fine-tuned file would embed a config that does not describe its layers
+    def no_work(*args, **kwargs):
+        raise AssertionError("a level was fine-tuned or scored")
+
+    monkeypatch.setattr(cli, "fine_tune", no_work)
+    monkeypatch.setattr(cli, "evaluate", no_work)
+    path = tiny_config(tmp_path, stack=stack)
+    refused = f"checkpoint {stack_checkpoint} level {k} is {have}, but the stack section builds {built}"
     with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
-        main(["gradcheck", "--cases", "1", "--tolerance", tolerance])
-    assert capsys.readouterr().out == ""
-
-
-def test_gradcheck_refuses_a_case_with_no_conditioned_draw(monkeypatch, capsys):
-    monkeypatch.setattr(autoencoder, "fd_margins", lambda *args: (0.0, 0.0))
-    with pytest.raises(RuntimeError, match="case 0"):
-        main(["gradcheck", "--cases", "1"])
-    assert "max rel err" not in capsys.readouterr().out
+        main(["--config", str(path), command, str(stack_checkpoint)])
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["synth", "experiment"])
@@ -405,6 +406,9 @@ def test_fine_tune_failure_names_its_phase(tmp_path, stack_checkpoint):
         ({"test_labels": "t.idx"}, "test_images and test_labels must be given together"),
         # the cap applies to explicit test files only; on a split it would cap nothing
         ({"per_class_test": 3}, "per_class_test needs test_images and test_labels"),
+        # the files give the rows, so a synth setting beside them would go unread (a default is taken)
+        *(({"images": "i.idx", "labels": "l.idx", name: value}, f"{name} is unread when images are given, got {value}")
+          for name, value in (("classes", 10), ("dim", 784), ("per_class", 2), ("spread", 0.5), ("synth_seed", 5))),
     ],
 )
 def test_incomplete_data_source_refused(tmp_path, monkeypatch, data, missing):

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from gradprobe import grad_check
 
 from exae import exclusivity, numkit
 from exae.autoencoder import LossBreakdown
@@ -21,7 +22,6 @@ from exae.exclusivity import (
     omega,
     top_m_neighbors,
 )
-from exae.numkit import grad_check
 
 
 def brute_cosine(a, b):
@@ -342,7 +342,7 @@ class TestBuildContext:
             (40, 5, 39, False),  # m = n-1: no rank m+1 to certify
             (50, 6, 4, False),  # fewer rows than one block
             (20, 4, 3, True),  # every row has zero norm
-            (5, 3, 3, False),  # the shape exae gradcheck builds
+            (5, 3, 3, False),  # the shape gate A1's probe cases build
         ],
     )
     def test_edge_shapes_equal_oracle(self, n, d, m, zero):

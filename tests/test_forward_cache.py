@@ -5,16 +5,17 @@ recomputes z = x @ W.T + b and differentiates the activation at z, and a
 sigmoid that evaluates each sign branch on its own rows through boolean
 masks. Swapping them back into total_loss must give the same bytes. The
 earlier fd_margins, with its own hand-written forward pass, is kept as the
-reference for the one that reads _forward's cache.
+reference for the probe's (tests/gradprobe.py), which reads _forward's cache.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from gradprobe import fd_margins, gradcheck_case
 
 from exae import autoencoder, exclusivity, numkit
-from exae.autoencoder import AEConfig, build_model, fd_margins, gradcheck_case, total_loss
+from exae.autoencoder import AEConfig, build_model, total_loss
 from exae.exclusivity import build_context
 from exae.numkit import LayerGrads, affine_backward, affine_forward, init_layer
 

@@ -19,7 +19,9 @@ bad signs, sizes, types and JSON kinds, builds its ExperimentConfig or is
 refused with a ValueError that names the key's field. So does a seeded sample
 of two-key overrides (naming one of its two fields), plus every pair of
 data-file keys with a path on one: there a named file that does not exist
-must be opened, and so refused, not built around.
+must be opened, and so refused, not built around. Each synth key, at each
+pool value, beside the data files is refused naming it unless it holds its
+default, as the files leave it unread.
 """
 
 import itertools
@@ -35,7 +37,7 @@ from exae import exclusivity, numkit
 from exae.autoencoder import AEConfig, build_model
 from exae.cli import DEFAULT_CONFIG, experiment_from, load_config
 from exae.dataio import Dataset, load_idx, save_idx
-from exae.evalharness import KNN_METRICS, CheckpointError, knn_classify, load_checkpoint, save_checkpoint
+from exae.evalharness import KNN_METRICS, CheckpointError, DataSpec, knn_classify, load_checkpoint, save_checkpoint
 from exae.exclusivity import build_context, top_m_neighbors
 from exae.stacking import assemble
 
@@ -268,8 +270,9 @@ def escape(path, override):
     path.write_text(json.dumps(config))
     try:
         exp, _ = experiment_from(load_config(str(path)))
-    except FileNotFoundError as err:  # a path the config names is opened
-        return None if any(err.filename == val for _, val in override) else repr(err)
+    except FileNotFoundError as err:  # a path the config names is opened, and no synth setting is set beside it
+        unread = [key for key, val in override if key in SYNTH_KEYS and val != DEFAULT_CONFIG["data"][key[5:]]]
+        return None if not unread and any(err.filename == val for _, val in override) else f"{err!r}, {unread} unread"
     except Exception as err:  # another type is what the sweep looks for, so it is recorded
         named = any(key.rpartition(".")[2] in str(err) for key, _ in override)
         return None if isinstance(err, ValueError) and named else repr(err)
@@ -280,6 +283,7 @@ def escape(path, override):
 # the data paths and the data-file keys, and the pool's one string: a path that names no file
 PATHS = ("images", "labels", "test_images", "test_labels")
 FILE_KEYS = [f"data.{name}" for name in (*PATHS, "per_class_test")]
+SYNTH_KEYS = [f"data.{name}" for name in DataSpec.SYNTH]
 NO_FILE = "x"
 N_PAIRS = 300
 
@@ -308,4 +312,7 @@ def test_sampled_two_key_config_overrides_build_or_are_refused_naming_a_field(tm
     ]
     # and every ordered pair of data-file keys: each pool value on one, the path on the other
     files = [[(a, val), (b, NO_FILE)] for a, b in itertools.permutations(FILE_KEYS, 2) for val in CONFIG_POOL]
-    assert sweep(tmp_path, drawn + files) == []
+    # and each synth key at each pool value beside each data file: the training pair, then both pairs
+    named = [[(f"data.{name}", NO_FILE) for name in PATHS[:n]] for n in (2, 4)]
+    synth = [[*paths, (key, val)] for paths in named for key in SYNTH_KEYS for val in CONFIG_POOL]
+    assert sweep(tmp_path, drawn + files + synth) == []

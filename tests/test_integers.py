@@ -1,6 +1,6 @@
 """The one whole-number rule at every site that takes a size, count, seed, k or m,
 and the one real-number rule at every site that takes a weight, rate, spread,
-band, step or tolerance.
+band or step.
 
 Each integer site refuses a fraction, a bool, a string and the value one below
 its least with a ValueError that names its field, when its dataclass is built or
@@ -11,20 +11,19 @@ takes an int or a numpy float as a float. Paths, the output directory and the
 k-NN metric refuse a value of another type by name too.
 """
 
-import argparse
 import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from gradprobe import grad_check
 
 from exae.autoencoder import AEConfig
-from exae.cli import cmd_gradcheck
 from exae.dataio import Dataset, SplitSpec, load_idx, save_idx, select_per_class, synth_gaussian
 from exae.evalharness import DataSpec, ExperimentConfig, knn_classify
 from exae.exclusivity import build_context, top_m_neighbors
-from exae.numkit import DenseLayer, LayerGrads, grad_check, sgd_step
+from exae.numkit import DenseLayer, LayerGrads, sgd_step
 from exae.stacking import StackConfig, project_to_band
 
 CASES = ["fraction", "bool", "string", "below-least"]
@@ -106,15 +105,21 @@ DATA_FIELDS = [("classes", 1), ("dim", 1), ("per_class", 1), ("per_class_test", 
 TEST_FILES = dict(images="images", labels="labels", test_images="t-images", test_labels="t-labels")
 
 
+def data_spec(name, value):
+    """A DataSpec with name set: beside the files for per_class_test, which caps
+    them, and without them for the synth settings, which only blobs read."""
+    return DataSpec(**TEST_FILES, per_class_test=value) if name == "per_class_test" else DataSpec(**{name: value})
+
+
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("name, least", DATA_FIELDS)
 def test_data_spec(name, least, case):
-    refuses(lambda v: DataSpec(**TEST_FILES, **{name: v}), name, least, case)
+    refuses(lambda v: data_spec(name, v), name, least, case)
 
 
 @pytest.mark.parametrize("name", [name for name, _ in DATA_FIELDS])
 def test_data_spec_takes_a_numpy_integer(name):
-    got = getattr(DataSpec(**TEST_FILES, **{name: np.int64(2)}), name)
+    got = getattr(data_spec(name, np.int64(2)), name)
     assert type(got) is int and got == 2
 
 
@@ -133,22 +138,6 @@ def test_experiment_config_takes_numpy_integers():
     exp = experiment(trials=np.int64(2), knn_k=np.int64(3), base_seed=np.int64(4))
     assert (exp.trials, exp.knn_k, exp.base_seed) == (2, 3, 4)
     assert all(type(v) is int for v in (exp.trials, exp.knn_k, exp.base_seed))
-
-
-def gradcheck(**kwargs):
-    return cmd_gradcheck({}, argparse.Namespace(**{"cases": 1, "tolerance": 1e-4, **kwargs}))
-
-
-@pytest.mark.parametrize("case", CASES)
-@pytest.mark.parametrize("name, least", [("cases", 1)])
-def test_gradcheck_options(name, least, case, capsys):
-    refuses(lambda v: gradcheck(**{name: v}), f"--{name}", least, case)
-    assert capsys.readouterr().out == ""  # refused before any case is probed
-
-
-def test_gradcheck_options_take_numpy_integers(capsys):
-    assert gradcheck(cases=np.int64(1)) == 0
-    assert "case 0 sigmoid" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -245,8 +234,7 @@ REAL_SITES = [
     ("synth_gaussian", "spread", True, True, lambda v: synth_gaussian(2, 3, 4, v, seed=0)),
     ("project_to_band", "band", False, False, lambda v: project_to_band(1.0, np.eye(2), v)),
     ("sgd_step", "learning rate", True, True, one_step),
-    ("grad_check", "epsilon", True, True, probe),
-    ("gradcheck --tolerance", "--tolerance", True, True, lambda v: gradcheck(tolerance=v)),
+    ("grad_check", "epsilon", True, True, probe),  # the probe of tests/gradprobe.py
 ]
 
 

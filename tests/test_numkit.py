@@ -1,5 +1,5 @@
-"""Layer primitives, SGD, the gradient checker against finite differences,
-and the row-block runner."""
+"""Layer primitives, SGD, the gradient checker against finite differences
+(tests/gradprobe.py), and the row-block runner."""
 
 import os
 import re
@@ -8,6 +8,7 @@ import threading
 
 import numpy as np
 import pytest
+from gradprobe import grad_check
 
 from exae import numkit
 from exae.numkit import (
@@ -15,7 +16,6 @@ from exae.numkit import (
     affine_backward,
     affine_forward,
     as_matrix,
-    grad_check,
     init_layer,
     integer,
     map_row_blocks,
