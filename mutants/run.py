@@ -30,9 +30,16 @@ MUTANTS = [
     (
         "trim-dropped",  # rows past the gather width rank every tie at the bound
         "exae/numkit.py",
-        "    if wide.size:\n",
-        "    if False:\n",
+        "    for start in range(0, wide.size, _SMALLEST_TRIM_ROWS):\n",
+        "    for start in range(0):\n",
         f"{EVAL}::TestSelectionPaths::test_ties_are_filled_without_per_row_lexsort",
+    ),
+    (
+        "trim-one-chunk",  # every wide row of a block is trimmed at once: temporaries 2.75 times the block
+        "exae/numkit.py",
+        "_SMALLEST_TRIM_ROWS = 16\n",
+        "_SMALLEST_TRIM_ROWS = 2**62\n",
+        f"{EVAL}::test_smallest_trims_tied_rows_within_the_block",
     ),
     (
         "tie-fill-short",  # a trimmed row keeps one tie too few and ranks a farther entry
@@ -47,6 +54,20 @@ MUTANTS = [
         "np.lexsort((index, vals), axis=1)",
         "np.lexsort((-index, vals), axis=1)",
         f"{EVAL}::test_nearest_equals_full_lexsort_sweep",
+    ),
+    (
+        "knn-sides-whole",  # the sides square every query at once: a temporary as large as the queries
+        "exae/evalharness.py",
+        "        side = square_sums(feats, _KNN_BLOCK_ROWS)",
+        "        side = square_sums(feats, 2**62)",
+        f"{EVAL}::test_knn_sides_are_taken_a_block_at_a_time",
+    ),
+    (
+        "sides-lone-last-row",  # a 1-row last block of a Fortran-ordered matrix sums in another order
+        "exae/numkit.py",
+        "        start = min(start, max(rows.shape[0] - 2, 0))\n",
+        "",
+        f"{EVAL}::test_sides_equal_the_whole_matrix_expressions",
     ),
     (
         "knn-finite-guard-dropped",  # rows whose distances overflow are ranked instead of refused
@@ -165,7 +186,7 @@ MUTANTS = [
     (
         "norms-whole-dataset",  # the row norms square the whole dataset at once
         "exae/exclusivity.py",
-        "    return np.concatenate([np.linalg.norm(dataset[s : s + _TABLE_BLOCK_ROWS], axis=1) for s in starts])\n",
+        "    return np.sqrt(square_sums(dataset, _TABLE_BLOCK_ROWS))\n",
         "    return np.linalg.norm(dataset, axis=1)\n",
         "tests/test_exclusivity.py::TestBuildContext::test_table_memory_is_per_block",
     ),

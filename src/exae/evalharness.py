@@ -25,7 +25,7 @@ import numpy as np
 
 from .autoencoder import AEModel, LossBreakdown, build_model, encode, model_parameters
 from .dataio import Dataset, SplitSpec, load_idx, synth_gaussian, train_test_rows
-from .numkit import DenseLayer, Matrix, as_matrix, integer, map_row_blocks, real, refuse_underflowed_norms, smallest
+from .numkit import DenseLayer, Matrix, as_matrix, integer, map_row_blocks, real, refuse_underflowed_norms, smallest, square_sums
 from .stacking import FinetuneEpoch, StackConfig, StackedModel, assembly_order, fine_tune, train_stack
 
 CHECKPOINT_MAGIC = b"EXAECKPT"
@@ -69,7 +69,8 @@ def _side(feats: Matrix, metric: str, name: str) -> np.ndarray:
     KNN_METRICS[metric], and for cosine a row not all zero whose norm is below 1e-150:
     two nonzero norms then multiply to at least 1e-300, the floor _pairwise_dist clamps to."""
     with np.errstate(over="ignore", under="ignore"):  # refused below, not raised: an overflowed side is inf
-        side = np.sum(feats**2, axis=1) if metric == "euclidean" else np.linalg.norm(feats, axis=1)
+        side = square_sums(feats, _KNN_BLOCK_ROWS)  # a block at a time, as the distances
+        side = side if metric == "euclidean" else np.sqrt(side)
     ok = side <= KNN_METRICS[metric]
     if not ok.all():
         what, bound = ("squared norm", "max/8") if metric == "euclidean" else ("norm", "sqrt(max/2)")
@@ -360,26 +361,21 @@ def run_experiment(config: ExperimentConfig, loaded=None):
     return records, summary
 
 
-def _loss_row(trial: int, phase: str, epoch: int, b: LossBreakdown) -> str:
-    vals = [repr(getattr(b, name)) for name in LossBreakdown.FIELDS]
-    return f"{trial},{phase},{epoch}," + ",".join(vals) + ","
-
-
 def write_metrics(records: list, path) -> None:
-    """Flat CSV: per-epoch loss rows per phase, then one result row per trial.
+    """Flat CSV in LossBreakdown.FIELDS columns: per-epoch loss rows per phase, then one result row per trial.
 
     Wall-clock times go to the timings sidecar so this file is
     byte-stable for a fixed seed.
     """
-    lines = ["trial,phase,epoch,recon,hetero_sim,homo_sim,excl,total,accuracy"]
+    lines = ["trial,phase,epoch," + ",".join(LossBreakdown.FIELDS) + ",accuracy"]
     for rec in records:
-        for level, history in enumerate(rec.pretrain, start=1):
+        phases = [(f"pretrain-level-{level}", history) for level, history in enumerate(rec.pretrain, start=1)]
+        for phase, history in phases + [("finetune", [fe.loss for fe in rec.finetune])]:
             for epoch, b in enumerate(history):
-                lines.append(_loss_row(rec.trial, f"pretrain-level-{level}", epoch, b))
-        for epoch, fe in enumerate(rec.finetune):
-            lines.append(_loss_row(rec.trial, "finetune", epoch, fe.loss))
+                vals = ",".join(repr(getattr(b, name)) for name in LossBreakdown.FIELDS)
+                lines.append(f"{rec.trial},{phase},{epoch},{vals},")
         if rec.accuracy is not None:
-            lines.append(f"{rec.trial},result,,,,,,,{rec.accuracy!r}")
+            lines.append(f"{rec.trial},result,," + "," * len(LossBreakdown.FIELDS) + repr(rec.accuracy))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

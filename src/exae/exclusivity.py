@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import Matrix, integer, map_row_blocks, refuse_underflowed_norms, smallest
+from .numkit import Matrix, integer, map_row_blocks, refuse_underflowed_norms, smallest, square_sums
 
 # Norms below this are treated as degenerate: the term contributes 0 loss
 # and 0 gradient instead of dividing by ~0.
@@ -88,10 +88,8 @@ _TABLE_BLOCK_ROWS = 128
 
 
 def _row_norms(dataset: Matrix) -> np.ndarray:
-    """np.linalg.norm(dataset, axis=1), _TABLE_BLOCK_ROWS rows at a time: the
-    same bytes, as each row is reduced on its own, without a dataset-sized square."""
-    starts = range(0, dataset.shape[0], _TABLE_BLOCK_ROWS)
-    return np.concatenate([np.linalg.norm(dataset[s : s + _TABLE_BLOCK_ROWS], axis=1) for s in starts])
+    """np.linalg.norm(dataset, axis=1) without a dataset-sized square (see numkit.square_sums)."""
+    return np.sqrt(square_sums(dataset, _TABLE_BLOCK_ROWS))
 
 
 def _cosine_to_row(dataset: Matrix, j: int, norms: np.ndarray) -> np.ndarray:

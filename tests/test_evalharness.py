@@ -568,6 +568,59 @@ def test_knn_equals_full_sort_sweep(kind):
         assert np.array_equal(got, want), (trial, n, k, metric)
 
 
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["all-zero", "3-valued"])
+@pytest.mark.parametrize("reach", [1, 5, 7])
+def test_smallest_trims_tied_rows_within_the_block(kind, reach):
+    # every row ties far past the gather width: trimming all 96 at once
+    # held 2.75 times the block's bytes, a few rows at a time holds less than it
+    rng = np.random.default_rng(reach)
+    block = np.zeros((96, 2000)) if kind == "all-zero" else rng.integers(0, 3, size=(96, 2000)) / 2.0
+    peak = traced_peak(numkit.smallest, block, reach)
+    assert peak < block.nbytes, f"traced peak {peak / block.nbytes:.2f} x the block"
+    assert np.array_equal(numkit.smallest(block, reach), lexsort_nearest(block, reach))
+
+
+def test_knn_on_collapsed_codes_holds_under_two_blocks(monkeypatch):
+    # 98% all-zero codes: each query's distances tie across most of the train rows
+    rng = np.random.default_rng(3)
+    codes = collapsed_codes(rng, 3000, dim=128, live=0.02)
+    train, queries, labels = codes[:2000], codes[2000:], rng.integers(0, 10, size=2000)
+    two_blocks = 2 * B * train.shape[0] * 8
+    for workers in (1, 2):  # two half blocks in flight hold what one whole block does
+        monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", workers)
+        peak = traced_peak(knn_classify, train, labels, queries, 1)
+        assert peak < two_blocks, f"{workers} workers: traced peak {peak / two_blocks:.2f} x two blocks"
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+def test_knn_sides_are_taken_a_block_at_a_time(metric):
+    # 20000 queries against 300 train rows: a whole-matrix square is as large as the queries
+    rng = np.random.default_rng(4)
+    train, queries = rng.normal(size=(300, 64)), rng.normal(size=(20000, 64))
+    peak = traced_peak(knn_classify, train, rng.integers(0, 3, size=300), queries, 1, metric)
+    assert peak < queries.nbytes / 4, f"traced peak {peak / queries.nbytes:.2f} x the queries"
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_sides_equal_the_whole_matrix_expressions(metric, order):
+    # two whole blocks and a lone last row, whose 1-row slice of a Fortran-ordered
+    # matrix would be squared in another layout and summed in another order
+    for seed in range(8):
+        feats = np.asarray(np.random.default_rng(seed).normal(size=(2 * B + 1, 128)), order=order)
+        want = np.sum(feats**2, axis=1) if metric == "euclidean" else np.linalg.norm(feats, axis=1)
+        assert _side(feats, metric, "query").tobytes() == want.tobytes(), seed
+
+
 class TestAccuracy:
     def test_identical(self):
         assert accuracy([1, 2, 3], [1, 2, 3]) == 1.0

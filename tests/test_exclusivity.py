@@ -198,7 +198,7 @@ def traced_peak(fn, *args):
 
 @pytest.mark.parametrize(
     "layout",
-    ["c", "fortran", "row-offset-slice", "partial-last-block", "zero-rows"],
+    ["c", "fortran", "row-offset-slice", "partial-last-block", "zero-rows", "fortran-lone-last-row"],
 )
 def test_row_norms_equal_linalg_norm(layout):
     rng = np.random.default_rng(12)
@@ -211,6 +211,8 @@ def test_row_norms_equal_linalg_norm(layout):
         data = data[: 2 * exclusivity._TABLE_BLOCK_ROWS + 45]
     elif layout == "zero-rows":
         data[rng.choice(data.shape[0], size=20, replace=False)] = 0.0
+    elif layout == "fortran-lone-last-row":  # its 1-row slice would be summed in another order
+        data = np.asfortranarray(rng.normal(size=(2 * exclusivity._TABLE_BLOCK_ROWS + 1, 64)))
     assert _row_norms(data).tobytes() == np.linalg.norm(data, axis=1).tobytes()
 
 
