@@ -98,6 +98,13 @@ MUTANTS = [
         f"{EVAL}::test_knn_block_uses_half_its_memory_bound",
     ),
     (
+        "cosine-outer-whole",  # the cosine divisor is one block-sized outer product beside the distances
+        "exae/evalharness.py",
+        "_COSINE_ROWS = 16\n",
+        "_COSINE_ROWS = 2**62\n",
+        f"{EVAL}::test_cosine_knn_on_collapsed_codes_holds_under_two_blocks",
+    ),
+    (
         "knn-width-unchecked",  # mismatched feature widths fail inside the first block's product
         "exae/evalharness.py",
         "    if query_feats.shape[1] != train_feats.shape[1]:\n",
@@ -427,10 +434,23 @@ MUTANTS = [
     (
         "sgd-update-before-check",  # a refused step has already moved the earlier layers
         "exae/numkit.py",
-        "    # every layer is checked before any moves, so a refused step changes nothing\n"
-        "    for layer, g in zip(layers, grads):\n",
-        "",
+        "    for layer, g in zip(layers, grads):\n        layer.weight -= ",
+        "        layer.weight -= ",
         "tests/test_numkit.py::TestSgdStep::test_non_finite_gradient_identifies_layer",
+    ),
+    (
+        "sgd-int-gradient-half-applied",  # an integer gradient fails its in-place scale after layer 0 moved
+        "exae/numkit.py",
+        "        if g.weight.dtype != np.float64 or g.bias.dtype != np.float64:",
+        "        if False:",
+        "tests/test_numkit.py::TestSgdStep::test_non_finite_gradient_identifies_layer",
+    ),
+    (
+        "grads-per-step",  # every step allocates its own gradient set while the last one is still bound
+        "exae/autoencoder.py",
+        "            breakdown, grads = total_loss(model, config, ctx, dataset, batch, grads)\n",
+        "            breakdown, grads = total_loss(model, config, ctx, dataset, batch)\n",
+        "tests/test_autoencoder.py::TestTrain::test_a_phase_holds_one_gradient_set",
     ),
     (
         "weight-zero-encodes-prototypes",  # a context passed at weight 0 is encoded for its report
@@ -620,16 +640,30 @@ MUTANTS = [
     (
         "ckpt-header-length-unchecked",  # a header length past the file is read as malformed JSON, not as truncation
         "exae/evalharness.py",
-        "    if 16 + header_len > len(buf) - 4:\n",
-        "    if False:\n",
+        "        if 16 + header_len > size:\n",
+        "        if False:\n",
         f"{EVAL}::TestCheckpoint::test_checksummed_file_of_the_wrong_length_refused",
     ),
     (
         "ckpt-trailing-bytes-accepted",  # bytes after the last parameter load silently
         "exae/evalharness.py",
-        "        if offset != len(blob):\n",
-        "        if False:\n",
+        "            if left != 0:\n",
+        "            if False:\n",
         f"{EVAL}::TestCheckpoint::test_checksummed_file_of_the_wrong_length_refused",
+    ),
+    (
+        "short-read-accepted",  # a parameter read cut short leaves its array unset and loads
+        "exae/evalharness.py",
+        "f.readinto(weight) + f.readinto(bias) != nbytes:",
+        "f.readinto(weight) + f.readinto(bias) < 0:",
+        f"{EVAL}::TestCheckpoint::test_parameter_read_short_refused",
+    ),
+    (
+        "load-whole-file",  # the file is read whole, then each parameter is copied out of it
+        "exae/evalharness.py",
+        '    with open(path, "rb") as f:\n',
+        '    with __import__("io").BytesIO(Path(path).read_bytes()) as f:\n',
+        f"{EVAL}::TestCheckpoint::test_load_copies_each_parameter_once",
     ),
 ]
 

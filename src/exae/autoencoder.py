@@ -16,6 +16,7 @@ import numpy as np
 from . import exclusivity as excl
 from .numkit import (
     ACTIVATIONS,
+    LayerGrads,
     Matrix,
     affine_backward,
     affine_forward,
@@ -140,13 +141,13 @@ def _forward(layers: list, x: Matrix) -> list:
     return acts
 
 
-def _backward(layers: list, acts: list, grad_out: Matrix, input_grad: bool = True):
-    """Backpropagate grad_out through a stack's cache; returns (grads, grad_in or None)."""
-    grads = [None] * len(layers)
+def _backward(layers: list, acts: list, grad_out: Matrix, grads: list, input_grad: bool = True):
+    """Backpropagate grad_out through a stack's cache, writing layer i's gradients
+    into grads[i] (None: a fresh set); returns (grads, grad_in or None)."""
     g = grad_out
     for i in range(len(layers) - 1, -1, -1):
         grads[i], g = affine_backward(
-            layers[i], acts[i], acts[i + 1], g, input_grad=input_grad or i > 0
+            layers[i], acts[i], acts[i + 1], g, input_grad=input_grad or i > 0, grads=grads[i]
         )
     return grads, g
 
@@ -171,14 +172,15 @@ def recon_loss(x_batch: Matrix, xhat_batch: Matrix):
     return loss, 2.0 * diff / x_batch.shape[0]
 
 
-def total_loss(model: AEModel, config: AEConfig, ctx, dataset: Matrix, batch_indices):
+def total_loss(model: AEModel, config: AEConfig, ctx, dataset: Matrix, batch_indices, grads: list | None = None):
     """Full objective and parameter gradients for one batch.
 
     ctx must have been built over the same dataset. Returns
     (LossBreakdown, grads), one LayerGrads per layer: encoder layers, then
-    decoder layers. The encoded-prototype branches share the encoder
-    weights, so the rows [x; exclude-one means; peer means] run through
-    it in one forward and one backward pass, where their gradients add.
+    decoder layers, written into the given grads (None: fresh ones). The
+    encoded-prototype branches share the encoder weights, so the rows
+    [x; exclude-one means; peer means] run through it in one forward and
+    one backward pass, where their gradients add.
     At excl_weight 0 only x is encoded, ctx is ignored and the exclusivity
     fields read 0 / 1 / 0.
     """
@@ -188,6 +190,8 @@ def total_loss(model: AEModel, config: AEConfig, ctx, dataset: Matrix, batch_ind
     w = config.excl_weight
     if ctx is None and w != 0.0:
         raise ValueError("excl_weight is nonzero but no exclusivity context given")
+    grads = [None] * len(model.layers) if grads is None else grads
+    enc_grads, dec_grads = grads[: len(model.encoder)], grads[len(model.encoder) :]
     x = dataset[idx]
     rows = np.vstack((x, *excl.batch_targets(ctx, dataset, idx))) if w != 0.0 else x
     enc_acts = _forward(model.encoder, rows)
@@ -195,7 +199,7 @@ def total_loss(model: AEModel, config: AEConfig, ctx, dataset: Matrix, batch_ind
     dec_acts = _forward(model.decoder, h)
 
     la, d_xhat = recon_loss(x, dec_acts[-1])
-    dec_grads, d_h = _backward(model.decoder, dec_acts, d_xhat)
+    dec_grads, d_h = _backward(model.decoder, dec_acts, d_xhat, dec_grads)
 
     if w == 0.0:
         breakdown = LossBreakdown(recon=la, hetero_sim=0.0, homo_sim=1.0, weight=0.0)
@@ -203,7 +207,7 @@ def total_loss(model: AEModel, config: AEConfig, ctx, dataset: Matrix, batch_ind
         res = excl.exclusivity_loss(*np.split(enc_acts[-1], 3))
         breakdown = LossBreakdown(recon=la, hetero_sim=res.hetero_sim, homo_sim=res.homo_sim, weight=w)
         d_h = np.vstack((d_h + w * res.grad_latent, w * res.grad_hetero, w * res.grad_homo))
-    enc_grads, _ = _backward(model.encoder, enc_acts, d_h, input_grad=False)
+    enc_grads, _ = _backward(model.encoder, enc_acts, d_h, enc_grads, input_grad=False)
     return breakdown, enc_grads + dec_grads
 
 
@@ -242,18 +246,21 @@ def sgd_epochs(model: AEModel, config: AEConfig, dataset: Matrix):
     config is the phase's: its loss settings, lr, epochs, batch_size and
     seed; its layer_sizes are not read. Yields one batch-size-weighted
     LossBreakdown per epoch, after the epoch's last step, so the caller can
-    act on the model before the next epoch starts.
+    act on the model before the next epoch starts. One gradient set, made
+    once per phase, takes every step's gradients, which sgd_step then
+    scales in place: no step allocates a gradient array.
     """
     ctx = excl.build_context(dataset, config.n_neighbors) if config.excl_weight != 0.0 else None
     rng = np.random.default_rng(config.seed)
     layers = model.layers
+    grads = [LayerGrads.like(layer) for layer in layers]
     n = dataset.shape[0]
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
         records, sizes = [], []
         for start in range(0, n, config.batch_size):
             batch = perm[start : start + config.batch_size]
-            breakdown, grads = total_loss(model, config, ctx, dataset, batch)
+            breakdown, grads = total_loss(model, config, ctx, dataset, batch, grads)
             if not np.isfinite(breakdown.total):
                 raise RuntimeError(
                     f"non-finite loss {breakdown.total} at epoch {epoch}, "

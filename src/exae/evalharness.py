@@ -30,6 +30,8 @@ from .stacking import FinetuneEpoch, StackConfig, StackedModel, assembly_order, 
 
 CHECKPOINT_MAGIC = b"EXAECKPT"
 CHECKPOINT_VERSION = 1
+# Bytes load_checkpoint reads at once to take the CRC, so it never holds the whole file.
+_CRC_CHUNK = 1 << 20
 
 # Each k-NN metric and the largest row side knn_classify accepts for it: as
 # |q.t| <= |q||t|, no product, sum or quotient in _pairwise_dist can then overflow.
@@ -87,7 +89,8 @@ def _pairwise_dist(query: Matrix, train: Matrix, metric: str, query_side, train_
     euclidean is max(|q|^2 - 2 q.t + |t|^2, 0) and cosine is 1 - q.t /
     max(|q||t|, 1e-300), each operation applied in that order, so the
     values are those of the plain expressions without their full-size
-    temporaries. The sides are _side(query, ...) and _side(train, ...).
+    temporaries: the cosine divisor is formed _COSINE_ROWS rows at a time.
+    The sides are _side(query, ...) and _side(train, ...).
     """
     if metric == "euclidean":
         dists = (2.0 * query) @ train.T  # the doubling is exact unless a product is subnormal
@@ -95,8 +98,9 @@ def _pairwise_dist(query: Matrix, train: Matrix, metric: str, query_side, train_
         dists += train_side[None, :]
         return np.maximum(dists, 0.0, out=dists)
     dists = query @ train.T
-    norms = np.outer(query_side, train_side)
-    dists /= np.maximum(norms, 1e-300, out=norms)
+    for start in range(0, len(dists), _COSINE_ROWS):  # the divisor a few rows at a time
+        norms = np.outer(query_side[start : start + _COSINE_ROWS], train_side)
+        dists[start : start + _COSINE_ROWS] /= np.maximum(norms, 1e-300, out=norms)
     return np.subtract(1.0, dists, out=dists)
 
 
@@ -106,6 +110,9 @@ def _pairwise_dist(query: Matrix, train: Matrix, metric: str, query_side, train_
 # 64-row blocks and 0.110 s in 192-row ones (x86-64, OpenBLAS 0.3.31, 1 thread).
 # 256-row blocks would hold more than an eighth of a 4000 x 2000 distance matrix.
 _KNN_BLOCK_ROWS = 192
+# Query rows of the cosine divisor |q||t| formed at once, beside a block's
+# distances: a twelfth of a 192-row block, where a whole one held two blocks.
+_COSINE_ROWS = 16
 # Rows whose layer activations extract_features holds at once, in one block or
 # its parts: 10000 rows through 784-256-128 took 0.123 s as one matrix and
 # 0.092 s in 1024-row blocks, with equal bytes (same hardware and BLAS).
@@ -426,45 +433,57 @@ def save_checkpoint(stacked: StackedModel, path, config: dict | None = None) -> 
 
 
 def load_checkpoint(path) -> StackedModel:
-    buf = Path(path).read_bytes()
-    if len(buf) < 16 or buf[:8] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"corrupt checkpoint header in {path}")
-    version = int.from_bytes(buf[8:12], "little")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint version {version} in {path} not supported (want {CHECKPOINT_VERSION})"
-        )
-    view = memoryview(buf)  # slices of a view copy nothing
-    stored_crc = int.from_bytes(buf[-4:], "little")
-    if zlib.crc32(view[:-4]) != stored_crc:
-        raise CheckpointError(f"checksum mismatch in {path} (truncated or corrupt)")
+    """The StackedModel save_checkpoint wrote to path, bit for bit.
 
-    header_len = int.from_bytes(buf[12:16], "little")
-    if 16 + header_len > len(buf) - 4:
-        raise CheckpointError(f"truncated checkpoint {path}")
-    blob, offset = view[16 + header_len : -4], 0
+    The magic, the version and the CRC, taken a _CRC_CHUNK at a time, are
+    checked before any other byte is parsed; each weight and bias is then
+    read straight into its own array, so the load holds no copy of the file."""
+    with open(path, "rb") as f:
+        head = f.read(16)
+        if len(head) < 16 or head[:8] != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"corrupt checkpoint header in {path}")
+        version = int.from_bytes(head[8:12], "little")
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"checkpoint version {version} in {path} not supported (want {CHECKPOINT_VERSION})"
+            )
+        size = f.seek(0, 2) - 4  # the bytes the CRC covers
+        f.seek(0)
+        crc = 0
+        for done in range(0, size, _CRC_CHUNK):
+            crc = zlib.crc32(f.read(min(size - done, _CRC_CHUNK)), crc)
+        if crc != int.from_bytes(f.read(4), "little"):
+            raise CheckpointError(f"checksum mismatch in {path} (truncated or corrupt)")
 
-    def layer(n_in, n_out, activation) -> DenseLayer:  # the next weight and bias in the block
-        nonlocal offset
-        end = offset + 8 * n_out * (n_in + 1)
-        if not offset < end <= len(blob):
+        header_len = int.from_bytes(head[12:16], "little")
+        if 16 + header_len > size:
             raise CheckpointError(f"truncated checkpoint {path}")
-        flat = np.frombuffer(blob[offset:end], "<f8")
-        offset = end
-        return DenseLayer(flat[: n_out * n_in].reshape(n_out, n_in).copy(), flat[n_out * n_in :].copy(), activation)
+        f.seek(16)
+        header_bytes, left = f.read(header_len), size - 16 - header_len
 
-    try:
-        header = json.loads(buf[16 : 16 + header_len].decode())
-        levels = [
-            AEModel(*([layer(s["in"], s["out"], s["activation"]) for s in desc[h]] for h in ("encoder", "decoder")))
-            for desc in header["levels"]
-        ]
-        halves = assembly_order(levels)  # the assembled layers' shapes and activations
-        assembled = AEModel(*([layer(l.in_dim, l.out_dim, l.activation) for l in half] for half in halves))
-        if offset != len(blob):
-            raise CheckpointError(f"truncated checkpoint {path}")
-        return StackedModel(levels, assembled)
-    except CheckpointError:
-        raise
-    except (ValueError, KeyError, TypeError) as err:
-        raise CheckpointError(f"malformed checkpoint {path}: {err!r}") from err
+        def layer(n_in, n_out, activation) -> DenseLayer:  # the next weight and bias in the block
+            nonlocal left
+            nbytes = 8 * n_out * (n_in + 1)
+            if not 0 < nbytes <= left:
+                raise CheckpointError(f"truncated checkpoint {path}")
+            left -= nbytes
+            weight, bias = np.empty((n_out, n_in), "<f8"), np.empty(n_out, "<f8")
+            if f.readinto(weight) + f.readinto(bias) != nbytes:  # cut short since its CRC was taken
+                raise CheckpointError(f"truncated checkpoint {path}")
+            return DenseLayer(weight, bias, activation)
+
+        try:
+            header = json.loads(header_bytes.decode())
+            levels = [
+                AEModel(*([layer(s["in"], s["out"], s["activation"]) for s in desc[h]] for h in ("encoder", "decoder")))
+                for desc in header["levels"]
+            ]
+            halves = assembly_order(levels)  # the assembled layers' shapes and activations
+            assembled = AEModel(*([layer(l.in_dim, l.out_dim, l.activation) for l in half] for half in halves))
+            if left != 0:
+                raise CheckpointError(f"truncated checkpoint {path}")
+            return StackedModel(levels, assembled)
+        except CheckpointError:
+            raise
+        except (ValueError, KeyError, TypeError) as err:
+            raise CheckpointError(f"malformed checkpoint {path}: {err!r}") from err

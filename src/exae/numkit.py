@@ -3,7 +3,8 @@
 Everything downstream runs on 2-D float64 numpy arrays with examples as
 rows. This module owns the per-layer primitives: affine layers with their
 analytic gradients and plain SGD updates. The backward pass reads
-activation derivatives off the forward output.
+activation derivatives off the forward output and writes each layer's
+gradients into a LayerGrads set that a training phase allocates once.
 map_row_blocks runs independent row blocks, two at a time when the BLAS
 is pinned to one thread; smallest is the one (value, index) selection, and
 integer and real the one check of a whole-number and of a real-valued setting.
@@ -135,6 +136,11 @@ class LayerGrads:
     weight: Matrix
     bias: np.ndarray
 
+    @classmethod
+    def like(cls, layer: DenseLayer) -> "LayerGrads":
+        """Unset arrays shaped like layer's parameters, for affine_backward to write."""
+        return cls(np.empty(layer.weight.shape), np.empty(layer.bias.shape))
+
 
 def init_layer(in_dim: int, out_dim: int, activation: str, rng: np.random.Generator) -> DenseLayer:
     """Seeded uniform init in +-sqrt(6 / (in + out)), zero bias."""
@@ -158,15 +164,18 @@ def affine_forward(layer: DenseLayer, x: Matrix) -> Matrix:
     return _sigmoid(z) if layer.activation == "sigmoid" else z
 
 
-def affine_backward(layer: DenseLayer, x: Matrix, out: Matrix, grad_out: Matrix, input_grad: bool = True):
+def affine_backward(
+    layer: DenseLayer, x: Matrix, out: Matrix, grad_out: Matrix, input_grad: bool = True, grads: LayerGrads | None = None
+):
     """Chain rule through one layer from its forward cache.
 
     x is the layer's forward input and out = affine_forward(layer, x) its
     output. The activation derivative is read off out: relu' is out > 0
     (relu'(0) is 0), sigmoid' is out * (1 - out), and identity passes
-    grad_out through. Returns (LayerGrads, grad_in) for upstream gradient
-    grad_out; grad_in is None when input_grad is false, which saves the
-    dz @ W product for a stack's bottom layer.
+    grad_out through. Returns (grads, grad_in) for upstream gradient
+    grad_out: the parameter gradients are written into grads (None: a fresh
+    LayerGrads.like(layer)); grad_in is None when input_grad is false, which
+    saves the dz @ W product for a stack's bottom layer.
     """
     if x.ndim != 2 or x.shape[1] != layer.in_dim:
         raise ValueError(
@@ -181,24 +190,33 @@ def affine_backward(layer: DenseLayer, x: Matrix, out: Matrix, grad_out: Matrix,
         dz = grad_out * (out * (1.0 - out))
     else:
         dz = grad_out
-    grads = LayerGrads(weight=dz.T @ x, bias=dz.sum(axis=0))
+    grads = LayerGrads.like(layer) if grads is None else grads
+    np.matmul(dz.T, x, out=grads.weight)
+    np.sum(dz, axis=0, out=grads.bias)
     return grads, dz @ layer.weight if input_grad else None
 
 
 def sgd_step(layers: list, grads: list, lr: float) -> list:
-    """In-place p <- p - lr * g over every layer. Deterministic."""
+    """In-place p <- p - lr * g over every layer. Deterministic.
+
+    The gradients are scratch: each is scaled by lr in place and then
+    subtracted, so the update holds no full-size temporary. Every layer's
+    shapes, float64 dtype and finiteness are checked before any array is
+    written, so a refused step leaves the parameters and gradients unchanged.
+    """
     real(lr, "learning rate", positive=True)
     if len(layers) != len(grads):
         raise ValueError(f"{len(layers)} layers but {len(grads)} gradient entries")
     for i, (layer, g) in enumerate(zip(layers, grads)):
         if g.weight.shape != layer.weight.shape or g.bias.shape != layer.bias.shape:
             raise ValueError(f"gradient shapes do not match parameters at layer {i}")
+        if g.weight.dtype != np.float64 or g.bias.dtype != np.float64:  # the in-place scale needs floats
+            raise ValueError(f"gradients at layer {i} are not float64")
         if not (np.all(np.isfinite(g.weight)) and np.all(np.isfinite(g.bias))):
             raise ValueError(f"non-finite gradient entry at layer {i}")
-    # every layer is checked before any moves, so a refused step changes nothing
     for layer, g in zip(layers, grads):
-        layer.weight -= lr * g.weight
-        layer.bias -= lr * g.bias
+        layer.weight -= np.multiply(g.weight, lr, out=g.weight)
+        layer.bias -= np.multiply(g.bias, lr, out=g.bias)
     return layers
 
 

@@ -1,6 +1,7 @@
 """Forward passes, the combined objective, and the training loop."""
 
 import re
+import tracemalloc
 from dataclasses import fields
 
 import gradprobe
@@ -214,6 +215,23 @@ def test_probe_case_with_no_conditioned_draw_refused_naming_it(monkeypatch):
 
 
 class TestTrain:
+    def test_a_phase_holds_one_gradient_set(self):
+        # one set is written by every step and scaled in place by sgd_step: holding
+        # step t's set while step t + 1 builds its own, plus an lr * g temporary,
+        # peaked at 2.25 times the parameter bytes
+        rng = np.random.default_rng(0)
+        data = rng.uniform(size=(200, 784)) * (rng.uniform(size=(200, 784)) < 0.3)
+        cfg = AEConfig([784, 256], excl_weight=0.0, epochs=2, batch_size=32)
+        model = build_model(cfg)
+        params = sum(p.nbytes for p in model_parameters(model))
+        tracemalloc.start()
+        try:
+            train(model, cfg, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.4 * params, f"traced peak {peak / params:.2f} x the parameter bytes"
+
     def test_zero_epochs_leaves_model_and_history_empty(self):
         cfg = toy_config(epochs=0)
         model = build_model(cfg)

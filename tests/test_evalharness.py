@@ -1,11 +1,13 @@
 """Feature extraction, k-NN against a brute-force oracle, experiments, checkpoints."""
 
+import io
 import json
 import math
 import re
 import tracemalloc
 import zlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -601,6 +603,22 @@ def test_knn_on_collapsed_codes_holds_under_two_blocks(monkeypatch):
         assert peak < two_blocks, f"{workers} workers: traced peak {peak / two_blocks:.2f} x two blocks"
 
 
+def test_cosine_knn_on_collapsed_codes_holds_under_two_blocks(monkeypatch):
+    # the divisor |q||t| beside the distances: a whole block of it took the peak past two blocks
+    rng = np.random.default_rng(3)
+    codes = collapsed_codes(rng, 3000, dim=128, live=0.02)
+    train, queries, labels = codes[:2000], codes[2000:], rng.integers(0, 10, size=2000)
+    two_blocks = 2 * B * train.shape[0] * 8
+    for workers in (1, 2):
+        monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", workers)
+        peak = traced_peak(knn_classify, train, labels, queries, 1, "cosine")
+        assert peak < two_blocks, f"{workers} workers: traced peak {peak / two_blocks:.2f} x two blocks"
+        # k = 1 takes the lowest-index nearest row of the whole-divisor distances, block by block
+        dists = [expression_dist(queries[a:b], train, "cosine") for a, b in numkit.row_blocks(len(queries), B)]
+        want = labels[np.argmin(np.vstack(dists), axis=1)]
+        assert np.array_equal(knn_classify(train, labels, queries, 1, "cosine"), want)
+
+
 @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
 def test_knn_sides_are_taken_a_block_at_a_time(metric):
     # 20000 queries against 300 train rows: a whole-matrix square is as large as the queries
@@ -867,8 +885,8 @@ class TestCheckpoint:
         assert np.array_equal(before, after)
 
     def test_load_copies_each_parameter_once(self, tmp_path):
-        # the file's bytes plus one copy of the parameters, with no second copy
-        # of the whole parameter block (eval-sized stacks are read per query set)
+        # each parameter is read straight into its own array and the CRC is taken
+        # a chunk at a time: holding the file's bytes too peaked at 2.0 times the file
         path = tmp_path / "m.ckpt"
         save_checkpoint(assemble([wide_level()]), path)
         size = path.stat().st_size
@@ -878,7 +896,19 @@ class TestCheckpoint:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.25 * size, f"traced peak {peak / size:.2f} x the file size"
+        assert peak < 1.25 * size, f"traced peak {peak / size:.2f} x the file size"
+
+    def test_parameter_read_short_refused(self, tmp_path, monkeypatch):
+        # a file cut short after its CRC was taken: an array left unset would load as garbage
+        class ShortReads(io.BytesIO):
+            def readinto(self, buffer):
+                return 0
+
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(self.make_trained()[0], path)
+        monkeypatch.setattr(evalharness, "open", lambda p, mode: ShortReads(Path(p).read_bytes()), raising=False)
+        with pytest.raises(CheckpointError, match=f"^truncated checkpoint {re.escape(str(path))}$"):
+            load_checkpoint(path)
 
     def test_truncated_file_rejected_cleanly(self, tmp_path):
         stacked, _ = self.make_trained()

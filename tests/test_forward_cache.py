@@ -35,8 +35,9 @@ def reference_activation(tag, z):
     return mask_sigmoid(z) if tag == "sigmoid" else z
 
 
-def recompute_backward(layer, x, out, grad_out, input_grad=True):
-    """The earlier kernel: ignores out and differentiates at a recomputed z."""
+def recompute_backward(layer, x, out, grad_out, input_grad=True, grads=None):
+    """The earlier kernel: ignores out and grads, differentiates at a recomputed
+    z and returns a fresh LayerGrads."""
     z = x @ layer.weight.T + layer.bias
     if layer.activation == "identity":
         d = np.ones_like(z)

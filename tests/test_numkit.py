@@ -1,6 +1,7 @@
 """Layer primitives, SGD, the gradient checker against finite differences
 (tests/gradprobe.py), and the row-block runner."""
 
+import copy
 import os
 import re
 import sys
@@ -13,6 +14,7 @@ from gradprobe import grad_check
 from exae import numkit
 from exae.numkit import (
     DenseLayer,
+    LayerGrads,
     affine_backward,
     affine_forward,
     as_matrix,
@@ -130,49 +132,50 @@ class TestSgdStep:
         assert np.array_equal(l.weight, before)
 
     def test_two_steps_equal_one_double_step(self):
+        # sgd_step scales its gradients in place, so each call takes a fresh copy
         rng = np.random.default_rng(0)
         w0 = rng.normal(size=(3, 2))
-        g = type("G", (), {})()
-        g.weight = rng.normal(size=(3, 2))
-        g.bias = rng.normal(size=3)
+        g = LayerGrads(rng.normal(size=(3, 2)), rng.normal(size=3))
 
         a = DenseLayer(w0.copy(), np.zeros(3))
-        sgd_step([a], [g], lr=0.1)
-        sgd_step([a], [g], lr=0.1)
+        sgd_step([a], [copy.deepcopy(g)], lr=0.1)
+        sgd_step([a], [copy.deepcopy(g)], lr=0.1)
         b = DenseLayer(w0.copy(), np.zeros(3))
-        sgd_step([b], [g], lr=0.2)
+        sgd_step([b], [copy.deepcopy(g)], lr=0.2)
         assert np.allclose(a.weight, b.weight)
         assert np.allclose(a.bias, b.bias)
 
     def test_linear_in_lr(self):
         rng = np.random.default_rng(1)
         w0 = rng.normal(size=(2, 2))
-        g = type("G", (), {})()
-        g.weight = rng.normal(size=(2, 2))
-        g.bias = rng.normal(size=2)
+        g = LayerGrads(rng.normal(size=(2, 2)), rng.normal(size=2))
 
         a = DenseLayer(w0.copy(), np.zeros(2))
-        sgd_step([a], [g], lr=0.3)
+        sgd_step([a], [copy.deepcopy(g)], lr=0.3)
         b = DenseLayer(w0.copy(), np.zeros(2))
-        sgd_step([b], [g], lr=0.1)
-        sgd_step([b], [g], lr=0.2)
+        sgd_step([b], [copy.deepcopy(g)], lr=0.1)
+        sgd_step([b], [copy.deepcopy(g)], lr=0.2)
         assert np.allclose(a.weight, b.weight)
 
     def test_non_finite_gradient_identifies_layer(self):
-        # the good layer's gradient would move it, so a refused step that
-        # updated layer 0 before checking layer 1 would show
-        good = type("G", (), {"weight": np.array([[0.5]]), "bias": np.array([0.5])})()
+        # the good layer's gradient would move it, and sgd_step scales it in
+        # place, so a refused step that updated or scaled layer 0 before
+        # checking layer 1 would show in its parameters or its gradient
         for weight, bias, message in (
             ([[np.nan]], [0.0], "non-finite gradient entry at layer 1"),
             ([[0.0]], [np.inf], "non-finite gradient entry at layer 1"),
             ([[0.0, 0.0]], [0.0], "gradient shapes do not match parameters at layer 1"),
+            ([[0]], [0], "gradients at layer 1 are not float64"),
         ):
             layers = [layer([[1.0]], [0.0]), layer([[1.0]], [0.0])]
-            bad = type("G", (), {"weight": np.array(weight), "bias": np.array(bias)})()
+            good = LayerGrads(np.array([[0.5]]), np.array([0.5]))
+            bad = LayerGrads(np.array(weight), np.array(bias))
             with pytest.raises(ValueError, match=message):
                 sgd_step(layers, [good, bad], lr=0.1)
             for l in layers:
                 assert l.weight.tolist() == [[1.0]] and l.bias.tolist() == [0.0]
+            assert good.weight.tolist() == [[0.5]] and good.bias.tolist() == [0.5]
+            assert np.array_equal(bad.weight, weight, equal_nan=True) and np.array_equal(bad.bias, bias)
 
 
 class TestGradCheck:

@@ -1,12 +1,13 @@
 """Greedy pretraining, assembly wiring, the norm-ratio band, fine-tuning."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from exae import exclusivity, stacking
-from exae.autoencoder import AEConfig, build_model, encode, total_loss, train
+from exae.autoencoder import AEConfig, build_model, encode, model_parameters, total_loss, train
 from exae.numkit import sgd_step
 from exae.stacking import (
     StackConfig,
@@ -181,6 +182,22 @@ class TestAssembly:
 
 
 class TestFineTune:
+    def test_fine_tune_holds_one_gradient_set(self):
+        # as one level's training: two gradient sets and an lr * g temporary held 2.25 times the parameters
+        rng = np.random.default_rng(0)
+        data = rng.uniform(size=(200, 784)) * (rng.uniform(size=(200, 784)) < 0.3)
+        levels = [level_cfg([784, 256], excl_weight=0.0), level_cfg([256, 128], excl_weight=0.0, seed=1)]
+        cfg = StackConfig(levels, finetune_epochs=2)
+        stacked = assemble([build_model(level) for level in levels])
+        params = sum(p.nbytes for p in model_parameters(stacked.assembled))
+        tracemalloc.start()
+        try:
+            fine_tune(stacked, data, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.4 * params, f"traced peak {peak / params:.2f} x the parameter bytes"
+
     def test_zero_band_keeps_norms_at_snapshots_every_epoch(self):
         cfg = stack_cfg(band=0.0, finetune_epochs=4)
         data = toy_rows()
