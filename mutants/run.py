@@ -446,6 +446,13 @@ MUTANTS = [
         "tests/test_numkit.py::TestSgdStep::test_non_finite_gradient_identifies_layer",
     ),
     (
+        "sgd-read-only-half-applied",  # a read-only gradient fails its in-place scale after layer 0 moved
+        "exae/numkit.py",
+        "        if not (g.weight.flags.writeable and g.bias.flags.writeable):",
+        "        if False:",
+        "tests/test_numkit.py::TestSgdStep::test_read_only_gradient_refused_before_any_layer_moves",
+    ),
+    (
         "grads-per-step",  # every step allocates its own gradient set while the last one is still bound
         "exae/autoencoder.py",
         "            breakdown, grads = total_loss(model, config, ctx, dataset, batch, grads)\n",
@@ -533,7 +540,7 @@ MUTANTS = [
         "tests/test_evalharness.py::TestCheckpoint::test_model_with_an_empty_half_refused",
     ),
     (
-        "synth-no-image-shape",  # exae synth cannot write synth rows as IDX
+        "synth-no-image-shape",  # image_shape has no default: synth rows build no Dataset, so exae synth fails
         "exae/dataio.py",
         ", labels=np.concatenate(labels), image_shape=(1, dim))\n",
         ", labels=np.concatenate(labels))\n",
@@ -664,6 +671,27 @@ MUTANTS = [
         '    with open(path, "rb") as f:\n',
         '    with __import__("io").BytesIO(Path(path).read_bytes()) as f:\n',
         f"{EVAL}::TestCheckpoint::test_load_copies_each_parameter_once",
+    ),
+    (
+        "band-overflowed-norm-read-as-zero",  # ratio 0.0: band 0.6 zeroes the weights, bands 1.0 and inf score them
+        "exae/stacking.py",
+        "    if not cur < np.inf:",
+        "    if False:",
+        "tests/test_stacking.py::test_fine_tune_whose_weight_norm_overflows_is_refused_at_every_band",
+    ),
+    (
+        "level-one-outputs-latent",  # level 1 reconstructs [0, 1] rows through latent_activation
+        "exae/cli.py",
+        'output_activation=st["latent_activation"] if k else "sigmoid")',
+        'output_activation=st["latent_activation"])',
+        "tests/test_cli.py::test_stack_settings_reach_every_level",
+    ),
+    (
+        "split-failure-unnamed",  # a trial whose split the rows cannot make fails naming no phase
+        "exae/evalharness.py",
+        '        raise ValueError(f"split failed: {err}") from err\n',
+        "        raise\n",
+        f"{EVAL}::TestRunExperiment::test_failed_trial_recorded_and_rest_proceed",
     ),
 ]
 

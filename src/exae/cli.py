@@ -63,10 +63,10 @@ def _defaults(cls, *names: str) -> dict:
     }
 
 
-# The AEConfig fields the "stack" section sets for every level (levels 2+ output
-# latent_activation): stack.sizes gives layer_sizes, a level has no hidden layer,
-# and each trial sets the seed.
-LEVEL_KEYS = ("latent_activation", "output_activation", "excl_weight", "n_neighbors", "lr", "epochs", "batch_size")
+# The AEConfig fields the "stack" section sets for every level: stack.sizes gives
+# layer_sizes, a level has no hidden layer, level_configs_from derives the output
+# activation, and each trial sets the seed.
+LEVEL_KEYS = ("latent_activation", "excl_weight", "n_neighbors", "lr", "epochs", "batch_size")
 
 DEFAULT_CONFIG = {
     "data": {
@@ -121,16 +121,17 @@ def _as_fields(cfg: dict, *sections: str) -> dict:
 
 
 def level_configs_from(cfg: dict, input_dim: int) -> list:
-    """One AEConfig per consecutive size pair, each set by the stack section."""
+    """One AEConfig per consecutive size pair, each set by the stack section. Level 1
+    reconstructs Dataset rows, which lie in [0, 1], so its output is sigmoid; a deeper
+    level reconstructs codes, so its output is the latent_activation that made them."""
     st = cfg["stack"]
     sizes = st["sizes"] or [input_dim] + DEFAULT_STACK_TAIL
     if sizes[0] != input_dim:
         raise ValueError(f"stack sizes start at {sizes[0]} but data dim is {input_dim}")
-    first = {key: st[key] for key in LEVEL_KEYS}
-    # level 1 reconstructs [0,1] pixels; deeper levels reconstruct codes
-    deeper = {**first, "output_activation": st["latent_activation"]}
+    shared = {key: st[key] for key in LEVEL_KEYS}
     pairs = enumerate(zip(sizes, sizes[1:]))
-    return [AEConfig(**(deeper if k else first), layer_sizes=[a, b]) for k, (a, b) in pairs]
+    return [AEConfig(**shared, layer_sizes=[a, b], output_activation=st["latent_activation"] if k else "sigmoid")
+            for k, (a, b) in pairs]
 
 
 def experiment_from(cfg: dict):

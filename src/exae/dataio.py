@@ -23,11 +23,13 @@ LABEL_MAGIC = 0x00000801
 
 @dataclass
 class Dataset:
-    """Rows of examples in [0, 1] with optional labels and image shape."""
+    """Rows of examples in [0, 1], one integer label per row, and the (height,
+    width) image each row flattens: every Dataset can be split by class and
+    written as IDX."""
 
     examples: np.ndarray
-    labels: np.ndarray | None = None
-    image_shape: tuple | None = None
+    labels: np.ndarray
+    image_shape: tuple
 
     def __post_init__(self):
         self.examples = np.asarray(self.examples, dtype=np.float64)
@@ -35,21 +37,13 @@ class Dataset:
             raise ValueError(f"examples must be 2-D, got shape {self.examples.shape}")
         if self.examples.size and not (self.examples.min() >= 0.0 and self.examples.max() <= 1.0):
             raise ValueError("example entries must lie in [0, 1]")
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (self.examples.shape[0],):
-                raise ValueError(
-                    f"labels length {self.labels.shape} does not match "
-                    f"{self.examples.shape[0]} rows"
-                )
-        if self.image_shape is not None:
-            h, w = self.image_shape
-            self.image_shape = (integer(h, "image_shape[0]"), integer(w, "image_shape[1]"))
-            if h * w != self.examples.shape[1]:
-                raise ValueError(
-                    f"image shape {self.image_shape} does not match row length "
-                    f"{self.examples.shape[1]}"
-                )
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        if self.labels.shape != (self.examples.shape[0],):
+            raise ValueError(f"labels length {self.labels.shape} does not match {self.examples.shape[0]} rows")
+        h, w = self.image_shape
+        self.image_shape = (integer(h, "image_shape[0]"), integer(w, "image_shape[1]"))
+        if h * w != self.examples.shape[1]:
+            raise ValueError(f"image shape {self.image_shape} does not match row length {self.examples.shape[1]}")
 
     @property
     def n(self) -> int:
@@ -113,10 +107,6 @@ def load_idx(image_path, label_path) -> Dataset:
 
 def save_idx(dataset: Dataset, image_path, label_path) -> None:
     """Write a Dataset back to an IDX pair, quantizing pixels to bytes."""
-    if dataset.image_shape is None:
-        raise ValueError("dataset has no image shape")
-    if dataset.labels is None:
-        raise ValueError("dataset has no labels")
     outside = np.flatnonzero((dataset.labels < 0) | (dataset.labels > 255))
     if outside.size:  # IDX labels are u8: astype would wrap 256 to 0
         row = outside[0]
@@ -139,8 +129,6 @@ def _draw_per_class(dataset: Dataset, per_class: int, seed: int, spare: int):
     """Row indices (chosen, rest) of a seeded draw of per_class rows from each
     class (np.unique order, one permutation each, rows sorted within a class);
     a class needs per_class + spare rows."""
-    if dataset.labels is None:
-        raise ValueError("per-class selection needs labels")
     rng = np.random.default_rng(integer(seed, "seed", least=0))
     chosen, rest = [], []
     for cls in np.unique(dataset.labels):

@@ -311,9 +311,11 @@ def trial_setup(config: ExperimentConfig, loaded, trial: int):
     load_data(config.data). A knn_k past the training rows is refused here,
     before any training, as knn_classify would refuse it after it."""
     seed = config.base_seed + trial
-    # base_seed draws a capped explicit test set: every trial faces the same queries
-    train_set, test_set = train_test_rows(
-        *loaded, replace(config.split, seed=seed), config.data.per_class_test, config.base_seed)
+    try:  # base_seed draws a capped explicit test set: every trial faces the same queries
+        train_set, test_set = train_test_rows(
+            *loaded, replace(config.split, seed=seed), config.data.per_class_test, config.base_seed)
+    except ValueError as err:  # named as train_stack names its level and fine_tune its phase
+        raise ValueError(f"split failed: {err}") from err
     if config.knn_k > train_set.n:
         raise ValueError(f"k={config.knn_k} out of range for {train_set.n} training rows")
     levels = [replace(level, seed=seed) for level in config.stack.levels]

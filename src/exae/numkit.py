@@ -201,8 +201,8 @@ def sgd_step(layers: list, grads: list, lr: float) -> list:
 
     The gradients are scratch: each is scaled by lr in place and then
     subtracted, so the update holds no full-size temporary. Every layer's
-    shapes, float64 dtype and finiteness are checked before any array is
-    written, so a refused step leaves the parameters and gradients unchanged.
+    shapes, float64 dtype, writeability and finiteness are checked before any array
+    is written, so a refused step leaves the parameters and gradients unchanged.
     """
     real(lr, "learning rate", positive=True)
     if len(layers) != len(grads):
@@ -212,6 +212,8 @@ def sgd_step(layers: list, grads: list, lr: float) -> list:
             raise ValueError(f"gradient shapes do not match parameters at layer {i}")
         if g.weight.dtype != np.float64 or g.bias.dtype != np.float64:  # the in-place scale needs floats
             raise ValueError(f"gradients at layer {i} are not float64")
+        if not (g.weight.flags.writeable and g.bias.flags.writeable):
+            raise ValueError(f"gradients at layer {i} are read-only")
         if not (np.all(np.isfinite(g.weight)) and np.all(np.isfinite(g.bias))):
             raise ValueError(f"non-finite gradient entry at layer {i}")
     for layer, g in zip(layers, grads):

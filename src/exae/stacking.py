@@ -95,8 +95,9 @@ class FinetuneEpoch:
 
 
 def flat_norm(weight: Matrix) -> float:
-    """Euclidean norm of the weight matrix flattened to a single vector."""
-    return float(np.linalg.norm(np.asarray(weight).ravel()))
+    """Euclidean norm of the weight matrix flattened to a single vector; inf if it overflows."""
+    with np.errstate(over="ignore"):  # each caller refuses an overflowed norm by name
+        return float(np.linalg.norm(np.asarray(weight).ravel()))
 
 
 def weight_ratio(snapshot_norm: float, current_weight: Matrix) -> float:
@@ -106,6 +107,8 @@ def weight_ratio(snapshot_norm: float, current_weight: Matrix) -> float:
     cur = flat_norm(current_weight)
     if cur == 0.0:
         raise ValueError("current weight has zero norm")
+    if not cur < np.inf:  # else the ratio would read 0.0
+        raise ValueError(f"current weight norm is not finite, got {cur}")
     return snapshot_norm / cur
 
 

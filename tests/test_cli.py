@@ -303,11 +303,10 @@ def level(n_in, n_out, latent="relu", output="sigmoid"):
     [
         ({"sizes": [6, 5, 3]}, 1, level(6, 4), level(6, 5)),
         ({"latent_activation": "sigmoid"}, 1, level(6, 4), level(6, 4, latent="sigmoid")),
-        ({"output_activation": "relu"}, 1, level(6, 4), level(6, 4, output="relu")),
         ({"sizes": [6, 4]}, 2, level(4, 3, output="relu"), "none"),
         ({"sizes": [6, 4, 3, 2]}, 3, "none", level(3, 2, output="relu")),
     ],
-    ids=["size", "latent-activation", "output-activation", "fewer-levels", "more-levels"],
+    ids=["size", "latent-activation", "fewer-levels", "more-levels"],
 )
 @pytest.mark.parametrize("command", ["finetune", "eval"])
 def test_checkpoint_the_stack_section_does_not_build_refused_before_any_work(
@@ -374,12 +373,21 @@ def test_unknown_source_rejected(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "stack, name",
-    [({"latent_activation": "x"}, "latent_activation"), ({"output_activation": "x"}, "output_activation")],
+    [({"latent_activation": "x"}, "latent_activation")],
 )
 def test_unknown_activation_refused_naming_its_field(tmp_path, stack, name):
     path = tiny_config(tmp_path, stack=stack)
     refused = f"{name} must be one of ('identity', 'relu', 'sigmoid'), got 'x'"
     with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+        main(["--config", str(path), "experiment"])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["x", "sigmoid", "relu"])
+def test_output_activation_is_no_config_key(tmp_path, value):
+    # level 1 reconstructs [0, 1] rows and levels 2+ codes, so each level's output is derived
+    path = tiny_config(tmp_path, stack={"output_activation": value})
+    with pytest.raises(ValueError, match=r"^unknown config key 'stack\.output_activation'$"):
         main(["--config", str(path), "experiment"])
     assert not (tmp_path / "out").exists()
 

@@ -106,6 +106,7 @@ class TestSplitPerClass:
         return Dataset(
             examples=rng.uniform(size=(n, dim)),
             labels=np.repeat(np.arange(classes), per_class),
+            image_shape=(1, dim),
         )
 
     def test_leave_one_out(self):
@@ -133,11 +134,6 @@ class TestSplitPerClass:
         ds = self.make(per_class=3)
         with pytest.raises(ValueError, match="class 0"):
             split_per_class(ds, SplitSpec(per_class_train=3))
-
-    def test_needs_labels(self):
-        ds = Dataset(examples=np.zeros((4, 2)))
-        with pytest.raises(ValueError, match="labels"):
-            split_per_class(ds, SplitSpec(per_class_train=1))
 
     def test_negative_seed_refused(self):
         with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
@@ -188,7 +184,7 @@ def test_real_mnist_training_file_dimensions():
 
 def test_select_per_class_counts_and_determinism():
     rng = np.random.default_rng(2)
-    ds = Dataset(examples=rng.uniform(size=(30, 3)), labels=np.repeat([0, 1, 2], 10))
+    ds = Dataset(examples=rng.uniform(size=(30, 3)), labels=np.repeat([0, 1, 2], 10), image_shape=(1, 3))
     a = select_per_class(ds, 4, seed=5)
     b = select_per_class(ds, 4, seed=5)
     assert a.n == 12
@@ -201,7 +197,7 @@ def test_select_per_class_counts_and_determinism():
 
 @pytest.mark.parametrize("per_class", [-2, 0])
 def test_select_per_class_refuses_fewer_than_one_row(per_class):
-    ds = Dataset(examples=np.zeros((30, 3)), labels=np.repeat([0, 1, 2], 10))
+    ds = Dataset(examples=np.zeros((30, 3)), labels=np.repeat([0, 1, 2], 10), image_shape=(1, 3))
     with pytest.raises(ValueError, match="per_class must be >= 1"):
         select_per_class(ds, per_class, seed=0)
 
@@ -225,31 +221,26 @@ def test_train_test_rows_with_explicit_test_set():
 def test_dataset_refuses_nan_examples():
     # NaN compares False both ways, so min() < 0 or max() > 1 passes it
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        Dataset(examples=np.array([[0.5, 0.2], [0.1, np.nan]]))
+        Dataset(examples=np.array([[0.5, 0.2], [0.1, np.nan]]), labels=[0, 1], image_shape=(1, 2))
 
 
 def test_dataset_validates_range_and_labels():
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        Dataset(examples=np.array([[1.5]]))
+        Dataset(examples=np.array([[1.5]]), labels=[0], image_shape=(1, 1))
     with pytest.raises(ValueError, match="labels"):
-        Dataset(examples=np.zeros((2, 2)), labels=np.array([1]))
+        Dataset(examples=np.zeros((2, 2)), labels=np.array([1]), image_shape=(1, 2))
     with pytest.raises(ValueError, match="image shape"):
-        Dataset(examples=np.zeros((2, 4)), image_shape=(3, 3))
+        Dataset(examples=np.zeros((2, 4)), labels=[0, 1], image_shape=(3, 3))
+
+
+def test_dataset_has_no_default_field():
+    # every Dataset can be split by class and written as IDX: no caller leaves out a part
+    for given in ({}, {"labels": [0, 1]}, {"image_shape": (1, 2)}):
+        with pytest.raises(TypeError, match="missing"):
+            Dataset(np.zeros((2, 2)), **given)
 
 
 @pytest.mark.parametrize("examples", [np.zeros(4), np.zeros((2, 2, 2))], ids=["1-D", "3-D"])
 def test_dataset_examples_must_be_2_d(examples):
     with pytest.raises(ValueError, match=rf"^examples must be 2-D, got shape {re.escape(str(examples.shape))}$"):
-        Dataset(examples)
-
-
-@pytest.mark.parametrize(
-    "dataset, refused",
-    [(Dataset(np.zeros((2, 4)), labels=[0, 1]), "dataset has no image shape"),
-     (Dataset(np.zeros((2, 4)), image_shape=(2, 2)), "dataset has no labels")],
-    ids=["no-image-shape", "no-labels"],
-)
-def test_save_idx_needs_an_image_shape_and_labels_before_writing(tmp_path, dataset, refused):
-    with pytest.raises(ValueError, match=f"^{refused}$"):
-        save_idx(dataset, tmp_path / "images", tmp_path / "labels")
-    assert list(tmp_path.iterdir()) == []
+        Dataset(examples, [0], (1, 1))

@@ -77,7 +77,7 @@ class TestExtractFeatures:
     def test_identity_model_returns_inputs(self):
         stacked = identity_stacked(4)
         rows = np.random.default_rng(0).uniform(size=(6, 4))
-        ds = Dataset(examples=rows)
+        ds = Dataset(examples=rows, labels=np.arange(6), image_shape=(1, 4))
         assert np.array_equal(extract_features(stacked, ds), rows)
 
     def test_feature_width_is_final_latent_dim(self):
@@ -99,7 +99,7 @@ class TestExtractFeatures:
     def test_dimension_mismatch(self):
         stacked = identity_stacked(4)
         with pytest.raises(ValueError, match="input dim"):
-            extract_features(stacked, Dataset(examples=np.zeros((2, 5))))
+            extract_features(stacked, Dataset(examples=np.zeros((2, 5)), labels=[0, 1], image_shape=(1, 5)))
 
     @pytest.mark.parametrize("rows", [1, FB - 1, FB, FB + 1, 2 * FB + 1])
     def test_blocks_equal_whole_matrix_encode(self, rows):
@@ -715,7 +715,7 @@ class TestRunExperiment:
         records, summary = run_experiment(cfg)
         assert summary["partial"]
         assert summary["completed"] == 0
-        assert set(summary["failures"]) == {0, 1}
+        assert summary["failures"] == {t: "ValueError: split failed: class 0 has 12 rows, need 13" for t in (0, 1)}
 
     def test_knn_k_past_the_training_rows_refused_before_training(self, tmp_path, monkeypatch):
         def no_training(*args):

@@ -22,10 +22,17 @@ data-file keys with a path on one: there a named file that does not exist
 must be opened, and so refused, not built around. Each synth key, at each
 pool value, beside the data files is refused naming it unless it holds its
 default, as the files leave it unread.
+
+Each one-key override that builds, laid over a tiny one-epoch base, runs its
+experiment to the end with RuntimeWarnings ignored, as a user's run leaves
+them: every trial completes or is recorded as failed naming its phase. A
+finite lr of 1e308 gets no load-time bound; it diverges in its first epoch
+and the trial names the phase it failed in.
 """
 
 import itertools
 import json
+import re
 import threading
 import zlib
 
@@ -37,7 +44,8 @@ from exae import exclusivity, numkit
 from exae.autoencoder import AEConfig, build_model
 from exae.cli import DEFAULT_CONFIG, experiment_from, load_config
 from exae.dataio import Dataset, load_idx, save_idx
-from exae.evalharness import KNN_METRICS, CheckpointError, DataSpec, knn_classify, load_checkpoint, save_checkpoint
+from exae.evalharness import (
+    KNN_METRICS, CheckpointError, DataSpec, knn_classify, load_checkpoint, run_experiment, save_checkpoint)
 from exae.exclusivity import build_context, top_m_neighbors
 from exae.stacking import assemble
 
@@ -254,20 +262,25 @@ def value_keys(section, path=""):
             yield path + key
 
 
-def escape(path, override):
-    """What the override, a list of (dotted key, value) written to path, did, or None
-    when it built its ExperimentConfig naming no file, raised a ValueError naming one
-    of its keys' last parts (so finetune.lr may be named lr or finetune.lr, and
-    output.dir out_dir), or failed to open a file it names. The sweeps run where no
-    file the pool names exists, so a config that names one and builds never read it."""
-    config = {}
+def laid(override, base=None):
+    """A copy of base (None: no section) with each (dotted key, value) of override set in it."""
+    config = json.loads(json.dumps(base or {}))
     for key, val in override:
         *sections, last = key.split(".")
         node = config
         for section in sections:
             node = node.setdefault(section, {})
         node[last] = val
-    path.write_text(json.dumps(config))
+    return config
+
+
+def escape(path, override):
+    """What the override, a list of (dotted key, value) written to path, did, or None
+    when it built its ExperimentConfig naming no file, raised a ValueError naming one
+    of its keys' last parts (so finetune.lr may be named lr or finetune.lr, and
+    output.dir out_dir), or failed to open a file it names. The sweeps run where no
+    file the pool names exists, so a config that names one and builds never read it."""
+    path.write_text(json.dumps(laid(override)))
     try:
         exp, _ = experiment_from(load_config(str(path)))
     except FileNotFoundError as err:  # a path the config names is opened, and no synth setting is set beside it
@@ -297,7 +310,7 @@ def sweep(tmp_path, overrides):
 def test_every_one_key_config_override_builds_or_is_refused_naming_its_field(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     keys = list(value_keys(DEFAULT_CONFIG))
-    assert len(keys) == 28
+    assert len(keys) == 27
     assert sweep(tmp_path, [[(key, val)] for key in keys for val in CONFIG_POOL]) == []
 
 
@@ -316,3 +329,37 @@ def test_sampled_two_key_config_overrides_build_or_are_refused_naming_a_field(tm
     named = [[(f"data.{name}", NO_FILE) for name in PATHS[:n]] for n in (2, 4)]
     synth = [[*paths, (key, val)] for paths in named for key in SYNTH_KEYS for val in CONFIG_POOL]
     assert sweep(tmp_path, drawn + files + synth) == []
+
+
+# the one-epoch base each one-key override is laid over: 3 classes of 12 rows of dim 8,
+# 6 training rows of each, a two-level stack, one epoch per phase and one trial
+RUN_BASE = {
+    "data": {"classes": 3, "per_class": 12, "dim": 8, "split": {"per_class_train": 6}},
+    "stack": {"sizes": [8, 4, 2], "epochs": 1, "n_neighbors": 3, "batch_size": 8},
+    "finetune": {"epochs": 1},
+    "experiment": {"trials": 1},
+}
+# a trial failure names its phase: the split, a pretraining level (refused before
+# level 1 trains, or failed while it trains), or the fine-tune
+PHASE = re.compile(r"^\w+: (split failed: |level \d+ |pretraining failed at level \d+: |fine-tuning failed: )")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # as a user's run: a diverging value warns, it does not raise
+def test_every_one_key_override_that_builds_runs_one_epoch_or_names_the_failed_phase(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path, ran, found = tmp_path / "config.json", 0, []
+    for key in value_keys(DEFAULT_CONFIG):
+        for val in CONFIG_POOL:
+            path.write_text(json.dumps(laid([(key, val)], RUN_BASE)))
+            try:
+                built = experiment_from(load_config(str(path)))
+            except (ValueError, FileNotFoundError):  # the load-time sweeps check how it is refused
+                continue
+            ran += 1
+            try:
+                failures = run_experiment(*built)[1]["failures"]
+            except Exception as err:  # a run must record a failing trial, not raise
+                failures = {"run": repr(err)}
+            found += [(key, val, what) for what in failures.values() if not PHASE.match(what)]
+    assert ran == 64  # the base itself, and every pool value its key takes
+    assert found == []

@@ -39,7 +39,7 @@ def refuses(make, name: str, least: int, case: str) -> None:
 
 def labelled(rows=6, dim=2, seed=0):
     rng = np.random.default_rng(seed)
-    return Dataset(rng.uniform(size=(rows, dim)), np.arange(rows) % 2)
+    return Dataset(rng.uniform(size=(rows, dim)), np.arange(rows) % 2, (1, dim))
 
 
 AE_FIELDS = [("layer_sizes[1]", 1), ("n_neighbors", 1), ("epochs", 0), ("batch_size", 1), ("seed", 0)]

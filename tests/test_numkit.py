@@ -178,6 +178,21 @@ class TestSgdStep:
             assert np.array_equal(bad.weight, weight, equal_nan=True) and np.array_equal(bad.bias, bias)
 
 
+    @pytest.mark.parametrize("part", ["weight", "bias"])
+    def test_read_only_gradient_refused_before_any_layer_moves(self, part):
+        # the in-place scale cannot write it: refused up front, not after layer 0 moved
+        layers = [layer([[1.0]], [0.0]), layer([[1.0]], [0.0])]
+        good = LayerGrads(np.array([[1.0]]), np.array([1.0]))
+        bad = LayerGrads(np.array([[1.0]]), np.array([1.0]))
+        getattr(bad, part).flags.writeable = False
+        with pytest.raises(ValueError, match="^gradients at layer 1 are read-only$"):
+            sgd_step(layers, [good, bad], lr=0.1)
+        for l in layers:
+            assert l.weight.tolist() == [[1.0]] and l.bias.tolist() == [0.0]
+        for g in (good, bad):
+            assert g.weight.tolist() == [[1.0]] and g.bias.tolist() == [1.0]
+
+
 class TestGradCheck:
     def test_quadratic_is_exact(self):
         p = np.array([3.0])

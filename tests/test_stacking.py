@@ -8,6 +8,7 @@ import pytest
 
 from exae import exclusivity, stacking
 from exae.autoencoder import AEConfig, build_model, encode, model_parameters, total_loss, train
+from exae.dataio import synth_gaussian
 from exae.numkit import sgd_step
 from exae.stacking import (
     StackConfig,
@@ -74,6 +75,12 @@ class TestWeightRatio:
     def test_zero_current_norm_rejected(self):
         with pytest.raises(ValueError, match="zero norm"):
             weight_ratio(1.0, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("entry, norm", [(1e300, "inf"), (np.inf, "inf"), (np.nan, "nan")])
+    def test_current_norm_not_finite_rejected(self, entry, norm):
+        # an overflowed norm would read as ratio 0.0; the norm is taken with no overflow warning
+        with pytest.raises(ValueError, match=f"^current weight norm is not finite, got {norm}$"):
+            weight_ratio(1.0, np.full((2, 2), entry))
 
     @pytest.mark.parametrize("snapshot", [0.0, -1.0, np.nan, np.inf])
     def test_snapshot_not_finite_and_positive_rejected(self, snapshot):
@@ -401,6 +408,20 @@ def test_pretrain_error_names_level():
     bad = stack_cfg(dims=(8, 4, 2))
     with pytest.raises(RuntimeError, match="level 1"):
         train_stack(bad, np.full((12, 8), np.nan))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # as a user's run: overflow warns, it does not raise
+@pytest.mark.parametrize("band", [0.6, 1.0, np.inf])
+def test_fine_tune_whose_weight_norm_overflows_is_refused_at_every_band(band):
+    # at lr 1e308 the weights stay finite but their norm overflows: read as ratio 0.0,
+    # band 0.6 scaled them to zero and bands 1.0 and inf completed on them
+    rows = synth_gaussian(3, 8, 6, 0.12, 0).examples
+    levels = [level_cfg([8, 4], excl_weight=7.0, n_neighbors=3, epochs=1, batch_size=8),
+              level_cfg([4, 2], excl_weight=7.0, n_neighbors=3, epochs=1, batch_size=8, output_activation="relu")]
+    cfg = StackConfig(levels, band=band, finetune_epochs=1, finetune_lr=1e308, finetune_batch_size=8)
+    stacked, _ = train_stack(cfg, rows)
+    with pytest.raises(RuntimeError, match="^fine-tuning failed: current weight norm is not finite, got inf$"):
+        fine_tune(stacked, rows, cfg)
 
 
 def test_finetune_error_names_its_phase():
