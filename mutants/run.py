@@ -261,6 +261,20 @@ MUTANTS = [
         "tests/test_numkit.py::test_helper_failure_is_raised_in_the_caller",
     ),
     (
+        "helper-rule-dropped",  # a 1000-row job starts a helper that keeps its workspace and arena resident
+        "exae/numkit.py",
+        "    workers = ROW_BLOCK_WORKERS if n >= _HELPER_MIN_ROWS else 1\n",
+        "    workers = ROW_BLOCK_WORKERS\n",
+        "tests/test_numkit.py::test_helper_starts_only_for_jobs_of_the_threshold_rows",
+    ),
+    (
+        "helper-threshold-off-by-one",  # a job of exactly _HELPER_MIN_ROWS rows runs on the caller alone
+        "exae/numkit.py",
+        "if n >= _HELPER_MIN_ROWS else 1",
+        "if n > _HELPER_MIN_ROWS else 1",
+        "tests/test_numkit.py::test_helper_starts_only_for_jobs_of_the_threshold_rows",
+    ),
+    (
         "last-partial-block-skipped",  # rows past the last whole block are never computed
         "exae/numkit.py",
         "    for start in range(0, n, size):\n",
@@ -374,6 +388,20 @@ MUTANTS = [
         "    epochs = sgd_epochs(model, config.finetune, training_rows(model, dataset))\n    try:\n",
         "    try:\n        epochs = sgd_epochs(model, config.finetune, training_rows(model, dataset))\n",
         "tests/test_stacking.py::TestFineTune::test_non_finite_rows_rejected_before_any_work",
+    ),
+    (
+        "one-class-scored",  # k-NN over one label scores an untrained stack 1.0
+        "exae/evalharness.py",
+        "    if n_classes < 2:",
+        "    if False:",
+        f"{EVAL}::TestRunExperiment::test_one_class_refused_naming_the_count_before_any_training",
+    ),
+    (
+        "evaluation-failure-unnamed",  # a k-NN refusal after the fine-tune is recorded without its phase
+        "exae/evalharness.py",
+        '        raise ValueError(f"evaluation failed: {err}") from err\n',
+        "        raise\n",
+        f"{EVAL}::TestRunExperiment::test_features_past_the_knn_bound_name_the_evaluation_phase",
     ),
     (
         "trial-knn-k-unchecked",  # every trial trains in full before k-NN refuses its k

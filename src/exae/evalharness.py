@@ -251,11 +251,16 @@ class DataSpec:
 
 
 def load_data(spec: DataSpec):
-    """Returns (dataset, explicit_test_or_None). A test set whose rows are
-    not as wide as the dataset's is refused here, before any training."""
+    """Returns (dataset, explicit_test_or_None). A dataset of fewer than two
+    classes, and a test set whose rows are not as wide as the dataset's, are
+    refused here, before any training."""
     if spec.images is None:
-        return synth_gaussian(spec.classes, spec.dim, spec.per_class, spec.spread, spec.synth_seed), None
-    data = load_idx(spec.images, spec.labels)
+        data = synth_gaussian(spec.classes, spec.dim, spec.per_class, spec.spread, spec.synth_seed)
+    else:
+        data = load_idx(spec.images, spec.labels)
+    n_classes = np.unique(data.labels).size
+    if n_classes < 2:  # k-NN over one label scores 1.0 whatever the features
+        raise ValueError(f"classes must be >= 2 for k-NN to score, got {n_classes} in {spec.labels or 'the synth rows'}")
     if spec.test_images is None:
         return data, None
     test = load_idx(spec.test_images, spec.test_labels)
@@ -317,7 +322,7 @@ def trial_setup(config: ExperimentConfig, loaded, trial: int):
     except ValueError as err:  # named as train_stack names its level and fine_tune its phase
         raise ValueError(f"split failed: {err}") from err
     if config.knn_k > train_set.n:
-        raise ValueError(f"k={config.knn_k} out of range for {train_set.n} training rows")
+        raise ValueError(f"evaluation failed: k={config.knn_k} out of range for {train_set.n} training rows")
     levels = [replace(level, seed=seed) for level in config.stack.levels]
     return train_set, test_set, replace(config.stack, levels=levels, finetune_seed=seed)
 
@@ -327,13 +332,12 @@ def run_trial(config: ExperimentConfig, data: Dataset, test: Dataset | None, tri
     train_set, test_set, stack_cfg = trial_setup(config, (data, test), trial)
     stacked, pretrain_hist = train_stack(stack_cfg, train_set.examples)
     stacked, finetune_hist = fine_tune(stacked, train_set.examples, stack_cfg)
-    return MetricsRecord(
-        trial=trial,
-        pretrain=pretrain_hist,
-        finetune=finetune_hist,
-        accuracy=evaluate(stacked, train_set, test_set, config.knn_k, config.metric),
-        seconds=time.perf_counter() - started,
-    )
+    try:
+        acc = evaluate(stacked, train_set, test_set, config.knn_k, config.metric)
+    except ValueError as err:  # named as the split, each level and the fine-tune are
+        raise ValueError(f"evaluation failed: {err}") from err
+    return MetricsRecord(trial=trial, pretrain=pretrain_hist, finetune=finetune_hist, accuracy=acc,
+                         seconds=time.perf_counter() - started)
 
 
 def run_experiment(config: ExperimentConfig, loaded=None):

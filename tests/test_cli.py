@@ -194,7 +194,7 @@ def explicit_test_files(tmp_path):
         ({"eval": {"knn_k": 0}}, "knn_k must be >= 1, got 0"),
         ({"experiment": {"trials": 0}}, "trials must be >= 1, got 0"),
         ({"experiment": {"base_seed": -1}, "data": {"per_class_test": 3}}, "base_seed must be >= 0, got -1"),
-        ({"eval": {"knn_k": 40}}, "k=40 out of range for 16 training rows"),  # 2 classes x 8 training rows
+        ({"eval": {"knn_k": 40}}, "evaluation failed: k=40 out of range for 16 training rows"),  # 2 classes x 8 training rows
     ],
     ids=["metric-manhattan", "knn_k-0", "trials-0", "base_seed-negative", "knn_k-past-the-rows"],
 )

@@ -14,7 +14,7 @@ import pytest
 
 from exae import evalharness, numkit
 from exae.autoencoder import AEConfig, AEModel, build_model, encode, model_parameters
-from exae.dataio import Dataset, SplitSpec, split_per_class, synth_gaussian
+from exae.dataio import Dataset, SplitSpec, save_idx, split_per_class, synth_gaussian
 from exae.evalharness import (
     CheckpointError,
     _pairwise_dist,
@@ -132,6 +132,7 @@ class TestExtractFeatures:
         stacked = assemble([build_model(AEConfig(layer_sizes=[20, 12, 6], seed=4))])
         x = np.random.default_rng(5).uniform(size=(2 * FB + 3, 20))
         monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", 2)
+        monkeypatch.setattr(numkit, "_HELPER_MIN_ROWS", 1)  # 2 workers start the helper on this job
         threaded = extract_features(stacked, x)
         monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", 1)
         monkeypatch.setattr(evalharness, "_FEATURE_BLOCK_ROWS", FB // 2)
@@ -423,6 +424,7 @@ def test_knn_memory_is_per_block_not_full_matrix(monkeypatch):
     labels = rng.integers(0, 10, size=2000)
     queries = rng.normal(size=(4000, 16))
     full_matrix = queries.shape[0] * train.shape[0] * 8  # 61 MiB of float64 distances
+    monkeypatch.setattr(numkit, "_HELPER_MIN_ROWS", 1)  # 2 workers start the helper on this job
     for workers in (1, 2):  # two half blocks in flight hold what one whole block does
         monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", workers)
         tracemalloc.start()
@@ -461,6 +463,7 @@ def test_knn_same_predictions_at_one_and_two_workers(monkeypatch, metric):
     labels = rng.integers(0, 4, size=500)
     queries = collapsed_codes(rng, 3 * B + 5)  # tie-heavy, with a partial last block
     got = {}
+    monkeypatch.setattr(numkit, "_HELPER_MIN_ROWS", 1)  # 2 workers start the helper on this job
     for workers in (1, 2):
         monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", workers)
         got[workers] = knn_classify(train, labels, queries, k=3, metric=metric)
@@ -597,6 +600,7 @@ def test_knn_on_collapsed_codes_holds_under_two_blocks(monkeypatch):
     codes = collapsed_codes(rng, 3000, dim=128, live=0.02)
     train, queries, labels = codes[:2000], codes[2000:], rng.integers(0, 10, size=2000)
     two_blocks = 2 * B * train.shape[0] * 8
+    monkeypatch.setattr(numkit, "_HELPER_MIN_ROWS", 1)  # 2 workers start the helper on this job
     for workers in (1, 2):  # two half blocks in flight hold what one whole block does
         monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", workers)
         peak = traced_peak(knn_classify, train, labels, queries, 1)
@@ -609,6 +613,7 @@ def test_cosine_knn_on_collapsed_codes_holds_under_two_blocks(monkeypatch):
     codes = collapsed_codes(rng, 3000, dim=128, live=0.02)
     train, queries, labels = codes[:2000], codes[2000:], rng.integers(0, 10, size=2000)
     two_blocks = 2 * B * train.shape[0] * 8
+    monkeypatch.setattr(numkit, "_HELPER_MIN_ROWS", 1)  # 2 workers start the helper on this job
     for workers in (1, 2):
         monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", workers)
         peak = traced_peak(knn_classify, train, labels, queries, 1, "cosine")
@@ -723,7 +728,33 @@ class TestRunExperiment:
 
         monkeypatch.setattr(evalharness, "train_stack", no_training)
         _, summary = run_experiment(experiment_config(tmp_path, trials=2, knn_k=17))  # 16 training rows
-        assert summary["failures"] == {t: "ValueError: k=17 out of range for 16 training rows" for t in (0, 1)}
+        assert summary["failures"] == {
+            t: "ValueError: evaluation failed: k=17 out of range for 16 training rows" for t in (0, 1)}
+
+    def test_features_past_the_knn_bound_name_the_evaluation_phase(self, tmp_path, monkeypatch):
+        # codes shifted by 1e160 square past max/8: knn_classify refuses them after the fine-tune
+        codes = evalharness.extract_features
+        monkeypatch.setattr(evalharness, "extract_features", lambda stacked, data: codes(stacked, data) + 1e160)
+        _, summary = run_experiment(experiment_config(tmp_path))
+        assert summary["completed"] == 0
+        for what in summary["failures"].values():
+            assert what.startswith("ValueError: evaluation failed: train row 0 is past the euclidean bound"), what
+
+    @pytest.mark.parametrize("source", ["synth", "idx"])
+    def test_one_class_refused_naming_the_count_before_any_training(self, tmp_path, monkeypatch, source):
+        def no_training(*args):
+            raise AssertionError("a trial trained before the refusal")
+
+        monkeypatch.setattr(evalharness, "train_stack", no_training)
+        data, where = DataSpec(classes=1, dim=6, per_class=12, spread=0.08), "the synth rows"
+        if source == "idx":  # two classes of rows, every label 0
+            rows = synth_gaussian(2, 6, 12, 0.08, 0)
+            where = str(tmp_path / "labels")
+            save_idx(Dataset(rows.examples, np.zeros(rows.n, dtype=np.int64), rows.image_shape), tmp_path / "images", where)
+            data = DataSpec(images=str(tmp_path / "images"), labels=where)
+        with pytest.raises(ValueError, match=f"^classes must be >= 2 for k-NN to score, got 1 in {re.escape(where)}$"):
+            run_experiment(experiment_config(tmp_path / "out", data=data))
+        assert not (tmp_path / "out").exists()
 
     def test_trial_setup_seeds_every_phase_with_base_seed_plus_trial(self, tmp_path):
         levels = [small_stack_cfg(6, latent=4).levels[0], small_stack_cfg(4, latent=3).levels[0]]

@@ -358,6 +358,7 @@ class TestBuildContext:
 
     def test_table_memory_is_per_block(self, monkeypatch):
         data = sparse_rows()
+        monkeypatch.setattr(numkit, "_HELPER_MIN_ROWS", 1)  # 2 workers start the helper on this job
         for workers in (1, 2):  # two half blocks in flight hold what one whole block does
             monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", workers)
             peak = traced_peak(build_context, data, 6)
@@ -372,6 +373,7 @@ class TestBuildContext:
         data[n - 50 :] = data[rng.integers(0, n - 50, size=50)]
         data[rng.choice(n, size=6, replace=False)] = 0.0
         tables = {}
+        monkeypatch.setattr(numkit, "_HELPER_MIN_ROWS", 1)  # 2 workers start the helper on this job
         for workers in (1, 2):
             monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", workers)
             tables[workers] = build_context(data, m).neighbors

@@ -23,9 +23,10 @@ must be opened, and so refused, not built around. Each synth key, at each
 pool value, beside the data files is refused naming it unless it holds its
 default, as the files leave it unread.
 
-Each one-key override that builds, laid over a tiny one-epoch base, runs its
-experiment to the end with RuntimeWarnings ignored, as a user's run leaves
-them: every trial completes or is recorded as failed naming its phase. A
+Each one-key override that builds in the load sweep (one list, built once for
+both sweeps), laid over a tiny one-epoch base, runs its experiment to the end
+with RuntimeWarnings ignored, as a user's run leaves them: every trial
+completes or is recorded as failed naming its phase. A
 finite lr of 1e308 gets no load-time bound; it diverges in its first epoch
 and the trial names the phase it failed in.
 """
@@ -217,6 +218,7 @@ def test_neighbor_table_equals_oracle_on_hostile_sets(monkeypatch, seed):
     # top_m_neighbors(j, m) is the first m of top_m_neighbors(j, n - 1): one sort
     oracle = np.array([top_m_neighbors(data, j, n - 1) for j in range(n)]).reshape(n, n - 1)
     widths = fallback_widths(monkeypatch)
+    monkeypatch.setattr(numkit, "_HELPER_MIN_ROWS", 1)  # 2 workers start the helper on these jobs
     for m in sorted({1, min(6, n - 1), n - 1}):
         for workers in (1, 2):
             monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", workers)
@@ -237,6 +239,7 @@ def test_knn_equals_full_sort_on_hostile_sets(monkeypatch, metric, seed):
     feats = hostile_rows(rng, n + [5, 60, 130, 250][seed], edge)
     train, queries = feats[:n], feats[n:]
     labels = rng.integers(0, 3, size=n)
+    monkeypatch.setattr(numkit, "_HELPER_MIN_ROWS", 1)  # 2 workers start the helper on these jobs
     for k in sorted({1, min(6, n), n}):  # k = n sums n distances of up to max/2 at the euclidean bound
         for workers in (1, 2):  # the oracle ranks the distances of the same row blocks
             monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", workers)
@@ -275,22 +278,23 @@ def laid(override, base=None):
 
 
 def escape(path, override):
-    """What the override, a list of (dotted key, value) written to path, did, or None
-    when it built its ExperimentConfig naming no file, raised a ValueError naming one
-    of its keys' last parts (so finetune.lr may be named lr or finetune.lr, and
-    output.dir out_dir), or failed to open a file it names. The sweeps run where no
-    file the pool names exists, so a config that names one and builds never read it."""
+    """(what the override, a list of (dotted key, value) written to path, did, whether
+    it built). What is None when it built its ExperimentConfig naming no file, raised a
+    ValueError naming one of its keys' last parts (so finetune.lr may be named lr or
+    finetune.lr, and output.dir out_dir), or failed to open a file it names. The sweeps
+    run where no file the pool names exists, so a config that names one and builds never read it."""
     path.write_text(json.dumps(laid(override)))
     try:
         exp, _ = experiment_from(load_config(str(path)))
     except FileNotFoundError as err:  # a path the config names is opened, and no synth setting is set beside it
         unread = [key for key, val in override if key in SYNTH_KEYS and val != DEFAULT_CONFIG["data"][key[5:]]]
-        return None if not unread and any(err.filename == val for _, val in override) else f"{err!r}, {unread} unread"
+        opened = not unread and any(err.filename == val for _, val in override)
+        return (None if opened else f"{err!r}, {unread} unread"), False
     except Exception as err:  # another type is what the sweep looks for, so it is recorded
         named = any(key.rpartition(".")[2] in str(err) for key, _ in override)
-        return None if isinstance(err, ValueError) and named else repr(err)
+        return (None if isinstance(err, ValueError) and named else repr(err)), False
     unread = [name for name in PATHS if getattr(exp.data, name) is not None]
-    return f"built without reading {unread}" if unread else None
+    return (f"built without reading {unread}" if unread else None), True
 
 
 # the data paths and the data-file keys, and the pool's one string: a path that names no file
@@ -303,15 +307,27 @@ N_PAIRS = 300
 
 def sweep(tmp_path, overrides):
     """(override, what it did) of each override that escapes."""
-    found = [(override, escape(tmp_path / "config.json", override)) for override in overrides]
+    found = [(override, escape(tmp_path / "config.json", override)[0]) for override in overrides]
     return [(override, what) for override, what in found if what is not None]
 
 
-def test_every_one_key_config_override_builds_or_is_refused_naming_its_field(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    keys = list(value_keys(DEFAULT_CONFIG))
-    assert len(keys) == 27
-    assert sweep(tmp_path, [[(key, val)] for key in keys for val in CONFIG_POOL]) == []
+# every one-key override of the default config, at each pool value
+ONE_KEY = [[(key, val)] for key in value_keys(DEFAULT_CONFIG) for val in CONFIG_POOL]
+
+
+@pytest.fixture(scope="module")
+def one_key_escapes(tmp_path_factory):
+    """escape(...) of each ONE_KEY override, taken once: the load sweep checks what
+    each did, and the run sweep runs those that built over its one-epoch base."""
+    where = tmp_path_factory.mktemp("one-key")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(where)
+        return [escape(where / "config.json", override) for override in ONE_KEY]
+
+
+def test_every_one_key_config_override_builds_or_is_refused_naming_its_field(one_key_escapes):
+    assert len(list(value_keys(DEFAULT_CONFIG))) == 27
+    assert [(override, what) for override, (what, _) in zip(ONE_KEY, one_key_escapes) if what is not None] == []
 
 
 def test_sampled_two_key_config_overrides_build_or_are_refused_naming_a_field(tmp_path, monkeypatch):
@@ -340,26 +356,31 @@ RUN_BASE = {
     "experiment": {"trials": 1},
 }
 # a trial failure names its phase: the split, a pretraining level (refused before
-# level 1 trains, or failed while it trains), or the fine-tune
-PHASE = re.compile(r"^\w+: (split failed: |level \d+ |pretraining failed at level \d+: |fine-tuning failed: )")
+# level 1 trains, or failed while it trains), the fine-tune, or the evaluation
+PHASE = re.compile(
+    r"^\w+: (split failed: |level \d+ |pretraining failed at level \d+: |fine-tuning failed: |evaluation failed: )")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # as a user's run: a diverging value warns, it does not raise
-def test_every_one_key_override_that_builds_runs_one_epoch_or_names_the_failed_phase(tmp_path, monkeypatch):
+def test_every_one_key_override_that_builds_runs_one_epoch_or_names_the_failed_phase(
+        tmp_path, monkeypatch, one_key_escapes):
     monkeypatch.chdir(tmp_path)
     path, ran, found = tmp_path / "config.json", 0, []
-    for key in value_keys(DEFAULT_CONFIG):
-        for val in CONFIG_POOL:
-            path.write_text(json.dumps(laid([(key, val)], RUN_BASE)))
-            try:
-                built = experiment_from(load_config(str(path)))
-            except (ValueError, FileNotFoundError):  # the load-time sweeps check how it is refused
-                continue
-            ran += 1
-            try:
-                failures = run_experiment(*built)[1]["failures"]
-            except Exception as err:  # a run must record a failing trial, not raise
-                failures = {"run": repr(err)}
-            found += [(key, val, what) for what in failures.values() if not PHASE.match(what)]
-    assert ran == 64  # the base itself, and every pool value its key takes
+    for override, (_, built) in zip(ONE_KEY, one_key_escapes):
+        if not built:  # refused at load: the load sweep checks how
+            continue
+        path.write_text(json.dumps(laid(override, RUN_BASE)))
+        try:
+            exp = experiment_from(load_config(str(path)))
+        except ValueError:  # data.dim 1 and 3 do not start the base's stack.sizes
+            continue
+        ran += 1
+        try:
+            failures = run_experiment(*exp)[1]["failures"]
+        except Exception as err:  # a run must record a failing trial, not raise
+            failures = {"run": repr(err)}
+        found += [(override, what) for what in failures.values() if not PHASE.match(what)]
+    # the base itself (data.classes 3, among others), and every pool value its key takes
+    # that builds over the default config: stack.sizes [8, 4, 2] there is the base over it
+    assert ran == 62
     assert found == []

@@ -356,6 +356,8 @@ def test_module_count_is_this_process_rule():
 @pytest.fixture(params=[1, 2])
 def workers(request, monkeypatch):
     monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", request.param)
+    if request.param == 2:  # these jobs of a few rows start the helper
+        monkeypatch.setattr(numkit, "_HELPER_MIN_ROWS", 1)
     return request.param
 
 
@@ -408,6 +410,7 @@ def test_block_failure_reraised_and_no_thread_left(workers):
 
 def test_helper_failure_is_raised_in_the_caller(monkeypatch):
     monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", 2)
+    monkeypatch.setattr(numkit, "_HELPER_MIN_ROWS", 1)
     both = threading.Barrier(2)  # each of the two blocks runs on its own thread
 
     def fail_off_the_caller(start, stop):
@@ -421,6 +424,7 @@ def test_helper_failure_is_raised_in_the_caller(monkeypatch):
 
 def test_helper_runs_under_the_callers_error_state(monkeypatch):
     monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", 2)
+    monkeypatch.setattr(numkit, "_HELPER_MIN_ROWS", 1)
     both = threading.Barrier(2)
     states = []
 
@@ -434,9 +438,8 @@ def test_helper_runs_under_the_callers_error_state(monkeypatch):
     assert states == ["ignore", "ignore"]
 
 
-@pytest.mark.parametrize("workers, n, threads", [(1, 64, 0), (2, 4, 0), (2, 64, 1)])
-def test_threads_start_only_with_two_workers_and_blocks(monkeypatch, workers, n, threads):
-    monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", workers)
+def started_threads(monkeypatch, n):
+    """The threads map_row_blocks starts for a job of n rows in 8-row blocks."""
     started = []
 
     class Counted(threading.Thread):
@@ -446,7 +449,31 @@ def test_threads_start_only_with_two_workers_and_blocks(monkeypatch, workers, n,
 
     monkeypatch.setattr(numkit.threading, "Thread", Counted)
     map_row_blocks(lambda start, stop: None, n, 8)
-    assert len(started) == threads
+    return len(started)
+
+
+@pytest.mark.parametrize("workers, n, threads", [(1, 64, 0), (2, 4, 0), (2, 64, 1)])
+def test_threads_start_only_with_two_workers_and_blocks(monkeypatch, workers, n, threads):
+    monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", workers)
+    monkeypatch.setattr(numkit, "_HELPER_MIN_ROWS", 1)
+    assert started_threads(monkeypatch, n) == threads
+
+
+@pytest.mark.parametrize("n, threads", [(numkit._HELPER_MIN_ROWS - 1, 0), (numkit._HELPER_MIN_ROWS, 1)])
+def test_helper_starts_only_for_jobs_of_the_threshold_rows(monkeypatch, n, threads):
+    # the A6 protocol's 1000- to 2000-row jobs run on the caller, a 10000-query evaluation on two threads
+    monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", 2)
+    assert started_threads(monkeypatch, n) == threads
+
+
+def test_job_under_the_threshold_runs_every_part_in_order_on_the_caller(monkeypatch):
+    # the parts of two workers, so the same products and bytes, one after another
+    monkeypatch.setattr(numkit, "ROW_BLOCK_WORKERS", 2)
+    n, seen = numkit._HELPER_MIN_ROWS - 1, []
+    map_row_blocks(lambda start, stop: seen.append((start, stop, threading.current_thread())), n, 8)
+    assert [(a, b) for a, b, _ in seen] == row_blocks(n, 8)
+    assert max(b - a for a, b, _ in seen) == 4  # two workers' half blocks
+    assert {thread for _, _, thread in seen} == {threading.current_thread()}
 
 
 def test_many_workers_take_every_block_once(monkeypatch):
