@@ -7,9 +7,12 @@ Run from anywhere. Each entry of MUTANTS names a file under src/, an exact
 piece of its text, the text that replaces it, and a pytest selector. For
 every entry the runner copies src/ to a temporary directory, makes the one
 replacement there (the working tree is never written) and runs the selector
-against the copy. It exits non-zero when an entry's old text is not found
-exactly once (the entry is stale), when a selector fails on the unmutated
-source (the check proves nothing), or when a mutant survives.
+against the copy. The fingerprint test compares with digests that the runner
+first records from the unmutated source in a temporary file, so a mutant that
+changes a byte is caught on any numpy and BLAS. It exits non-zero when an
+entry's old text is not found exactly once (the entry is stale), when a
+selector fails on the unmutated source (the check proves nothing), or when a
+mutant survives.
 """
 
 from __future__ import annotations
@@ -300,7 +303,7 @@ MUTANTS = [
         "exae/stacking.py",
         "        if level.excl_weight != 0.0 and level.n_neighbors >= n:",
         "        if False:",
-        "tests/test_cli.py::test_stack_refuses_neighbors_past_the_rows_and_writes_nothing",
+        "tests/test_cli.py::test_experiment_records_neighbors_past_the_rows_and_leaves_no_model",
     ),
     (
         "stack-neighbors-at-weight-zero",  # a level that builds no neighbor table is refused for its width
@@ -310,21 +313,49 @@ MUTANTS = [
         "tests/test_stacking.py::test_neighbors_past_the_rows_allowed_at_weight_zero",
     ),
     (
-        "stack-out-dir-early",  # a refused stack leaves an empty output directory behind
-        "exae/cli.py",
-        "    stacked, histories = train_stack(stack_cfg, train_set.examples)\n    out = _out_dir(exp)\n",
-        "    out = _out_dir(exp)\n    stacked, histories = train_stack(stack_cfg, train_set.examples)\n",
-        "tests/test_cli.py::test_stack_refuses_neighbors_past_the_rows_and_writes_nothing",
+        "experiment-out-dir-early",  # a refused experiment leaves an empty output directory behind
+        "exae/evalharness.py",
+        "    data, test = load_data(config.data) if loaded is None else loaded\n"
+        "    out_dir = Path(config.out_dir)\n    out_dir.mkdir(parents=True, exist_ok=True)\n",
+        "    out_dir = Path(config.out_dir)\n    out_dir.mkdir(parents=True, exist_ok=True)\n"
+        "    data, test = load_data(config.data) if loaded is None else loaded\n",
+        f"{EVAL}::TestRunExperiment::test_unreadable_data_leaves_no_output_dir",
     ),
     (
-        "pretrain-rows-unchecked",  # stack draws its rows past the k-NN row check
+        "eval-rows-unchecked",  # eval draws its rows past the k-NN row check: k past the rows fails unnamed
         "exae/cli.py",
-        "    train_set, _, stack_cfg = trial_setup(exp, loaded, 0)\n    stacked, histories = ",
+        "    train_set, test_set, _ = trial_setup(exp, loaded, 0)\n",
         "    from .dataio import train_test_rows\n"
-        "    train_set, _ = train_test_rows(*loaded, exp.split, exp.data.per_class_test, exp.base_seed)\n"
-        "    stack_cfg = exp.stack\n"
-        "    stacked, histories = ",
+        "    train_set, test_set = train_test_rows(*loaded, exp.split, exp.data.per_class_test, exp.base_seed)\n",
         "tests/test_cli.py::test_stage_commands_refuse_what_experiment_refuses_before_any_work",
+    ),
+    (
+        "model-from-last-trial",  # model.ckpt holds the last trial's stack: eval no longer scores accuracies[0]
+        "exae/evalharness.py",
+        "        if trial == 0:  # after the trial's timer stopped",
+        "        if trial == config.trials - 1:  # after the trial's timer stopped",
+        "tests/test_cli.py::test_model_is_trial_zero_and_eval_reproduces_it_at_a_nonzero_base_seed",
+    ),
+    (
+        "stale-model-kept",  # a run whose trial 0 fails leaves an earlier run's model.ckpt for eval to score
+        "exae/evalharness.py",
+        '    (out_dir / "model.ckpt").unlink(missing_ok=True)',
+        "    pass",
+        "tests/test_cli.py::test_experiment_records_neighbors_past_the_rows_and_leaves_no_model",
+    ),
+    (
+        "trial-model-held",  # trial t's stack stays alive while trial t + 1 trains: one more model in memory
+        "exae/evalharness.py",
+        "        del stacked  # no trial's model is held while the next one trains\n",
+        "",
+        f"{EVAL}::TestRunExperiment::test_no_trial_model_is_held_while_the_next_trial_runs",
+    ),
+    (
+        "model-header-config-dropped",  # model.ckpt's header holds config: null, not the run's settings
+        "exae/cli.py",
+        "run_experiment(*experiment_from(cfg), cfg)",
+        "run_experiment(*experiment_from(cfg))",
+        "tests/test_cli.py::test_model_is_trial_zero_and_eval_reproduces_it_at_a_nonzero_base_seed",
     ),
     (
         "trial-finetune-seed-dropped",  # every trial fine-tunes with seed 0 whatever its base_seed + t
@@ -721,14 +752,24 @@ MUTANTS = [
         "        raise\n",
         f"{EVAL}::TestRunExperiment::test_failed_trial_recorded_and_rest_proceed",
     ),
+    (
+        "breakdown-average-summed-in-python",  # one reduction rounds otherwise: A7's two runs still agree
+        "exae/autoencoder.py",
+        "        name: float(np.dot(weights, [getattr(r, name) for r in records]))\n",
+        "        name: float(sum(w * getattr(r, name) for w, r in zip(weights, records)))\n",
+        "tests/test_fingerprints.py::test_outputs_match_the_recorded_digests",
+    ),
 ]
 
 
-def run_pytest(src: Path, selectors: list) -> tuple:
-    """(exit code, output tail) of pytest run on selectors against the package in src."""
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *selectors]
-    done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+PYTEST = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+
+
+def run_python(src: Path, args: list, fingerprints: Path) -> tuple:
+    """(exit code, output tail) of python args, run from the repo root against the package
+    in src; tests/test_fingerprints.py reads and records its digests in fingerprints."""
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", EXAE_FINGERPRINTS=str(fingerprints))
+    done = subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True)
     return done.returncode, "\n".join((done.stdout + done.stderr).splitlines()[-15:])
 
 
@@ -740,8 +781,12 @@ def main(argv: list) -> int:
         return 2
     problems = []
     with tempfile.TemporaryDirectory() as tmp:
-        src = Path(tmp) / "src"
-        code, tail = run_pytest(ROOT / "src", sorted({m[4] for m in chosen}))
+        src, fingerprints = Path(tmp) / "src", Path(tmp) / "fingerprints.json"
+        # this environment's digests of the unmutated source: a mutant that changes a byte
+        # then fails tests/test_fingerprints.py even where tests/fingerprints.json has no entry
+        code, tail = run_python(ROOT / "src", ["tests/test_fingerprints.py", "--record"], fingerprints)
+        if code == 0:
+            code, tail = run_python(ROOT / "src", [*PYTEST, *sorted({m[4] for m in chosen})], fingerprints)
         if code != 0:
             print(f"{tail}\nselectors fail on the unmutated source")
             return 1
@@ -756,7 +801,7 @@ def main(argv: list) -> int:
                 print(f"{name}: STALE, old text found {text.count(old)} times in {rel}")
                 continue
             target.write_text(text.replace(old, new))
-            code, tail = run_pytest(src, [selector])
+            code, tail = run_python(src, [*PYTEST, selector], fingerprints)
             verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
             if code != 1:  # 1: some test failed; 0 or a usage/collection error is not a kill
                 problems.append(name)

@@ -14,8 +14,10 @@ ExperimentConfig from it (experiment_from) before any training. The sections:
   experiment: ExperimentConfig: trials and base_seed (trial t's seed is base_seed + t)
   output:     ExperimentConfig: dir (out_dir) for metrics/checkpoints
 
-Subcommands: synth, stack, finetune, eval (these three run trial 0), experiment.
-finetune and eval refuse a checkpoint whose levels the stack section does not build.
+Subcommands: synth; experiment, which runs every trial and saves trial 0's
+fine-tuned stack, with this config in its header, as <output.dir>/model.ckpt;
+and eval, which scores a checkpoint on trial 0's rows. eval refuses a checkpoint
+whose levels the stack section does not build.
 """
 
 from __future__ import annotations
@@ -29,20 +31,8 @@ from pathlib import Path
 
 from .autoencoder import AEConfig
 from .dataio import SplitSpec, save_idx
-from .evalharness import (
-    DataSpec,
-    ExperimentConfig,
-    check_levels,
-    evaluate,
-    load_checkpoint,
-    load_data,
-    run_experiment,
-    save_checkpoint,
-    trial_setup,
-    write_metrics,
-    MetricsRecord,
-)
-from .stacking import StackConfig, fine_tune, train_stack
+from .evalharness import DataSpec, ExperimentConfig, check_levels, evaluate, load_checkpoint, load_data, run_experiment, trial_setup
+from .stacking import StackConfig
 
 # config key -> dataclass field, where the two names differ
 RENAMED = {
@@ -150,46 +140,12 @@ def experiment_from(cfg: dict):
     return exp, loaded
 
 
-def _out_dir(exp: ExperimentConfig) -> Path:
-    out = Path(exp.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def cmd_synth(cfg: dict, args) -> int:
     exp, (data, _) = experiment_from(cfg)
-    out = _out_dir(exp)
+    out = Path(exp.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     save_idx(data, out / "synth-images-idx3-ubyte", out / "synth-labels-idx1-ubyte")
     print(f"wrote {data.n} rows of dim {data.dim} to {out}/synth-*-ubyte")
-    return 0
-
-
-def cmd_stack(cfg: dict, args) -> int:
-    exp, loaded = experiment_from(cfg)
-    train_set, _, stack_cfg = trial_setup(exp, loaded, 0)
-    stacked, histories = train_stack(stack_cfg, train_set.examples)
-    out = _out_dir(exp)
-    save_checkpoint(stacked, out / "stack.ckpt", config=cfg)
-    record = MetricsRecord(trial=0, pretrain=histories, finetune=[], accuracy=None, seconds=0.0)
-    write_metrics([record], out / "stack-metrics.csv")
-    print(f"pretrained {stack_cfg.n_levels} level(s); checkpoint: {out / 'stack.ckpt'}")
-    return 0
-
-
-def cmd_finetune(cfg: dict, args) -> int:
-    exp, loaded = experiment_from(cfg)
-    train_set, _, stack_cfg = trial_setup(exp, loaded, 0)
-    stacked = check_levels(load_checkpoint(args.checkpoint), stack_cfg.levels, args.checkpoint)
-    stacked, history = fine_tune(stacked, train_set.examples, stack_cfg)
-    out = _out_dir(exp)
-    save_checkpoint(stacked, out / "finetuned.ckpt", config=cfg)
-    record = MetricsRecord(trial=0, pretrain=[], finetune=history, accuracy=None, seconds=0.0)
-    write_metrics([record], out / "finetune-metrics.csv")
-    if history:
-        ratios = history[-1].ratios
-        print(f"fine-tuned {len(history)} epochs; ratio range "
-              f"[{min(ratios):.4f}, {max(ratios):.4f}]")
-    print(f"checkpoint: {out / 'finetuned.ckpt'}")
     return 0
 
 
@@ -203,7 +159,7 @@ def cmd_eval(cfg: dict, args) -> int:
 
 
 def cmd_experiment(cfg: dict, args) -> int:
-    records, summary = run_experiment(*experiment_from(cfg))
+    records, summary = run_experiment(*experiment_from(cfg), cfg)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0 if not summary["partial"] else 1
 
@@ -217,14 +173,10 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("synth", help="write a synthetic Gaussian-blob fixture as IDX files").set_defaults(run=cmd_synth)
-    sub.add_parser("stack", help="pretrain all levels and assemble the deep model").set_defaults(run=cmd_stack)
-    p = sub.add_parser("finetune", help="fine-tune an assembled checkpoint under the norm band")
-    p.add_argument("checkpoint")
-    p.set_defaults(run=cmd_finetune)
     p = sub.add_parser("eval", help="extract features from a checkpoint and run k-NN")
     p.add_argument("checkpoint")
     p.set_defaults(run=cmd_eval)
-    sub.add_parser("experiment", help="run the full repeated-trial protocol").set_defaults(run=cmd_experiment)
+    sub.add_parser("experiment", help="run every trial; save trial 0's model as model.ckpt").set_defaults(run=cmd_experiment)
 
     args = parser.parse_args(argv)
     return args.run(load_config(args.config), args)

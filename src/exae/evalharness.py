@@ -294,19 +294,16 @@ class ExperimentConfig:
 
 @dataclass
 class MetricsRecord:
-    """Everything measured in one trial.
-
-    accuracy is None for training-only runs that never evaluated.
-    """
+    """Everything measured in one trial."""
 
     trial: int
     pretrain: list  # per level: list of LossBreakdown
     finetune: list  # list of FinetuneEpoch
-    accuracy: float | None
+    accuracy: float
     seconds: float
 
     def __post_init__(self):
-        if self.accuracy is not None and not 0.0 <= self.accuracy <= 1.0:
+        if not 0.0 <= self.accuracy <= 1.0:
             raise ValueError(f"accuracy {self.accuracy} outside [0, 1]")
 
 
@@ -327,7 +324,7 @@ def trial_setup(config: ExperimentConfig, loaded, trial: int):
     return train_set, test_set, replace(config.stack, levels=levels, finetune_seed=seed)
 
 
-def run_trial(config: ExperimentConfig, data: Dataset, test: Dataset | None, trial: int) -> MetricsRecord:
+def run_trial(config: ExperimentConfig, data: Dataset, test: Dataset | None, trial: int) -> tuple[MetricsRecord, StackedModel]:
     started = time.perf_counter()
     train_set, test_set, stack_cfg = trial_setup(config, (data, test), trial)
     stacked, pretrain_hist = train_stack(stack_cfg, train_set.examples)
@@ -337,27 +334,35 @@ def run_trial(config: ExperimentConfig, data: Dataset, test: Dataset | None, tri
     except ValueError as err:  # named as the split, each level and the fine-tune are
         raise ValueError(f"evaluation failed: {err}") from err
     return MetricsRecord(trial=trial, pretrain=pretrain_hist, finetune=finetune_hist, accuracy=acc,
-                         seconds=time.perf_counter() - started)
+                         seconds=time.perf_counter() - started), stacked
 
 
-def run_experiment(config: ExperimentConfig, loaded=None):
-    """All trials, metrics files, and the accuracy summary.
+def run_experiment(config: ExperimentConfig, loaded=None, header_config: dict | None = None):
+    """All trials, metrics files, the accuracy summary, and trial 0's model.
 
     loaded is the (dataset, test) pair load_data(config.data) returns, for
     a caller that has already read the data; None reads it here.
     Returns (records, summary). A failing trial is recorded in
-    summary["failures"] and the remaining trials still run.
+    summary["failures"] and the remaining trials still run. Trial 0's
+    fine-tuned stack is saved as out_dir/model.ckpt, with header_config as
+    its header's config; if trial 0 fails, no model.ckpt is left.
     """
     data, test = load_data(config.data) if loaded is None else loaded
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "model.ckpt").unlink(missing_ok=True)  # never an earlier run's model
 
     records, failures = [], {}
     for trial in range(config.trials):
         try:
-            records.append(run_trial(config, data, test, trial))
+            record, stacked = run_trial(config, data, test, trial)
         except Exception as err:
             failures[trial] = f"{type(err).__name__}: {err}"
+            continue
+        records.append(record)
+        if trial == 0:  # after the trial's timer stopped: timings.csv times the trial alone
+            save_checkpoint(stacked, out_dir / "model.ckpt", config=header_config)
+        del stacked  # no trial's model is held while the next one trains
     accs = [r.accuracy for r in records]
     summary = {
         "trials": config.trials,
@@ -387,8 +392,7 @@ def write_metrics(records: list, path) -> None:
             for epoch, b in enumerate(history):
                 vals = ",".join(repr(getattr(b, name)) for name in LossBreakdown.FIELDS)
                 lines.append(f"{rec.trial},{phase},{epoch},{vals},")
-        if rec.accuracy is not None:
-            lines.append(f"{rec.trial},result,," + "," * len(LossBreakdown.FIELDS) + repr(rec.accuracy))
+        lines.append(f"{rec.trial},result,," + "," * len(LossBreakdown.FIELDS) + repr(rec.accuracy))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -11,8 +11,8 @@ from exae import cli, stacking
 from exae.autoencoder import AEConfig
 from exae.cli import DEFAULT_CONFIG, experiment_from, level_configs_from, load_config, main
 from exae.dataio import Dataset, SplitSpec, load_idx, save_idx
-from exae.evalharness import DataSpec
-from exae.stacking import StackConfig
+from exae.evalharness import DataSpec, save_checkpoint, trial_setup
+from exae.stacking import StackConfig, fine_tune, train_stack
 
 
 def tiny_config(tmp_path, **overrides):
@@ -83,13 +83,14 @@ def test_renamed_keys_reach_their_fields(tmp_path, monkeypatch):
     assert (stack.finetune_epochs, stack.finetune_lr, stack.finetune_batch_size) == (3, 0.01, 4)
     seen = []
 
-    def capture(exp, loaded):
-        seen.append(exp)
+    def capture(exp, loaded, header_config):
+        seen.append((exp, header_config))
         return [], {"partial": False}
 
     monkeypatch.setattr(cli, "run_experiment", capture)
     assert main(["--config", str(path), "experiment"]) == 0
-    (exp,) = seen
+    ((exp, header_config),) = seen
+    assert header_config == load_config(str(path))  # model.ckpt embeds the config as loaded
     assert (exp.knn_k, exp.metric, exp.trials, exp.base_seed) == (3, "cosine", 2, 0)
     assert exp.out_dir == str(tmp_path / "out")
     assert exp.stack == stack
@@ -138,42 +139,32 @@ def test_synth_keeps_the_image_shape_of_idx_files(tmp_path, capsys):
     assert load_idx(out / "synth-images-idx3-ubyte", out / "synth-labels-idx1-ubyte").image_shape == (2, 3)
 
 
-def test_train_stack_finetune_eval_pipeline(tmp_path, capsys):
-    path = tiny_config(tmp_path)
-    out = tmp_path / "out"
-
-    assert main(["--config", str(path), "stack"]) == 0
-    assert (out / "stack.ckpt").exists()
-
-    assert main(["--config", str(path), "finetune", str(out / "stack.ckpt")]) == 0
-    assert (out / "finetuned.ckpt").exists()
-
-    assert main(["--config", str(path), "eval", str(out / "finetuned.ckpt")]) == 0
-    captured = capsys.readouterr()
-    assert "accuracy:" in captured.out
-
-
-@pytest.mark.parametrize("command", ["stack", "experiment"])
+@pytest.mark.parametrize("command", ["eval", "experiment"])
 def test_bad_finetune_value_refused_under_its_config_key_before_pretraining(tmp_path, command):
     path = tiny_config(tmp_path, finetune={"lr": 0})
+    args = [command, "none.ckpt"] if command == "eval" else [command]
     with pytest.raises(ValueError, match=r"^finetune\.lr must be positive and finite, got 0$"):
-        main(["--config", str(path), command])
+        main(["--config", str(path), *args])
     assert not (tmp_path / "out").exists()
 
 
-def test_stack_refuses_neighbors_past_the_rows_and_writes_nothing(tmp_path):
-    # 2 classes x 8 training rows
+def test_experiment_records_neighbors_past_the_rows_and_leaves_no_model(tmp_path):
+    # 2 classes x 8 training rows; an earlier run's model.ckpt goes, so eval cannot score it
     path = tiny_config(tmp_path, stack={"n_neighbors": 40})
-    with pytest.raises(ValueError, match=r"^level 1 n_neighbors=40 needs at least 41 rows, have 16$"):
-        main(["--config", str(path), "stack"])
-    assert not (tmp_path / "out").exists()
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "model.ckpt").write_bytes(b"an earlier run's model")
+    assert main(["--config", str(path), "experiment"]) == 1
+    failures = json.loads((out / "summary.json").read_text())["failures"]
+    assert failures == {t: "ValueError: level 1 n_neighbors=40 needs at least 41 rows, have 16" for t in ("0", "1")}
+    assert not (out / "model.ckpt").exists()
 
 
 @pytest.fixture(scope="module")
 def stack_checkpoint(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("checkpoint")
-    assert main(["--config", str(tiny_config(tmp)), "stack"]) == 0
-    return tmp / "out" / "stack.ckpt"
+    assert main(["--config", str(tiny_config(tmp)), "experiment"]) == 0
+    return tmp / "out" / "model.ckpt"
 
 
 def explicit_test_files(tmp_path):
@@ -198,7 +189,7 @@ def explicit_test_files(tmp_path):
     ],
     ids=["metric-manhattan", "knn_k-0", "trials-0", "base_seed-negative", "knn_k-past-the-rows"],
 )
-@pytest.mark.parametrize("command", ["stack", "finetune", "eval"])
+@pytest.mark.parametrize("command", ["eval"])
 def test_stage_commands_refuse_what_experiment_refuses_before_any_work(
         tmp_path, stack_checkpoint, overrides, refused, command):
     overrides = {**overrides, "output": {"dir": str(tmp_path / "experiment")}}
@@ -212,9 +203,8 @@ def test_stage_commands_refuse_what_experiment_refuses_before_any_work(
         experiment_says = f"ValueError: {err}"
     assert experiment_says == f"ValueError: {refused}"
     path = tiny_config(tmp_path, **{**overrides, "output": {"dir": str(tmp_path / "out")}})
-    args = [command, str(stack_checkpoint)] if command in ("finetune", "eval") else [command]
     with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
-        main(["--config", str(path), *args])
+        main(["--config", str(path), command, str(stack_checkpoint)])
     assert not (tmp_path / "out").exists()
 
 
@@ -225,35 +215,39 @@ def test_experiment_command(tmp_path, capsys):
     assert (out / "metrics.csv").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["completed"] == 2
+    assert (out / "model.ckpt").exists()
 
 
-def test_stage_pipeline_reproduces_experiment_trial_zero_on_explicit_test_files(tmp_path, capsys):
+def experiment_then_eval(path, out, capsys) -> tuple:
+    """(summary.json's accuracies[0], the line exae eval prints for out/model.ckpt)."""
+    assert main(["--config", str(path), "experiment"]) == 0
+    trial_zero = json.loads((out / "summary.json").read_text())["accuracies"][0]
+    capsys.readouterr()
+    assert main(["--config", str(path), "eval", str(out / "model.ckpt")]) == 0
+    return trial_zero, capsys.readouterr().out
+
+
+def test_eval_of_the_model_reproduces_trial_zero_on_explicit_test_files(tmp_path, capsys):
     data = {**explicit_test_files(tmp_path), "per_class_test": 3,
             "split": {"per_class_train": 5}}
     path = tiny_config(tmp_path, data=data)
-    out = tmp_path / "out"
-    assert main(["--config", str(path), "stack"]) == 0
-    assert main(["--config", str(path), "finetune", str(out / "stack.ckpt")]) == 0
-    assert main(["--config", str(path), "eval", str(out / "finetuned.ckpt")]) == 0
-    eval_line = capsys.readouterr().out.splitlines()[-1]
-    assert main(["--config", str(path), "experiment"]) == 0
-    trial_zero = json.loads((out / "summary.json").read_text())["accuracies"][0]
-    assert eval_line == f"accuracy: {trial_zero:.4f} (6 queries, k=1)"
+    trial_zero, eval_out = experiment_then_eval(path, tmp_path / "out", capsys)
+    assert eval_out == f"accuracy: {trial_zero:.4f} (6 queries, k=1)\n"
 
 
-def test_stage_commands_run_experiment_trial_zero_at_a_nonzero_base_seed(tmp_path, capsys):
+def test_model_is_trial_zero_and_eval_reproduces_it_at_a_nonzero_base_seed(tmp_path, capsys):
     path = tiny_config(tmp_path, experiment={"trials": 2, "base_seed": 5})
     out = tmp_path / "out"
-    assert main(["--config", str(path), "stack"]) == 0
-    assert main(["--config", str(path), "finetune", str(out / "stack.ckpt")]) == 0
-    assert main(["--config", str(path), "eval", str(out / "finetuned.ckpt")]) == 0
-    eval_line = capsys.readouterr().out.splitlines()[-1]
-    stage_rows = [(out / name).read_text().splitlines()[1:] for name in ("stack-metrics.csv", "finetune-metrics.csv")]
-    assert main(["--config", str(path), "experiment"]) == 0
-    rows = (out / "metrics.csv").read_text().splitlines()
-    assert stage_rows == [[r for r in rows if r.startswith(f"0,{phase}")] for phase in ("pretrain", "finetune")]
-    trial_zero = json.loads((out / "summary.json").read_text())["accuracies"][0]
-    assert eval_line == f"accuracy: {trial_zero:.4f} (8 queries, k=1)"
+    trial_zero, eval_out = experiment_then_eval(path, out, capsys)
+    assert eval_out == f"accuracy: {trial_zero:.4f} (8 queries, k=1)\n"
+    # trial 0's phases, run apart and saved with the config as loaded, give model.ckpt byte for byte
+    cfg = load_config(str(path))
+    exp, loaded = experiment_from(cfg)
+    train_set, _, stack_cfg = trial_setup(exp, loaded, 0)
+    stacked, _ = train_stack(stack_cfg, train_set.examples)
+    stacked, _ = fine_tune(stacked, train_set.examples, stack_cfg)
+    save_checkpoint(stacked, tmp_path / "trial-0.ckpt", config=cfg)
+    assert (out / "model.ckpt").read_bytes() == (tmp_path / "trial-0.ckpt").read_bytes()
 
 
 def test_experiment_reads_data_once(tmp_path, monkeypatch):
@@ -292,6 +286,16 @@ def test_gradcheck_is_no_subcommand(capsys):
     assert "invalid choice: 'gradcheck'" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["stack", "finetune"])
+def test_stage_commands_are_no_subcommands(capsys, command):
+    # experiment saves trial 0's model, which eval scores: no command re-runs trial 0's phases
+    with pytest.raises(SystemExit) as exit_info:
+        main([command])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"invalid choice: '{command}'" in captured.err and captured.out == ""
+
+
 def level(n_in, n_out, latent="relu", output="sigmoid"):
     """A level's descriptor as a checkpoint header holds it."""
     return {"encoder": [{"in": n_in, "out": n_out, "activation": latent}],
@@ -308,14 +312,13 @@ def level(n_in, n_out, latent="relu", output="sigmoid"):
     ],
     ids=["size", "latent-activation", "fewer-levels", "more-levels"],
 )
-@pytest.mark.parametrize("command", ["finetune", "eval"])
+@pytest.mark.parametrize("command", ["eval"])
 def test_checkpoint_the_stack_section_does_not_build_refused_before_any_work(
         tmp_path, monkeypatch, stack_checkpoint, stack, k, have, built, command):
-    # else the fine-tuned file would embed a config that does not describe its layers
+    # else eval would score, under this config's rows and k, a model the config does not describe
     def no_work(*args, **kwargs):
-        raise AssertionError("a level was fine-tuned or scored")
+        raise AssertionError("a level was scored")
 
-    monkeypatch.setattr(cli, "fine_tune", no_work)
     monkeypatch.setattr(cli, "evaluate", no_work)
     path = tiny_config(tmp_path, stack=stack)
     refused = f"checkpoint {stack_checkpoint} level {k} is {have}, but the stack section builds {built}"
@@ -340,15 +343,15 @@ def test_per_class_test_below_one_refused(tmp_path, monkeypatch, command, cap):
     [
         ({"data": {"synth_seed": -1}}, "^synth_seed must be >= 0, got -1$", "synth"),
         # experiment.base_seed + t seeds trial t's split, levels and fine-tune: no other seed is a key
-        ({"data": {"split": {"per_class_train": 8, "seed": -1}}}, r"^unknown config key 'data\.split\.seed'$", "stack"),
-        ({"stack": {"seed": -1}}, r"^unknown config key 'stack\.seed'$", "stack"),
-        ({"stack": {"levels": [{}, {"seed": -1}]}}, r"^unknown config key 'stack\.levels'$", "stack"),  # no level has keys of its own
-        ({"finetune": {"seed": -1}}, r"^unknown config key 'finetune\.seed'$", "stack"),
+        ({"data": {"split": {"per_class_train": 8, "seed": -1}}}, r"^unknown config key 'data\.split\.seed'$", "experiment"),
+        ({"stack": {"seed": -1}}, r"^unknown config key 'stack\.seed'$", "experiment"),
+        ({"stack": {"levels": [{}, {"seed": -1}]}}, r"^unknown config key 'stack\.levels'$", "experiment"),  # no level has keys of its own
+        ({"finetune": {"seed": -1}}, r"^unknown config key 'finetune\.seed'$", "experiment"),
         ({"experiment": {"base_seed": -1}}, "^base_seed must be >= 0, got -1$", "experiment"),
-        ({"stack": {"lr": np.inf}}, "^lr must be positive and finite, got inf$", "stack"),
+        ({"stack": {"lr": np.inf}}, "^lr must be positive and finite, got inf$", "experiment"),
         ({"stack": {"excl_weight": np.inf}}, "^excl_weight must be >= 0 and finite, got inf$", "experiment"),
         ({"finetune": {"lr": np.inf}}, r"^finetune\.lr must be positive and finite, got inf$", "experiment"),
-        ({"finetune": {"band": np.nan}}, r"^finetune\.band must be >= 0, got nan$", "stack"),
+        ({"finetune": {"band": np.nan}}, r"^finetune\.band must be >= 0, got nan$", "experiment"),
         *(({"data": {"spread": s}}, f"^spread must be positive and finite, got {s}$", "experiment")
           for s in (np.inf, np.nan, 0.0, -0.1)),
     ],
@@ -392,14 +395,13 @@ def test_output_activation_is_no_config_key(tmp_path, value):
     assert not (tmp_path / "out").exists()
 
 
-def test_fine_tune_failure_names_its_phase(tmp_path, stack_checkpoint):
+def test_fine_tune_failure_names_its_phase(tmp_path):
     path = tiny_config(tmp_path, finetune={"lr": 1e308})
     assert main(["--config", str(path), "experiment"]) == 1
     failures = json.loads((tmp_path / "out" / "summary.json").read_text())["failures"]
     assert set(failures) == {"0", "1"}
     assert all(f.startswith("RuntimeError: fine-tuning failed: ") for f in failures.values())
-    with pytest.raises(RuntimeError, match="^fine-tuning failed: "):
-        main(["--config", str(path), "finetune", str(stack_checkpoint)])
+    assert not (tmp_path / "out" / "model.ckpt").exists()  # trial 0 failed: no model to score
 
 
 @pytest.mark.parametrize(
@@ -424,7 +426,7 @@ def test_incomplete_data_source_refused(tmp_path, monkeypatch, data, missing):
     config = tmp_path / "data.json"
     config.write_text(json.dumps({"data": data}))
     with pytest.raises(ValueError, match=f"^{re.escape(missing)}$"):
-        main(["--config", str(config), "stack"])
+        main(["--config", str(config), "experiment"])
     assert not (tmp_path / "out").exists()
 
 
@@ -442,28 +444,29 @@ def test_test_files_of_another_width_refused_before_any_level_trains(tmp_path, m
     path = tiny_config(tmp_path, data=data)
     refused = (f"test rows in {tmp_path / 'test-images'} are 8 wide but "
                f"training rows in {tmp_path / 'train-images'} are 6 wide")
-    for command in ("experiment", "stack", "eval"):
+    for command in ("experiment", "eval"):
         args = [command, "none.ckpt"] if command == "eval" else [command]
         with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
             main(["--config", str(path), *args])
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["stack", "experiment"])
+@pytest.mark.parametrize("command", ["eval", "experiment"])
 def test_stack_sizes_that_do_not_start_at_the_data_width_refused(tmp_path, command):
     path = tiny_config(tmp_path, stack={"sizes": [5, 3]})  # the synth rows are 6 wide
+    args = [command, "none.ckpt"] if command == "eval" else [command]
     with pytest.raises(ValueError, match="^stack sizes start at 5 but data dim is 6$"):
-        main(["--config", str(path), command])
+        main(["--config", str(path), *args])
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["stack", "finetune", "experiment"])
+@pytest.mark.parametrize("command", ["synth", "eval", "experiment"])
 def test_refused_run_leaves_no_output_dir(tmp_path, monkeypatch, command):
     # the IDX files are missing: the data is refused before anything is written
     monkeypatch.chdir(tmp_path)
     config = tmp_path / "missing.json"
     config.write_text(json.dumps({"data": {"images": "i.idx", "labels": "l.idx"}}))
-    args = ["finetune", "none.ckpt"] if command == "finetune" else [command]
+    args = [command, "none.ckpt"] if command == "eval" else [command]
     with pytest.raises(FileNotFoundError):
         main(["--config", str(config), *args])
     assert not (tmp_path / "out").exists()
@@ -555,13 +558,15 @@ def test_no_config_run_unchanged_by_restating_every_default(tmp_path, monkeypatc
     restated = tmp_path / "defaults.json"
     restated.write_text(json.dumps(DEFAULT_CONFIG))
     assert load_config(str(restated)) == load_config(None)
+    monkeypatch.setitem(DEFAULT_CONFIG["experiment"], "trials", 1)  # one trial of the defaults, both ways
+    restated.write_text(json.dumps(DEFAULT_CONFIG))
     outputs = []
-    for name, argv in (("none", ["stack"]), ("restated", ["--config", str(restated), "stack"])):
+    for name, argv in (("none", ["experiment"]), ("restated", ["--config", str(restated), "experiment"])):
         (tmp_path / name).mkdir()
         monkeypatch.chdir(tmp_path / name)
         assert main(argv) == 0
         out = tmp_path / name / "out"
-        outputs.append([(out / f).read_bytes() for f in ("stack.ckpt", "stack-metrics.csv")])
+        outputs.append([(out / f).read_bytes() for f in ("model.ckpt", "metrics.csv", "summary.json")])
     assert outputs[0] == outputs[1]
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tracemalloc
+import weakref
 import zlib
 from dataclasses import replace
 from pathlib import Path
@@ -770,6 +771,29 @@ class TestRunExperiment:
         with pytest.raises(FileNotFoundError):
             run_experiment(experiment_config(tmp_path / "out", data=missing))
         assert not (tmp_path / "out").exists()
+
+    def test_trial_zero_model_saved_with_a_null_config_by_default(self, tmp_path):
+        config = experiment_config(tmp_path, trials=2)
+        records, _ = run_experiment(config)
+        buf = (tmp_path / "model.ckpt").read_bytes()
+        assert json.loads(buf[16 : 16 + int.from_bytes(buf[12:16], "little")])["config"] is None
+        train_set, test_set, _ = evalharness.trial_setup(config, evalharness.load_data(config.data), 0)
+        scored = evalharness.evaluate(load_checkpoint(tmp_path / "model.ckpt"), train_set, test_set, 1, "euclidean")
+        assert scored == records[0].accuracy
+
+    def test_no_trial_model_is_held_while_the_next_trial_runs(self, tmp_path, monkeypatch):
+        stacks, held = [], []
+        real = evalharness.run_trial
+
+        def tracking(*args):
+            held.append([ref() is not None for ref in stacks])
+            record, stacked = real(*args)
+            stacks.append(weakref.ref(stacked))
+            return record, stacked
+
+        monkeypatch.setattr(evalharness, "run_trial", tracking)
+        run_experiment(experiment_config(tmp_path, trials=3))
+        assert held == [[], [False], [False, False]]
 
     def test_metrics_phases_present(self, tmp_path):
         run_experiment(experiment_config(tmp_path, trials=1))
