@@ -514,9 +514,17 @@ MUTANTS = [
     (
         "grads-per-step",  # every step allocates its own gradient set while the last one is still bound
         "exae/autoencoder.py",
-        "            breakdown, grads = total_loss(model, config, ctx, dataset, batch, grads)\n",
-        "            breakdown, grads = total_loss(model, config, ctx, dataset, batch)\n",
+        "            breakdown = total_loss(model, config, ctx, dataset, batch, grads)\n",
+        "            grads = [LayerGrads.like(layer) for layer in layers]\n"
+        "            breakdown = total_loss(model, config, ctx, dataset, batch, grads)\n",
         "tests/test_autoencoder.py::TestTrain::test_a_phase_holds_one_gradient_set",
+    ),
+    (
+        "level-rows-scaled-apart-from-the-stack",  # level k + 1 trains on rows the assembled encoder does not give
+        "exae/stacking.py",
+        "            data = encode(model, data)\n",
+        "            data = encode(model, data) * 0.5\n",
+        "tests/test_stacking.py::TestAssembly::test_assembled_encoder_gives_each_level_its_training_rows_bit_for_bit",
     ),
     (
         "weight-zero-encodes-prototypes",  # a context passed at weight 0 is encoded for its report

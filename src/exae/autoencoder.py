@@ -143,13 +143,11 @@ def _forward(layers: list, x: Matrix) -> list:
 
 def _backward(layers: list, acts: list, grad_out: Matrix, grads: list, input_grad: bool = True):
     """Backpropagate grad_out through a stack's cache, writing layer i's gradients
-    into grads[i] (None: a fresh set); returns (grads, grad_in or None)."""
+    into grads[i]; returns grad_in, or None when input_grad is false."""
     g = grad_out
     for i in range(len(layers) - 1, -1, -1):
-        grads[i], g = affine_backward(
-            layers[i], acts[i], acts[i + 1], g, input_grad=input_grad or i > 0, grads=grads[i]
-        )
-    return grads, g
+        g = affine_backward(layers[i], acts[i], acts[i + 1], g, grads[i], input_grad=input_grad or i > 0)
+    return g
 
 
 def encode(model: AEModel, x_batch: Matrix) -> Matrix:
@@ -172,13 +170,12 @@ def recon_loss(x_batch: Matrix, xhat_batch: Matrix):
     return loss, 2.0 * diff / x_batch.shape[0]
 
 
-def total_loss(model: AEModel, config: AEConfig, ctx, dataset: Matrix, batch_indices, grads: list | None = None):
-    """Full objective and parameter gradients for one batch.
+def total_loss(model: AEModel, config: AEConfig, ctx, dataset: Matrix, batch_indices, grads: list) -> LossBreakdown:
+    """Full objective for one batch; returns its LossBreakdown.
 
-    ctx must have been built over the same dataset. Returns
-    (LossBreakdown, grads), one LayerGrads per layer: encoder layers, then
-    decoder layers, written into the given grads (None: fresh ones). The
-    encoded-prototype branches share the encoder weights, so the rows
+    ctx must have been built over the same dataset. The gradients go into
+    grads, one LayerGrads per layer of model.layers (encoder, then decoder).
+    The encoded-prototype branches share the encoder weights, so the rows
     [x; exclude-one means; peer means] run through it in one forward and
     one backward pass, where their gradients add.
     At excl_weight 0 only x is encoded, ctx is ignored and the exclusivity
@@ -190,8 +187,6 @@ def total_loss(model: AEModel, config: AEConfig, ctx, dataset: Matrix, batch_ind
     w = config.excl_weight
     if ctx is None and w != 0.0:
         raise ValueError("excl_weight is nonzero but no exclusivity context given")
-    grads = [None] * len(model.layers) if grads is None else grads
-    enc_grads, dec_grads = grads[: len(model.encoder)], grads[len(model.encoder) :]
     x = dataset[idx]
     rows = np.vstack((x, *excl.batch_targets(ctx, dataset, idx))) if w != 0.0 else x
     enc_acts = _forward(model.encoder, rows)
@@ -199,7 +194,7 @@ def total_loss(model: AEModel, config: AEConfig, ctx, dataset: Matrix, batch_ind
     dec_acts = _forward(model.decoder, h)
 
     la, d_xhat = recon_loss(x, dec_acts[-1])
-    dec_grads, d_h = _backward(model.decoder, dec_acts, d_xhat, dec_grads)
+    d_h = _backward(model.decoder, dec_acts, d_xhat, grads[len(model.encoder) :])
 
     if w == 0.0:
         breakdown = LossBreakdown(recon=la, hetero_sim=0.0, homo_sim=1.0, weight=0.0)
@@ -207,8 +202,8 @@ def total_loss(model: AEModel, config: AEConfig, ctx, dataset: Matrix, batch_ind
         res = excl.exclusivity_loss(*np.split(enc_acts[-1], 3))
         breakdown = LossBreakdown(recon=la, hetero_sim=res.hetero_sim, homo_sim=res.homo_sim, weight=w)
         d_h = np.vstack((d_h + w * res.grad_latent, w * res.grad_hetero, w * res.grad_homo))
-    enc_grads, _ = _backward(model.encoder, enc_acts, d_h, enc_grads, input_grad=False)
-    return breakdown, enc_grads + dec_grads
+    _backward(model.encoder, enc_acts, d_h, grads, input_grad=False)
+    return breakdown
 
 
 def model_parameters(model: AEModel) -> list:
@@ -260,7 +255,7 @@ def sgd_epochs(model: AEModel, config: AEConfig, dataset: Matrix):
         records, sizes = [], []
         for start in range(0, n, config.batch_size):
             batch = perm[start : start + config.batch_size]
-            breakdown, grads = total_loss(model, config, ctx, dataset, batch, grads)
+            breakdown = total_loss(model, config, ctx, dataset, batch, grads)
             if not np.isfinite(breakdown.total):
                 raise RuntimeError(
                     f"non-finite loss {breakdown.total} at epoch {epoch}, "

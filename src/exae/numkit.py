@@ -165,17 +165,16 @@ def affine_forward(layer: DenseLayer, x: Matrix) -> Matrix:
 
 
 def affine_backward(
-    layer: DenseLayer, x: Matrix, out: Matrix, grad_out: Matrix, input_grad: bool = True, grads: LayerGrads | None = None
+    layer: DenseLayer, x: Matrix, out: Matrix, grad_out: Matrix, grads: LayerGrads, input_grad: bool = True
 ):
     """Chain rule through one layer from its forward cache.
 
     x is the layer's forward input and out = affine_forward(layer, x) its
     output. The activation derivative is read off out: relu' is out > 0
     (relu'(0) is 0), sigmoid' is out * (1 - out), and identity passes
-    grad_out through. Returns (grads, grad_in) for upstream gradient
-    grad_out: the parameter gradients are written into grads (None: a fresh
-    LayerGrads.like(layer)); grad_in is None when input_grad is false, which
-    saves the dz @ W product for a stack's bottom layer.
+    grad_out through. Writes the parameter gradients for upstream gradient
+    grad_out into grads and returns grad_in, or None when input_grad is
+    false, which saves the dz @ W product for a stack's bottom layer.
     """
     if x.ndim != 2 or x.shape[1] != layer.in_dim:
         raise ValueError(
@@ -190,13 +189,12 @@ def affine_backward(
         dz = grad_out * (out * (1.0 - out))
     else:
         dz = grad_out
-    grads = LayerGrads.like(layer) if grads is None else grads
     np.matmul(dz.T, x, out=grads.weight)
     np.sum(dz, axis=0, out=grads.bias)
-    return grads, dz @ layer.weight if input_grad else None
+    return dz @ layer.weight if input_grad else None
 
 
-def sgd_step(layers: list, grads: list, lr: float) -> list:
+def sgd_step(layers: list, grads: list, lr: float) -> None:
     """In-place p <- p - lr * g over every layer. Deterministic.
 
     The gradients are scratch: each is scaled by lr in place and then
@@ -219,7 +217,6 @@ def sgd_step(layers: list, grads: list, lr: float) -> list:
     for layer, g in zip(layers, grads):
         layer.weight -= np.multiply(g.weight, lr, out=g.weight)
         layer.bias -= np.multiply(g.bias, lr, out=g.bias)
-    return layers
 
 
 def row_block_workers(environ, blas: str | None) -> int:

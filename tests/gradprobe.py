@@ -6,7 +6,7 @@ import numpy as np
 
 from exae import exclusivity as excl
 from exae.autoencoder import AEConfig, AEModel, _forward, build_model, model_parameters, total_loss
-from exae.numkit import Matrix, real
+from exae.numkit import LayerGrads, Matrix, real
 
 
 def grad_check(loss_fn, params: list, epsilon: float = 1e-5) -> float:
@@ -126,8 +126,9 @@ def gradcheck_error(config: AEConfig, model: AEModel, ctx, dataset: Matrix, batc
     """grad_check's error for the objective over model_parameters(model)."""
     idx = np.asarray(batch_indices, dtype=np.int64)
 
-    def loss_fn():
-        b, g = total_loss(model, config, ctx, dataset, idx)
+    def loss_fn():  # a fresh set per call: grad_check holds the first call's while it probes
+        g = [LayerGrads.like(layer) for layer in model.layers]
+        b = total_loss(model, config, ctx, dataset, idx, g)
         return b.total, [p for lg in g for p in (lg.weight, lg.bias)]
 
     return grad_check(loss_fn, model_parameters(model), epsilon=1e-5)

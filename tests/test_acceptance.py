@@ -35,7 +35,7 @@ from exae.evalharness import (
     save_checkpoint,
 )
 from exae.exclusivity import batch_targets, build_context, top_m_neighbors
-from exae.numkit import DenseLayer
+from exae.numkit import DenseLayer, LayerGrads
 from exae.stacking import StackConfig, fine_tune, train_stack
 
 
@@ -396,7 +396,7 @@ def test_a8_ideal_state_is_exact_and_weight_invariant():
     for weight in (0.0, 1.0, 7.0, 100.0):
         cfg = AEConfig(layer_sizes=[1, 2], excl_weight=weight, n_neighbors=2,
                        latent_activation="identity", output_activation="identity")
-        b, _ = total_loss(model, cfg, ctx, rows, range(5))
+        b = total_loss(model, cfg, ctx, rows, range(5), [LayerGrads.like(layer) for layer in model.layers])
         assert b.hetero_sim == 0.0
         assert b.homo_sim == 1.0
         assert b.excl == 0.0

@@ -23,7 +23,7 @@ from exae.autoencoder import (
 )
 from exae import exclusivity
 from exae.exclusivity import build_context
-from exae.numkit import DenseLayer, affine_backward, affine_forward, sgd_step
+from exae.numkit import DenseLayer, LayerGrads, affine_backward, affine_forward, sgd_step
 
 
 def identity_model(dim):
@@ -50,6 +50,11 @@ def toy_config(**kwargs):
 
 def toy_data(seed=0, n=6, dim=2):
     return np.random.default_rng(seed).uniform(0.1, 0.9, size=(n, dim))
+
+
+def grad_set(model):
+    """One unset LayerGrads per layer of model, for total_loss to write."""
+    return [LayerGrads.like(layer) for layer in model.layers]
 
 
 class TestEncodeDecode:
@@ -145,7 +150,8 @@ class TestTotalLoss:
         data = toy_data(n=n, dim=sizes[0])
         ctx = build_context(data, cfg.n_neighbors)
 
-        breakdown, grads = total_loss(model, cfg, ctx, data, batch)
+        grads = grad_set(model)
+        breakdown = total_loss(model, cfg, ctx, data, batch, grads)
         x = data[np.asarray(batch)]
         xhat = decode(model, encode(model, x))
         la, _ = recon_loss(x, xhat)
@@ -154,7 +160,8 @@ class TestTotalLoss:
 
         # gradients must equal the pure reconstruction path bitwise
         plain_cfg = toy_config(layer_sizes=sizes, excl_weight=0.0)
-        _, plain_grads = total_loss(model, plain_cfg, None, data, batch)
+        plain_grads = grad_set(model)
+        total_loss(model, plain_cfg, None, data, batch, plain_grads)
         for a, b in zip(flatten_grads(grads), flatten_grads(plain_grads)):
             assert np.array_equal(a, b)
 
@@ -163,7 +170,7 @@ class TestTotalLoss:
         model = build_model(cfg)
         data = toy_data()
         ctx = build_context(data, cfg.n_neighbors)
-        b, _ = total_loss(model, cfg, ctx, data, range(6))
+        b = total_loss(model, cfg, ctx, data, range(6), grad_set(model))
         assert abs(b.excl - (b.hetero_sim + 1.0 - b.homo_sim)) < 1e-12
         assert abs(b.total - (b.recon + b.weight * b.excl)) < 1e-12
 
@@ -173,7 +180,8 @@ class TestTotalLoss:
         assert (b.excl, b.total) == (0.75, 4.25)
         cfg = toy_config(excl_weight=7.0)
         data = toy_data()
-        b, _ = total_loss(build_model(cfg), cfg, build_context(data, cfg.n_neighbors), data, range(6))
+        model = build_model(cfg)
+        b = total_loss(model, cfg, build_context(data, cfg.n_neighbors), data, range(6), grad_set(model))
         assert b.weight == 7.0 and b.excl != 0.0
         assert b.excl == b.hetero_sim + (1.0 - b.homo_sim)
         assert b.total == b.recon + b.weight * b.excl
@@ -184,7 +192,7 @@ class TestTotalLoss:
         data = toy_data()
         ctx = build_context(data, cfg.n_neighbors)
         with pytest.raises(ValueError, match="empty"):
-            total_loss(model, cfg, ctx, data, [])
+            total_loss(model, cfg, ctx, data, [], grad_set(model))
 
     def test_gradients_match_finite_differences(self):
         cfg = toy_config(seed=11)
@@ -301,6 +309,7 @@ class TestTrain:
         # independent reference: reconstruction-only loop from public primitives
         ref = build_model(cfg)
         layers = ref.encoder + ref.decoder
+        grads = [LayerGrads.like(layer) for layer in layers]
         rng = np.random.default_rng(cfg.seed)
         for _ in range(cfg.epochs):
             perm = rng.permutation(len(data))
@@ -310,9 +319,8 @@ class TestTrain:
                 for layer in layers:
                     acts.append(affine_forward(layer, acts[-1]))
                 grad = 2.0 * (acts[-1] - x) / x.shape[0]
-                grads = [None] * len(layers)
                 for i in range(len(layers) - 1, -1, -1):
-                    grads[i], grad = affine_backward(layers[i], acts[i], acts[i + 1], grad)
+                    grad = affine_backward(layers[i], acts[i], acts[i + 1], grad, grads[i])
                 sgd_step(layers, grads, cfg.lr)
 
         for a, b in zip(model_parameters(model), model_parameters(ref)):

@@ -35,9 +35,9 @@ def reference_activation(tag, z):
     return mask_sigmoid(z) if tag == "sigmoid" else z
 
 
-def recompute_backward(layer, x, out, grad_out, input_grad=True, grads=None):
-    """The earlier kernel: ignores out and grads, differentiates at a recomputed
-    z and returns a fresh LayerGrads."""
+def recompute_backward(layer, x, out, grad_out, grads, input_grad=True):
+    """The earlier kernel: ignores out, differentiates at a recomputed z, assigns
+    its gradient products to grads and returns the input gradient."""
     z = x @ layer.weight.T + layer.bias
     if layer.activation == "identity":
         d = np.ones_like(z)
@@ -47,7 +47,8 @@ def recompute_backward(layer, x, out, grad_out, input_grad=True, grads=None):
         s = mask_sigmoid(z)
         d = s * (1.0 - s)
     dz = grad_out * d
-    return LayerGrads(weight=dz.T @ x, bias=dz.sum(axis=0)), dz @ layer.weight
+    grads.weight[...], grads.bias[...] = dz.T @ x, dz.sum(axis=0)
+    return dz @ layer.weight
 
 
 def flat(grads):
@@ -64,11 +65,12 @@ def gradients_both_ways(monkeypatch, config, n, batch, seed=0):
     model = build_model(config)
     data = sparse_rows(n, config.input_dim, seed)
     ctx = build_context(data, config.n_neighbors) if config.excl_weight > 0 else None
-    _, grads = total_loss(model, config, ctx, data, batch)
+    grads, ref = ([LayerGrads.like(layer) for layer in model.layers] for _ in range(2))
+    total_loss(model, config, ctx, data, batch, grads)
     with monkeypatch.context() as m:
         m.setattr(numkit, "_sigmoid", mask_sigmoid)
         m.setattr(autoencoder, "affine_backward", recompute_backward)
-        _, ref = total_loss(model, config, ctx, data, batch)
+        total_loss(model, config, ctx, data, batch, ref)
     return flat(grads), flat(ref)
 
 
@@ -118,12 +120,13 @@ def test_affine_backward_bitwise_equal_to_recompute(act):
     x = rng.normal(size=(17, 40))
     grad_out = rng.normal(size=(17, 24))
     out = affine_forward(layer, x)
-    grads, grad_in = affine_backward(layer, x, out, grad_out)
-    ref, ref_in = recompute_backward(layer, x, None, grad_out)
+    grads, ref, bottom = (LayerGrads.like(layer) for _ in range(3))
+    grad_in = affine_backward(layer, x, out, grad_out, grads)
+    ref_in = recompute_backward(layer, x, None, grad_out, ref)
     assert np.array_equal(grads.weight, ref.weight)
     assert np.array_equal(grads.bias, ref.bias)
     assert np.array_equal(grad_in, ref_in)
-    bottom, no_grad_in = affine_backward(layer, x, out, grad_out, input_grad=False)
+    no_grad_in = affine_backward(layer, x, out, grad_out, bottom, input_grad=False)
     assert no_grad_in is None
     assert np.array_equal(bottom.weight, ref.weight)
 
@@ -198,7 +201,7 @@ def test_weight_zero_runs_one_forward_pass_and_ignores_the_context(monkeypatch):
 
     monkeypatch.setattr(autoencoder, "affine_forward", spy)
     monkeypatch.setattr(exclusivity, "batch_targets", no_targets)
-    b, _ = total_loss(model, config, ctx, data, range(8))
+    b = total_loss(model, config, ctx, data, range(8), [LayerGrads.like(layer) for layer in model.layers])
     assert rows == [8] * (len(model.encoder) + len(model.decoder))
     assert (b.hetero_sim, b.homo_sim, b.excl, b.weight) == (0.0, 1.0, 0.0, 0.0)
     assert b.total == b.recon

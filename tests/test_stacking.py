@@ -9,7 +9,7 @@ import pytest
 from exae import exclusivity, stacking
 from exae.autoencoder import AEConfig, build_model, encode, model_parameters, total_loss, train
 from exae.dataio import synth_gaussian
-from exae.numkit import sgd_step
+from exae.numkit import LayerGrads, affine_forward, sgd_step
 from exae.stacking import (
     StackConfig,
     assemble,
@@ -173,6 +173,24 @@ class TestAssembly:
         sequential = encode(stacked.levels[1], encode(stacked.levels[0], data))
         assert np.array_equal(encode(stacked.assembled, data), sequential)
 
+    def test_assembled_encoder_gives_each_level_its_training_rows_bit_for_bit(self, monkeypatch):
+        # what any map between levels must keep: the assembled encoder's first k
+        # layers turn the stack's rows into exactly the rows level k + 1 trained on
+        data = synth_gaussian(3, 8, 6, 0.1, seed=2).examples
+        received = []
+
+        def spy(model, config, rows):
+            received.append(np.array(rows, copy=True))
+            return train(model, config, rows)
+
+        monkeypatch.setattr(stacking, "train", spy)
+        stacked, _ = train_stack(stack_cfg(dims=(8, 6, 4, 2)), data)
+        assert len(received) == 3 and np.array_equal(received[0], data)
+        rows = data
+        for k in (1, 2):
+            rows = affine_forward(stacked.assembled.encoder[k - 1], rows)
+            assert rows.tobytes() == received[k].tobytes(), f"level {k + 1}"
+
     def test_snapshot_count_and_positivity(self):
         cfg = stack_cfg(dims=(8, 4, 2))
         stacked, _ = train_stack(cfg, toy_rows())
@@ -275,12 +293,13 @@ class TestFineTune:
 
         loss_cfg = level_cfg([8, 2], excl_weight=0.0)
         layers = ref.layers
+        grads = [LayerGrads.like(layer) for layer in layers]
         rng = np.random.default_rng(cfg.finetune_seed)
         for _ in range(cfg.finetune_epochs):
             perm = rng.permutation(len(data))
             for start in range(0, len(data), cfg.finetune_batch_size):
                 batch = perm[start : start + cfg.finetune_batch_size]
-                _, grads = total_loss(ref, loss_cfg, None, data, batch)
+                total_loss(ref, loss_cfg, None, data, batch, grads)
                 sgd_step(layers, grads, cfg.finetune_lr)
             if project:
                 for snap, layer in zip(stacked.snapshots, layers):
