@@ -4,10 +4,11 @@
     python mutants/run.py trim-dropped   # only the named ones
 
 Run from anywhere. Each entry of MUTANTS names a file under src/, an exact
-piece of its text, the text that replaces it, and a pytest selector. For
-every entry the runner copies src/ to a temporary directory, makes the one
-replacement there (the working tree is never written) and runs the selector
-against the copy. The fingerprint test compares with digests that the runner
+piece of its text, the text that replaces it, and a pytest selector, or a
+tuple of selectors that must each fail on their own: a guard two modules
+share lists a test from each. For every entry the runner copies src/ to a
+temporary directory, makes the one replacement there (the working tree is
+never written) and runs each selector against the copy. The fingerprint test compares with digests that the runner
 first records from the unmutated source in a temporary file, so a mutant that
 changes a byte is caught on any numpy and BLAS. It exits non-zero when an
 entry's old text is not found exactly once (the entry is stale), when a
@@ -28,7 +29,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 EVAL = "tests/test_evalharness.py"
 
-# (name, file under src/, old text, new text, pytest selector that must fail)
+# (name, file under src/, old text, new text, pytest selector, or selectors, that must fail)
 MUTANTS = [
     (
         "trim-dropped",  # rows past the gather width rank every tie at the bound
@@ -131,23 +132,29 @@ MUTANTS = [
     ),
     (
         "cosine-norm-guard-dropped",  # a query whose norm overflows scores cosine 0 against every row
-        "exae/evalharness.py",
-        '"cosine": np.sqrt(np.finfo(float).max / 2)',
-        '"cosine": np.inf',
-        f"{EVAL}::TestKnnClassify::test_non_finite_input_refused",
+        "exae/numkit.py",
+        "COSINE_NORM_BOUND = np.sqrt(np.finfo(float).max / 2)\n",
+        "COSINE_NORM_BOUND = np.inf\n",
+        (
+            f"{EVAL}::TestKnnClassify::test_non_finite_input_refused",
+            "tests/test_exclusivity.py::TestBuildContext::test_non_finite_or_overflowing_row_refused",
+        ),
     ),
     (
         "knn-side-underflow-raises",  # under np.errstate(all="raise") a cosine norm that underflows escapes its refusal
-        "exae/evalharness.py",
+        "exae/numkit.py",
         '    with np.errstate(over="ignore", under="ignore"):  # refused below',
         '    with np.errstate(over="ignore"):  # refused below',
-        f"{EVAL}::TestKnnClassify::test_cosine_row_whose_norm_underflows_is_refused_when_numpy_raises",
+        (
+            f"{EVAL}::TestKnnClassify::test_cosine_row_whose_norm_underflows_is_refused_when_numpy_raises",
+            "tests/test_exclusivity.py::TestBuildContext::test_row_whose_norm_underflows_refused_naming_it",
+        ),
     ),
     (
         "cosine-underflow-ranked",  # a nonzero row whose norm underflows is ranked by its raw products
         "exae/evalharness.py",
-        '    if metric == "cosine":\n',
-        "    if False:\n",
+        '        return cosine_norms(feats, _KNN_BLOCK_ROWS, f"{name} row")\n',
+        "        return np.sqrt(square_sums(feats, _KNN_BLOCK_ROWS))\n",
         f"{EVAL}::TestKnnClassify::test_cosine_row_whose_norm_underflows_is_refused",
     ),
     (
@@ -179,11 +186,14 @@ MUTANTS = [
         "tests/test_fuzz.py::test_neighbor_table_equals_oracle_on_hostile_sets",
     ),
     (
-        "table-norm-unchecked",  # a NaN or overflowing row is ranked in the neighbor table
-        "exae/exclusivity.py",
-        "    if bad.any():\n",
+        "table-norm-unchecked",  # a NaN or overflowing row is ranked in the neighbor table, and by cosine k-NN
+        "exae/numkit.py",
+        "    if past.any():\n",
         "    if False:\n",
-        "tests/test_exclusivity.py::TestBuildContext::test_non_finite_or_overflowing_row_refused",
+        (
+            "tests/test_exclusivity.py::TestBuildContext::test_non_finite_or_overflowing_row_refused",
+            f"{EVAL}::TestKnnClassify::test_overflowing_train_row_is_named",
+        ),
     ),
     (
         "oracle-copies-nonzero-rows",  # each oracle call copies the nonzero rows to rank against
@@ -196,8 +206,8 @@ MUTANTS = [
     (
         "norms-whole-dataset",  # the row norms square the whole dataset at once
         "exae/exclusivity.py",
-        "    return np.sqrt(square_sums(dataset, _TABLE_BLOCK_ROWS))\n",
-        "    return np.linalg.norm(dataset, axis=1)\n",
+        '    norms = cosine_norms(dataset, _TABLE_BLOCK_ROWS, "row")\n',
+        '    norms = cosine_norms(dataset, 2**62, "row")\n',
         "tests/test_exclusivity.py::TestBuildContext::test_table_memory_is_per_block",
     ),
     (
@@ -477,11 +487,21 @@ MUTANTS = [
         "tests/test_forward_cache.py",
     ),
     (
-        "table-underflow-accepted",  # a nonzero row whose norm underflows is ranked as zero-norm
-        "exae/exclusivity.py",
-        '    refuse_underflowed_norms(dataset, norms, "row")\n',
-        "",
-        "tests/test_exclusivity.py::TestBuildContext::test_row_whose_norm_underflows_refused_naming_it",
+        "table-underflow-accepted",  # a nonzero row whose norm underflows is ranked as zero-norm, in the table and by k-NN
+        "exae/numkit.py",
+        "    if tiny.any():\n",
+        "    if False:\n",
+        (
+            "tests/test_exclusivity.py::TestBuildContext::test_row_whose_norm_underflows_refused_naming_it",
+            f"{EVAL}::TestKnnClassify::test_cosine_row_whose_norm_underflows_is_refused",
+        ),
+    ),
+    (
+        "float-labels-truncated",  # labels [0.5, 1.7, 2.0] are cast to [0, 1, 2] and classified as such
+        "exae/numkit.py",
+        'arr.dtype.kind not in "iu"',
+        'arr.dtype.kind not in "iuf"',
+        "tests/test_integers.py::test_non_integer_labels_refused_naming_the_dtype",
     ),
     (
         "table-bound-zero",  # every row with distinct rounded similarities is certified
@@ -580,9 +600,9 @@ MUTANTS = [
     (
         "prototype-rows-get-no-gradient",  # only the x rows are backpropagated: a stopped gradient
         "exae/autoencoder.py",
-        "        d_h = np.vstack((d_h + w * res.grad_latent, w * res.grad_hetero, w * res.grad_homo))\n",
-        "        d_h = d_h + w * res.grad_latent\n"
-        "        enc_acts = [a[: len(x)] for a in enc_acts]\n",
+        "        d_enc[: len(x)] += d_h",
+        "        d_enc[len(x) :] = 0.0\n"
+        "        d_enc[: len(x)] += d_h",
         "tests/test_autoencoder.py::TestTotalLoss::test_gradients_match_finite_differences",
     ),
     (
@@ -781,6 +801,11 @@ def run_python(src: Path, args: list, fingerprints: Path) -> tuple:
     return done.returncode, "\n".join((done.stdout + done.stderr).splitlines()[-15:])
 
 
+def selectors(mutant: tuple) -> tuple:
+    """The pytest selectors a mutant lists, each of which must fail on its own."""
+    return (mutant[4],) if isinstance(mutant[4], str) else mutant[4]
+
+
 def main(argv: list) -> int:
     chosen = [m for m in MUTANTS if not argv or m[0] in argv]
     unknown = set(argv) - {m[0] for m in MUTANTS}
@@ -794,11 +819,12 @@ def main(argv: list) -> int:
         # then fails tests/test_fingerprints.py even where tests/fingerprints.json has no entry
         code, tail = run_python(ROOT / "src", ["tests/test_fingerprints.py", "--record"], fingerprints)
         if code == 0:
-            code, tail = run_python(ROOT / "src", [*PYTEST, *sorted({m[4] for m in chosen})], fingerprints)
+            code, tail = run_python(ROOT / "src", [*PYTEST, *sorted({s for m in chosen for s in selectors(m)})], fingerprints)
         if code != 0:
             print(f"{tail}\nselectors fail on the unmutated source")
             return 1
-        for name, rel, old, new, selector in chosen:
+        for mutant in chosen:
+            name, rel, old, new = mutant[:4]
             started = time.perf_counter()
             shutil.rmtree(src, ignore_errors=True)
             shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -809,12 +835,15 @@ def main(argv: list) -> int:
                 print(f"{name}: STALE, old text found {text.count(old)} times in {rel}")
                 continue
             target.write_text(text.replace(old, new))
-            code, tail = run_python(src, [*PYTEST, selector], fingerprints)
-            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
-            if code != 1:  # 1: some test failed; 0 or a usage/collection error is not a kill
+            verdicts = []
+            for selector in selectors(mutant):
+                code, tail = run_python(src, [*PYTEST, selector], fingerprints)
+                verdicts.append({0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})"))
+                if code != 1:  # 1: some test failed; 0 or a usage/collection error is not a kill
+                    print(f"{selector}\n{tail}")
+            if verdicts != ["killed"] * len(verdicts):
                 problems.append(name)
-                print(tail)
-            print(f"{name}: {verdict} in {time.perf_counter() - started:.1f} s")
+            print(f"{name}: {' / '.join(verdicts)} in {time.perf_counter() - started:.1f} s")
     print(f"{len(chosen) - len(problems)} of {len(chosen)} mutants killed")
     return 1 if problems else 0
 

@@ -199,9 +199,11 @@ def total_loss(model: AEModel, config: AEConfig, ctx, dataset: Matrix, batch_ind
     if w == 0.0:
         breakdown = LossBreakdown(recon=la, hetero_sim=0.0, homo_sim=1.0, weight=0.0)
     else:
-        res = excl.exclusivity_loss(*np.split(enc_acts[-1], 3))
-        breakdown = LossBreakdown(recon=la, hetero_sim=res.hetero_sim, homo_sim=res.homo_sim, weight=w)
-        d_h = np.vstack((d_h + w * res.grad_latent, w * res.grad_hetero, w * res.grad_homo))
+        hetero_sim, homo_sim, d_enc = excl.exclusivity_loss(*np.split(enc_acts[-1], 3))
+        breakdown = LossBreakdown(recon=la, hetero_sim=hetero_sim, homo_sim=homo_sim, weight=w)
+        d_enc *= w
+        d_enc[: len(x)] += d_h  # the x rows' codes also feed the decoder
+        d_h = d_enc
     _backward(model.encoder, enc_acts, d_h, grads, input_grad=False)
     return breakdown
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numkit import integer, real
+from .numkit import integer, integer_array, real
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -37,7 +37,7 @@ class Dataset:
             raise ValueError(f"examples must be 2-D, got shape {self.examples.shape}")
         if self.examples.size and not (self.examples.min() >= 0.0 and self.examples.max() <= 1.0):
             raise ValueError("example entries must lie in [0, 1]")
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = integer_array(self.labels, "labels")
         if self.labels.shape != (self.examples.shape[0],):
             raise ValueError(f"labels length {self.labels.shape} does not match {self.examples.shape[0]} rows")
         h, w = self.image_shape

@@ -25,7 +25,8 @@ import numpy as np
 
 from .autoencoder import AEModel, LossBreakdown, build_model, encode, model_parameters
 from .dataio import Dataset, SplitSpec, load_idx, synth_gaussian, train_test_rows
-from .numkit import DenseLayer, Matrix, as_matrix, integer, map_row_blocks, real, refuse_underflowed_norms, smallest, square_sums
+from .numkit import COSINE_NORM_BOUND, DenseLayer, Matrix, as_matrix, cosine_norms, integer, integer_array, map_row_blocks, real
+from .numkit import smallest, square_sums
 from .stacking import FinetuneEpoch, StackConfig, StackedModel, assembly_order, fine_tune, train_stack
 
 CHECKPOINT_MAGIC = b"EXAECKPT"
@@ -35,7 +36,7 @@ _CRC_CHUNK = 1 << 20
 
 # Each k-NN metric and the largest row side knn_classify accepts for it: as
 # |q.t| <= |q||t|, no product, sum or quotient in _pairwise_dist can then overflow.
-KNN_METRICS = {"euclidean": np.finfo(float).max / 8, "cosine": np.sqrt(np.finfo(float).max / 2)}
+KNN_METRICS = {"euclidean": np.finfo(float).max / 8, "cosine": COSINE_NORM_BOUND}
 
 
 def check_metric(metric) -> None:
@@ -67,19 +68,17 @@ def extract_features(stacked: StackedModel, dataset) -> Matrix:
 
 
 def _side(feats: Matrix, metric: str, name: str) -> np.ndarray:
-    """Row sums of squares (euclidean) or norms (cosine). Refuses, naming it, a row past
-    KNN_METRICS[metric], and for cosine a row not all zero whose norm is below 1e-150:
-    two nonzero norms then multiply to at least 1e-300, the floor _pairwise_dist clamps to."""
+    """Row sums of squares (euclidean) or norms (cosine), a block at a time as the distances.
+    Refuses, naming it, a row past KNN_METRICS[metric], and (numkit.cosine_norms) a cosine row not
+    all zero whose norm is below 1e-150: two nonzero norms then multiply to at least 1e-300."""
+    if metric == "cosine":
+        return cosine_norms(feats, _KNN_BLOCK_ROWS, f"{name} row")
     with np.errstate(over="ignore", under="ignore"):  # refused below, not raised: an overflowed side is inf
-        side = square_sums(feats, _KNN_BLOCK_ROWS)  # a block at a time, as the distances
-        side = side if metric == "euclidean" else np.sqrt(side)
+        side = square_sums(feats, _KNN_BLOCK_ROWS)
     ok = side <= KNN_METRICS[metric]
     if not ok.all():
-        what, bound = ("squared norm", "max/8") if metric == "euclidean" else ("norm", "sqrt(max/2)")
         r = np.argmin(ok)
-        raise ValueError(f"{name} row {r} is past the {metric} bound: {what} {side[r]:.3g} > {bound}")
-    if metric == "cosine":
-        refuse_underflowed_norms(feats, side, f"{name} row")
+        raise ValueError(f"{name} row {r} is past the euclidean bound: squared norm {side[r]:.3g} > max/8")
     return side
 
 
@@ -145,7 +144,7 @@ def knn_classify(
             f"query features have {query_feats.shape[1]} columns, "
             f"train features {train_feats.shape[1]}"
         )
-    train_labels = np.asarray(train_labels, dtype=np.int64)
+    train_labels = integer_array(train_labels, "train labels")
     if train_feats.shape[0] == 0:
         raise ValueError("empty training set")
     if train_labels.shape != (train_feats.shape[0],):

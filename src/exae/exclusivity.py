@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import Matrix, integer, map_row_blocks, refuse_underflowed_norms, smallest, square_sums
+from .numkit import Matrix, cosine_norms, integer, map_row_blocks, smallest, square_sums
 
 # Norms below this are treated as degenerate: the term contributes 0 loss
 # and 0 gradient instead of dividing by ~0.
@@ -35,15 +35,6 @@ class ExclusivityContext:
 
     row_sum: np.ndarray  # exact sum of all training rows
     neighbors: np.ndarray  # (training rows, m) indices, row i never contains i
-
-
-@dataclass
-class ExclusivityLossResult:
-    hetero_sim: float  # batch mean of cos terms against exclude-one means
-    homo_sim: float  # batch mean of cos terms against peer means
-    grad_latent: Matrix
-    grad_hetero: Matrix
-    grad_homo: Matrix
 
 
 def omega(v: np.ndarray) -> np.ndarray:
@@ -78,33 +69,22 @@ def _clamped_cosine_batch(u: Matrix, h: Matrix):
     g_c *= ok[:, None]
     g_h_direct *= ok[:, None]
     grad_u = g_c * mask
-    grad_h = g_h_direct - g_c * mask
+    grad_h = g_h_direct - grad_u
     return sims, grad_u, grad_h
 
 
 # Rows of the cosine matrix build_context holds at once, in one block or in its
-# map_row_blocks parts: 2 MB for a 2000-row set. _row_norms squares as many.
+# map_row_blocks parts: 2 MB for a 2000-row set. Its norms square as many rows at once.
 _TABLE_BLOCK_ROWS = 128
 
 
-def _row_norms(dataset: Matrix) -> np.ndarray:
-    """np.linalg.norm(dataset, axis=1) without a dataset-sized square (see numkit.square_sums)."""
-    return np.sqrt(square_sums(dataset, _TABLE_BLOCK_ROWS))
-
-
 def _cosine_to_row(dataset: Matrix, j: int, norms: np.ndarray) -> np.ndarray:
-    """Cosine similarity of row j to every row, norms being _row_norms(dataset): one
+    """Cosine similarity of row j to every row, norms being the rows' norms: one
     product over all rows (no copy if C-ordered); pairs with a zero-norm side get -1."""
     zero = (norms == 0.0) | (norms[j] == 0.0)
     sims = (np.ascontiguousarray(dataset) @ dataset[j]) / np.where(zero, 1.0, norms * norms[j])
     sims[zero] = -1.0
     return sims
-
-
-def _rank_neighbors(sims: np.ndarray, j: int, m: int) -> list:
-    candidates = [i for i in range(sims.shape[0]) if i != j]
-    candidates.sort(key=lambda i: (-sims[i], i))
-    return candidates[:m]
 
 
 def top_m_neighbors(dataset: Matrix, j: int, m: int) -> list:
@@ -118,7 +98,8 @@ def top_m_neighbors(dataset: Matrix, j: int, m: int) -> list:
         raise ValueError(f"row index {j} out of range for {n} rows")
     if integer(m, "m") > n - 1:
         raise ValueError(f"m={m} out of range for {n} rows, need 1 <= m <= n-1 = {n - 1}")
-    return _rank_neighbors(_cosine_to_row(dataset, j, _row_norms(dataset)), j, m)
+    sims = _cosine_to_row(dataset, j, np.sqrt(square_sums(dataset, _TABLE_BLOCK_ROWS)))
+    return sorted((i for i in range(n) if i != j), key=lambda i: (-sims[i], i))[:m]
 
 
 def build_context(dataset: Matrix, m: int) -> ExclusivityContext:
@@ -127,9 +108,10 @@ def build_context(dataset: Matrix, m: int) -> ExclusivityContext:
     Exactness contract: row i of the table is exactly top_m_neighbors(dataset,
     i, m), ties and zero-norm rows included, under any map_row_blocks partition.
     One GEMM gives the minus-cosines of a block of rows to every row (zero-norm
-    pairs +1, self +inf), and numkit.smallest ranks the best m+1 of each. A
-    row not all zero whose norm is below 1e-150 is refused, as the oracle
-    would rank it as a zero-norm row.
+    pairs +1, self +inf), and numkit.smallest ranks the best m+1 of each. The
+    norms are numkit.cosine_norms': a row whose cosines could overflow, and a
+    row not all zero whose norm underflows, which the oracle would rank as a
+    zero-norm row, are refused.
 
     The GEMM sums each dot product in another order than the oracle's
     per-row GEMV. Either cosine is within gamma_d * sum|x_k y_k| / (|x||y|)
@@ -141,8 +123,8 @@ def build_context(dataset: Matrix, m: int) -> ExclusivityContext:
     share (with m = n-1 there is no rank m+1 and only the order is checked).
     A block's other rows (exact or near ties, duplicates, zero-norm rows)
     are ranked together by numkit.smallest on the oracle's own negated
-    cosines, -_cosine_to_row(...) with self at +inf: the order of
-    _rank_neighbors without its Python sort.
+    cosines, -_cosine_to_row(...) with self at +inf: the oracle's order
+    without its Python sort.
     """
     dataset = np.asarray(dataset, dtype=np.float64)
     n, d = dataset.shape
@@ -150,12 +132,7 @@ def build_context(dataset: Matrix, m: int) -> ExclusivityContext:
         raise ValueError(f"need at least 2 rows, have {n}")
     if integer(m, "m") > n - 1:
         raise ValueError(f"m={m} out of range for {n} rows, need 1 <= m <= n-1 = {n - 1}")
-    with np.errstate(over="ignore", under="ignore"):  # an overflowed or underflowed norm is refused below
-        norms = _row_norms(dataset)
-    bad = ~(norms <= np.sqrt(np.finfo(float).max / 2))  # NaN, or a norm whose cosines could overflow
-    if bad.any():
-        raise ValueError(f"row {np.argmax(bad)} has norm {norms[np.argmax(bad)]}, past sqrt(max/2)")
-    refuse_underflowed_norms(dataset, norms, "row")
+    norms = cosine_norms(dataset, _TABLE_BLOCK_ROWS, "row")
     zero = norms == 0.0
     divisors = np.where(zero, 1.0, norms)  # zero-norm pairs are set to +1 below
     ranks = min(m + 1, n - 1)
@@ -196,12 +173,15 @@ def batch_targets(ctx: ExclusivityContext, dataset: Matrix, batch_indices) -> tu
     return hetero, homo
 
 
-def exclusivity_loss(latent: Matrix, enc_hetero: Matrix, enc_homo: Matrix) -> ExclusivityLossResult:
+def exclusivity_loss(latent: Matrix, enc_hetero: Matrix, enc_homo: Matrix) -> tuple:
     """Both cosine constraints over a row-aligned batch, averaged over its rows.
 
     Row i of enc_hetero / enc_homo must be the encoded exclude-one mean and
     encoded peer mean of the example whose latent code is row i of latent.
-    Gradients flow into all three inputs.
+    Returns (hetero_sim, homo_sim, grad): the batch means of the cos terms
+    against the exclude-one means and against the peer means, and the
+    gradient with respect to [latent; enc_hetero; enc_homo], stacked in that
+    order as the encoder ran them.
     """
     if latent.shape != enc_hetero.shape or latent.shape != enc_homo.shape:
         raise ValueError(
@@ -211,10 +191,4 @@ def exclusivity_loss(latent: Matrix, enc_hetero: Matrix, enc_homo: Matrix) -> Ex
     div = latent.shape[0]
     s1, g1_u, g1_h = _clamped_cosine_batch(enc_hetero, latent)
     s2, g2_u, g2_h = _clamped_cosine_batch(enc_homo, latent)
-    return ExclusivityLossResult(
-        hetero_sim=float(s1.sum() / div),
-        homo_sim=float(s2.sum() / div),
-        grad_latent=(g1_h - g2_h) / div,
-        grad_hetero=g1_u / div,
-        grad_homo=-g2_u / div,
-    )
+    return float(s1.sum() / div), float(s2.sum() / div), np.vstack((g1_h - g2_h, g1_u, -g2_u)) / div

@@ -7,7 +7,8 @@ activation derivatives off the forward output and writes each layer's
 gradients into a LayerGrads set that a training phase allocates once.
 map_row_blocks runs independent row blocks, two at a time on large jobs when
 the BLAS is pinned to one thread; smallest is the one (value, index) selection,
-and integer and real the one check of a whole-number and of a real-valued setting.
+cosine_norms the one guard of cosine norms, and integer, real and integer_array
+the one check of a whole-number setting, a real-valued setting and a label vector.
 """
 
 from __future__ import annotations
@@ -53,6 +54,16 @@ def real(value, name: str, positive: bool = False, finite: bool = True) -> float
     return x
 
 
+def integer_array(values, name: str) -> np.ndarray:
+    """values as an int64 array. Every label vector is checked here, before any cast: a
+    nonempty array of any kind but numpy's signed and unsigned integers (floats, bools,
+    strings, objects), or one past int64, raises ValueError naming name and its dtype."""
+    arr = np.asarray(values)
+    if arr.size and (arr.dtype.kind not in "iu" or arr.max() > np.iinfo(np.int64).max):
+        raise ValueError(f"{name} must be integers that fit int64, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 def as_matrix(data, name: str = "matrix") -> Matrix:
     """Coerce to a 2-D float64 array, rejecting non-finite entries (named in errors)."""
     arr = np.asarray(data, dtype=np.float64)
@@ -64,14 +75,6 @@ def as_matrix(data, name: str = "matrix") -> Matrix:
     return arr
 
 
-def refuse_underflowed_norms(rows: Matrix, norms: np.ndarray, name: str) -> None:
-    """Refuses, naming it, a row not all zero whose norm is below 1e-150, as its squares
-    may have underflowed: it would read as an all-zero row."""
-    tiny = (norms < 1e-150) & rows.any(axis=1)
-    if tiny.any():
-        raise ValueError(f"{name} {np.argmax(tiny)} is not all zero but its norm is below 1e-150")
-
-
 def square_sums(rows: Matrix, size: int) -> np.ndarray:
     """np.sum(rows**2, axis=1), size rows at a time, in its bytes; its np.sqrt is np.linalg.norm's.
     The last block takes 2 rows: a 1-row slice of a Fortran-ordered matrix sums in another order."""
@@ -80,6 +83,25 @@ def square_sums(rows: Matrix, size: int) -> np.ndarray:
         start = min(start, max(rows.shape[0] - 2, 0))
         sums[start : start + size] = np.sum(rows[start : start + size] ** 2, axis=1)
     return sums
+
+
+# The largest norm a cosine's row may have: a product of two norms then stays below max.
+COSINE_NORM_BOUND = np.sqrt(np.finfo(float).max / 2)
+
+
+def cosine_norms(rows: Matrix, size: int, name: str) -> np.ndarray:
+    """np.sqrt(square_sums(rows, size)), the one guard of cosine norms. Refuses, naming it, a
+    row whose norm is NaN or past COSINE_NORM_BOUND, and a row not all zero whose norm is
+    below 1e-150, as its squares may have underflowed: it would read as an all-zero row."""
+    with np.errstate(over="ignore", under="ignore"):  # refused below, not raised: an overflowed norm is inf
+        norms = np.sqrt(square_sums(rows, size))
+    past = ~(norms <= COSINE_NORM_BOUND)  # NaN too
+    if past.any():
+        raise ValueError(f"{name} {np.argmax(past)} is past the cosine bound: norm {norms[np.argmax(past)]:.3g} > sqrt(max/2)")
+    tiny = (norms < 1e-150) & rows.any(axis=1)
+    if tiny.any():
+        raise ValueError(f"{name} {np.argmax(tiny)} is not all zero but its norm is below 1e-150")
+    return norms
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

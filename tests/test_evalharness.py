@@ -286,7 +286,7 @@ class TestKnnClassify:
     def test_k_out_of_range_refused(self, k, refused):
         feats = np.zeros((30, 2))
         with pytest.raises(ValueError, match=f"^{refused}$"):
-            knn_classify(feats, np.zeros(30), feats, k=k)
+            knn_classify(feats, np.zeros(30, dtype=np.int64), feats, k=k)
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     def test_non_finite_input_refused(self, metric):

@@ -4,6 +4,7 @@ Every derived expectation here is recomputed by an independent brute-force
 path before being asserted.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,10 +13,10 @@ from gradprobe import grad_check
 
 from exae import exclusivity, numkit
 from exae.autoencoder import LossBreakdown
+from exae.evalharness import knn_classify
 from exae.exclusivity import (
     ExclusivityContext,
     _clamped_cosine_batch,
-    _row_norms,
     batch_targets,
     build_context,
     exclusivity_loss,
@@ -41,9 +42,9 @@ def row_targets(ctx, dataset, i):
     return tuple(t[0] for t in batch_targets(ctx, dataset, [i]))
 
 
-def excl_term(res):
+def excl_term(hetero_sim, homo_sim):
     """hetero_sim + (1 - homo_sim) of a loss result, by LossBreakdown's formula."""
-    return LossBreakdown(recon=0.0, hetero_sim=res.hetero_sim, homo_sim=res.homo_sim, weight=1.0).excl
+    return LossBreakdown(recon=0.0, hetero_sim=hetero_sim, homo_sim=homo_sim, weight=1.0).excl
 
 
 def brute_top_m(dataset, j, m):
@@ -213,7 +214,8 @@ def test_row_norms_equal_linalg_norm(layout):
         data[rng.choice(data.shape[0], size=20, replace=False)] = 0.0
     elif layout == "fortran-lone-last-row":  # its 1-row slice would be summed in another order
         data = np.asfortranarray(rng.normal(size=(2 * exclusivity._TABLE_BLOCK_ROWS + 1, 64)))
-    assert _row_norms(data).tobytes() == np.linalg.norm(data, axis=1).tobytes()
+    norms = numkit.cosine_norms(data, exclusivity._TABLE_BLOCK_ROWS, "row")  # the table's norms
+    assert norms.tobytes() == np.linalg.norm(data, axis=1).tobytes()
 
 
 def test_oracle_ranks_without_copying_the_rows():
@@ -231,17 +233,17 @@ class TestBuildContext:
     def test_non_finite_or_overflowing_row_refused(self):
         rows = np.random.default_rng(8).normal(size=(6, 3))
         rows[1, 2] = np.nan
-        with pytest.raises(ValueError, match="row 1 has norm nan"):
+        with pytest.raises(ValueError, match=r"^row 1 is past the cosine bound: norm nan > sqrt\(max/2\)$"):
             build_context(rows, 2)
         rows[1, 2] = 0.0
         edge = np.sqrt(np.finfo(float).max / 2)  # past it a row's cosine products could overflow
         rows[4] = [edge * (1 - 1e-12), 0.0, 0.0]
         assert build_context(rows, 2).neighbors.tolist() == [brute_top_m(rows, i, 2) for i in range(6)]
         rows[4, 0] = edge * (1 + 1e-12)
-        with pytest.raises(ValueError, match="row 4 has norm"):
+        with pytest.raises(ValueError, match="^row 4 is past the cosine bound: norm "):
             build_context(rows, 2)
         rows[4] = 1e160  # finite, as training_rows accepts it, but its norm overflows
-        with pytest.raises(ValueError, match="row 4 has norm inf"):
+        with pytest.raises(ValueError, match="^row 4 is past the cosine bound: norm inf "):
             build_context(rows, 2)
 
     def test_row_whose_norm_underflows_refused_naming_it(self):
@@ -257,6 +259,25 @@ class TestBuildContext:
         ctx = build_context(rows, 3)
         assert ctx.neighbors.tolist() == [top_m_neighbors(rows, i, 3) for i in range(8)]
         assert ctx.neighbors[2, 0] == 5 and ctx.neighbors[5, 0] == 2
+
+    @pytest.mark.parametrize(
+        "value, refusal",
+        [(1e160, "is past the cosine bound: norm inf > sqrt(max/2)"), (1e-170, "is not all zero but its norm is below 1e-150")],
+        ids=["overflow", "underflow"],
+    )
+    def test_one_norm_guard_for_the_table_and_cosine_knn(self, value, refusal):
+        # numkit.cosine_norms: the same rows are refused with one message form
+        rows = np.random.default_rng(9).uniform(size=(6, 3))
+        rows[4] = [value, 2 * value, 0.0]
+        labels = np.arange(6) % 3
+        calls = [
+            ("row 4", lambda: build_context(rows, 2)),
+            ("train row 4", lambda: knn_classify(rows, labels, rows[:2], 1, "cosine")),
+            ("query row 4", lambda: knn_classify(rows[:3], labels[:3], rows, 1, "cosine")),
+        ]
+        for name, call in calls:
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {refusal}')}$"):
+                call()
 
     def test_toy_table_matches_per_row_brute_force(self):
         data = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]])
@@ -443,19 +464,19 @@ class TestExclusivityLoss:
         h = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 0.5]])
         enc_hom = 2.0 * h
         enc_het = np.array([[1.0, 0.5], [2.0, 1.0], [3.0, 0.25]])
-        res = exclusivity_loss(h, enc_het, enc_hom)
-        assert res.hetero_sim == 0.0
-        assert res.homo_sim == 1.0
-        assert excl_term(res) == 0.0
+        hetero_sim, homo_sim, _ = exclusivity_loss(h, enc_het, enc_hom)
+        assert hetero_sim == 0.0
+        assert homo_sim == 1.0
+        assert excl_term(hetero_sim, homo_sim) == 0.0
 
     def test_single_row_hand_value_as_hetero_term(self):
         h = np.array([[1.0, 2.0]])
         enc_het = np.array([[3.0, 1.0]])
         enc_hom = np.array([[2.0, 4.0]])
-        res = exclusivity_loss(h, enc_het, enc_hom)
-        assert res.hetero_sim == pytest.approx(1.0 / np.sqrt(5.0), abs=1e-12)
-        assert res.homo_sim == pytest.approx(1.0)
-        assert excl_term(res) == pytest.approx(1.0 / np.sqrt(5.0), abs=1e-12)
+        hetero_sim, homo_sim, _ = exclusivity_loss(h, enc_het, enc_hom)
+        assert hetero_sim == pytest.approx(1.0 / np.sqrt(5.0), abs=1e-12)
+        assert homo_sim == pytest.approx(1.0)
+        assert excl_term(hetero_sim, homo_sim) == pytest.approx(1.0 / np.sqrt(5.0), abs=1e-12)
 
     def test_row_misalignment_rejected(self):
         with pytest.raises(ValueError, match="misaligned"):
@@ -466,22 +487,22 @@ class TestExclusivityLoss:
         h = rng.uniform(0.1, 1.0, size=(4, 5))
         het = rng.uniform(0.1, 1.0, size=(4, 5))
         hom = rng.uniform(0.1, 1.0, size=(4, 5))
-        base = exclusivity_loss(h, het, hom)
+        base = exclusivity_loss(h, het, hom)[:2]
         scaled_h, scaled_het, scaled_hom = h.copy(), het.copy(), hom.copy()
         scaled_h[2] *= 3.7
         scaled_het[2] *= 3.7
         scaled_hom[2] *= 3.7
-        scaled = exclusivity_loss(scaled_h, scaled_het, scaled_hom)
-        assert excl_term(scaled) == pytest.approx(excl_term(base), abs=1e-12)
+        scaled = exclusivity_loss(scaled_h, scaled_het, scaled_hom)[:2]
+        assert excl_term(*scaled) == pytest.approx(excl_term(*base), abs=1e-12)
 
     def test_degenerate_rows_never_nan(self):
         h = np.array([[0.0, 0.0], [1.0, 1.0]])
         het = np.array([[0.0, 0.0], [0.5, 0.5]])
         hom = np.zeros((2, 2))
-        res = exclusivity_loss(h, het, hom)
-        for val in (res.hetero_sim, res.homo_sim, excl_term(res)):
+        hetero_sim, homo_sim, grad = exclusivity_loss(h, het, hom)
+        for val in (hetero_sim, homo_sim, excl_term(hetero_sim, homo_sim)):
             assert np.isfinite(val)
-        for g in (res.grad_latent, res.grad_hetero, res.grad_homo):
+        for g in np.split(grad, 3):  # latent, hetero, homo rows
             assert np.all(np.isfinite(g))
 
     @pytest.mark.parametrize("seed", [15, 16, 17])
@@ -492,7 +513,7 @@ class TestExclusivityLoss:
         hom = rng.uniform(0.2, 1.0, size=(4, 5))
 
         def loss_fn():
-            res = exclusivity_loss(h, het, hom)
-            return excl_term(res), [res.grad_latent, res.grad_hetero, res.grad_homo]
+            hetero_sim, homo_sim, grad = exclusivity_loss(h, het, hom)
+            return excl_term(hetero_sim, homo_sim), np.split(grad, 3)  # [latent; hetero; homo] rows
 
         assert grad_check(loss_fn, [h, het, hom], epsilon=1e-6) < 1e-4

@@ -8,7 +8,8 @@ its function is entered, and takes a numpy integer. Each real site likewise
 refuses a bool, a string, None, NaN, the value just below its least, infinity
 (but the band, where it means no band) and an int too large for a float, and
 takes an int or a numpy float as a float. Paths, the output directory and the
-k-NN metric refuse a value of another type by name too.
+k-NN metric refuse a value of another type by name too, and a Dataset's and
+k-NN's labels refuse any array but one of numpy integers (or an empty one).
 """
 
 import math
@@ -292,3 +293,39 @@ def test_unhashable_or_non_string_metric_refused(value):
     feats = np.eye(4)
     with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
         knn_classify(feats, [0, 1, 0, 1], feats, k=1, metric=value)
+
+
+# labels the old int64 cast truncated, reinterpreted or overflowed on
+NON_INTEGER_LABELS = {
+    "fractions": ([0.5, 1.7, 2.0], "float64"),
+    "fractions-near-each-label": ([0.9, 1.2, 2.5], "float64"),
+    "bools": ([True, False, True], "bool"),
+    "strings": (["1", "0", "1"], "<U1"),
+    "past-int64": ([1e20, 0, 1], "float64"),
+}
+
+
+@pytest.mark.parametrize("labels, dtype", NON_INTEGER_LABELS.values(), ids=NON_INTEGER_LABELS.keys())
+@pytest.mark.parametrize("site", ["Dataset", "knn_classify"])
+def test_non_integer_labels_refused_naming_the_dtype(site, labels, dtype):
+    name, make = {
+        "Dataset": ("labels", lambda: Dataset(np.eye(3), labels, (1, 3))),
+        "knn_classify": ("train labels", lambda: knn_classify(np.eye(3), labels, np.eye(3), 1)),
+    }[site]
+    refused = f"{name} must be integers that fit int64, got dtype {dtype}"
+    with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+        make()
+
+
+def test_labels_past_int64_refused():
+    labels = np.array([2**63, 0, 1], dtype=np.uint64)  # an int64 cast would read -2**63
+    with pytest.raises(ValueError, match="^labels must be integers that fit int64, got dtype uint64$"):
+        Dataset(np.eye(3), labels, (1, 3))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint8, np.uint64])
+def test_labels_of_any_numpy_integer_kind_taken_as_int64(dtype):
+    labels = np.array([2, 0, 1], dtype=dtype)
+    assert Dataset(np.eye(3), labels, (1, 3)).labels.dtype == np.int64
+    assert knn_classify(np.eye(3), labels, np.eye(3), 1).tolist() == [2, 0, 1]
+    assert Dataset(np.zeros((0, 3)), [], (1, 3)).labels.dtype == np.int64  # [] reads as float64
